@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/ghe/parallel_montgomery.h"
 
 namespace flb::core {
 
@@ -494,38 +493,21 @@ Result<EncVec> HeService::WeightedSums(
   flat.data = std::move(term_ciphers);
   FLB_ASSIGN_OR_RETURN(EncVec products, ScalarMulFixedPoint(flat, term_weights));
 
-  // Fold products group-wise (charged as one add batch below).
+  // Fold products group-wise (charged as one add batch below); group g's
+  // products sit at consecutive positions.
+  std::vector<std::vector<uint32_t>> positions(groups.size());
+  uint32_t pos = 0;
+  uint64_t adds = 0;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t t = 0; t < groups[g].size(); ++t) positions[g].push_back(pos++);
+    if (!groups[g].empty()) adds += groups[g].size() - 1;
+  }
   EncVec out;
   out.layout = EncLayout::kFixedPoint;
   out.count = groups.size();
   out.scale_muls = c.scale_muls + 1;
   out.modeled = options_.modeled;
-  out.data.reserve(groups.size());
-  size_t pos = 0;
-  uint64_t adds = 0;
-  for (const auto& group : groups) {
-    if (group.empty()) {
-      // Empty group: encrypted zero (modeled: residue 0).
-      if (options_.modeled) {
-        out.data.emplace_back();
-      } else {
-        FLB_ASSIGN_OR_RETURN(BigInt zero, paillier_->Encrypt(BigInt(), rng_));
-        op_cells_.encrypts.fetch_add(1, std::memory_order_relaxed);
-        out.data.push_back(std::move(zero));
-      }
-      continue;
-    }
-    BigInt acc = products.data[pos++];
-    for (size_t t = 1; t < group.size(); ++t, ++pos) {
-      if (options_.modeled) {
-        acc = BigInt::Add(acc, products.data[pos]) % n_;
-      } else {
-        FLB_ASSIGN_OR_RETURN(acc, paillier_->Add(acc, products.data[pos]));
-      }
-      ++adds;
-    }
-    out.data.push_back(std::move(acc));
-  }
+  FLB_ASSIGN_OR_RETURN(out.data, FoldGroups(products.data, positions));
   // ChargeBatch routes to the device model or the CPU cost model as the
   // engine dictates. (In real-GPU mode the fold arithmetic above ran on the
   // host context for simplicity; the charge prices it as the kernel the real
@@ -537,6 +519,43 @@ Result<EncVec> HeService::WeightedSums(
   return out;
 }
 
+Result<std::vector<BigInt>> HeService::FoldGroups(
+    const std::vector<BigInt>& terms,
+    const std::vector<std::vector<uint32_t>>& groups) {
+  std::vector<BigInt> sums(groups.size());
+  if (options_.modeled) {
+    // Residues add mod n; an empty group is residue 0.
+    for (size_t g = 0; g < groups.size(); ++g) {
+      for (size_t t = 0; t < groups[g].size(); ++t) {
+        sums[g] = t == 0 ? terms[groups[g][0]]
+                         : BigInt::Add(sums[g], terms[groups[g][t]]) % n_;
+      }
+    }
+    return sums;
+  }
+  // Ciphertexts multiply mod n^2, one group per task: group g folds its
+  // terms in order and writes only sums[g], so the schedule never shows.
+  FLB_RETURN_IF_ERROR(common::ParallelForEachStatus(
+      *host_pool_, groups.size(), [&](size_t g) -> Status {
+        const std::vector<uint32_t>& group = groups[g];
+        if (group.empty()) return Status::OK();
+        sums[g] = terms[group[0]];
+        for (size_t t = 1; t < group.size(); ++t) {
+          FLB_ASSIGN_OR_RETURN(sums[g],
+                               paillier_->Add(sums[g], terms[group[t]]));
+        }
+        return Status::OK();
+      }));
+  // An empty group is a fresh E(0). ObfuscationPool draws are ordered, so
+  // these stay serial and in group order.
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (!groups[g].empty()) continue;
+    FLB_ASSIGN_OR_RETURN(sums[g], paillier_->Encrypt(BigInt(), rng_));
+    op_cells_.encrypts.fetch_add(1, std::memory_order_relaxed);
+  }
+  return sums;
+}
+
 Result<EncVec> HeService::SelectiveSums(
     const EncVec& c, const std::vector<std::vector<uint32_t>>& groups) {
   FLB_RETURN_IF_ERROR(CheckDeadline("HeService::SelectiveSums"));
@@ -546,41 +565,21 @@ Result<EncVec> HeService::SelectiveSums(
   if (c.slots_per_cipher != 1) {
     return Status::InvalidArgument("SelectiveSums: input must be unpacked");
   }
+  uint64_t adds = 0;
+  for (const auto& group : groups) {
+    for (uint32_t index : group) {
+      if (index >= c.data.size()) {
+        return Status::OutOfRange("SelectiveSums: index out of range");
+      }
+    }
+    if (!group.empty()) adds += group.size() - 1;
+  }
   EncVec out;
   out.layout = EncLayout::kFixedPoint;
   out.count = groups.size();
   out.scale_muls = c.scale_muls;
   out.modeled = options_.modeled;
-  out.data.reserve(groups.size());
-  uint64_t adds = 0;
-  for (const auto& group : groups) {
-    if (group.empty()) {
-      if (options_.modeled) {
-        out.data.emplace_back();
-      } else {
-        FLB_ASSIGN_OR_RETURN(BigInt zero, paillier_->Encrypt(BigInt(), rng_));
-        op_cells_.encrypts.fetch_add(1, std::memory_order_relaxed);
-        out.data.push_back(std::move(zero));
-      }
-      continue;
-    }
-    if (group[0] >= c.data.size()) {
-      return Status::OutOfRange("SelectiveSums: index out of range");
-    }
-    BigInt acc = c.data[group[0]];
-    for (size_t t = 1; t < group.size(); ++t) {
-      if (group[t] >= c.data.size()) {
-        return Status::OutOfRange("SelectiveSums: index out of range");
-      }
-      if (options_.modeled) {
-        acc = BigInt::Add(acc, c.data[group[t]]) % n_;
-      } else {
-        FLB_ASSIGN_OR_RETURN(acc, paillier_->Add(acc, c.data[group[t]]));
-      }
-      ++adds;
-    }
-    out.data.push_back(std::move(acc));
-  }
+  FLB_ASSIGN_OR_RETURN(out.data, FoldGroups(c.data, groups));
   ChargeBatch("he.selective_sum", static_cast<int64_t>(adds),
               AddLimbOps(options_.key_bits), 2 * adds * CiphertextWords() * 4,
               adds * CiphertextWords() * 4);
@@ -640,6 +639,10 @@ Result<EncVec> HeService::CompressForTransmission(const EncVec& c) {
   if (!traits_.use_bc || c.slots_per_cipher != 1 || c.count <= 1) {
     return c;  // compression disabled or nothing to gain
   }
+  if (c.data.size() != c.count) {
+    return Status::InvalidArgument(
+        "CompressForTransmission: ciphertext count mismatch");
+  }
   const int sb = fp_compress_slot_bits();
   const int slots = std::max(1, (options_.key_bits - 2) / sb);
   if (slots <= 1) return c;
@@ -653,47 +656,34 @@ Result<EncVec> HeService::CompressForTransmission(const EncVec& c) {
   out.fp_slot_bits = sb;
   out.modeled = options_.modeled;
 
-  uint64_t adds = 0, addplains = 0, scalar_muls = 0;
-  for (size_t base = 0; base < c.count; base += slots) {
-    const size_t group = std::min<size_t>(slots, c.count - base);
-    BigInt acc;
-    bool acc_set = false;
-    for (size_t j = 0; j < group; ++j) {
-      // shifted = (value + offset) * 2^(j*sb), homomorphically.
-      BigInt shifted;
-      if (options_.modeled) {
+  // Per source ciphertext: one offset add and one shift; beyond each
+  // group's first, one add.
+  const uint64_t scalar_muls = c.count;
+  const uint64_t addplains = c.count;
+  const uint64_t adds = c.count - (c.count + slots - 1) / slots;
+  if (options_.modeled) {
+    for (size_t base = 0; base < c.count; base += slots) {
+      const size_t group = std::min<size_t>(slots, c.count - base);
+      BigInt acc;
+      for (size_t j = 0; j < group; ++j) {
+        // shifted = (value + offset) * 2^(j*sb), on the residues.
         BigInt with_offset = BigInt::Add(c.data[base + j], offset) % n_;
-        shifted = BigInt::ShiftLeft(with_offset, static_cast<int>(j) * sb) % n_;
-      } else {
-        FLB_ASSIGN_OR_RETURN(BigInt with_offset,
-                             paillier_->AddPlain(c.data[base + j], offset));
-        FLB_ASSIGN_OR_RETURN(
-            shifted,
-            paillier_->ScalarMul(with_offset,
-                                 BigInt::PowerOfTwo(static_cast<int>(j) * sb)));
+        BigInt shifted =
+            BigInt::ShiftLeft(with_offset, static_cast<int>(j) * sb) % n_;
+        acc = j == 0 ? std::move(shifted) : BigInt::Add(acc, shifted) % n_;
       }
-      ++addplains;
-      ++scalar_muls;
-      if (!acc_set) {
-        acc = std::move(shifted);
-        acc_set = true;
-      } else {
-        if (options_.modeled) {
-          acc = BigInt::Add(acc, shifted) % n_;
-        } else {
-          FLB_ASSIGN_OR_RETURN(acc, paillier_->Add(acc, shifted));
-        }
-        ++adds;
-      }
+      out.data.push_back(std::move(acc));
     }
-    out.data.push_back(std::move(acc));
+  } else {
+    // Horner from the top slot down, acc = acc^(2^sb) * E(v_j + offset),
+    // one group per task on the host pool.
+    FLB_ASSIGN_OR_RETURN(
+        out.data, paillier_->PackBatch(c.data, offset, sb, slots, host_pool_));
   }
   // Charge the whole compression as one batch. Packing is Horner-style on
-  // the device (acc = acc^(2^sb) * E(v_j + offset)), so each source
-  // ciphertext costs sb squarings plus one multiply and one offset add —
-  // NOT a full slots*sb-bit exponentiation. (The host reference
-  // implementation above multiplies by 2^(j*sb) directly, which is
-  // algebraically identical.)
+  // the device and on the host alike, so each source ciphertext costs sb
+  // squarings plus one multiply and one offset add — NOT a full
+  // slots*sb-bit exponentiation.
   const size_t s2w = CiphertextWords();
   ChargeBatch("he.cipher_compress", static_cast<int64_t>(scalar_muls),
               (static_cast<uint64_t>(sb) + 6) * ghe::MontMulLimbOps(s2w),

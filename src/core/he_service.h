@@ -14,10 +14,9 @@
 //    gradient legs, the Hetero NN interactive layer). Under BC, *computed*
 //    fixed-point ciphertext vectors are compressed before transmission by
 //    cipher-space packing (SecureBoost+-style shift-and-add: each ciphertext
-//    is scalar-multiplied by 2^(slot offset) and offset-shifted to make the
-//    value non-negative, then all are homomorphically summed into one
-//    ciphertext) — so BC applies even to ciphertexts the sender cannot
-//    re-encrypt.
+//    is offset-shifted to make the value non-negative, and a group is packed
+//    into one ciphertext by Horner's rule, acc = acc^(2^sb) * E(v + offset))
+//    — so BC applies even to ciphertexts the sender cannot re-encrypt.
 //
 // Execution modes:
 //  * Real (default): genuine Paillier over the configured key size; results
@@ -242,6 +241,13 @@ class HeService : public obs::MetricsSource {
   void ChargeCpu(const char* kind, uint64_t count, uint64_t limb_ops_per_elt);
   Status CheckLayout(const EncVec& v, EncLayout expected,
                      const char* op) const;
+  // Sums terms[i] over each group's indices (validated by the caller):
+  // residues add mod n (modeled); ciphertexts multiply mod n^2, one group
+  // per host pool task (real). An empty group sums to zero, in real mode a
+  // fresh E(0) encrypted serially in group order.
+  Result<std::vector<BigInt>> FoldGroups(
+      const std::vector<BigInt>& terms,
+      const std::vector<std::vector<uint32_t>>& groups);
   Status CheckDeadline(const char* op) const {
     return run_deadline_ == nullptr ? Status::OK() : run_deadline_->Check(op);
   }

@@ -147,9 +147,28 @@ class PaillierContext {
   Result<std::vector<BigInt>> AddPlainBatch(
       const std::vector<BigInt>& cs, const std::vector<BigInt>& ks,
       common::ThreadPool* pool = nullptr) const;
+  // ScalarMulBatch range-checks every ciphertext first. Negative scalars
+  // (the short-exponent inverse path of ScalarMul) have their ciphertexts
+  // inverted together with Montgomery's batch trick, serially, before the
+  // per-element exponentiations fan out: one ModInverse of their product
+  // (taken mod n and lifted to n^2 by a Newton step) plus 3 MontMuls per
+  // element. Inverses are unique, so outputs equal ScalarMul's. If the
+  // product is not a unit (some ciphertext shares a factor with n^2),
+  // every element falls back to ScalarMul's own path.
   Result<std::vector<BigInt>> ScalarMulBatch(
       const std::vector<BigInt>& cs, const std::vector<BigInt>& ks,
       common::ThreadPool* pool = nullptr) const;
+  // Cipher-space packing (SecureBoost+): each run of `slots` consecutive
+  // ciphertexts E(m_0), ..., E(m_{s-1}) becomes one ciphertext of
+  // sum_j (m_j + offset) * 2^(j*slot_bits), that is
+  // prod_j (c_j * g^offset)^(2^(j*slot_bits)) mod n^2. Computed by Horner's
+  // rule from the top slot down, acc = acc^(2^slot_bits) * E(m_j + offset):
+  // slot_bits squarings and two MontMuls per ciphertext, one group per task
+  // on `pool`. Counts the single ops it stands for: per ciphertext one
+  // AddPlain and one ScalarMul, plus one Add beyond each group's first.
+  Result<std::vector<BigInt>> PackBatch(
+      const std::vector<BigInt>& cs, const BigInt& offset, int slot_bits,
+      size_t slots, common::ThreadPool* pool = nullptr) const;
 
   // The n^2 Montgomery context (the GHE layer reuses it for batched ops).
   const MontgomeryContext& n2_ctx() const { return eval_->n2_ctx(); }
@@ -191,6 +210,9 @@ class PaillierContext {
   Result<BigInt> DecryptCrt(const BigInt& c) const;
   // ScalarMul without the op-count bump (batch path counts per batch).
   BigInt ScalarMulUncounted(const BigInt& c, const BigInt& k) const;
+  // n - k when k encodes a negative scalar short enough for the inverse
+  // path, E(x)^k = (E(x)^{-1})^(n-k); nullopt otherwise.
+  std::optional<BigInt> NegatedScalar(const BigInt& k) const;
   // g^m mod n^2 via the (n+1) fast path or the fixed-base table.
   BigInt GPowM(const BigInt& m) const;
   // c * obf mod n^2 with obf already in Montgomery form.

@@ -30,6 +30,19 @@ HeServiceOptions SmallRealOptions(EngineKind engine) {
   return opts;
 }
 
+// E(x)^k the way PaillierContext::ScalarMul computes it, on BigInt's
+// reference arithmetic: a (short) negative fixed-point scalar n - m runs as
+// (E(x)^{-1})^m.
+BigInt RefScalarMul(const BigInt& c, const BigInt& k, const BigInt& n) {
+  const BigInt n2 = BigInt::Mul(n, n);
+  if (k > BigInt::ShiftRight(n, 1)) {
+    return BigInt::ModPow(BigInt::ModInverse(c, n2).value(), BigInt::Sub(n, k),
+                          n2)
+        .value();
+  }
+  return BigInt::ModPow(c, k, n2).value();
+}
+
 class HeServiceEngineTest : public ::testing::TestWithParam<EngineKind> {
  protected:
   void SetUp() override {
@@ -177,6 +190,121 @@ TEST(HeServiceTest, CipherCompressionRoundTrip) {
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_NEAR(dec[i], values[i], 1e-3) << i;
   }
+  // A vector whose count disagrees with its ciphertexts is refused.
+  enc.data.pop_back();
+  EXPECT_TRUE(he->CompressForTransmission(enc).status().IsInvalidArgument());
+}
+
+TEST(HeServiceTest, CipherCompressionBytesMatchDirectFormula) {
+  // Horner packing must produce the bytes of the direct formula
+  // prod_j (c_j * g^(2^(sb-1)))^(2^(j*sb)) mod n^2, at any thread count.
+  const std::vector<double> values{0.5, -1.25, 2.0, -0.125,
+                                   0.75, 3.5, -2.25, 0.0};
+  std::vector<BigInt> first;
+  double first_sim = 0;
+  for (int threads : {1, 4}) {
+    SimClock clock;
+    auto device = MakeDevice(&clock);
+    HeServiceOptions opts = SmallRealOptions(EngineKind::kFlBooster);
+    opts.fp_compress_slot_bits = 40;  // 256-bit key -> 6 slots
+    opts.host_threads = threads;
+    auto he = HeService::Create(opts, &clock, device).value();
+    const EncVec enc = he->EncryptFixedPoint(values).value();
+    const EncVec packed = he->CompressForTransmission(enc).value();
+
+    const BigInt& n = he->modulus();
+    const BigInt n2 = BigInt::Mul(n, n);
+    const int sb = packed.fp_slot_bits;
+    const auto slots = static_cast<size_t>(packed.slots_per_cipher);
+    const BigInt g_offset =
+        BigInt::ModPow(BigInt::Add(n, BigInt(1)), BigInt::PowerOfTwo(sb - 1),
+                       n2)
+            .value();
+    std::vector<BigInt> want;
+    for (size_t base = 0; base < enc.data.size(); base += slots) {
+      BigInt acc(1);
+      for (size_t j = 0; j < slots && base + j < enc.data.size(); ++j) {
+        const BigInt c = BigInt::ModMul(enc.data[base + j], g_offset, n2).value();
+        const BigInt shift = BigInt::PowerOfTwo(static_cast<int>(j) * sb);
+        acc = BigInt::ModMul(acc, BigInt::ModPow(c, shift, n2).value(), n2)
+                  .value();
+      }
+      want.push_back(acc);
+    }
+    ASSERT_EQ(want.size(), 2u);  // a full group of 6 and a partial one of 2
+    EXPECT_EQ(packed.data, want) << "threads=" << threads;
+    if (first.empty()) {
+      first = packed.data;
+      first_sim = clock.Now();
+    } else {
+      EXPECT_EQ(packed.data, first) << "threads=" << threads;
+      EXPECT_EQ(clock.Now(), first_sim) << "threads=" << threads;
+    }
+  }
+}
+
+TEST(HeServiceTest, FoldsWithEmptyGroupsMatchReferenceAtAnyThreadCount) {
+  const std::vector<double> values{1.0, -0.5, 0.25, 2.0, -1.5};
+  const std::vector<std::vector<HeService::WeightedTerm>> wgroups{
+      {{0, 2.0}, {1, -4.0}, {3, 0.5}}, {}, {{2, -1.0}}, {{4, 1.5}, {0, -0.25}}};
+  const std::vector<std::vector<uint32_t>> sgroups{
+      {0, 3, 4}, {}, {2}, {1, 2}, {}};
+  struct Run {
+    std::vector<BigInt> weighted, selective;
+    double sim_seconds;
+    HeOpCounts ops;
+  };
+  auto run = [&](int threads) {
+    SimClock clock;
+    auto device = MakeDevice(&clock);
+    HeServiceOptions opts = SmallRealOptions(EngineKind::kFlBooster);
+    opts.host_threads = threads;
+    auto he = HeService::Create(opts, &clock, device).value();
+    const EncVec enc = he->EncryptFixedPoint(values).value();
+    const EncVec ws = he->WeightedSums(enc, wgroups).value();
+    const EncVec ss = he->SelectiveSums(enc, sgroups).value();
+
+    // Non-empty groups: the product of the single-op results.
+    const BigInt& n = he->modulus();
+    const BigInt n2 = BigInt::Mul(n, n);
+    for (size_t g = 0; g < wgroups.size(); ++g) {
+      if (wgroups[g].empty()) continue;
+      BigInt want(1);
+      for (const auto& t : wgroups[g]) {
+        const BigInt k = he->fixed_point().EncodeScalar(t.weight).value();
+        want = BigInt::ModMul(want, RefScalarMul(enc.data[t.index], k, n), n2)
+                   .value();
+      }
+      EXPECT_EQ(ws.data[g], want) << "threads=" << threads << " group " << g;
+    }
+    for (size_t g = 0; g < sgroups.size(); ++g) {
+      if (sgroups[g].empty()) continue;
+      BigInt want(1);
+      for (uint32_t i : sgroups[g]) {
+        want = BigInt::ModMul(want, enc.data[i], n2).value();
+      }
+      EXPECT_EQ(ss.data[g], want) << "threads=" << threads << " group " << g;
+    }
+    // Empty groups: E(0)s drawn from the ordered ObfuscationPool in group
+    // order, the draws a same-key service makes for three empty groups.
+    SimClock ref_clock;
+    auto ref = HeService::Create(opts, &ref_clock, MakeDevice(&ref_clock))
+                   .value();
+    const EncVec zeros = ref->SelectiveSums(enc, {{}, {}, {}}).value();
+    EXPECT_EQ(ws.data[1], zeros.data[0]) << "threads=" << threads;
+    EXPECT_EQ(ss.data[1], zeros.data[1]) << "threads=" << threads;
+    EXPECT_EQ(ss.data[4], zeros.data[2]) << "threads=" << threads;
+    EXPECT_EQ(he->DecryptFixedPoint(ws).value()[1], 0.0);
+    return Run{ws.data, ss.data, clock.Now(), he->op_counts()};
+  };
+  const Run base = run(1);
+  const Run four = run(4);
+  EXPECT_EQ(four.weighted, base.weighted);
+  EXPECT_EQ(four.selective, base.selective);
+  EXPECT_EQ(four.sim_seconds, base.sim_seconds);
+  EXPECT_EQ(four.ops.encrypts, base.ops.encrypts);
+  EXPECT_EQ(four.ops.hom_adds, base.ops.hom_adds);
+  EXPECT_EQ(four.ops.scalar_muls, base.ops.scalar_muls);
 }
 
 TEST(HeServiceTest, CipherCompressionIsNoOpWithoutBc) {

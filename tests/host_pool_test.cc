@@ -211,7 +211,12 @@ class BatchInvarianceTest : public ::testing::Test {
 
 TEST_F(BatchInvarianceTest, AllBatchHelpersAreBitIdenticalAcrossThreadCounts) {
   const auto ms = Messages(37);  // odd count: uneven chunking
-  const auto ks = Messages(37);
+  // Mixed signs: every other scalar encodes a negative, n - k, so
+  // ScalarMulBatch runs its batch-inversion path next to the direct one.
+  auto ks = Messages(37);
+  for (size_t i = 1; i < ks.size(); i += 2) {
+    ks[i] = BigInt::Sub(Keys().pub.n, ks[i]);
+  }
 
   struct Run {
     std::vector<BigInt> enc, dec, add, add_plain, scalar_mul;
@@ -239,6 +244,11 @@ TEST_F(BatchInvarianceTest, AllBatchHelpersAreBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(base.dec, ms);
   EXPECT_EQ(base.encrypts, ms.size());
   EXPECT_EQ(base.decrypts, ms.size());
+  auto ctx = PaillierContext::Create(Keys()).value();
+  for (size_t i = 0; i < ks.size(); ++i) {
+    EXPECT_EQ(base.scalar_mul[i], ctx.ScalarMul(base.enc[i], ks[i]).value())
+        << "element " << i;
+  }
   for (int threads : {2, 8}) {
     const Run r = run_all(threads);
     EXPECT_EQ(r.enc, base.enc) << "threads=" << threads;
@@ -251,6 +261,43 @@ TEST_F(BatchInvarianceTest, AllBatchHelpersAreBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.adds, base.adds) << "threads=" << threads;
     EXPECT_EQ(r.scalar_muls, base.scalar_muls) << "threads=" << threads;
   }
+}
+
+TEST_F(BatchInvarianceTest, ScalarMulBatchWithNonUnitsMatchesSingleOps) {
+  // 0 and n are < n^2 but share a factor with it, so the batch product is
+  // not a unit and every element takes the per-element path.
+  const BigInt& n = Keys().pub.n;
+  auto ctx = PaillierContext::Create(Keys()).value();
+  Rng rng(19);
+  std::vector<BigInt> cs = ctx.EncryptBatch(Messages(6), rng).value();
+  cs[1] = BigInt();  // odd indices carry negative scalars
+  cs[3] = n;
+  std::vector<BigInt> ks;
+  for (size_t i = 0; i < cs.size(); ++i) {
+    const BigInt k(i * 5 + 3);
+    ks.push_back(i % 2 == 0 ? k : BigInt::Sub(n, k));
+  }
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    const auto out = ctx.ScalarMulBatch(cs, ks, &pool).value();
+    ASSERT_EQ(out.size(), cs.size());
+    for (size_t i = 0; i < cs.size(); ++i) {
+      EXPECT_EQ(out[i], ctx.ScalarMul(cs[i], ks[i]).value())
+          << "threads=" << threads << " element " << i;
+    }
+  }
+}
+
+TEST_F(BatchInvarianceTest, PackBatchValidatesBeforeAnyWork) {
+  auto ctx = PaillierContext::Create(Keys()).value();
+  Rng rng(5);
+  auto cs = ctx.EncryptBatch(Messages(4), rng).value();
+  cs[2] = Keys().pub.n_squared;
+  EXPECT_TRUE(ctx.PackBatch(cs, BigInt(8), 16, 3).status().IsOutOfRange());
+  EXPECT_TRUE(ctx.PackBatch({}, Keys().pub.n, 16, 3).status().IsOutOfRange());
+  EXPECT_TRUE(ctx.PackBatch({}, BigInt(8), 16, 0).status().IsInvalidArgument());
+  EXPECT_EQ(ctx.op_counts().adds.load(), 0u);
+  EXPECT_EQ(ctx.op_counts().scalar_muls.load(), 0u);
 }
 
 TEST_F(BatchInvarianceTest, SecureObfuscationBatchIsInvariantToo) {
