@@ -37,6 +37,22 @@ uint64_t ScalarMulLimbOps(int key_bits, int exp_bits) {
   return EstimateModPowMontMuls(exp_bits) * MontMulLimbOps(s2);
 }
 
+// c * k mod n on residues, reading one in (half_n, n) as the negative it
+// encodes: multiply the short magnitudes, reduce, and negate once. Equal to
+// BigInt::Mul(c, k) % n for every c and k; the plaintext twin of
+// crypto::PaillierContext::NegatedScalar.
+BigInt SignFoldedMulMod(const BigInt& c, const BigInt& k, const BigInt& n,
+                        const BigInt& half_n) {
+  auto negative = [&](const BigInt& x) { return x > half_n && x < n; };
+  const bool c_neg = negative(c);
+  const bool k_neg = negative(k);
+  const BigInt c_mag = c_neg ? BigInt::Sub(n, c) : c;
+  const BigInt k_mag = k_neg ? BigInt::Sub(n, k) : k;
+  BigInt r = BigInt::Mul(c_mag, k_mag) % n;
+  if (c_neg == k_neg || r.IsZero()) return r;
+  return BigInt::Sub(n, r);
+}
+
 }  // namespace
 
 HeService::HeService(const HeServiceOptions& options, SimClock* clock,
@@ -55,6 +71,12 @@ Result<std::unique_ptr<HeService>> HeService::Create(
   if (options.key_bits < 64 || options.key_bits % 64 != 0) {
     return Status::InvalidArgument(
         "HeService: key_bits must be a positive multiple of 64");
+  }
+  // DecryptFixedPoint reads a slot as a signed 64-bit value less its
+  // 2^(sb-1) offset, which overflows at sb = 64.
+  if (options.fp_compress_slot_bits < 0 || options.fp_compress_slot_bits > 63) {
+    return Status::InvalidArgument(
+        "HeService: fp_compress_slot_bits must be in [0, 63] (0 = derive)");
   }
   const EngineTraits traits = TraitsFor(options.engine);
   if (traits.gpu_he && device == nullptr) {
@@ -267,7 +289,7 @@ Result<EncVec> HeService::AddCipher(const EncVec& a, const EncVec& b) {
   const int64_t n_cipher = static_cast<int64_t>(a.data.size());
   if (options_.modeled) {
     for (size_t i = 0; i < a.data.size(); ++i) {
-      out.data[i] = BigInt::Add(a.data[i], b.data[i]) % n_;
+      out.data[i].AddModInPlace(b.data[i], n_);
     }
     ChargeBatch("he.add", n_cipher, AddLimbOps(options_.key_bits),
                 2 * n_cipher * CiphertextWords() * 4,
@@ -309,7 +331,7 @@ Result<EncVec> HeService::AddPlainValues(const EncVec& c,
   const int64_t n_cipher = static_cast<int64_t>(plains.size());
   if (options_.modeled) {
     for (size_t i = 0; i < plains.size(); ++i) {
-      out.data[i] = BigInt::Add(c.data[i], plains[i]) % n_;
+      out.data[i].AddModInPlace(plains[i], n_);
     }
     ChargeBatch("he.add_plain", n_cipher, AddPlainLimbOps(options_.key_bits),
                 n_cipher * CiphertextWords() * 6,
@@ -414,7 +436,7 @@ Result<EncVec> HeService::AddFixedPoint(const EncVec& a, const EncVec& b) {
   const int64_t n_cipher = static_cast<int64_t>(a.data.size());
   if (options_.modeled) {
     for (size_t i = 0; i < a.data.size(); ++i) {
-      out.data[i] = BigInt::Add(a.data[i], b.data[i]) % n_;
+      out.data[i].AddModInPlace(b.data[i], n_);
     }
     ChargeBatch("he.fp_add", n_cipher, AddLimbOps(options_.key_bits),
                 2 * n_cipher * CiphertextWords() * 4,
@@ -450,7 +472,8 @@ Result<EncVec> HeService::ScalarMulFixedPoint(
   const int64_t n_cipher = static_cast<int64_t>(c.data.size());
   if (options_.modeled) {
     for (size_t i = 0; i < c.data.size(); ++i) {
-      out.data[i] = BigInt::Mul(c.data[i], ks[i]) % n_;
+      out.data[i] = SignFoldedMulMod(c.data[i], ks[i], n_,
+                                     fp_codec_->half_modulus());
     }
     ChargeBatch("he.fp_scalar_mul", n_cipher,
                 ScalarMulLimbOps(options_.key_bits, EffectiveScalarBits()),
@@ -526,9 +549,11 @@ Result<std::vector<BigInt>> HeService::FoldGroups(
   if (options_.modeled) {
     // Residues add mod n; an empty group is residue 0.
     for (size_t g = 0; g < groups.size(); ++g) {
-      for (size_t t = 0; t < groups[g].size(); ++t) {
-        sums[g] = t == 0 ? terms[groups[g][0]]
-                         : BigInt::Add(sums[g], terms[groups[g][t]]) % n_;
+      const std::vector<uint32_t>& group = groups[g];
+      if (group.empty()) continue;
+      sums[g] = terms[group[0]];
+      for (size_t t = 1; t < group.size(); ++t) {
+        sums[g].AddModInPlace(terms[group[t]], n_);
       }
     }
     return sums;
@@ -667,10 +692,11 @@ Result<EncVec> HeService::CompressForTransmission(const EncVec& c) {
       BigInt acc;
       for (size_t j = 0; j < group; ++j) {
         // shifted = (value + offset) * 2^(j*sb), on the residues.
-        BigInt with_offset = BigInt::Add(c.data[base + j], offset) % n_;
-        BigInt shifted =
+        BigInt with_offset = c.data[base + j];
+        with_offset.AddModInPlace(offset, n_);
+        const BigInt shifted =
             BigInt::ShiftLeft(with_offset, static_cast<int>(j) * sb) % n_;
-        acc = j == 0 ? std::move(shifted) : BigInt::Add(acc, shifted) % n_;
+        acc.AddModInPlace(shifted, n_);
       }
       out.data.push_back(std::move(acc));
     }

@@ -83,7 +83,8 @@ struct HeServiceOptions {
   double alpha = 1.0;
   // Fixed-point fractional bits for per-value legs.
   int frac_bits = 24;
-  // Cipher-space compression slot width (0 = derive: 2*frac_bits + 16).
+  // Cipher-space compression slot width in [0, 63]
+  // (0 = derive: min(2*frac_bits + 14, 62)).
   int fp_compress_slot_bits = 0;
   // Plaintext-shadow execution (see header comment).
   bool modeled = false;

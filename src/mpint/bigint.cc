@@ -414,6 +414,51 @@ Result<BigInt> BigInt::ModInverse(const BigInt& a, const BigInt& n) {
   return inv;
 }
 
+void BigInt::AddModInPlace(const BigInt& b, const BigInt& n) {
+  // n = 0 takes the fallback too, whose % fails the FLB_CHECK.
+  if (Compare(n) >= 0 || b.Compare(n) >= 0) {
+    *this = Add(*this, b) % n;
+    return;
+  }
+  // Both below n, so the sum is below 2n and needs at most one subtraction
+  // of n. The add runs over the longer operand's limbs only: short
+  // (small-magnitude) residues stay cheap. Limb i of b is read before limb
+  // i of *this is written, so b may alias *this.
+  const size_t width = n.limbs_.size();
+  const size_t b_size = b.limbs_.size();
+  const size_t m = std::max(limbs_.size(), b_size);
+  limbs_.resize(m, 0);
+  const uint32_t* y = b.limbs_.data();  // after the resize, for aliasing
+  uint64_t carry = 0;
+  size_t i = 0;
+  for (; i < b_size; ++i) {
+    const uint64_t sum = carry + limbs_[i] + y[i];
+    limbs_[i] = static_cast<uint32_t>(sum);
+    carry = sum >> kLimbBits;
+  }
+  for (; carry != 0 && i < m; ++i) {
+    const uint64_t sum = carry + limbs_[i];
+    limbs_[i] = static_cast<uint32_t>(sum);
+    carry = sum >> kLimbBits;
+  }
+  if (carry != 0 && m < width) {
+    limbs_.push_back(1);
+    carry = 0;
+  }
+  // Without a carry the sum is normalized and Compare sees its true size;
+  // a carry out of n's width is absorbed by the subtraction's final borrow.
+  if (carry != 0 || Compare(n) >= 0) {
+    uint64_t borrow = 0;
+    for (size_t j = 0; j < width; ++j) {
+      const uint64_t diff =
+          static_cast<uint64_t>(limbs_[j]) - n.limbs_[j] - borrow;
+      limbs_[j] = static_cast<uint32_t>(diff);
+      borrow = diff >> 63;
+    }
+  }
+  Normalize();
+}
+
 Result<BigInt> BigInt::ModMul(const BigInt& a, const BigInt& b,
                               const BigInt& n) {
   if (n.IsZero()) return Status::ArithmeticError("ModMul: modulus is zero");

@@ -110,6 +110,12 @@ class BigInt {
   static BigInt Lcm(const BigInt& a, const BigInt& b);
   // x such that a*x ≡ 1 (mod n); error if gcd(a, n) != 1 or n < 2.
   static Result<BigInt> ModInverse(const BigInt& a, const BigInt& n);
+  // *this = (*this + b) mod n, in place (b may alias *this). For reduced
+  // residues (both < n) this is one limb add and at most one subtract of n,
+  // with no allocation once the capacity holds n's width; an operand >= n
+  // falls back to a full reduction, so the result always equals
+  // Add(*this, b) % n. n must be nonzero (FLB_CHECK).
+  void AddModInPlace(const BigInt& b, const BigInt& n);
   // (a*b) mod n via full multiply + reduce. The fast path for repeated use
   // is crypto::MontgomeryContext.
   static Result<BigInt> ModMul(const BigInt& a, const BigInt& b,

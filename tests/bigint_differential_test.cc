@@ -97,6 +97,75 @@ TEST(BigIntDifferential, MontgomeryAgainstNative) {
   }
 }
 
+TEST(BigIntDifferential, AddModInPlaceAgainstAddThenMod) {
+  // The in-place modular add against the division-based (a + b) % n at
+  // full-width odd moduli. The top two bits of n are set, so residues
+  // above n - 2^(bits-2) sum past the top limb.
+  Rng rng(326);
+  for (int bits : {1024, 2048}) {
+    std::vector<uint32_t> w = BigInt::Random(rng, bits).ToFixedWords(bits / 32);
+    w[0] |= 1u;
+    w.back() |= 0xC0000000u;
+    const BigInt n = BigInt::FromWords(std::move(w));
+    const BigInt one(1);
+    const BigInt half = BigInt::ShiftRight(n, 1);
+    std::vector<BigInt> edges{BigInt(), one, n - one, half, half + one};
+    // All-ones limbs, so a short addend's carry ripples up through them,
+    // and at width - 1 limbs out into a new top limb.
+    for (int low_bits : {64, bits / 2, bits - 32}) {
+      edges.push_back(BigInt::PowerOfTwo(low_bits) - one);
+    }
+    for (int i = 0; i < 4; ++i) {
+      edges.push_back(n - one - BigInt::Random(rng, bits - 2));  // high
+    }
+    int carried = 0, exactly_n = 0, fell_back = 0;
+    auto check = [&](const BigInt& a, const BigInt& b) {
+      const BigInt sum = BigInt::Add(a, b);
+      carried += sum.BitLength() > bits;
+      exactly_n += sum == n;
+      fell_back += a >= n || b >= n;
+      BigInt acc = a;
+      acc.AddModInPlace(b, n);
+      EXPECT_EQ(acc, sum % n) << bits << ": " << a.ToHex() << " + "
+                              << b.ToHex();
+    };
+    for (const BigInt& a : edges) {
+      for (const BigInt& b : edges) check(a, b);
+    }
+    for (int i = 0; i < 300; ++i) {
+      const BigInt a = BigInt::RandomBelow(rng, n);
+      check(a, BigInt::RandomBelow(rng, n));
+      check(a, n - a);  // exactly n (or 0 + n for a = 0: the fallback)
+    }
+    // Operands at or above n take the full-reduction fallback.
+    const BigInt big = BigInt::Mul(n, BigInt(3)) + BigInt::Random(rng, 64);
+    for (const BigInt& over : {n, n + one, big}) {
+      for (const BigInt& x : {BigInt(), half, n - one, over}) {
+        check(over, x);
+        check(x, over);
+      }
+    }
+    // b aliasing *this doubles in place.
+    for (const BigInt& a : edges) {
+      BigInt acc = a;
+      acc.AddModInPlace(acc, n);
+      EXPECT_EQ(acc, BigInt::Add(a, a) % n) << bits;
+    }
+    // A long fold reuses the accumulator's limbs from one add to the next.
+    BigInt acc, want;
+    for (int i = 0; i < 200; ++i) {
+      const BigInt& t = i % 3 == 0 ? edges[i % edges.size()]
+                                   : BigInt::RandomBelow(rng, n);
+      acc.AddModInPlace(t, n);
+      want = BigInt::Add(want, t) % n;
+      ASSERT_EQ(acc, want) << bits << " at step " << i;
+    }
+    EXPECT_GT(carried, 0) << bits;
+    EXPECT_GT(exactly_n, 0) << bits;
+    EXPECT_GT(fell_back, 0) << bits;
+  }
+}
+
 TEST(BigIntDifferential, DecimalAgainstNativeFormatting) {
   Rng rng(325);
   for (int i = 0; i < 200; ++i) {

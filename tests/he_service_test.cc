@@ -243,6 +243,155 @@ TEST(HeServiceTest, CipherCompressionBytesMatchDirectFormula) {
   }
 }
 
+TEST(HeServiceTest, ModeledBytesMatchDirectFormula) {
+  // Modeled HE computes on residues mod a synthetic n: each add must give
+  // the bytes of (a + b) % n and each scalar mul those of (c * k) % n,
+  // also for residues on both sides of n/2 that the codec never produces.
+  const std::vector<double> values{0.5, -1.25, 2.0, -0.125, 0.0, 3.5, -2.25};
+  const std::vector<double> weights{-1.5, 2.0, -0.25, 0.0, -3.0, 1.0, 1024.5};
+  for (int key_bits : {256, 2048}) {
+    SCOPED_TRACE(key_bits);
+    SimClock clock;
+    HeServiceOptions opts = SmallRealOptions(EngineKind::kFlBooster);
+    opts.key_bits = key_bits;
+    opts.modeled = true;
+    opts.fp_compress_slot_bits = 40;
+    auto he = HeService::Create(opts, &clock, MakeDevice(&clock)).value();
+    const BigInt& n = he->modulus();
+    const BigInt one(1);
+    const BigInt half = BigInt::ShiftRight(n, 1);
+    auto add_mod = [&](const BigInt& a, const BigInt& b) {
+      return BigInt::Add(a, b) % n;
+    };
+    auto make = [](EncLayout layout, std::vector<BigInt> data) {
+      EncVec v;
+      v.layout = layout;
+      v.modeled = true;
+      v.count = data.size();
+      v.data = std::move(data);
+      return v;
+    };
+
+    // Codec encodings of mixed-sign values, then residues it cannot reach.
+    const std::vector<BigInt> edges{
+        BigInt(),   one,  n - one,    n - BigInt(2),
+        half - one, half, half + one, half + BigInt(2)};
+    std::vector<BigInt> residues = he->EncryptFixedPoint(values).value().data;
+    const auto edge0 = static_cast<uint32_t>(residues.size());
+    residues.insert(residues.end(), edges.begin(), edges.end());
+    std::vector<BigInt> lhs, rhs;
+    for (const BigInt& a : residues) {
+      for (const BigInt& b : residues) {
+        lhs.push_back(a);
+        rhs.push_back(b);
+      }
+    }
+
+    const EncVec sum = he->AddCipher(make(EncLayout::kPackedSum, lhs),
+                                     make(EncLayout::kPackedSum, rhs))
+                           .value();
+    const EncVec fp_sum = he->AddFixedPoint(make(EncLayout::kFixedPoint, lhs),
+                                            make(EncLayout::kFixedPoint, rhs))
+                              .value();
+    ASSERT_EQ(sum.data.size(), lhs.size());
+    ASSERT_EQ(fp_sum.data.size(), lhs.size());
+    for (size_t i = 0; i < lhs.size(); ++i) {
+      EXPECT_EQ(sum.data[i], add_mod(lhs[i], rhs[i])) << i;
+      EXPECT_EQ(fp_sum.data[i], add_mod(lhs[i], rhs[i])) << i;
+    }
+
+    // A party's own values folded into each edge residue in turn. Modeled
+    // encryption keeps the packed plaintexts as they are.
+    const std::vector<double> shares{0.5, -0.25, 0.125, -1.0, 1.0, 0.0};
+    const std::vector<BigInt> plains = he->EncryptValues(shares).value().data;
+    for (const BigInt& edge : edges) {
+      EncVec c = he->EncryptValues(shares).value();
+      c.data.assign(c.data.size(), edge);
+      const EncVec folded = he->AddPlainValues(c, shares).value();
+      for (size_t i = 0; i < plains.size(); ++i) {
+        EXPECT_EQ(folded.data[i], add_mod(edge, plains[i])) << i;
+      }
+    }
+
+    // Every residue times every weight, and unreduced data (>= n), which
+    // only arrives from outside the codec.
+    std::vector<BigInt> multiplicands = residues;
+    multiplicands.push_back(n);
+    multiplicands.push_back(n + one);
+    std::vector<BigInt> cs, ks;
+    std::vector<double> ws;
+    for (const BigInt& c : multiplicands) {
+      for (double w : weights) {
+        cs.push_back(c);
+        ws.push_back(w);
+        ks.push_back(he->fixed_point().EncodeScalar(w).value());
+      }
+    }
+    const EncVec prod =
+        he->ScalarMulFixedPoint(make(EncLayout::kFixedPoint, cs), ws).value();
+    ASSERT_EQ(prod.data.size(), cs.size());
+    for (size_t i = 0; i < cs.size(); ++i) {
+      EXPECT_EQ(prod.data[i], BigInt::Mul(cs[i], ks[i]) % n) << i;
+    }
+
+    // Folds, each with an empty group (residue 0).
+    const EncVec vec = make(EncLayout::kFixedPoint, residues);
+    const std::vector<std::vector<HeService::WeightedTerm>> wgroups{
+        {{0, -1.5}, {edge0 + 2, 2.0}, {edge0 + 6, -0.25}},
+        {},
+        {{edge0 + 1, 0.0}},
+        {{edge0 + 5, -3.0}, {edge0 + 5, -3.0}, {3, 1024.5}, {1, 1.0}}};
+    const EncVec ws_out = he->WeightedSums(vec, wgroups).value();
+    ASSERT_EQ(ws_out.data.size(), wgroups.size());
+    for (size_t g = 0; g < wgroups.size(); ++g) {
+      BigInt want;
+      for (const auto& t : wgroups[g]) {
+        const BigInt k = he->fixed_point().EncodeScalar(t.weight).value();
+        want = add_mod(want, BigInt::Mul(residues[t.index], k) % n);
+      }
+      EXPECT_EQ(ws_out.data[g], want) << "weighted group " << g;
+    }
+    const std::vector<std::vector<uint32_t>> sgroups{
+        {edge0 + 2, edge0 + 2, edge0 + 3},
+        {},
+        {edge0 + 6},
+        {0, 1, 2, 3, 4, 5, 6, edge0, edge0 + 4, edge0 + 5, edge0 + 7}};
+    const EncVec ss_out = he->SelectiveSums(vec, sgroups).value();
+    ASSERT_EQ(ss_out.data.size(), sgroups.size());
+    for (size_t g = 0; g < sgroups.size(); ++g) {
+      BigInt want;
+      for (uint32_t i : sgroups[g]) want = add_mod(want, residues[i]);
+      EXPECT_EQ(ss_out.data[g], want) << "selective group " << g;
+    }
+
+    // Cipher-space packing: group residue sum_j (c_j + 2^(sb-1)) 2^(j*sb)
+    // mod n, taken as one sum and one reduction.
+    const EncVec packed = he->CompressForTransmission(vec).value();
+    const int sb = packed.fp_slot_bits;
+    const auto slots = static_cast<size_t>(packed.slots_per_cipher);
+    ASSERT_GT(slots, 1u);
+    const BigInt offset = BigInt::PowerOfTwo(sb - 1);
+    std::vector<BigInt> want;
+    for (size_t base = 0; base < residues.size(); base += slots) {
+      BigInt total;
+      for (size_t j = 0; j < slots && base + j < residues.size(); ++j) {
+        total = total + BigInt::ShiftLeft(residues[base + j] + offset,
+                                          static_cast<int>(j) * sb);
+      }
+      want.push_back(total % n);
+    }
+    EXPECT_EQ(packed.data, want);
+    // The codec-reachable part still decodes through the packing.
+    const EncVec enc = he->EncryptFixedPoint(values).value();
+    const std::vector<double> dec =
+        he->DecryptFixedPoint(he->CompressForTransmission(enc).value()).value();
+    ASSERT_EQ(dec.size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      EXPECT_NEAR(dec[i], values[i], 1e-6) << i;
+    }
+  }
+}
+
 TEST(HeServiceTest, FoldsWithEmptyGroupsMatchReferenceAtAnyThreadCount) {
   const std::vector<double> values{1.0, -0.5, 0.25, 2.0, -1.5};
   const std::vector<std::vector<HeService::WeightedTerm>> wgroups{
@@ -405,6 +554,21 @@ TEST(HeServiceTest, CreateValidation) {
   // Bad key size.
   opts.key_bits = 100;
   EXPECT_FALSE(HeService::Create(opts, &clock, MakeDevice(&clock)).ok());
+  // Cipher-space slot width outside [0, 63]; 0 derives it, and 63 is the
+  // widest slot DecryptFixedPoint can read as a signed 64-bit value.
+  opts.key_bits = 256;
+  for (int slot_bits : {-1, 64}) {
+    opts.fp_compress_slot_bits = slot_bits;
+    EXPECT_TRUE(HeService::Create(opts, &clock, MakeDevice(&clock))
+                    .status()
+                    .IsInvalidArgument())
+        << slot_bits;
+  }
+  for (int slot_bits : {0, 63}) {
+    opts.fp_compress_slot_bits = slot_bits;
+    EXPECT_TRUE(HeService::Create(opts, &clock, MakeDevice(&clock)).ok())
+        << slot_bits;
+  }
 }
 
 TEST(HeServiceStreams, TraitsCarryStreamCounts) {
