@@ -33,6 +33,18 @@ int ChooseWindowBits(int exp_bits) {
 
 Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus,
                                                     bool use_fixed_kernels) {
+  // One table lookup per key: every MontMul/ModPow on this context then
+  // runs the compile-time-width kernel. Unsupported widths keep the generic
+  // path (FindKernel returns null).
+  const mpint::fixed::KernelOps* kernel =
+      use_fixed_kernels && mpint::fixed::KernelsEnabled()
+          ? mpint::fixed::FindKernel(modulus.WordCount())
+          : nullptr;
+  return CreateWithKernel(modulus, kernel);
+}
+
+Result<MontgomeryContext> MontgomeryContext::CreateWithKernel(
+    const BigInt& modulus, const mpint::fixed::KernelOps* kernel) {
   if (modulus < BigInt(3)) {
     return Status::InvalidArgument("Montgomery modulus must be >= 3");
   }
@@ -42,6 +54,9 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus,
   MontgomeryContext ctx;
   ctx.n_ = modulus;
   ctx.s_ = modulus.WordCount();
+  if (kernel != nullptr && kernel->limbs != ctx.s_) {
+    return Status::InvalidArgument("fixed kernel width differs from modulus");
+  }
   ctx.n0_inv_ = NegInverseMod2p32(modulus.word(0));
   const BigInt r = BigInt::PowerOfTwo(static_cast<int>(ctx.s_) * mpint::kLimbBits);
   ctx.r_mod_n_ = r % modulus;
@@ -49,16 +64,11 @@ Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus,
   ctx.r_words_ = ctx.r_mod_n_.ToFixedWords(ctx.s_);
   ctx.r2_words_ = ctx.r2_mod_n_.ToFixedWords(ctx.s_);
   ctx.one_words_ = BigInt(1).ToFixedWords(ctx.s_);
-  if (use_fixed_kernels && mpint::fixed::KernelsEnabled()) {
-    // One table lookup per key: every MontMul/ModPow on this context then
-    // runs the compile-time-width kernel. Unsupported widths keep the
-    // generic path (kernel_ stays null).
-    ctx.kernel_ = mpint::fixed::FindKernel(ctx.s_);
-    if (ctx.kernel_ != nullptr) {
-      const uint64_t n64 = static_cast<uint64_t>(modulus.word(0)) |
-                           (static_cast<uint64_t>(modulus.word(1)) << 32);
-      ctx.n0_inv64_ = mpint::fixed::NegInverseMod2p64(n64);
-    }
+  ctx.kernel_ = kernel;
+  if (kernel != nullptr) {
+    const uint64_t n64 = static_cast<uint64_t>(modulus.word(0)) |
+                         (static_cast<uint64_t>(modulus.word(1)) << 32);
+    ctx.n0_inv64_ = mpint::fixed::NegInverseMod2p64(n64);
   }
   return ctx;
 }

@@ -9,9 +9,10 @@
 //   * R^2 mod n — for converting into the Montgomery domain,
 //   * a fixed-width kernel (src/mpint/fixed_kernels.h) when s is one of
 //     the instantiated Paillier widths — the stack-allocated, compile-time-
-//     width CIOS that makes MontMul/ModPow run without heap traffic. Odd
-//     widths (and FLB_FIXED_KERNELS=0) keep the generic radix-2^32 path,
-//     which doubles as the bit-exactness oracle.
+//     width MontMul/MontSqr (BMI2/ADX asm where the CPU has both) that
+//     makes MontMul/ModPow run without heap traffic. Odd widths (and
+//     FLB_FIXED_KERNELS=0) keep the generic radix-2^32 path, which doubles
+//     as the bit-exactness oracle.
 //
 // ModPow uses sliding-window exponentiation (paper §IV-A3: complexity drops
 // from e to log_{2^b} e multiplications for window width b). With a fixed
@@ -45,6 +46,12 @@ class MontgomeryContext {
   // force-disables process-wide. Results are bit-identical either way.
   static Result<MontgomeryContext> Create(const BigInt& modulus,
                                           bool use_fixed_kernels = true);
+  // Create with an explicit kernel: `kernel` must be a table entry for the
+  // modulus's limb width (mpint::fixed::FindKernel), or nullptr for the
+  // generic path. Create passes the entry FindKernel dispatches to; tests
+  // pass each table's entry to check both against the generic oracle.
+  static Result<MontgomeryContext> CreateWithKernel(
+      const BigInt& modulus, const mpint::fixed::KernelOps* kernel);
 
   // Copies carry over the counter value; the context itself is immutable
   // after Create, so copies are safe to share across host threads.

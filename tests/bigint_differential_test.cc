@@ -19,7 +19,9 @@ TEST(BigIntDifferential, AgainstNativeU64) {
     const BigInt A(a), B(b);
     // add/sub with explicit ordering
     EXPECT_EQ(BigInt::Add(A, B).LowU64(), a + b);
-    if (a >= b) EXPECT_EQ(BigInt::Sub(A, B).LowU64(), a - b);
+    if (a >= b) {
+      EXPECT_EQ(BigInt::Sub(A, B).LowU64(), a - b);
+    }
     // mul through 128-bit
     const unsigned __int128 prod =
         static_cast<unsigned __int128>(a) * b;

@@ -1,13 +1,16 @@
-// Differential fuzz tests for the fixed-width limb kernels
-// (src/mpint/fixed_kernels.h) against the generic radix-2^32 oracles:
+// Differential fuzz tests for the fixed-width Montgomery kernels
+// (src/mpint/fixed_kernels.h) against the generic radix-2^32 oracle:
 //
-//   * add/sub/mul_pre vs BigInt arithmetic at every supported width,
-//     including carry/borrow-chain edges (zero, one, single-bit limbs,
-//     all-ones limbs, modulus - 1, the all-ones modulus 2^(32N) - 1);
-//   * mont_mul/mont_sqr vs MontgomeryContext::MontMulWordsGeneric — the
-//     exact recurrence the GPU simulator parallelizes;
-//   * ModPow through the fixed dispatch vs a generic-forced context,
-//     including MontMul-count parity (the cost model depends on it);
+//   * mont_mul/mont_sqr of both kernel tables (portable and BMI2/ADX) vs
+//     MontgomeryContext::MontMulWordsGeneric — the exact recurrence the
+//     GPU simulator parallelizes — at every supported width, with edge
+//     operands (zero, one, single bits, all-ones limb runs, modulus - 1),
+//     in-place aliasing, and moduli whose top word is all-ones (the REDC
+//     carry-out branch);
+//   * dispatch: FindKernel picks the BMI2/ADX table iff the CPU has both
+//     features, and every dispatched kernel is cache-line aligned;
+//   * ModPow through each table vs a generic-forced context, including
+//     MontMul-count parity (the cost model depends on it);
 //   * bit-identity of a real PaillierEval batch with kernels on vs off,
 //     and at thread counts 1/2/8 (the determinism contract).
 //
@@ -16,6 +19,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -35,7 +42,9 @@ using crypto::PaillierKeyGen;
 using crypto::PaillierOptions;
 using mpint::BigInt;
 using mpint::LimbMatrix;
+using mpint::fixed::CpuHasBmi2Adx;
 using mpint::fixed::FindKernel;
+using mpint::fixed::KernelIsa;
 using mpint::fixed::KernelOps;
 using mpint::fixed::NegInverseMod2p64;
 using mpint::fixed::SupportedWidths;
@@ -87,6 +96,27 @@ BigInt AllOnesModulus(size_t width) {
   return BigInt::FromWords(std::vector<uint32_t>(width, 0xFFFFFFFFu));
 }
 
+// A random odd modulus whose top 64-bit word is all-ones: n is within
+// 2^(32N-64) of R, so REDC results in [R, 2n) carry out of the top word.
+BigInt TopWordAllOnesModulus(Rng& rng, size_t width) {
+  auto w = BigInt::Random(rng, static_cast<int>(width) * 32)
+               .ToFixedWords(width);
+  w[0] |= 1u;
+  w[width - 1] = 0xFFFFFFFFu;
+  w[width - 2] = 0xFFFFFFFFu;
+  return BigInt::FromWords(std::move(w));
+}
+
+// A random odd modulus whose top limb is 1: the final comparison against n
+// decides on the low words.
+BigInt SmallTopLimbModulus(Rng& rng, size_t width) {
+  auto w = BigInt::Random(rng, static_cast<int>(width) * 32)
+               .ToFixedWords(width);
+  w[0] |= 1u;
+  w[width - 1] = 1u;
+  return BigInt::FromWords(std::move(w));
+}
+
 TEST(FixedWidthKernelTest, TableCoversPaillierWidthsAndRejectsOddOnes) {
   const std::vector<size_t> widths = SupportedWidths();
   ASSERT_FALSE(widths.empty());
@@ -97,11 +127,12 @@ TEST(FixedWidthKernelTest, TableCoversPaillierWidthsAndRejectsOddOnes) {
     const KernelOps* k = FindKernel(w);
     ASSERT_NE(k, nullptr) << "width " << w;
     EXPECT_EQ(k->limbs, w);
-    EXPECT_NE(k->add, nullptr);
-    EXPECT_NE(k->sub, nullptr);
-    EXPECT_NE(k->mul_pre, nullptr);
     EXPECT_NE(k->mont_mul, nullptr);
     EXPECT_NE(k->mont_sqr, nullptr);
+    ASSERT_NE(FindKernel(w, KernelIsa::kPortable), nullptr) << "width " << w;
+    if (const KernelOps* adx = FindKernel(w, KernelIsa::kBmi2Adx)) {
+      EXPECT_EQ(adx->limbs, w);
+    }
   }
   // The limb counts backing 1024/2048/4096-bit keys: n = bits/32,
   // n^2 = bits/16, p^2/q^2 = bits/32.
@@ -109,10 +140,62 @@ TEST(FixedWidthKernelTest, TableCoversPaillierWidthsAndRejectsOddOnes) {
     EXPECT_NE(FindKernel(w), nullptr) << "width " << w;
   }
   // Odd / unsupported widths fall back to the generic path.
-  EXPECT_EQ(FindKernel(0), nullptr);
-  EXPECT_EQ(FindKernel(3), nullptr);
-  EXPECT_EQ(FindKernel(5), nullptr);
-  EXPECT_EQ(FindKernel(1024), nullptr);
+  for (size_t w : {0u, 3u, 5u, 1024u}) {
+    EXPECT_EQ(FindKernel(w), nullptr) << "width " << w;
+    EXPECT_EQ(FindKernel(w, KernelIsa::kPortable), nullptr) << "width " << w;
+    EXPECT_EQ(FindKernel(w, KernelIsa::kBmi2Adx), nullptr) << "width " << w;
+  }
+}
+
+// Whether the OS reports both BMI2 and ADX in the /proc/cpuinfo flags — an
+// oracle independent of the library's CPUID read; nullopt without a flags
+// line (non-Linux or non-x86).
+std::optional<bool> OsReportsBmi2Adx() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("flags", 0) != 0) continue;
+    std::istringstream words(line);
+    bool bmi2 = false, adx = false;
+    for (std::string w; words >> w;) {
+      bmi2 = bmi2 || w == "bmi2";
+      adx = adx || w == "adx";
+    }
+    return bmi2 && adx;
+  }
+  return std::nullopt;
+}
+
+TEST(FixedWidthKernelTest, FindKernelPicksBmi2AdxIffCpuHasBoth) {
+  const std::optional<bool> reported = OsReportsBmi2Adx();
+  if (!reported.has_value()) GTEST_SKIP() << "no /proc/cpuinfo flags";
+  const bool has = *reported;
+  EXPECT_EQ(CpuHasBmi2Adx(), has);
+  for (size_t w : SupportedWidths()) {
+    const KernelOps* portable = FindKernel(w, KernelIsa::kPortable);
+    const KernelOps* adx = FindKernel(w, KernelIsa::kBmi2Adx);
+    ASSERT_NE(portable, nullptr) << "width " << w;
+    if (has) {
+      ASSERT_NE(adx, nullptr) << "width " << w;
+      EXPECT_NE(adx, portable) << "width " << w;
+      EXPECT_EQ(FindKernel(w), adx) << "width " << w;
+    } else {
+      EXPECT_EQ(adx, nullptr) << "width " << w;
+      EXPECT_EQ(FindKernel(w), portable) << "width " << w;
+    }
+  }
+}
+
+TEST(FixedWidthKernelTest, DispatchedKernelsAreCacheLineAligned) {
+  for (KernelIsa isa : {KernelIsa::kPortable, KernelIsa::kBmi2Adx}) {
+    for (size_t w : SupportedWidths()) {
+      const KernelOps* ops = FindKernel(w, isa);
+      if (ops == nullptr) continue;  // BMI2/ADX table on a CPU without it
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(ops->mont_mul) % 64, 0u)
+          << "mont_mul width " << w << " isa " << static_cast<int>(isa);
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(ops->mont_sqr) % 64, 0u)
+          << "mont_sqr width " << w << " isa " << static_cast<int>(isa);
+    }
+  }
 }
 
 TEST(FixedWidthKernelTest, NegInverseMod2p64IsTheMontgomeryFactor) {
@@ -127,64 +210,17 @@ TEST(FixedWidthKernelTest, NegInverseMod2p64IsTheMontgomeryFactor) {
   EXPECT_EQ(~uint64_t{0} * NegInverseMod2p64(~uint64_t{0}) + 1u, 0u);
 }
 
-TEST(FixedWidthKernelTest, AddSubCarryChainsMatchBigInt) {
-  Rng rng(kSeed + 2);
+// Fuzzes one table's mont_mul/mont_sqr against the generic oracle at every
+// width, over random, all-ones, top-word-all-ones and small-top moduli,
+// including every in-place aliasing pattern ModPow and the batch paths use.
+void ExpectMontMulMatchesOracle(KernelIsa isa, uint64_t seed) {
+  Rng rng(seed);
   for (size_t w : SupportedWidths()) {
-    const KernelOps* k = FindKernel(w);
-    ASSERT_NE(k, nullptr);
-    const BigInt full = BigInt::ShiftLeft(BigInt(1), static_cast<int>(w) * 32);
-    for (int iter = 0; iter < 50; ++iter) {
-      const BigInt a = EdgeValue(rng, w, /*bound=*/BigInt(0));
-      const BigInt b = EdgeValue(rng, w, /*bound=*/BigInt(0));
-      const auto aw = a.ToFixedWords(w);
-      const auto bw = b.ToFixedWords(w);
-      std::vector<uint32_t> z(w);
-
-      const uint32_t carry = k->add(z.data(), aw.data(), bw.data());
-      const BigInt sum = BigInt::Add(a, b);
-      EXPECT_EQ(BigInt::FromWords(z), sum % full);
-      EXPECT_EQ(carry, sum >= full ? 1u : 0u);
-
-      const uint32_t borrow = k->sub(z.data(), aw.data(), bw.data());
-      if (a >= b) {
-        EXPECT_EQ(BigInt::FromWords(z), BigInt::Sub(a, b));
-        EXPECT_EQ(borrow, 0u);
-      } else {
-        // Wraparound: a - b + 2^(32w).
-        EXPECT_EQ(BigInt::FromWords(z),
-                  BigInt::Sub(BigInt::Add(a, full), b));
-        EXPECT_EQ(borrow, 1u);
-      }
-    }
-  }
-}
-
-TEST(FixedWidthKernelTest, MulPreMatchesBigIntProduct) {
-  Rng rng(kSeed + 3);
-  for (size_t w : SupportedWidths()) {
-    const KernelOps* k = FindKernel(w);
-    ASSERT_NE(k, nullptr);
-    for (int iter = 0; iter < 40; ++iter) {
-      const BigInt a = EdgeValue(rng, w, /*bound=*/BigInt(0));
-      const BigInt b = EdgeValue(rng, w, /*bound=*/BigInt(0));
-      const auto aw = a.ToFixedWords(w);
-      const auto bw = b.ToFixedWords(w);
-      std::vector<uint32_t> z(2 * w);
-      k->mul_pre(z.data(), aw.data(), bw.data());
-      EXPECT_EQ(BigInt::FromWords(z), BigInt::Mul(a, b))
-          << "width " << w << " iter " << iter;
-    }
-  }
-}
-
-TEST(FixedWidthKernelTest, MontMulMatchesGenericOracle) {
-  Rng rng(kSeed + 4);
-  for (size_t w : SupportedWidths()) {
-    const KernelOps* k = FindKernel(w);
-    ASSERT_NE(k, nullptr);
-    // One random modulus plus the all-ones modulus (maximal carries in
-    // every reduction step).
-    for (const BigInt& mod : {RandomModulus(rng, w), AllOnesModulus(w)}) {
+    const KernelOps* k = FindKernel(w, isa);
+    ASSERT_NE(k, nullptr) << "width " << w;
+    for (const BigInt& mod :
+         {RandomModulus(rng, w), AllOnesModulus(w),
+          TopWordAllOnesModulus(rng, w), SmallTopLimbModulus(rng, w)}) {
       const auto oracle = MontgomeryContext::Create(mod, false).value();
       ASSERT_EQ(oracle.fixed_kernel_width(), 0u);
       const auto mw = mod.ToFixedWords(w);
@@ -195,24 +231,46 @@ TEST(FixedWidthKernelTest, MontMulMatchesGenericOracle) {
         const BigInt b = EdgeValue(rng, w, mod);
         const auto aw = a.ToFixedWords(w);
         const auto bw = b.ToFixedWords(w);
-        std::vector<uint32_t> z(w), ref(w);
+        std::vector<uint32_t> z(w), ref(w), sq(w);
         k->mont_mul(z.data(), aw.data(), bw.data(), mw.data(), n0_inv64);
         oracle.MontMulWordsGeneric(aw.data(), bw.data(), ref.data());
         EXPECT_EQ(z, ref) << "width " << w << " iter " << iter;
 
         k->mont_sqr(z.data(), aw.data(), mw.data(), n0_inv64);
-        oracle.MontMulWordsGeneric(aw.data(), aw.data(), ref.data());
-        EXPECT_EQ(z, ref) << "sqr width " << w << " iter " << iter;
+        oracle.MontMulWordsGeneric(aw.data(), aw.data(), sq.data());
+        EXPECT_EQ(z, sq) << "sqr width " << w << " iter " << iter;
+
+        // x == y: a multiply of a value by itself is the square.
+        k->mont_mul(z.data(), aw.data(), aw.data(), mw.data(), n0_inv64);
+        EXPECT_EQ(z, sq) << "x==y width " << w << " iter " << iter;
+
+        // z == x and z == y.
+        auto zx = aw;
+        k->mont_mul(zx.data(), zx.data(), bw.data(), mw.data(), n0_inv64);
+        EXPECT_EQ(zx, ref) << "z==x width " << w << " iter " << iter;
+        auto zy = bw;
+        k->mont_mul(zy.data(), aw.data(), zy.data(), mw.data(), n0_inv64);
+        EXPECT_EQ(zy, ref) << "z==y width " << w << " iter " << iter;
+
+        // z == x == y, for both kernels.
+        auto zz = aw;
+        k->mont_mul(zz.data(), zz.data(), zz.data(), mw.data(), n0_inv64);
+        EXPECT_EQ(zz, sq) << "z==x==y width " << w << " iter " << iter;
+        zz = aw;
+        k->mont_sqr(zz.data(), zz.data(), mw.data(), n0_inv64);
+        EXPECT_EQ(zz, sq) << "aliased sqr width " << w << " iter " << iter;
       }
-      // Aliasing: z == x is allowed.
-      BigInt a = EdgeValue(rng, w, mod);
-      auto aw = a.ToFixedWords(w);
-      std::vector<uint32_t> ref(w);
-      oracle.MontMulWordsGeneric(aw.data(), aw.data(), ref.data());
-      k->mont_sqr(aw.data(), aw.data(), mw.data(), n0_inv64);
-      EXPECT_EQ(aw, ref) << "aliased sqr width " << w;
     }
   }
+}
+
+TEST(FixedWidthKernelTest, MontMulMatchesGenericOracle) {
+  ExpectMontMulMatchesOracle(KernelIsa::kPortable, kSeed + 4);
+}
+
+TEST(FixedWidthKernelTest, Bmi2AdxMontMulMatchesGenericOracle) {
+  if (!CpuHasBmi2Adx()) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+  ExpectMontMulMatchesOracle(KernelIsa::kBmi2Adx, kSeed + 4);
 }
 
 TEST(FixedWidthKernelTest, ContextDispatchAndWordsOpsMatchOracle) {
@@ -247,34 +305,63 @@ TEST(FixedWidthKernelTest, ContextDispatchAndWordsOpsMatchOracle) {
   }
 }
 
-TEST(FixedWidthKernelTest, ModPowMatchesGenericWithCountParity) {
-  Rng rng(kSeed + 6);
-  // Full sweep on the small widths; spot-check the large ones with short
-  // exponents so the test stays fast.
+TEST(FixedWidthKernelTest, CreateWithKernelRejectsAWidthMismatch) {
+  Rng rng(kSeed + 16);
+  const BigInt mod = RandomModulus(rng, 8);
+  const auto bad = MontgomeryContext::CreateWithKernel(
+      mod, FindKernel(16, KernelIsa::kPortable));
+  EXPECT_FALSE(bad.ok());
+  const auto good = MontgomeryContext::CreateWithKernel(
+      mod, FindKernel(8, KernelIsa::kPortable));
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(good.value().fixed_kernel_width(), 8u);
+}
+
+// ModPow through one table's kernels vs a generic-forced context: equal
+// results and equal MontMul counts, for the automatic and explicit windows.
+void ExpectModPowMatchesGeneric(KernelIsa isa, uint64_t seed) {
+  Rng rng(seed);
+  // Full sweep on the small widths; spot-check the large ones with one
+  // short exponent per modulus so the test stays fast.
   for (size_t w : SupportedWidths()) {
-    const BigInt mod = RandomModulus(rng, w);
-    const auto fixed = MontgomeryContext::Create(mod, true).value();
-    const auto generic = MontgomeryContext::Create(mod, false).value();
-    const int exp_iters = w <= 16 ? 10 : 2;
-    const int exp_bits = w <= 16 ? static_cast<int>(w) * 32 : 96;
-    for (int iter = 0; iter < exp_iters; ++iter) {
-      const BigInt base = EdgeValue(rng, w, mod);
-      const BigInt exp = BigInt::Random(rng, exp_bits);
-      fixed.ResetCounters();
-      generic.ResetCounters();
-      const BigInt rf = fixed.ModPow(base, exp);
-      const BigInt rg = generic.ModPow(base, exp);
-      EXPECT_EQ(rf, rg) << "width " << w << " iter " << iter;
-      // The cost model charges per MontMul: the fixed path must count
-      // MontMul-for-MontMul with the generic loop.
-      EXPECT_EQ(fixed.mont_mul_count(), generic.mont_mul_count())
-          << "width " << w << " iter " << iter;
-      // Explicit window widths exercise both exponentiation shapes.
-      for (int wb : {1, 4}) {
-        EXPECT_EQ(fixed.ModPow(base, exp, wb), generic.ModPow(base, exp, wb));
+    const KernelOps* k = FindKernel(w, isa);
+    ASSERT_NE(k, nullptr) << "width " << w;
+    for (const BigInt& mod :
+         {RandomModulus(rng, w), TopWordAllOnesModulus(rng, w)}) {
+      const auto fixed = MontgomeryContext::CreateWithKernel(mod, k).value();
+      const auto generic = MontgomeryContext::Create(mod, false).value();
+      ASSERT_EQ(fixed.fixed_kernel_width(), w);
+      const int exp_iters = w <= 16 ? 10 : 1;
+      const int exp_bits = w <= 16 ? static_cast<int>(w) * 32 : 96;
+      for (int iter = 0; iter < exp_iters; ++iter) {
+        const BigInt base = EdgeValue(rng, w, mod);
+        const BigInt exp = BigInt::Random(rng, exp_bits);
+        fixed.ResetCounters();
+        generic.ResetCounters();
+        const BigInt rf = fixed.ModPow(base, exp);
+        const BigInt rg = generic.ModPow(base, exp);
+        EXPECT_EQ(rf, rg) << "width " << w << " iter " << iter;
+        // The cost model charges per MontMul: the fixed path must count
+        // MontMul-for-MontMul with the generic loop.
+        EXPECT_EQ(fixed.mont_mul_count(), generic.mont_mul_count())
+            << "width " << w << " iter " << iter;
+        // Explicit window widths exercise both exponentiation shapes.
+        for (int wb : {1, 4}) {
+          EXPECT_EQ(fixed.ModPow(base, exp, wb),
+                    generic.ModPow(base, exp, wb));
+        }
       }
     }
   }
+}
+
+TEST(FixedWidthKernelTest, ModPowMatchesGenericWithCountParity) {
+  ExpectModPowMatchesGeneric(KernelIsa::kPortable, kSeed + 6);
+}
+
+TEST(FixedWidthKernelTest, Bmi2AdxModPowMatchesGenericWithCountParity) {
+  if (!CpuHasBmi2Adx()) GTEST_SKIP() << "CPU lacks BMI2/ADX";
+  ExpectModPowMatchesGeneric(KernelIsa::kBmi2Adx, kSeed + 6);
 }
 
 TEST(FixedWidthKernelTest, OddWidthFallsBackToGeneric) {

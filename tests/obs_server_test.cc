@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/mutex.h"
 #include "src/common/thread_pool.h"
 #include "src/core/platform.h"
 #include "src/obs/host_profiler.h"
@@ -332,10 +334,29 @@ TEST(HostProfilerTest, RecordsWallSpansAndMetrics) {
   ASSERT_TRUE(profiler.enabled());
   ASSERT_EQ(common::ThreadPool::observer(), &profiler);
 
+  // Every chunk first waits until all four participants have entered the
+  // body, so the calling thread (worker 0) always runs a chunk of its own;
+  // otherwise the other workers may steal its whole shard and no
+  // worker="0" row is exported. Nobody steals before the barrier opens,
+  // and 4096 elements make 16 chunks, 4 per shard, so each participant
+  // finds a chunk in its own shard and the barrier always opens.
   common::ThreadPool pool(4);
   std::vector<double> out(4096, 0.0);
+  common::Mutex entered_mu;
+  common::CondVar entered_cv;
+  std::vector<std::thread::id> entered;
   pool.ParallelFor(static_cast<int64_t>(out.size()),
                    [&](int64_t begin, int64_t end) {
+                     {
+                       common::MutexLock lock(entered_mu);
+                       const std::thread::id self = std::this_thread::get_id();
+                       if (std::find(entered.begin(), entered.end(), self) ==
+                           entered.end()) {
+                         entered.push_back(self);
+                         entered_cv.notify_all();
+                       }
+                       while (entered.size() < 4) entered_cv.wait(lock);
+                     }
                      for (int64_t i = begin; i < end; ++i) {
                        out[static_cast<size_t>(i)] =
                            std::sqrt(static_cast<double>(i));
