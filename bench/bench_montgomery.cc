@@ -2,14 +2,19 @@
 // 1 & 2 and the §IV-A3 design choices):
 //   * basic Montgomery (Alg. 1) vs word-scanning CIOS vs the thread-
 //     decomposed parallel CIOS (Alg. 2) at each key size;
-//   * sliding-window width sweep for modular exponentiation.
+//   * sliding-window width sweep for modular exponentiation;
+//   * a same-exponent 8-row batch on the AVX-512 IFMA lane kernel vs per
+//     row on the same scalar kernel, alone and cut into pool tasks.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/gbench_json.h"
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/crypto/montgomery.h"
 #include "src/ghe/parallel_montgomery.h"
+#include "src/mpint/fixed_kernels.h"
+#include "src/mpint/limb_matrix.h"
 
 namespace {
 
@@ -139,6 +144,81 @@ void BM_ModPowAutoGeneric(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModPowAutoGeneric)->Arg(512)->Arg(1024)->Arg(2048)->Arg(4096);
+
+// A same-exponent batch of `rows` random rows mod a `bits`-bit modulus,
+// raised to a half-width exponent (the CRT decryption leg's shape at 1024
+// bits, r^n mod n^2's at 2048), on a context with the lane kernel or
+// without it (per-row ModPow on the same scalar kernel).
+struct SameExponentBatch {
+  MontgomeryContext ctx;
+  flb::mpint::LimbMatrix bases;
+  BigInt exp;
+};
+
+SameExponentBatch MakeBatch(int bits, size_t rows, bool lanes) {
+  Rng rng(4);
+  const BigInt mod = OddModulus(bits, rng);
+  const size_t limbs = mod.WordCount();
+  auto ctx = MontgomeryContext::CreateWithKernel(
+                 mod, flb::mpint::fixed::FindKernel(limbs),
+                 lanes ? flb::mpint::fixed::FindLaneKernel(limbs) : nullptr)
+                 .value();
+  flb::mpint::LimbMatrix bases(rows, limbs);
+  for (size_t i = 0; i < rows; ++i) {
+    bases.SetRow(i, BigInt::RandomBelow(rng, mod));
+  }
+  BigInt exp = BigInt::Random(rng, bits / 2);
+  return {std::move(ctx), std::move(bases), std::move(exp)};
+}
+
+// One lane group through ModPowRows. Without IFMA both sides run per row;
+// the "lanes" counter says which. The CI perf job records this pair but
+// gates nothing on it: hosted runners may lack IFMA.
+void ModPowBatchBench(benchmark::State& state, bool lanes) {
+  const SameExponentBatch b = MakeBatch(static_cast<int>(state.range(0)),
+                                        MontgomeryContext::kLanes, lanes);
+  for (auto _ : state) {
+    flb::mpint::LimbMatrix x = b.bases;
+    b.ctx.ModPowRows(x.row(0), x.rows(), b.exp);
+    benchmark::DoNotOptimize(x.row(0));
+  }
+  state.counters["lanes"] = b.ctx.lane_kernel_width() != 0 ? 1 : 0;
+}
+
+void BM_ModPowBatchLanes(benchmark::State& state) {
+  ModPowBatchBench(state, true);
+}
+BENCHMARK(BM_ModPowBatchLanes)->Arg(1024)->Arg(2048);
+
+void BM_ModPowBatchPerRow(benchmark::State& state) {
+  ModPowBatchBench(state, false);
+}
+BENCHMARK(BM_ModPowBatchPerRow)->Arg(1024)->Arg(2048);
+
+// The batch grouping at pool scale, args {bits, rows, threads, lanes}:
+// ForEachLaneTask cuts the rows into one task per full 8-row lane group
+// (lanes=1) or one task per row (lanes=0) on a pool of `threads`. Wall
+// time, so a thread count above the host's core count measures
+// time-sharing, not parallel speed-up.
+void BM_ModPowBatchPool(benchmark::State& state) {
+  const SameExponentBatch b =
+      MakeBatch(static_cast<int>(state.range(0)),
+                static_cast<size_t>(state.range(1)), state.range(3) != 0);
+  flb::common::ThreadPool pool(static_cast<int>(state.range(2)));
+  for (auto _ : state) {
+    flb::mpint::LimbMatrix x = b.bases;
+    const flb::Status st = b.ctx.ForEachLaneTask(
+        pool, x.rows(), [&](size_t first, size_t count) {
+          b.ctx.ModPowRows(x.row(first), count, b.exp);
+          return flb::Status::OK();
+        });
+    benchmark::DoNotOptimize(st.ok());
+  }
+  state.counters["lanes"] = b.ctx.lane_kernel_width() != 0 ? 1 : 0;
+}
+BENCHMARK(BM_ModPowBatchPool)
+    ->ArgsProduct({{1024, 2048}, {8, 16, 32}, {1, 2, 4}, {0, 1}})
+    ->UseRealTime();
 
 }  // namespace
 

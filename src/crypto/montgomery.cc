@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
 
 namespace flb::crypto {
 
@@ -21,6 +22,80 @@ uint32_t NegInverseMod2p32(uint32_t n0) {
 // heap scratch per call.
 constexpr size_t kMaxStackLimbs = 256;
 
+// Slots of the sliding-window schedule: the accumulator, then the odd
+// powers base^(2k+1) at kBase + k, then (windows wider than 1) base^2.
+constexpr size_t kAcc = 0;
+constexpr size_t kBase = 1;
+
+size_t WindowSlots(int w) {
+  return w == 1 ? 2 : 2 + (size_t{1} << (w - 1));
+}
+
+// ModPow's exponent schedule for exp > 0 and window width w, written once so
+// the generic, fixed-width and lane loops issue the same MontMul sequence
+// and so count the same MontMuls. Slot kBase holds the base in Montgomery
+// form on entry, kAcc holds the result on exit. The callables work on slot
+// indices: mul(d, x, y) and sqr(d, x) are the MontMuls (d may alias an
+// input), copy(d, x) and one(d) (the Montgomery form of 1) are not.
+template <typename Mul, typename Sqr, typename Copy, typename One>
+void WalkSlidingWindow(const BigInt& exp, int w, Mul&& mul, Sqr&& sqr,
+                       Copy&& copy, One&& one) {
+  const int exp_bits = exp.BitLength();
+  if (w == 1) {
+    // Plain left-to-right square-and-multiply.
+    copy(kAcc, kBase);
+    for (int i = exp_bits - 2; i >= 0; --i) {
+      sqr(kAcc, kAcc);
+      if (exp.GetBit(i)) mul(kAcc, kAcc, kBase);
+    }
+    return;
+  }
+  // Odd powers by repeated multiplication with base^2.
+  const size_t table_size = size_t{1} << (w - 1);
+  const size_t squared = kBase + table_size;
+  sqr(squared, kBase);
+  for (size_t k = 1; k < table_size; ++k) {
+    mul(kBase + k, kBase + k - 1, squared);
+  }
+  one(kAcc);
+  int i = exp_bits - 1;
+  while (i >= 0) {
+    if (!exp.GetBit(i)) {
+      sqr(kAcc, kAcc);
+      --i;
+      continue;
+    }
+    // Widest window [i .. j] ending in a set bit, at most w bits.
+    int j = std::max(i - w + 1, 0);
+    while (!exp.GetBit(j)) ++j;
+    uint32_t window_value = 0;
+    for (int b = i; b >= j; --b) {
+      window_value = (window_value << 1) | (exp.GetBit(b) ? 1u : 0u);
+    }
+    for (int b = i; b >= j; --b) sqr(kAcc, kAcc);
+    mul(kAcc, kAcc, kBase + (window_value >> 1));
+    i = j - 1;
+  }
+}
+
+// True when the s-limb row is >= n (s = n's limb count).
+bool RowAtLeast(const uint32_t* row, const std::vector<uint32_t>& n) {
+  for (size_t i = n.size(); i-- > 0;) {
+    if (row[i] != n[i]) return row[i] > n[i];
+  }
+  return true;
+}
+
+// row -= n for a row >= n.
+void SubtractRow(uint32_t* row, const std::vector<uint32_t>& n) {
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < n.size(); ++i) {
+    const uint64_t diff = uint64_t{row[i]} - n[i] - borrow;
+    row[i] = static_cast<uint32_t>(diff);
+    borrow = diff >> 63;
+  }
+}
+
 }  // namespace
 
 int ChooseWindowBits(int exp_bits) {
@@ -34,17 +109,22 @@ int ChooseWindowBits(int exp_bits) {
 Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus,
                                                     bool use_fixed_kernels) {
   // One table lookup per key: every MontMul/ModPow on this context then
-  // runs the compile-time-width kernel. Unsupported widths keep the generic
-  // path (FindKernel returns null).
+  // runs the compile-time-width kernel, and same-exponent batches the lane
+  // kernel. Unsupported widths keep the generic path (FindKernel returns
+  // null) and per-row batches (FindLaneKernel returns null).
   const mpint::fixed::KernelOps* kernel =
       use_fixed_kernels && mpint::fixed::KernelsEnabled()
           ? mpint::fixed::FindKernel(modulus.WordCount())
           : nullptr;
-  return CreateWithKernel(modulus, kernel);
+  const mpint::fixed::LaneOps* lanes =
+      kernel != nullptr ? mpint::fixed::FindLaneKernel(modulus.WordCount())
+                        : nullptr;
+  return CreateWithKernel(modulus, kernel, lanes);
 }
 
 Result<MontgomeryContext> MontgomeryContext::CreateWithKernel(
-    const BigInt& modulus, const mpint::fixed::KernelOps* kernel) {
+    const BigInt& modulus, const mpint::fixed::KernelOps* kernel,
+    const mpint::fixed::LaneOps* lanes) {
   if (modulus < BigInt(3)) {
     return Status::InvalidArgument("Montgomery modulus must be >= 3");
   }
@@ -56,6 +136,10 @@ Result<MontgomeryContext> MontgomeryContext::CreateWithKernel(
   ctx.s_ = modulus.WordCount();
   if (kernel != nullptr && kernel->limbs != ctx.s_) {
     return Status::InvalidArgument("fixed kernel width differs from modulus");
+  }
+  if (lanes != nullptr && (kernel == nullptr || lanes->limbs != ctx.s_)) {
+    return Status::InvalidArgument(
+        "lane kernel needs a fixed kernel of the modulus width");
   }
   ctx.n0_inv_ = NegInverseMod2p32(modulus.word(0));
   const BigInt r = BigInt::PowerOfTwo(static_cast<int>(ctx.s_) * mpint::kLimbBits);
@@ -69,6 +153,21 @@ Result<MontgomeryContext> MontgomeryContext::CreateWithKernel(
     const uint64_t n64 = static_cast<uint64_t>(modulus.word(0)) |
                          (static_cast<uint64_t>(modulus.word(1)) << 32);
     ctx.n0_inv64_ = mpint::fixed::NegInverseMod2p64(n64);
+  }
+  ctx.lanes_ = lanes;
+  if (lanes != nullptr) {
+    ctx.lane_k0_ = ctx.n0_inv64_ & ((uint64_t{1} << 52) - 1);
+    const size_t d = lanes->digits;
+    const BigInt r1 = BigInt::PowerOfTwo(static_cast<int>(52 * d)) % modulus;
+    const BigInt r2 = BigInt::Mul(r1, r1) % modulus;
+    std::vector<mpint::fixed::LaneDigit> digits(d);
+    ctx.lane_words_.resize(3 * d);
+    size_t at = 0;
+    for (const BigInt* v : {&modulus, &r2, &r1}) {
+      mpint::fixed::RowToLane(v->ToFixedWords(ctx.s_).data(), ctx.s_,
+                              digits.data(), d, 0);
+      for (size_t j = 0; j < d; ++j) ctx.lane_words_[at++] = digits[j].lane[0];
+    }
   }
   return ctx;
 }
@@ -215,123 +314,136 @@ BigInt MontgomeryContext::ModMul(const BigInt& a, const BigInt& b) const {
 }
 
 BigInt MontgomeryContext::ModPowFixed(const BigInt& base, const BigInt& exp,
-                                      int exp_bits, int w) const {
+                                      int w) const {
   const size_t s = s_;
   const uint32_t* nw = n_.words().data();
   const mpint::fixed::KernelOps* k = kernel_;
-  // The whole exponentiation runs on flat buffers; the counter is bumped
-  // once at the end so the hot loop carries no atomic traffic.
-  uint64_t muls = 0;
-  const auto mul = [&](uint32_t* z, const uint32_t* x, const uint32_t* y) {
-    k->mont_mul(z, x, y, nw, n0_inv64_);
-    ++muls;
-  };
-  const auto sqr = [&](uint32_t* z, const uint32_t* x) {
-    k->mont_sqr(z, x, nw, n0_inv64_);
-    ++muls;
-  };
-
-  std::vector<uint32_t> buf(2 * s);
-  uint32_t* mb = buf.data();       // base in Montgomery form
-  uint32_t* acc = buf.data() + s;  // accumulator
+  // The whole exponentiation runs on flat buffers, one s-limb row per
+  // schedule slot; the counter is bumped once at the end so the hot loop
+  // carries no atomic traffic.
+  std::vector<uint32_t> buf(WindowSlots(w) * s);
+  const auto slot = [&](size_t i) { return buf.data() + i * s; };
+  uint64_t muls = 2;  // ToMont and FromMont
   const std::vector<uint32_t> bw = base.ToFixedWords(s);
-  mul(mb, bw.data(), r2_words_.data());  // ToMont(base)
-
-  if (w == 1) {
-    // Plain left-to-right square-and-multiply.
-    std::copy(mb, mb + s, acc);
-    for (int i = exp_bits - 2; i >= 0; --i) {
-      sqr(acc, acc);
-      if (exp.GetBit(i)) mul(acc, acc, mb);
-    }
-  } else {
-    // Sliding window: odd powers mb^1, mb^3, ..., mb^(2^w - 1) as rows of
-    // one flat table.
-    const size_t table_size = size_t{1} << (w - 1);
-    std::vector<uint32_t> table(table_size * s);
-    std::copy(mb, mb + s, table.data());
-    std::vector<uint32_t> mb2(s);
-    sqr(mb2.data(), mb);
-    for (size_t i = 1; i < table_size; ++i) {
-      mul(table.data() + i * s, table.data() + (i - 1) * s, mb2.data());
-    }
-
-    std::copy(r_words_.begin(), r_words_.end(), acc);  // Montgomery form of 1
-    int i = exp_bits - 1;
-    while (i >= 0) {
-      if (!exp.GetBit(i)) {
-        sqr(acc, acc);
-        --i;
-        continue;
-      }
-      // Widest window [i .. j] ending in a set bit, at most w bits.
-      int j = std::max(i - w + 1, 0);
-      while (!exp.GetBit(j)) ++j;
-      uint32_t window_value = 0;
-      for (int b = i; b >= j; --b) {
-        window_value = (window_value << 1) | (exp.GetBit(b) ? 1u : 0u);
-      }
-      for (int b = i; b >= j; --b) sqr(acc, acc);
-      mul(acc, acc, table.data() + (window_value >> 1) * s);
-      i = j - 1;
-    }
-  }
-
-  mul(acc, acc, one_words_.data());  // FromMont
+  k->mont_mul(slot(kBase), bw.data(), r2_words_.data(), nw, n0_inv64_);
+  WalkSlidingWindow(
+      exp, w,
+      [&](size_t z, size_t x, size_t y) {
+        k->mont_mul(slot(z), slot(x), slot(y), nw, n0_inv64_);
+        ++muls;
+      },
+      [&](size_t z, size_t x) {
+        k->mont_sqr(slot(z), slot(x), nw, n0_inv64_);
+        ++muls;
+      },
+      [&](size_t z, size_t x) { std::copy(slot(x), slot(x) + s, slot(z)); },
+      [&](size_t z) { std::copy(r_words_.begin(), r_words_.end(), slot(z)); });
+  k->mont_mul(slot(kAcc), slot(kAcc), one_words_.data(), nw, n0_inv64_);
   mont_mul_count_.fetch_add(muls, std::memory_order_relaxed);
-  return BigInt::FromWords(std::vector<uint32_t>(acc, acc + s));
+  return BigInt::FromWords(std::vector<uint32_t>(slot(kAcc), slot(kAcc) + s));
 }
 
 BigInt MontgomeryContext::ModPow(const BigInt& base, const BigInt& exp,
                                  int window_bits) const {
   if (exp.IsZero()) return BigInt(1) % n_;
-  BigInt b = base >= n_ ? base % n_ : base;
-  const int exp_bits = exp.BitLength();
-  const int w =
-      window_bits > 0 ? std::min(window_bits, 8) : ChooseWindowBits(exp_bits);
+  const BigInt b = base >= n_ ? base % n_ : base;
+  const int w = window_bits > 0 ? std::min(window_bits, 8)
+                                : ChooseWindowBits(exp.BitLength());
+  if (kernel_ != nullptr) return ModPowFixed(b, exp, w);
 
-  if (kernel_ != nullptr) return ModPowFixed(b, exp, exp_bits, w);
+  // Generic path: BigInt slots, every MontMul counted by MontMul itself.
+  std::vector<BigInt> slot(WindowSlots(w));
+  slot[kBase] = ToMont(b);
+  WalkSlidingWindow(
+      exp, w,
+      [&](size_t z, size_t x, size_t y) {
+        slot[z] = MontMul(slot[x], slot[y]);
+      },
+      [&](size_t z, size_t x) { slot[z] = MontMul(slot[x], slot[x]); },
+      [&](size_t z, size_t x) { slot[z] = slot[x]; },
+      [&](size_t z) { slot[z] = r_mod_n_; });
+  return FromMont(slot[kAcc]);
+}
 
-  const BigInt mb = ToMont(b);
-  if (w == 1) {
-    // Plain left-to-right square-and-multiply.
-    BigInt acc = mb;
-    for (int i = exp_bits - 2; i >= 0; --i) {
-      acc = MontMul(acc, acc);
-      if (exp.GetBit(i)) acc = MontMul(acc, mb);
+void MontgomeryContext::ModPowLanes(uint32_t* rows, const BigInt& exp,
+                                    int w) const {
+  using mpint::fixed::LaneDigit;
+  const size_t s = s_;
+  const size_t d = lanes_->digits;
+  const uint64_t* m = lane_words_.data();
+  const uint64_t* r2 = m + d;
+  const uint64_t* r1 = m + 2 * d;
+  // One d-digit lane operand per schedule slot, plus one for constants.
+  const size_t slots = WindowSlots(w);
+  std::vector<LaneDigit> buf((slots + 1) * d);
+  const auto slot = [&](size_t i) { return buf.data() + i * d; };
+  LaneDigit* konst = slot(slots);
+  const auto broadcast = [&](LaneDigit* z, const uint64_t* digits) {
+    for (size_t j = 0; j < d; ++j) {
+      std::fill(z[j].lane, z[j].lane + kLanes, digits[j]);
     }
-    return FromMont(acc);
-  }
+  };
+  const auto amm = [&](LaneDigit* z, const LaneDigit* x, const LaneDigit* y) {
+    lanes_->amm_mul(z, x, y, m, lane_k0_);
+  };
 
-  // Sliding window: precompute odd powers mb^1, mb^3, ..., mb^(2^w - 1).
-  const size_t table_size = size_t{1} << (w - 1);
-  std::vector<BigInt> odd_pow(table_size);
-  odd_pow[0] = mb;
-  const BigInt mb2 = MontMul(mb, mb);
-  for (size_t i = 1; i < table_size; ++i) {
-    odd_pow[i] = MontMul(odd_pow[i - 1], mb2);
+  // Rows enter the lane domain by one almost-Montgomery product with
+  // R'^2 mod n and leave it by one with 1. In between every value stays
+  // < 2n, so only the result needs the final subtraction.
+  for (size_t l = 0; l < kLanes; ++l) {
+    mpint::fixed::RowToLane(rows + l * s, s, slot(kAcc), d, l);
   }
+  broadcast(konst, r2);
+  amm(slot(kBase), slot(kAcc), konst);
+  uint64_t muls = 2;  // into and out of the lane domain
+  WalkSlidingWindow(
+      exp, w,
+      [&](size_t z, size_t x, size_t y) {
+        amm(slot(z), slot(x), slot(y));
+        ++muls;
+      },
+      [&](size_t z, size_t x) {
+        lanes_->amm_sqr(slot(z), slot(x), m, lane_k0_);
+        ++muls;
+      },
+      [&](size_t z, size_t x) { std::copy(slot(x), slot(x) + d, slot(z)); },
+      [&](size_t z) { broadcast(slot(z), r1); });
+  std::fill(konst, konst + d, LaneDigit{});
+  std::fill(konst[0].lane, konst[0].lane + kLanes, uint64_t{1});
+  amm(slot(kAcc), slot(kAcc), konst);
+  for (size_t l = 0; l < kLanes; ++l) {
+    uint32_t* row = rows + l * s;
+    mpint::fixed::LaneToRow(slot(kAcc), d, l, row, s);
+    if (RowAtLeast(row, n_.words())) SubtractRow(row, n_.words());
+  }
+  mont_mul_count_.fetch_add(kLanes * muls, std::memory_order_relaxed);
+}
 
-  BigInt acc = r_mod_n_;  // Montgomery form of 1
-  int i = exp_bits - 1;
-  while (i >= 0) {
-    if (!exp.GetBit(i)) {
-      acc = MontMul(acc, acc);
-      --i;
-      continue;
-    }
-    // Widest window [i .. j] ending in a set bit, at most w bits.
-    int j = std::max(i - w + 1, 0);
-    while (!exp.GetBit(j)) ++j;
-    uint32_t window_value = 0;
-    for (int k = i; k >= j; --k) {
-      window_value = (window_value << 1) | (exp.GetBit(k) ? 1u : 0u);
-    }
-    for (int k = i; k >= j; --k) acc = MontMul(acc, acc);
-    acc = MontMul(acc, odd_pow[window_value >> 1]);
-    i = j - 1;
+void MontgomeryContext::ModPowRows(uint32_t* rows, size_t count,
+                                   const BigInt& exp) const {
+  size_t i = 0;
+  if (lanes_ != nullptr && !exp.IsZero()) {
+    const int w = ChooseWindowBits(exp.BitLength());
+    for (; i + kLanes <= count; i += kLanes) ModPowLanes(rows + i * s_, exp, w);
   }
-  return FromMont(acc);
+  for (; i < count; ++i) {
+    uint32_t* row = rows + i * s_;
+    const BigInt r =
+        ModPow(BigInt::FromWords(std::vector<uint32_t>(row, row + s_)), exp);
+    const std::vector<uint32_t> rw = r.ToFixedWords(s_);
+    std::copy(rw.begin(), rw.end(), row);
+  }
+}
+
+Status MontgomeryContext::ForEachLaneTask(
+    common::ThreadPool& pool, size_t rows,
+    const std::function<Status(size_t first, size_t count)>& fn) const {
+  const size_t groups = lanes_ != nullptr ? rows / kLanes : 0;
+  const size_t tail = groups * kLanes;
+  return common::ParallelForEachStatus(
+      pool, groups + (rows - tail), [&](size_t t) {
+        return t < groups ? fn(kLanes * t, kLanes) : fn(tail + t - groups, 1);
+      });
 }
 
 }  // namespace flb::crypto

@@ -17,7 +17,14 @@
 // ModPow uses sliding-window exponentiation (paper §IV-A3: complexity drops
 // from e to log_{2^b} e multiplications for window width b). With a fixed
 // kernel the whole exponentiation loop runs on flat limb buffers; only the
-// final result is boxed back into a BigInt.
+// final result is boxed back into a BigInt. One exponent walker drives the
+// generic, fixed-width and lane loops, so all three issue the same MontMul
+// sequence.
+//
+// Same-exponent batches (ForEachLaneTask / ModPowRows) run eight rows in
+// lock-step on the AVX-512 IFMA lane kernel when this CPU has one for the
+// modulus width — the CPU form of the batch parallelism HAFLO and
+// FLBooster's Algorithm 2 exploit on GPUs — and per-row ModPow otherwise.
 //
 // The simulated-GPU kernel in src/ghe runs this exact CIOS recurrence with
 // limbs distributed across device threads; tests assert bit-exact agreement.
@@ -27,11 +34,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/common/result.h"
 #include "src/mpint/bigint.h"
 #include "src/mpint/fixed_kernels.h"
+
+namespace flb::common {
+class ThreadPool;
+}  // namespace flb::common
 
 namespace flb::crypto {
 
@@ -46,12 +58,15 @@ class MontgomeryContext {
   // force-disables process-wide. Results are bit-identical either way.
   static Result<MontgomeryContext> Create(const BigInt& modulus,
                                           bool use_fixed_kernels = true);
-  // Create with an explicit kernel: `kernel` must be a table entry for the
+  // Create with explicit kernels: `kernel` must be a table entry for the
   // modulus's limb width (mpint::fixed::FindKernel), or nullptr for the
-  // generic path. Create passes the entry FindKernel dispatches to; tests
-  // pass each table's entry to check both against the generic oracle.
+  // generic path; `lanes` a lane entry of that width
+  // (mpint::fixed::FindLaneKernel) or nullptr, and it needs a `kernel`.
+  // Create passes the entries the CPU dispatches to; tests pass each
+  // table's entry, or none, to check them against the generic oracle.
   static Result<MontgomeryContext> CreateWithKernel(
-      const BigInt& modulus, const mpint::fixed::KernelOps* kernel);
+      const BigInt& modulus, const mpint::fixed::KernelOps* kernel,
+      const mpint::fixed::LaneOps* lanes = nullptr);
 
   // Copies carry over the counter value; the context itself is immutable
   // after Create, so copies are safe to share across host threads.
@@ -64,6 +79,9 @@ class MontgomeryContext {
       n0_inv_ = other.n0_inv_;
       n0_inv64_ = other.n0_inv64_;
       kernel_ = other.kernel_;
+      lanes_ = other.lanes_;
+      lane_k0_ = other.lane_k0_;
+      lane_words_ = other.lane_words_;
       r_mod_n_ = other.r_mod_n_;
       r2_mod_n_ = other.r2_mod_n_;
       r_words_ = other.r_words_;
@@ -87,6 +105,10 @@ class MontgomeryContext {
   // and ModPow run on the generic radix-2^32 path.
   size_t fixed_kernel_width() const {
     return kernel_ != nullptr ? kernel_->limbs : 0;
+  }
+  // The lane kernel width backing ModPowRows, or 0 when batches run per row.
+  size_t lane_kernel_width() const {
+    return lanes_ != nullptr ? lanes_->limbs : 0;
   }
 
   // Montgomery-domain conversions. Inputs must be < n.
@@ -130,6 +152,27 @@ class MontgomeryContext {
   BigInt ModPow(const BigInt& base, const BigInt& exp,
                 int window_bits = 0) const;
 
+  // ---- Same-exponent batches -----------------------------------------------
+  // Rows a lane group runs in lock-step.
+  static constexpr size_t kLanes = mpint::fixed::kLanes;
+
+  // Replaces each of the `count` consecutive num_limbs()-limb rows at `rows`
+  // (each < n) by row^exp mod n. Full groups of kLanes rows run in lock-step
+  // on the lane kernel when one is bound; the remaining rows, or every row
+  // without a lane kernel, run ModPow one by one. Either way the rows come
+  // out byte-identical to ModPow's and mont_mul_count() advances by the
+  // per-row total.
+  void ModPowRows(uint32_t* rows, size_t count, const BigInt& exp) const;
+
+  // Runs fn(first, count) on `pool` over a batch of `rows` same-exponent
+  // rows: one task per full lane group (rows [8t, 8t + 8)) when a lane
+  // kernel is bound, then one task per remaining row, so each task hands
+  // its rows to ModPowRows in one call. Returns the error of the first
+  // failing task in row order, as common::ParallelForEachStatus does.
+  Status ForEachLaneTask(
+      common::ThreadPool& pool, size_t rows,
+      const std::function<Status(size_t first, size_t count)>& fn) const;
+
   // Number of MontMul invocations since construction (mutable counter used
   // by the cost model and the GPU simulator's instruction accounting).
   // Relaxed atomic: one context is shared by all host pool workers, and the
@@ -148,14 +191,21 @@ class MontgomeryContext {
 
   // Sliding-window ModPow on flat limb buffers via the fixed kernel;
   // bit-identical to (and MontMul-count-identical with) the generic loop.
-  BigInt ModPowFixed(const BigInt& base, const BigInt& exp, int exp_bits,
+  BigInt ModPowFixed(const BigInt& base, const BigInt& exp,
                      int window_bits) const;
+  // The same schedule for kLanes rows at once on the lane kernel, in place.
+  void ModPowLanes(uint32_t* rows, const BigInt& exp, int window_bits) const;
 
   BigInt n_;
   size_t s_ = 0;
   uint32_t n0_inv_ = 0;
   uint64_t n0_inv64_ = 0;
   const mpint::fixed::KernelOps* kernel_ = nullptr;  // null = generic path
+  const mpint::fixed::LaneOps* lanes_ = nullptr;     // null = per-row batches
+  uint64_t lane_k0_ = 0;                             // -n^{-1} mod 2^52
+  // Radix-2^52 digits (lanes_->digits each) of n, R'^2 mod n and R' mod n,
+  // R' = 2^(52 * digits): the lane domain's modulus and Montgomery constants.
+  std::vector<uint64_t> lane_words_;
   BigInt r_mod_n_;   // R mod n    (Montgomery form of 1)
   BigInt r2_mod_n_;  // R^2 mod n
   // Flat s-limb copies for the kernel paths (avoid re-boxing per call).

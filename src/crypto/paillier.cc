@@ -183,9 +183,11 @@ Result<BigInt> PaillierContext::Encrypt(const BigInt& m, Rng& rng) const {
 }
 
 Result<BigInt> PaillierContext::DecryptPlain(const BigInt& c) const {
-  const MontgomeryContext& n2 = eval_->n2_ctx();
+  return FinishPlain(eval_->n2_ctx().ModPow(c, priv_->lambda));
+}
+
+Result<BigInt> PaillierContext::FinishPlain(const BigInt& c_lambda) const {
   const MontgomeryContext& nc = eval_->n_ctx();
-  const BigInt c_lambda = n2.ModPow(c, priv_->lambda);
   FLB_ASSIGN_OR_RETURN(BigInt l, LFunction(c_lambda, pub_.n));
   // mu is cached in Montgomery form, so L * mu costs 3 MontMuls, not 4.
   return nc.FromMont(nc.MontMul(nc.ToMont(l), eval_->mu_mont()));
@@ -195,14 +197,16 @@ Result<BigInt> PaillierContext::DecryptCrt(const BigInt& c) const {
   // Decrypt mod p and mod q independently, then CRT-combine. Exponents are
   // p-1 / q-1 (half-width), moduli are p^2 / q^2 (half-width), so the limb
   // work is ~1/4 of the plain path per leg.
-  const BigInt& p = priv_->p;
-  const BigInt& q = priv_->q;
   const MontgomeryContext& p2 = eval_->p2_ctx();
   const MontgomeryContext& q2 = eval_->q2_ctx();
-  const BigInt cp = c % p2.modulus();
-  const BigInt cq = c % q2.modulus();
-  const BigInt xp = p2.ModPow(cp, eval_->p_minus_1());
-  const BigInt xq = q2.ModPow(cq, eval_->q_minus_1());
+  return CombineCrt(p2.ModPow(c % p2.modulus(), eval_->p_minus_1()),
+                    q2.ModPow(c % q2.modulus(), eval_->q_minus_1()));
+}
+
+Result<BigInt> PaillierContext::CombineCrt(const BigInt& xp,
+                                           const BigInt& xq) const {
+  const BigInt& p = priv_->p;
+  const BigInt& q = priv_->q;
   FLB_ASSIGN_OR_RETURN(BigInt lp, LFunction(xp, p));
   FLB_ASSIGN_OR_RETURN(BigInt lq, LFunction(xq, q));
   const BigInt mp = BigInt::Mul(lp, eval_->hp()) % p;
@@ -290,9 +294,9 @@ BigInt PaillierContext::ScalarMulUncounted(const BigInt& c,
 // Determinism contract: element i's output depends only on (inputs, i, one
 // seed drawn from rng). Work distribution never feeds back into results, so
 // any thread count — including the serial fallback — produces identical
-// bytes. Op counters are bumped once per batch on success (a failed batch
-// counts nothing), keeping counts independent of which elements ran before
-// the error was discovered.
+// bytes. Every input is range-checked before any work, and op counters are
+// bumped once per batch on success (a failed batch counts nothing), keeping
+// counts independent of which elements ran before an error was discovered.
 //
 // Layout: batch bodies run over mpint::LimbMatrix — one contiguous
 // structure-of-arrays limb buffer per operand — so each ThreadPool worker
@@ -301,44 +305,78 @@ BigInt PaillierContext::ScalarMulUncounted(const BigInt& c,
 // fan-out, outputs unpacked once after the join; element values are
 // unchanged (the kernels produce the canonical representatives the BigInt
 // path produces).
+//
+// Same-exponent exponentiations (both CRT legs and c^lambda of decryption,
+// r^n of encryption) run as MontgomeryContext::ForEachLaneTask tasks: one
+// task per full 8-row lane group, one per remaining row, each task running
+// its rows from input to output.
+
+namespace {
+
+Status CheckPlaintexts(const std::vector<BigInt>& ms, const BigInt& n) {
+  for (const BigInt& m : ms) {
+    if (m >= n) return Status::OutOfRange("Paillier plaintext must be < n");
+  }
+  return Status::OK();
+}
+
+Status CheckCiphertexts(const std::vector<BigInt>& cs, const BigInt& n_sq) {
+  for (const BigInt& c : cs) {
+    if (c >= n_sq) {
+      return Status::OutOfRange("Paillier ciphertext must be < n^2");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<std::vector<BigInt>> PaillierContext::EncryptBatch(
     const std::vector<BigInt>& ms, Rng& rng, common::ThreadPool* pool) const {
   common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::Global();
   const uint64_t seed = rng.NextU64();
+  FLB_RETURN_IF_ERROR(CheckPlaintexts(ms, pub_.n));
   const size_t count = ms.size();
-  std::vector<BigInt> out(count);
   const MontgomeryContext& n2 = eval_->n2_ctx();
+  const size_t w = n2.num_limbs();
+  mpint::LimbMatrix cipher(count, w);
 
   if (secure_obfuscation_) {
     // Fresh r^n per element; randomness split per element so the partition
-    // does not matter.
-    FLB_RETURN_IF_ERROR(common::ParallelForEachStatus(
-        tp, count, [&](size_t i) -> Status {
-          if (ms[i] >= pub_.n) {
-            return Status::OutOfRange("Paillier plaintext must be < n");
+    // does not matter. n2.ModMulWords is ModMul's 4-MontMul sequence.
+    mpint::LimbMatrix rn(count, w);
+    FLB_RETURN_IF_ERROR(n2.ForEachLaneTask(
+        tp, count, [&](size_t first, size_t rows) -> Status {
+          for (size_t i = first; i < first + rows; ++i) {
+            Rng er = Rng::ForStream(seed, static_cast<uint64_t>(i));
+            rn.SetRow(i, DrawUnit(pub_.n, er));
           }
-          Rng er = Rng::ForStream(seed, static_cast<uint64_t>(i));
-          const BigInt r = DrawUnit(pub_.n, er);
-          const BigInt rn = n2.ModPow(r, pub_.n);
-          out[i] = n2.ModMul(GPowM(ms[i]), rn);
+          n2.ModPowRows(rn.row(first), rows, pub_.n);
+          for (size_t i = first; i < first + rows; ++i) {
+            const std::vector<uint32_t> gw = GPowM(ms[i]).ToFixedWords(w);
+            n2.ModMulWords(gw.data(), rn.row(i), cipher.row(i));
+          }
           return Status::OK();
         }));
     op_counts_.encrypts.fetch_add(count, std::memory_order_relaxed);
-    return out;
+    return cipher.Unpack();
   }
 
   // Pool path: k base obfuscators (the only full powms, parallel), then a
   // serial squaring-refresh walk fixes obfuscator i deterministically.
-  if (count == 0) return out;
-  const size_t w = n2.num_limbs();
+  if (count == 0) return std::vector<BigInt>();
   const size_t k = std::min(static_cast<size_t>(pool_size_), count);
   mpint::LimbMatrix base(k, w);
-  FLB_RETURN_IF_ERROR(common::ParallelForEachStatus(
-      tp, k, [&](size_t j) -> Status {
-        Rng er = Rng::ForStream(seed, static_cast<uint64_t>(j));
-        const BigInt r = DrawUnit(pub_.n, er);
-        base.SetRow(j, n2.ToMont(n2.ModPow(r, pub_.n)));
+  FLB_RETURN_IF_ERROR(n2.ForEachLaneTask(
+      tp, k, [&](size_t first, size_t rows) -> Status {
+        for (size_t j = first; j < first + rows; ++j) {
+          Rng er = Rng::ForStream(seed, static_cast<uint64_t>(j));
+          base.SetRow(j, DrawUnit(pub_.n, er));
+        }
+        n2.ModPowRows(base.row(first), rows, pub_.n);
+        for (size_t j = first; j < first + rows; ++j) {
+          base.SetRow(j, n2.ToMont(base.ToBigInt(j)));
+        }
         return Status::OK();
       }));
   // Obfuscator stream as one contiguous SoA buffer: row i is obfuscator i
@@ -350,21 +388,15 @@ Result<std::vector<BigInt>> PaillierContext::EncryptBatch(
     std::copy(slot, slot + w, rn_mont.row(i));
     n2.MontSqrWords(slot, slot);
   }
-  mpint::LimbMatrix cipher(count, w);
-  FLB_RETURN_IF_ERROR(common::ParallelForEachStatus(
-      tp, count, [&](size_t i) -> Status {
-        if (ms[i] >= pub_.n) {
-          return Status::OutOfRange("Paillier plaintext must be < n");
-        }
-        // MontMul(gm, obf*R) = gm * obf mod n^2: the Montgomery factors
-        // cancel, so applying the obfuscator costs a single flat MontMul.
-        const std::vector<uint32_t> gw = GPowM(ms[i]).ToFixedWords(w);
-        n2.MontMulWords(gw.data(), rn_mont.row(i), cipher.row(i));
-        return Status::OK();
-      }));
-  out = cipher.Unpack();
+  tp.ParallelForEach(static_cast<int64_t>(count), [&](int64_t e) {
+    const auto i = static_cast<size_t>(e);
+    // MontMul(gm, obf*R) = gm * obf mod n^2: the Montgomery factors
+    // cancel, so applying the obfuscator costs a single flat MontMul.
+    const std::vector<uint32_t> gw = GPowM(ms[i]).ToFixedWords(w);
+    n2.MontMulWords(gw.data(), rn_mont.row(i), cipher.row(i));
+  });
   op_counts_.encrypts.fetch_add(count, std::memory_order_relaxed);
-  return out;
+  return cipher.Unpack();
 }
 
 Result<std::vector<BigInt>> PaillierContext::DecryptBatch(
@@ -372,21 +404,45 @@ Result<std::vector<BigInt>> PaillierContext::DecryptBatch(
   if (!priv_.has_value()) {
     return Status::FailedPrecondition("Paillier context has no private key");
   }
+  FLB_RETURN_IF_ERROR(CheckCiphertexts(cs, pub_.n_squared));
   common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::Global();
-  // Plaintexts land in a contiguous SoA buffer at the modulus width (the
-  // exponentiations themselves are per-element, CRT-leg-structured).
-  mpint::LimbMatrix plain(cs.size(), eval_->n_ctx().num_limbs());
-  FLB_RETURN_IF_ERROR(common::ParallelForEachStatus(
-      tp, cs.size(), [&](size_t i) -> Status {
-        if (cs[i] >= pub_.n_squared) {
-          return Status::OutOfRange("Paillier ciphertext must be < n^2");
-        }
-        FLB_ASSIGN_OR_RETURN(BigInt m,
-                             use_crt_ ? DecryptCrt(cs[i]) : DecryptPlain(cs[i]));
-        plain.SetRow(i, m);
-        return Status::OK();
-      }));
-  op_counts_.decrypts.fetch_add(cs.size(), std::memory_order_relaxed);
+  const size_t count = cs.size();
+  // Plaintexts land in a contiguous SoA buffer at the modulus width.
+  mpint::LimbMatrix plain(count, eval_->n_ctx().num_limbs());
+  if (use_crt_) {
+    const MontgomeryContext& p2 = eval_->p2_ctx();
+    const MontgomeryContext& q2 = eval_->q2_ctx();
+    mpint::LimbMatrix xp(count, p2.num_limbs());
+    mpint::LimbMatrix xq(count, q2.num_limbs());
+    FLB_RETURN_IF_ERROR(p2.ForEachLaneTask(
+        tp, count, [&](size_t first, size_t rows) -> Status {
+          for (size_t i = first; i < first + rows; ++i) {
+            xp.SetRow(i, cs[i] % p2.modulus());
+            xq.SetRow(i, cs[i] % q2.modulus());
+          }
+          p2.ModPowRows(xp.row(first), rows, eval_->p_minus_1());
+          q2.ModPowRows(xq.row(first), rows, eval_->q_minus_1());
+          for (size_t i = first; i < first + rows; ++i) {
+            FLB_ASSIGN_OR_RETURN(BigInt m,
+                                 CombineCrt(xp.ToBigInt(i), xq.ToBigInt(i)));
+            plain.SetRow(i, m);
+          }
+          return Status::OK();
+        }));
+  } else {
+    const MontgomeryContext& n2 = eval_->n2_ctx();
+    mpint::LimbMatrix x = mpint::LimbMatrix::Pack(cs, n2.num_limbs());
+    FLB_RETURN_IF_ERROR(n2.ForEachLaneTask(
+        tp, count, [&](size_t first, size_t rows) -> Status {
+          n2.ModPowRows(x.row(first), rows, priv_->lambda);
+          for (size_t i = first; i < first + rows; ++i) {
+            FLB_ASSIGN_OR_RETURN(BigInt m, FinishPlain(x.ToBigInt(i)));
+            plain.SetRow(i, m);
+          }
+          return Status::OK();
+        }));
+  }
+  op_counts_.decrypts.fetch_add(count, std::memory_order_relaxed);
   return plain.Unpack();
 }
 
@@ -449,11 +505,7 @@ Result<std::vector<BigInt>> PaillierContext::ScalarMulBatch(
   if (cs.size() != ks.size()) {
     return Status::InvalidArgument("ScalarMulBatch: size mismatch");
   }
-  for (const BigInt& c : cs) {
-    if (c >= pub_.n_squared) {
-      return Status::OutOfRange("Paillier ciphertext must be < n^2");
-    }
-  }
+  FLB_RETURN_IF_ERROR(CheckCiphertexts(cs, pub_.n_squared));
   common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::Global();
   const MontgomeryContext& n2 = eval_->n2_ctx();
   // The negative-scalar elements' ciphertexts are inverted together,
@@ -497,11 +549,7 @@ Result<std::vector<BigInt>> PaillierContext::PackBatch(
   if (offset >= pub_.n) {
     return Status::OutOfRange("Paillier plaintext must be < n");
   }
-  for (const BigInt& c : cs) {
-    if (c >= pub_.n_squared) {
-      return Status::OutOfRange("Paillier ciphertext must be < n^2");
-    }
-  }
+  FLB_RETURN_IF_ERROR(CheckCiphertexts(cs, pub_.n_squared));
   common::ThreadPool& tp =
       pool != nullptr ? *pool : common::ThreadPool::Global();
   const MontgomeryContext& n2 = eval_->n2_ctx();

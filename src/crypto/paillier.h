@@ -135,7 +135,10 @@ class PaillierContext {
   // element pays a fresh r^n powm with its per-element generator
   // Rng::ForStream(seed, i); otherwise obfuscators come from a per-call
   // seeded pool of obfuscation_pool_size bases refreshed by Montgomery
-  // squaring, amortizing the powms across the batch.
+  // squaring, amortizing the powms across the batch. EncryptBatch and
+  // DecryptBatch range-check every input before any exponentiation, and
+  // run their same-exponent powms in 8-row lane groups where the CPU has
+  // a lane kernel (MontgomeryContext::ModPowRows).
   Result<std::vector<BigInt>> EncryptBatch(
       const std::vector<BigInt>& ms, Rng& rng,
       common::ThreadPool* pool = nullptr) const;
@@ -208,6 +211,11 @@ class PaillierContext {
 
   Result<BigInt> DecryptPlain(const BigInt& c) const;
   Result<BigInt> DecryptCrt(const BigInt& c) const;
+  // The tails of decryption after its exponentiations, shared by the
+  // single-op and batch paths: L(c^lambda mod n^2) * mu mod n, and the CRT
+  // recombination of xp = c^(p-1) mod p^2 and xq = c^(q-1) mod q^2.
+  Result<BigInt> FinishPlain(const BigInt& c_lambda) const;
+  Result<BigInt> CombineCrt(const BigInt& xp, const BigInt& xq) const;
   // ScalarMul without the op-count bump (batch path counts per batch).
   BigInt ScalarMulUncounted(const BigInt& c, const BigInt& k) const;
   // n - k when k encodes a negative scalar short enough for the inverse

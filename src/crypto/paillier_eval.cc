@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "src/crypto/paillier.h"
+#include "src/mpint/limb_matrix.h"
 
 namespace flb::crypto {
 
@@ -97,11 +98,16 @@ ObfuscationPool::ObfuscationPool(
       seed_(seed) {}
 
 void ObfuscationPool::FillLocked() {
+  // Draw every r first, in seed order, then raise them to n as one
+  // same-exponent batch on this thread (lane groups where available).
   Rng rng(seed_);
-  entries_.reserve(static_cast<size_t>(size_));
-  for (int i = 0; i < size_; ++i) {
-    const BigInt r = DrawUnit(n_, rng);
-    entries_.push_back(n2_ctx_->ToMont(n2_ctx_->ModPow(r, n_)));
+  const auto size = static_cast<size_t>(size_);
+  mpint::LimbMatrix rows(size, n2_ctx_->num_limbs());
+  for (size_t i = 0; i < size; ++i) rows.SetRow(i, DrawUnit(n_, rng));
+  n2_ctx_->ModPowRows(rows.row(0), size, n_);
+  entries_.reserve(size);
+  for (size_t i = 0; i < size; ++i) {
+    entries_.push_back(n2_ctx_->ToMont(rows.ToBigInt(i)));
   }
   filled_ = true;
 }

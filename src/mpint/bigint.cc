@@ -16,6 +16,11 @@ constexpr size_t kKaratsubaThreshold = 40;
 
 }  // namespace
 
+// Pins the modeled HE path's hot functions (AddModInPlace, Mul, DivMod,
+// operator%) to cache-line boundaries, so code added elsewhere in the link
+// cannot shift their loops and move wall time.
+#define FLB_HOT_ALIGNED __attribute__((aligned(64)))
+
 BigInt::BigInt(uint64_t v) {
   if (v == 0) return;
   limbs_.push_back(static_cast<uint32_t>(v));
@@ -159,7 +164,7 @@ void MulSchoolbook(const uint32_t* x, size_t xn, const uint32_t* y, size_t yn,
 
 }  // namespace
 
-BigInt BigInt::Mul(const BigInt& a, const BigInt& b) {
+FLB_HOT_ALIGNED BigInt BigInt::Mul(const BigInt& a, const BigInt& b) {
   if (a.IsZero() || b.IsZero()) return BigInt();
   const size_t xn = a.limbs_.size(), yn = b.limbs_.size();
   if (std::min(xn, yn) < kKaratsubaThreshold) {
@@ -234,8 +239,8 @@ BigInt BigInt::TruncateBits(const BigInt& a, int bits) {
   return FromWords(std::move(w));
 }
 
-Result<std::pair<BigInt, BigInt>> BigInt::DivMod(const BigInt& a,
-                                                 const BigInt& b) {
+FLB_HOT_ALIGNED Result<std::pair<BigInt, BigInt>> BigInt::DivMod(
+    const BigInt& a, const BigInt& b) {
   if (b.IsZero()) {
     return Status::ArithmeticError("division by zero");
   }
@@ -345,7 +350,7 @@ BigInt operator/(const BigInt& a, const BigInt& b) {
   return std::move(r).value();
 }
 
-BigInt operator%(const BigInt& a, const BigInt& b) {
+FLB_HOT_ALIGNED BigInt operator%(const BigInt& a, const BigInt& b) {
   auto r = BigInt::Mod(a, b);
   FLB_CHECK(r.ok(), r.status().ToString());
   return std::move(r).value();
@@ -414,7 +419,7 @@ Result<BigInt> BigInt::ModInverse(const BigInt& a, const BigInt& n) {
   return inv;
 }
 
-void BigInt::AddModInPlace(const BigInt& b, const BigInt& n) {
+FLB_HOT_ALIGNED void BigInt::AddModInPlace(const BigInt& b, const BigInt& n) {
   // n = 0 takes the fallback too, whose % fails the FLB_CHECK.
   if (Compare(n) >= 0 || b.Compare(n) >= 0) {
     *this = Add(*this, b) % n;

@@ -7,6 +7,7 @@
 
 #if defined(__x86_64__)
 #include <cpuid.h>
+#include <immintrin.h>
 #endif
 
 namespace flb::mpint::fixed {
@@ -341,11 +342,143 @@ constexpr KernelOps kAdxTable[] = {
     MakeAdx<32>(), MakeAdx<64>(), MakeAdx<128>(), MakeAdx<256>(),
 };
 
+// ---- 8-lane radix-2^52 table (AVX-512 IFMA) ---------------------------------
+//
+// Intrinsics in functions compiled for avx512f+avx512ifma only, reached
+// through FindLaneKernel after the CPU check, so the library itself needs
+// no -m flag. Unlike the BMI2/ADX asm, every load and store is an ordinary
+// compiler-visible access, so ASan and TSan check the kernels like any
+// other code.
+
+#define FLB_HAVE_IFMA_LANES 1
+#define FLB_IFMA_TARGET __attribute__((target("avx512f,avx512ifma")))
+
+constexpr uint64_t kDigitMask = (uint64_t{1} << 52) - 1;
+
+// As many digits as 32*limbs + 2 bits need, so that 4m < R' = 2^(52D).
+constexpr size_t LaneDigits(size_t limbs) { return (32 * limbs + 2 + 51) / 52; }
+
+// Accumulators t[k] are unnormalized 64-bit lanes: every madd52 adds less
+// than 2^52, and a position collects at most 2D terms in the product phase
+// and 2D in the reduction, so t[k] < (4D + 2) * 2^52 < 2^61 for D <= 79.
+
+// v >> 52 per lane. The zero-masked form is the same instruction; GCC 12's
+// unmasked intrinsic trips -Wuninitialized on its undefined pass-through.
+FLB_IFMA_TARGET inline __m512i DigitCarry(__m512i v) {
+  return _mm512_maskz_srli_epi64(static_cast<__mmask8>(0xFF), v, 52);
+}
+
+// Montgomery reduction of the 2D-digit lane product t, as in RedcRows: step
+// i adds q*m at digit i (q = t[i]*k0 mod 2^52) so that digit's low 52 bits
+// vanish and moves its carry into t[i+1]. The result t[D..2D) < 2m is
+// normalized into z.
+template <size_t D>
+FLB_IFMA_TARGET inline void RedcLanes(__m512i* t, LaneDigit* z,
+                                      const uint64_t* m, uint64_t k0) {
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i k0v = _mm512_set1_epi64(static_cast<long long>(k0));
+  for (size_t i = 0; i < D; ++i) {
+    __m512i* ti = t + i;
+    const __m512i q = _mm512_madd52lo_epu64(zero, ti[0], k0v);
+    __m512i prev = _mm512_set1_epi64(static_cast<long long>(m[0]));
+    const __m512i low = _mm512_madd52lo_epu64(ti[0], prev, q);
+    ti[1] = _mm512_add_epi64(ti[1], DigitCarry(low));
+    for (size_t j = 1; j < D; ++j) {
+      const __m512i mj = _mm512_set1_epi64(static_cast<long long>(m[j]));
+      ti[j] = _mm512_madd52hi_epu64(_mm512_madd52lo_epu64(ti[j], mj, q), prev,
+                                    q);
+      prev = mj;
+    }
+    ti[D] = _mm512_madd52hi_epu64(ti[D], prev, q);
+  }
+  const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kDigitMask));
+  __m512i carry = zero;
+  for (size_t j = 0; j < D; ++j) {
+    const __m512i v = _mm512_add_epi64(t[D + j], carry);
+    carry = DigitCarry(v);
+    _mm512_store_si512(z + j, _mm512_and_si512(v, mask));
+  }
+}
+
+// Product rows: t += x * y[i] at digit i, each position taking the low half
+// of x[j]*y[i] and the high half of x[j-1]*y[i] in one read-modify-write.
+template <size_t D>
+FLB_IFMA_TARGET FLB_KERNEL_ALIGNED void AmmMulLanes(LaneDigit* z,
+                                                    const LaneDigit* x,
+                                                    const LaneDigit* y,
+                                                    const uint64_t* m,
+                                                    uint64_t k0) {
+  __m512i t[2 * D];
+  for (size_t k = 0; k < 2 * D; ++k) t[k] = _mm512_setzero_si512();
+  for (size_t i = 0; i < D; ++i) {
+    __m512i* ti = t + i;
+    const __m512i yi = _mm512_load_si512(y + i);
+    __m512i prev = _mm512_load_si512(x);
+    ti[0] = _mm512_madd52lo_epu64(ti[0], prev, yi);
+    for (size_t j = 1; j < D; ++j) {
+      const __m512i xj = _mm512_load_si512(x + j);
+      ti[j] = _mm512_madd52hi_epu64(_mm512_madd52lo_epu64(ti[j], xj, yi), prev,
+                                    yi);
+      prev = xj;
+    }
+    ti[D] = _mm512_madd52hi_epu64(ti[D], prev, yi);
+  }
+  RedcLanes<D>(t, z, m, k0);
+}
+
+// Squaring: the cross products x[i]*x[j], i < j, once; then every position
+// doubled and the diagonal x[i]^2 added before the same reduction.
+template <size_t D>
+FLB_IFMA_TARGET FLB_KERNEL_ALIGNED void AmmSqrLanes(LaneDigit* z,
+                                                    const LaneDigit* x,
+                                                    const uint64_t* m,
+                                                    uint64_t k0) {
+  __m512i t[2 * D];
+  for (size_t k = 0; k < 2 * D; ++k) t[k] = _mm512_setzero_si512();
+  for (size_t i = 0; i + 1 < D; ++i) {
+    __m512i* ti = t + i;
+    const __m512i xi = _mm512_load_si512(x + i);
+    __m512i prev = _mm512_load_si512(x + i + 1);
+    ti[i + 1] = _mm512_madd52lo_epu64(ti[i + 1], prev, xi);
+    for (size_t j = i + 2; j < D; ++j) {
+      const __m512i xj = _mm512_load_si512(x + j);
+      ti[j] = _mm512_madd52hi_epu64(_mm512_madd52lo_epu64(ti[j], xj, xi), prev,
+                                    xi);
+      prev = xj;
+    }
+    ti[D] = _mm512_madd52hi_epu64(ti[D], prev, xi);
+  }
+  for (size_t i = 0; i < D; ++i) {
+    const __m512i xi = _mm512_load_si512(x + i);
+    t[2 * i] = _mm512_madd52lo_epu64(_mm512_add_epi64(t[2 * i], t[2 * i]), xi,
+                                     xi);
+    t[2 * i + 1] = _mm512_madd52hi_epu64(
+        _mm512_add_epi64(t[2 * i + 1], t[2 * i + 1]), xi, xi);
+  }
+  RedcLanes<D>(t, z, m, k0);
+}
+
+template <size_t N>
+constexpr LaneOps MakeLanes() {
+  constexpr size_t D = LaneDigits(N);
+  LaneOps ops;
+  ops.limbs = N;
+  ops.digits = D;
+  ops.amm_mul = &AmmMulLanes<D>;
+  ops.amm_sqr = &AmmSqrLanes<D>;
+  return ops;
+}
+
+// The n / p^2 / q^2 widths of 1024- and 2048-bit keys and n^2 of 1024-bit
+// keys (and so 2048-bit moduli generally).
+constexpr LaneOps kLaneTable[] = {MakeLanes<32>(), MakeLanes<64>(),
+                                  MakeLanes<128>()};
+
 #endif  // defined(__x86_64__)
 
-template <size_t K>
-const KernelOps* Lookup(const KernelOps (&table)[K], size_t limbs) {
-  for (const KernelOps& ops : table) {
+template <typename Ops, size_t K>
+const Ops* Lookup(const Ops (&table)[K], size_t limbs) {
+  for (const Ops& ops : table) {
     if (ops.limbs == limbs) return &ops;
   }
   return nullptr;
@@ -386,6 +519,64 @@ const KernelOps* FindKernel(size_t limbs, KernelIsa isa) {
       return nullptr;
   }
   return nullptr;
+}
+
+bool CpuHasAvx512Ifma() {
+#if defined(FLB_HAVE_IFMA_LANES)
+  static const bool has = [] {
+    unsigned eax, ebx, ecx, edx;
+    if (__get_cpuid_max(0, nullptr) < 7) return false;
+    // The OS must save the ZMM state: CPUID.1:ECX bit 27 (OSXSAVE), then
+    // XCR0 bits 1-2 (SSE, AVX) and 5-7 (opmask, ZMM_Hi256, Hi16_ZMM).
+    __cpuid(1, eax, ebx, ecx, edx);
+    if (((ecx >> 27) & 1) == 0) return false;
+    unsigned xcr0_lo, xcr0_hi;
+    __asm__("xgetbv" : "=a"(xcr0_lo), "=d"(xcr0_hi) : "c"(0));
+    if ((xcr0_lo & 0xE6u) != 0xE6u) return false;
+    // CPUID leaf 7, EBX bits 16 (AVX512F) and 21 (AVX512_IFMA).
+    __cpuid_count(7, 0, eax, ebx, ecx, edx);
+    return ((ebx >> 16) & 1) != 0 && ((ebx >> 21) & 1) != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+const LaneOps* FindLaneKernel(size_t limbs) {
+#if defined(FLB_HAVE_IFMA_LANES)
+  if (CpuHasAvx512Ifma()) return Lookup(kLaneTable, limbs);
+#endif
+  (void)limbs;
+  return nullptr;
+}
+
+void RowToLane(const uint32_t* row, size_t limbs, LaneDigit* v, size_t digits,
+               size_t lane) {
+  u128 acc = 0;  // pending bits, the lowest first
+  size_t bits = 0, next = 0;
+  for (size_t j = 0; j < digits; ++j) {
+    for (; bits < 52 && next < limbs; bits += 32) {
+      acc |= static_cast<u128>(row[next++]) << bits;
+    }
+    v[j].lane[lane] = static_cast<uint64_t>(acc) & ((uint64_t{1} << 52) - 1);
+    acc >>= 52;
+    bits = bits > 52 ? bits - 52 : 0;
+  }
+}
+
+void LaneToRow(const LaneDigit* v, size_t digits, size_t lane, uint32_t* row,
+               size_t limbs) {
+  u128 acc = 0;
+  size_t bits = 0, next = 0;
+  for (size_t i = 0; i < limbs; ++i) {
+    for (; bits < 32 && next < digits; bits += 52) {
+      acc |= static_cast<u128>(v[next++].lane[lane]) << bits;
+    }
+    row[i] = static_cast<uint32_t>(acc);
+    acc >>= 32;
+    bits = bits > 32 ? bits - 32 : 0;
+  }
 }
 
 std::vector<size_t> SupportedWidths() {

@@ -30,6 +30,13 @@
 // Placement: every dispatched kernel is 64-byte aligned and the asm loop
 // heads are .p2align'ed, so edits elsewhere in the binary cannot shift the
 // hot loops across cache-line or fetch-block boundaries.
+//
+// A third, multi-operand table runs eight rows at once: an almost-
+// Montgomery multiply and square in radix 2^52 on AVX-512 IFMA
+// (vpmadd52luq/vpmadd52huq), one batch row per 64-bit lane with the digits
+// interleaved across lanes (LaneDigit). It serves same-exponent batches
+// (crypto::MontgomeryContext::ModPowRows) and is found only when the CPU
+// and OS support AVX-512F and AVX512_IFMA.
 
 #ifndef FLB_MPINT_FIXED_KERNELS_H_
 #define FLB_MPINT_FIXED_KERNELS_H_
@@ -77,14 +84,60 @@ const KernelOps* FindKernel(size_t limbs, KernelIsa isa);
 // Both tables cover the same widths.
 std::vector<size_t> SupportedWidths();
 
+// ---- 8-lane radix-2^52 table (AVX-512 IFMA) ---------------------------------
+
+// Rows a lane kernel runs in lock-step.
+inline constexpr size_t kLanes = 8;
+
+// One radix-2^52 digit position of eight rows: lane l holds row l's digit.
+// A lane operand of D digits is D consecutive LaneDigits.
+struct alignas(64) LaneDigit {
+  uint64_t lane[kLanes];
+};
+
+// Dispatch record for one modulus width. With R' = 2^(52*digits) and
+// 4m < R', both kernels compute, per lane, an almost-Montgomery product
+// x*y*R'^{-1} mod m plus possibly one m: inputs < 2m give an output < 2m,
+// so chains of them need no subtraction in between. Digits of inputs are
+// < 2^52 and outputs come back normalized the same way. `m` is the modulus
+// as `digits` radix-2^52 digits (shared by all lanes), k0 is -m^{-1} mod
+// 2^52, and z may alias any input.
+struct LaneOps {
+  size_t limbs = 0;   // modulus width in 32-bit limbs
+  size_t digits = 0;  // ceil((32*limbs + 2) / 52)
+  void (*amm_mul)(LaneDigit* z, const LaneDigit* x, const LaneDigit* y,
+                  const uint64_t* m, uint64_t k0) = nullptr;
+  void (*amm_sqr)(LaneDigit* z, const LaneDigit* x, const uint64_t* m,
+                  uint64_t k0) = nullptr;
+};
+
+// True when this is an x86-64 build, the CPU reports AVX-512F and
+// AVX512_IFMA (CPUID leaf 7, EBX bits 16 and 21) and the OS saves the ZMM
+// state (XGETBV). Evaluated once per process.
+bool CpuHasAvx512Ifma();
+
+// The lane entry for `limbs` 32-bit limbs, or nullptr when that width has
+// none (32, 64 and 128 limbs are instantiated) or the CPU lacks
+// CpuHasAvx512Ifma().
+const LaneOps* FindLaneKernel(size_t limbs);
+
+// Radix conversion between a little-endian row of `limbs` 32-bit limbs and
+// lane `lane` of a `digits`-digit lane operand. RowToLane zero-fills the
+// digits above the row; LaneToRow keeps the low 32*limbs bits and expects
+// normalized digits.
+void RowToLane(const uint32_t* row, size_t limbs, LaneDigit* v, size_t digits,
+               size_t lane);
+void LaneToRow(const LaneDigit* v, size_t digits, size_t lane, uint32_t* row,
+               size_t limbs);
+
 // -n^{-1} mod 2^64 for odd n (Newton–Hensel lifting; the radix-2^64
 // Montgomery factor mirroring crypto's radix-2^32 NegInverseMod2p32).
 uint64_t NegInverseMod2p64(uint64_t n0);
 
 // True unless the FLB_FIXED_KERNELS environment variable is set to "0" —
 // the process-wide kill switch for A/B runs and debugging. Consulted by
-// MontgomeryContext::Create; results are bit-identical either way, only
-// speed changes.
+// MontgomeryContext::Create, which then binds neither a fixed-width nor a
+// lane kernel; results are bit-identical either way, only speed changes.
 bool KernelsEnabled();
 
 }  // namespace flb::mpint::fixed

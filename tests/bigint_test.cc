@@ -11,6 +11,14 @@
 namespace flb::mpint {
 namespace {
 
+TEST(BigIntPlacement, HotStaticFunctionsAreCacheLineAligned) {
+  // The modeled HE path's hot functions are pinned to 64 bytes so code
+  // added elsewhere in the link cannot move them. AddModInPlace and
+  // operator% are pinned too but have no portable function address.
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(&BigInt::Mul) % 64, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(&BigInt::DivMod) % 64, 0u);
+}
+
 TEST(BigIntBasics, ZeroProperties) {
   BigInt z;
   EXPECT_TRUE(z.IsZero());

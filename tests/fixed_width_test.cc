@@ -11,6 +11,11 @@
 //     features, and every dispatched kernel is cache-line aligned;
 //   * ModPow through each table vs a generic-forced context, including
 //     MontMul-count parity (the cost model depends on it);
+//   * the 8-lane AVX-512 IFMA table: its almost-Montgomery bound and
+//     congruence, dispatch iff the CPU has AVX-512F and AVX512_IFMA, and
+//     ModPowRows vs per-row ModPow (bytes and MontMul counts) over edge
+//     bases, moduli and exponents and over row/thread counts, and the
+//     tasks ForEachLaneTask cuts a batch into;
 //   * bit-identity of a real PaillierEval batch with kernels on vs off,
 //     and at thread counts 1/2/8 (the determinism contract).
 //
@@ -20,9 +25,11 @@
 
 #include <cstdint>
 #include <fstream>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -42,10 +49,15 @@ using crypto::PaillierKeyGen;
 using crypto::PaillierOptions;
 using mpint::BigInt;
 using mpint::LimbMatrix;
+using mpint::fixed::CpuHasAvx512Ifma;
 using mpint::fixed::CpuHasBmi2Adx;
 using mpint::fixed::FindKernel;
+using mpint::fixed::FindLaneKernel;
 using mpint::fixed::KernelIsa;
 using mpint::fixed::KernelOps;
+using mpint::fixed::kLanes;
+using mpint::fixed::LaneDigit;
+using mpint::fixed::LaneOps;
 using mpint::fixed::NegInverseMod2p64;
 using mpint::fixed::SupportedWidths;
 
@@ -147,26 +159,26 @@ TEST(FixedWidthKernelTest, TableCoversPaillierWidthsAndRejectsOddOnes) {
   }
 }
 
-// Whether the OS reports both BMI2 and ADX in the /proc/cpuinfo flags — an
+// Whether the OS reports both flags in the /proc/cpuinfo flags line — an
 // oracle independent of the library's CPUID read; nullopt without a flags
 // line (non-Linux or non-x86).
-std::optional<bool> OsReportsBmi2Adx() {
+std::optional<bool> OsReportsBoth(const std::string& a, const std::string& b) {
   std::ifstream cpuinfo("/proc/cpuinfo");
   for (std::string line; std::getline(cpuinfo, line);) {
     if (line.rfind("flags", 0) != 0) continue;
     std::istringstream words(line);
-    bool bmi2 = false, adx = false;
+    bool has_a = false, has_b = false;
     for (std::string w; words >> w;) {
-      bmi2 = bmi2 || w == "bmi2";
-      adx = adx || w == "adx";
+      has_a = has_a || w == a;
+      has_b = has_b || w == b;
     }
-    return bmi2 && adx;
+    return has_a && has_b;
   }
   return std::nullopt;
 }
 
 TEST(FixedWidthKernelTest, FindKernelPicksBmi2AdxIffCpuHasBoth) {
-  const std::optional<bool> reported = OsReportsBmi2Adx();
+  const std::optional<bool> reported = OsReportsBoth("bmi2", "adx");
   if (!reported.has_value()) GTEST_SKIP() << "no /proc/cpuinfo flags";
   const bool has = *reported;
   EXPECT_EQ(CpuHasBmi2Adx(), has);
@@ -195,6 +207,14 @@ TEST(FixedWidthKernelTest, DispatchedKernelsAreCacheLineAligned) {
       EXPECT_EQ(reinterpret_cast<uintptr_t>(ops->mont_sqr) % 64, 0u)
           << "mont_sqr width " << w << " isa " << static_cast<int>(isa);
     }
+  }
+  for (size_t w : SupportedWidths()) {
+    const LaneOps* lanes = FindLaneKernel(w);
+    if (lanes == nullptr) continue;  // no lane width, or no IFMA
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(lanes->amm_mul) % 64, 0u)
+        << "amm_mul width " << w;
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(lanes->amm_sqr) % 64, 0u)
+        << "amm_sqr width " << w;
   }
 }
 
@@ -378,6 +398,335 @@ TEST(FixedWidthKernelTest, OddWidthFallsBackToGeneric) {
   }
 }
 
+// ---- 8-lane IFMA table ------------------------------------------------------
+
+constexpr size_t kLaneWidths[] = {32, 64, 128};
+
+// An odd modulus shaped like a CRT leg's p^2: the square of a random odd
+// half-width value with its top bit set (primality does not matter here).
+BigInt SquareModulus(Rng& rng, size_t width) {
+  auto w = BigInt::Random(rng, static_cast<int>(width) * 16)
+               .ToFixedWords(width / 2);
+  w[0] |= 1u;
+  w[width / 2 - 1] |= 0x80000000u;
+  const BigInt p = BigInt::FromWords(std::move(w));
+  return BigInt::Mul(p, p);
+}
+
+TEST(FixedWidthKernelTest, FindLaneKernelIffCpuHasAvx512Ifma) {
+  const std::optional<bool> reported = OsReportsBoth("avx512f", "avx512ifma");
+  if (!reported.has_value()) GTEST_SKIP() << "no /proc/cpuinfo flags";
+  const bool has = *reported;
+  EXPECT_EQ(CpuHasAvx512Ifma(), has);
+  Rng rng(kSeed + 20);
+  for (size_t w : SupportedWidths()) {
+    const bool lane_width = w == 32 || w == 64 || w == 128;
+    const LaneOps* lanes = FindLaneKernel(w);
+    EXPECT_EQ(lanes != nullptr, has && lane_width) << "width " << w;
+    if (lanes != nullptr) {
+      EXPECT_EQ(lanes->limbs, w);
+      EXPECT_EQ(lanes->digits, (32 * w + 2 + 51) / 52);
+    }
+    // Create binds the lane table exactly when it binds a fixed kernel and
+    // the CPU has one for the width.
+    const BigInt mod = RandomModulus(rng, w);
+    const auto ctx = MontgomeryContext::Create(mod).value();
+    const bool bound = has && lane_width && mpint::fixed::KernelsEnabled();
+    EXPECT_EQ(ctx.lane_kernel_width(), bound ? w : 0u) << "width " << w;
+    EXPECT_EQ(MontgomeryContext::Create(mod, false).value().lane_kernel_width(),
+              0u);
+  }
+  for (size_t w : {0u, 3u, 31u, 1024u}) {
+    EXPECT_EQ(FindLaneKernel(w), nullptr) << "width " << w;
+  }
+}
+
+TEST(FixedWidthKernelTest, CreateWithKernelRejectsMismatchedLanes) {
+  if (FindLaneKernel(32) == nullptr) GTEST_SKIP() << "CPU lacks AVX512_IFMA";
+  Rng rng(kSeed + 21);
+  const BigInt mod = RandomModulus(rng, 32);
+  const KernelOps* k = FindKernel(32, KernelIsa::kPortable);
+  EXPECT_FALSE(
+      MontgomeryContext::CreateWithKernel(mod, k, FindLaneKernel(64)).ok());
+  EXPECT_FALSE(
+      MontgomeryContext::CreateWithKernel(mod, nullptr, FindLaneKernel(32))
+          .ok());
+  const auto ctx =
+      MontgomeryContext::CreateWithKernel(mod, k, FindLaneKernel(32)).value();
+  EXPECT_EQ(ctx.lane_kernel_width(), 32u);
+}
+
+TEST(FixedWidthKernelTest, RowLaneConversionRoundTrips) {
+  Rng rng(kSeed + 22);
+  for (size_t w : kLaneWidths) {
+    const size_t d = (32 * w + 2 + 51) / 52;
+    std::vector<LaneDigit> v(d);
+    std::vector<std::vector<uint32_t>> rows;
+    for (size_t l = 0; l < kLanes; ++l) {
+      rows.push_back(EdgeValue(rng, w, BigInt()).ToFixedWords(w));
+      mpint::fixed::RowToLane(rows[l].data(), w, v.data(), d, l);
+    }
+    for (size_t l = 0; l < kLanes; ++l) {
+      // Digit j holds bits [52j, 52j + 52) of the row.
+      const BigInt value = BigInt::FromWords(rows[l]);
+      for (size_t j = 0; j < d; ++j) {
+        const BigInt digit = BigInt::TruncateBits(
+            BigInt::ShiftRight(value, static_cast<int>(52 * j)), 52);
+        ASSERT_EQ(BigInt(v[j].lane[l]), digit)
+            << "width " << w << " lane " << l << " digit " << j;
+      }
+      std::vector<uint32_t> back(w);
+      mpint::fixed::LaneToRow(v.data(), d, l, back.data(), w);
+      EXPECT_EQ(back, rows[l]) << "width " << w << " lane " << l;
+    }
+  }
+}
+
+// The lane kernels against BigInt arithmetic: with R' = 2^(52D), z < 2m
+// and z*R' = x*y (mod m) for inputs < 2m, including m itself, 2m - 1 and
+// all-ones runs, and with z aliasing an input.
+TEST(FixedWidthKernelTest, LaneKernelsAreAlmostMontgomery) {
+  if (!CpuHasAvx512Ifma()) GTEST_SKIP() << "CPU lacks AVX-512 IFMA";
+  Rng rng(kSeed + 23);
+  for (size_t w : kLaneWidths) {
+    const LaneOps* lanes = FindLaneKernel(w);
+    ASSERT_NE(lanes, nullptr) << "width " << w;
+    const size_t d = lanes->digits;
+    for (const BigInt& mod : {RandomModulus(rng, w),
+                              TopWordAllOnesModulus(rng, w),
+                              SquareModulus(rng, w), AllOnesModulus(w)}) {
+      const BigInt two_m = BigInt::Add(mod, mod);
+      std::vector<LaneDigit> mdig(d);
+      mpint::fixed::RowToLane(mod.ToFixedWords(w).data(), w, mdig.data(), d,
+                              0);
+      std::vector<uint64_t> m(d);
+      for (size_t j = 0; j < d; ++j) m[j] = mdig[j].lane[0];
+      const uint64_t k0 =
+          NegInverseMod2p64(mod.LowU64()) & ((uint64_t{1} << 52) - 1);
+      const int r_bits = static_cast<int>(52 * d);
+      for (int iter = 0; iter < 3; ++iter) {
+        // Lane operands: values < 2m spread over d digits (the rows are
+        // w + 1 limbs wide, so 2m fits).
+        std::vector<BigInt> xs, ys;
+        std::vector<LaneDigit> x(d), y(d), z(d), sq(d);
+        for (size_t l = 0; l < kLanes; ++l) {
+          BigInt a = EdgeValue(rng, w + 1, two_m);
+          BigInt b = EdgeValue(rng, w + 1, two_m);
+          if (l == 0) a = mod;
+          if (l == 1) b = BigInt::Sub(two_m, BigInt(1));
+          xs.push_back(a);
+          ys.push_back(b);
+          mpint::fixed::RowToLane(a.ToFixedWords(w + 1).data(), w + 1,
+                                  x.data(), d, l);
+          mpint::fixed::RowToLane(b.ToFixedWords(w + 1).data(), w + 1,
+                                  y.data(), d, l);
+        }
+        lanes->amm_mul(z.data(), x.data(), y.data(), m.data(), k0);
+        lanes->amm_sqr(sq.data(), x.data(), m.data(), k0);
+        std::vector<LaneDigit> zx = x, sx = x;
+        lanes->amm_mul(zx.data(), zx.data(), y.data(), m.data(), k0);
+        lanes->amm_sqr(sx.data(), sx.data(), m.data(), k0);
+        for (size_t l = 0; l < kLanes; ++l) {
+          std::vector<uint32_t> row(w + 1);
+          const auto lane_value = [&](const std::vector<LaneDigit>& v) {
+            mpint::fixed::LaneToRow(v.data(), d, l, row.data(), w + 1);
+            return BigInt::FromWords(row);
+          };
+          const BigInt zl = lane_value(z);
+          const BigInt sl = lane_value(sq);
+          EXPECT_LT(zl, two_m) << "width " << w << " lane " << l;
+          EXPECT_LT(sl, two_m) << "width " << w << " lane " << l;
+          EXPECT_EQ(BigInt::ShiftLeft(zl, r_bits) % mod,
+                    BigInt::Mul(xs[l], ys[l]) % mod)
+              << "mul width " << w << " lane " << l;
+          EXPECT_EQ(BigInt::ShiftLeft(sl, r_bits) % mod,
+                    BigInt::Mul(xs[l], xs[l]) % mod)
+              << "sqr width " << w << " lane " << l;
+          EXPECT_EQ(lane_value(zx), zl) << "z==x width " << w;
+          EXPECT_EQ(lane_value(sx), sl) << "aliased sqr width " << w;
+        }
+      }
+    }
+  }
+}
+
+// A context with the lane table and its twin on the same scalar kernel
+// without it: ModPowRows on 8 rows against per-row ModPow, bytes and
+// MontMul counts.
+void ExpectLanesMatchPerRow(const BigInt& mod, const std::vector<BigInt>& bases,
+                            const std::vector<BigInt>& exps) {
+  const size_t w = mod.WordCount();
+  const KernelOps* k = FindKernel(w);
+  const auto lanes =
+      MontgomeryContext::CreateWithKernel(mod, k, FindLaneKernel(w)).value();
+  const auto per_row = MontgomeryContext::CreateWithKernel(mod, k).value();
+  ASSERT_EQ(lanes.lane_kernel_width(), w);
+  ASSERT_EQ(bases.size(), kLanes);
+  for (const BigInt& exp : exps) {
+    LimbMatrix rows = LimbMatrix::Pack(bases, w);
+    lanes.ResetCounters();
+    per_row.ResetCounters();
+    lanes.ModPowRows(rows.row(0), kLanes, exp);
+    for (size_t l = 0; l < kLanes; ++l) {
+      EXPECT_EQ(rows.ToBigInt(l), per_row.ModPow(bases[l], exp))
+          << "width " << w << " exp bits " << exp.BitLength() << " row " << l;
+    }
+    EXPECT_EQ(lanes.mont_mul_count(), per_row.mont_mul_count())
+        << "width " << w << " exp bits " << exp.BitLength();
+  }
+}
+
+std::vector<BigInt> LaneEdgeBases(Rng& rng, const BigInt& mod) {
+  const size_t w = mod.WordCount();
+  std::vector<uint32_t> ones(w, 0);
+  for (size_t i = 0; i < w / 2; ++i) ones[i] = 0xFFFFFFFFu;
+  return {BigInt(0),
+          BigInt(1),
+          BigInt::Sub(mod, BigInt(1)),
+          BigInt::FromWords(ones) % mod,
+          BigInt::Sub(mod, BigInt::FromWords(ones) % mod),
+          BigInt(2),
+          BigInt::RandomBelow(rng, mod),
+          BigInt::RandomBelow(rng, mod)};
+}
+
+TEST(FixedWidthKernelTest, LaneModPowMatchesPerRowWithCountParity) {
+  if (!CpuHasAvx512Ifma()) GTEST_SKIP() << "CPU lacks AVX-512 IFMA";
+  Rng rng(kSeed + 24);
+  for (size_t w : kLaneWidths) {
+    // Exponents 1 and 2, then lengths on both sides of every
+    // ChooseWindowBits boundary (24/80/240/672 bits) that fits the width.
+    std::vector<BigInt> exps = {BigInt(1), BigInt(2)};
+    for (int bits : {24, 25, 80, 81, 240, 241, 672, 673}) {
+      if (w == 128 && bits > 81) continue;  // keep the widest width quick
+      exps.push_back(BigInt::Add(BigInt::Random(rng, bits - 1),
+                                 BigInt::PowerOfTwo(bits - 1)));
+    }
+    for (const BigInt& mod : {RandomModulus(rng, w),
+                              TopWordAllOnesModulus(rng, w),
+                              SquareModulus(rng, w)}) {
+      ExpectLanesMatchPerRow(mod, LaneEdgeBases(rng, mod), exps);
+    }
+  }
+}
+
+TEST(FixedWidthKernelTest, LaneModPowMatchesPerRowOnRealPaillierExponents) {
+  if (!CpuHasAvx512Ifma()) GTEST_SKIP() << "CPU lacks AVX-512 IFMA";
+  Rng key_rng(kSeed + 25);
+  const auto keys = PaillierKeyGen(1024, key_rng).value();
+  Rng rng(kSeed + 26);
+  const BigInt& p = keys.priv.p;
+  const BigInt& q = keys.priv.q;
+  const BigInt p2 = BigInt::Mul(p, p), q2 = BigInt::Mul(q, q);
+  // The CRT legs (32 limbs), c^lambda and r^n (64 limbs).
+  ExpectLanesMatchPerRow(p2, LaneEdgeBases(rng, p2),
+                         {BigInt::Sub(p, BigInt(1))});
+  ExpectLanesMatchPerRow(q2, LaneEdgeBases(rng, q2),
+                         {BigInt::Sub(q, BigInt(1))});
+  ExpectLanesMatchPerRow(keys.pub.n_squared,
+                         LaneEdgeBases(rng, keys.pub.n_squared),
+                         {keys.pub.n, keys.priv.lambda});
+}
+
+// The tasks ForEachLaneTask hands out, at 1, 2 and 4 threads: without a
+// lane kernel one row each; with one, full 8-row groups first, then one
+// row each. Together they cover every row once, in row order, and the
+// status is the first failing task's.
+TEST(FixedWidthKernelTest, ForEachLaneTaskCutsFullGroupsThenSingleRows) {
+  Rng rng(kSeed + 27);
+  const BigInt mod = RandomModulus(rng, 32);
+  const KernelOps* k = FindKernel(32);
+  const auto off = MontgomeryContext::CreateWithKernel(mod, k).value();
+  const auto on =
+      MontgomeryContext::CreateWithKernel(mod, k, FindLaneKernel(32)).value();
+  for (int threads : {1, 2, 4}) {
+    common::ThreadPool pool(threads);
+    for (const MontgomeryContext* ctx : {&off, &on}) {
+      const bool lanes = ctx->lane_kernel_width() != 0;
+      for (size_t rows : std::vector<size_t>{0, 1, 7, 8, 9, 16, 17, 31, 32}) {
+        // Tasks start at distinct rows, so each writes its own slot.
+        std::vector<size_t> counts(rows, 0);
+        ASSERT_TRUE(ctx->ForEachLaneTask(pool, rows,
+                                         [&](size_t first, size_t count) {
+                                           counts[first] = count;
+                                           return Status::OK();
+                                         })
+                        .ok());
+        size_t next = 0;
+        while (next < rows) {
+          const size_t want = lanes && next + kLanes <= rows ? kLanes : 1;
+          ASSERT_EQ(counts[next], want)
+              << rows << " rows, first " << next << ", lanes " << lanes;
+          next += want;
+        }
+        EXPECT_EQ(next, rows);
+        EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), size_t{0}),
+                  rows);
+      }
+      // Rows 3 and 12 fail: the first failing task in row order wins.
+      const Status st = ctx->ForEachLaneTask(
+          pool, 17, [](size_t first, size_t count) {
+            for (size_t i = first; i < first + count; ++i) {
+              if (i == 3 || i == 12) {
+                return Status::OutOfRange("row " + std::to_string(i));
+              }
+            }
+            return Status::OK();
+          });
+      EXPECT_EQ(st.message(), "row 3") << threads << " threads";
+    }
+  }
+}
+
+// Row counts 1..17 on a pool of 1, 2 and 4 threads, lanes on and off,
+// both as ForEachLaneTask tasks and as one ModPowRows call over all rows:
+// every run byte-identical to per-row ModPow with equal MontMul counts.
+TEST(FixedWidthKernelTest, LaneBatchesInvariantToRowsThreadsAndLanes) {
+  Rng rng(kSeed + 28);
+  const BigInt mod = SquareModulus(rng, 32);
+  const KernelOps* k = FindKernel(32);
+  const auto on =
+      MontgomeryContext::CreateWithKernel(mod, k, FindLaneKernel(32)).value();
+  const auto off = MontgomeryContext::CreateWithKernel(mod, k).value();
+  const BigInt exp = BigInt::Random(rng, 130);
+  std::vector<BigInt> bases = LaneEdgeBases(rng, mod);
+  while (bases.size() < 17) bases.push_back(BigInt::RandomBelow(rng, mod));
+  std::vector<BigInt> expected;
+  off.ResetCounters();
+  for (const BigInt& b : bases) expected.push_back(off.ModPow(b, exp));
+  const uint64_t per_row_muls = off.mont_mul_count() / bases.size();
+  ASSERT_EQ(per_row_muls * bases.size(), off.mont_mul_count());
+  for (int threads : {1, 2, 4}) {
+    common::ThreadPool pool(threads);
+    for (size_t rows = 1; rows <= bases.size(); ++rows) {
+      const std::vector<BigInt> in(bases.begin(), bases.begin() + rows);
+      const std::vector<BigInt> want(expected.begin(),
+                                     expected.begin() + rows);
+      for (const MontgomeryContext* ctx : {&on, &off}) {
+        LimbMatrix m = LimbMatrix::Pack(in, 32);
+        ctx->ResetCounters();
+        ASSERT_TRUE(ctx->ForEachLaneTask(pool, rows,
+                                         [&](size_t first, size_t count) {
+                                           ctx->ModPowRows(m.row(first), count,
+                                                           exp);
+                                           return Status::OK();
+                                         })
+                        .ok());
+        EXPECT_EQ(m.Unpack(), want) << rows << " rows, " << threads;
+        EXPECT_EQ(ctx->mont_mul_count(), per_row_muls * rows)
+            << rows << " rows, " << threads << " threads";
+        if (threads > 1) continue;
+        LimbMatrix all = LimbMatrix::Pack(in, 32);
+        ctx->ResetCounters();
+        ctx->ModPowRows(all.row(0), rows, exp);
+        EXPECT_EQ(all.Unpack(), want) << rows << " rows in one call";
+        EXPECT_EQ(ctx->mont_mul_count(), per_row_muls * rows)
+            << rows << " rows in one call";
+      }
+    }
+  }
+}
+
 TEST(LimbMatrixTest, PackUnpackRoundTrip) {
   Rng rng(kSeed + 8);
   const size_t w = 8;
@@ -438,35 +787,66 @@ TEST_P(FixedWidthPaillierTest, BatchesBitIdenticalWithKernelsOnAndOff) {
     EXPECT_NE(ctx_on.eval().n2_ctx().fixed_kernel_width(), 0u);
   }
   EXPECT_EQ(ctx_off.eval().n2_ctx().fixed_kernel_width(), 0u);
+  EXPECT_EQ(ctx_off.eval().n2_ctx().lane_kernel_width(), 0u);
 
   Rng data_rng(kSeed + 10);
   const auto ms = TestPlaintexts(data_rng, keys.pub.n, 17);
   const auto ks = TestPlaintexts(data_rng, keys.pub.n, 17);
+  // On lane-width keys 17 rows are two full lane groups and a tail row.
+  common::ThreadPool pool(2);
 
   // Identical seeds => the encryption streams must be byte-identical.
   Rng ra(kSeed + 11), rb(kSeed + 11);
-  const auto ca = ctx_on.EncryptBatch(ms, ra).value();
-  const auto cb = ctx_off.EncryptBatch(ms, rb).value();
+  const auto ca = ctx_on.EncryptBatch(ms, ra, &pool).value();
+  const auto cb = ctx_off.EncryptBatch(ms, rb, &pool).value();
   EXPECT_EQ(ca, cb);
 
-  EXPECT_EQ(ctx_on.AddBatch(ca, cb).value(), ctx_off.AddBatch(ca, cb).value());
-  EXPECT_EQ(ctx_on.AddPlainBatch(ca, ks).value(),
-            ctx_off.AddPlainBatch(ca, ks).value());
-  EXPECT_EQ(ctx_on.ScalarMulBatch(ca, ks).value(),
-            ctx_off.ScalarMulBatch(ca, ks).value());
-  const auto pa = ctx_on.DecryptBatch(ca).value();
-  EXPECT_EQ(pa, ctx_off.DecryptBatch(ca).value());
+  EXPECT_EQ(ctx_on.AddBatch(ca, cb, &pool).value(),
+            ctx_off.AddBatch(ca, cb, &pool).value());
+  EXPECT_EQ(ctx_on.AddPlainBatch(ca, ks, &pool).value(),
+            ctx_off.AddPlainBatch(ca, ks, &pool).value());
+  EXPECT_EQ(ctx_on.ScalarMulBatch(ca, ks, &pool).value(),
+            ctx_off.ScalarMulBatch(ca, ks, &pool).value());
+  const auto pa = ctx_on.DecryptBatch(ca, &pool).value();
+  EXPECT_EQ(pa, ctx_off.DecryptBatch(ca, &pool).value());
   EXPECT_EQ(pa, ms);  // and the crypto still round-trips
 
-  // The kernels must also preserve the modeled-cost accounting.
-  EXPECT_EQ(ctx_on.eval().n2_ctx().mont_mul_count(),
-            ctx_off.eval().n2_ctx().mont_mul_count());
+  // Secure obfuscation (fresh r^n per element) and plain c^lambda
+  // decryption take their own same-exponent batches.
+  PaillierOptions sec_on = on, sec_off = off;
+  sec_on.secure_obfuscation = sec_off.secure_obfuscation = true;
+  sec_on.use_crt_decryption = sec_off.use_crt_decryption = false;
+  const auto plain_on = PaillierContext::Create(keys, sec_on).value();
+  const auto plain_off = PaillierContext::Create(keys, sec_off).value();
+  Rng sa(kSeed + 17), sb(kSeed + 17);
+  const auto sca = plain_on.EncryptBatch(ms, sa, &pool).value();
+  EXPECT_EQ(sca, plain_off.EncryptBatch(ms, sb, &pool).value());
+  const auto spa = plain_on.DecryptBatch(sca, &pool).value();
+  EXPECT_EQ(spa, plain_off.DecryptBatch(sca, &pool).value());
+  EXPECT_EQ(spa, ms);
 
-  // Single-op paths agree too (pool draws advance both contexts equally).
+  // Single-op paths agree too (pool draws advance both contexts equally);
+  // the first draw fills each context's ObfuscationPool.
   Rng r1(kSeed + 12), r2(kSeed + 12);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(ctx_on.Encrypt(ms[static_cast<size_t>(i)], r1).value(),
               ctx_off.Encrypt(ms[static_cast<size_t>(i)], r2).value());
+  }
+
+  // The kernels must also preserve the modeled-cost accounting, on every
+  // per-key context.
+  for (const auto& [a, b] : {std::pair{&ctx_on, &ctx_off},
+                             std::pair{&plain_on, &plain_off}}) {
+    const auto& ea = a->eval();
+    const auto& eb = b->eval();
+    EXPECT_EQ(ea.n2_ctx().mont_mul_count(), eb.n2_ctx().mont_mul_count());
+    EXPECT_EQ(ea.n_ctx().mont_mul_count(), eb.n_ctx().mont_mul_count());
+    if (ea.has_crt()) {
+      EXPECT_EQ(ea.p2_ctx().mont_mul_count(), eb.p2_ctx().mont_mul_count());
+      EXPECT_EQ(ea.q2_ctx().mont_mul_count(), eb.q2_ctx().mont_mul_count());
+    }
+    EXPECT_EQ(a->op_counts().encrypts.load(), b->op_counts().encrypts.load());
+    EXPECT_EQ(a->op_counts().decrypts.load(), b->op_counts().decrypts.load());
   }
 }
 
@@ -475,12 +855,18 @@ TEST_P(FixedWidthPaillierTest, BatchesInvariantAcrossThreadCounts) {
   Rng key_rng(kSeed + 13);
   const auto keys = PaillierKeyGen(key_bits, key_rng).value();
   const auto ctx = PaillierContext::Create(keys).value();
+  PaillierOptions plain_opts;
+  plain_opts.secure_obfuscation = true;
+  plain_opts.use_crt_decryption = false;
+  const auto plain = PaillierContext::Create(keys, plain_opts).value();
 
   Rng data_rng(kSeed + 14);
   const auto ms = TestPlaintexts(data_rng, keys.pub.n, 23);
   const auto ks = TestPlaintexts(data_rng, keys.pub.n, 23);
 
-  std::vector<BigInt> first_cipher, first_sum, first_plain;
+  // On lane-width keys 23 rows are two full lane groups and seven
+  // per-row tails at every thread count.
+  std::vector<BigInt> first_cipher, first_sum, first_plain, first_secure;
   for (int threads : {1, 2, 8}) {
     common::ThreadPool pool(threads);
     Rng er(kSeed + 15);  // same seed at every thread count
@@ -489,21 +875,28 @@ TEST_P(FixedWidthPaillierTest, BatchesInvariantAcrossThreadCounts) {
     const auto sm = ctx.ScalarMulBatch(cs, ks, &pool).value();
     const auto ps = ctx.DecryptBatch(cs, &pool).value();
     EXPECT_EQ(ps, ms) << threads << " threads";
+    Rng sr(kSeed + 18);
+    const auto secure = plain.EncryptBatch(ms, sr, &pool).value();
+    EXPECT_EQ(plain.DecryptBatch(secure, &pool).value(), ms)
+        << threads << " threads";
     if (first_cipher.empty()) {
       first_cipher = cs;
       first_sum = ctx.AddPlainBatch(sum, ks, &pool).value();
       first_plain = sm;
+      first_secure = secure;
     } else {
       EXPECT_EQ(cs, first_cipher) << threads << " threads";
       EXPECT_EQ(ctx.AddPlainBatch(sum, ks, &pool).value(), first_sum)
           << threads << " threads";
       EXPECT_EQ(sm, first_plain) << threads << " threads";
+      EXPECT_EQ(secure, first_secure) << threads << " threads";
     }
   }
 }
 
+// 1024-bit keys put p^2/q^2 (32 limbs) and n^2 (64 limbs) on lane widths.
 INSTANTIATE_TEST_SUITE_P(Keys, FixedWidthPaillierTest,
-                         ::testing::Values(128, 256));
+                         ::testing::Values(128, 256, 1024));
 
 }  // namespace
 }  // namespace flb

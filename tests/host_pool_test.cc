@@ -202,6 +202,16 @@ class BatchInvarianceTest : public ::testing::Test {
     return keys;
   }
 
+  // 1024-bit keys put the CRT legs (32 limbs) and n^2 (64 limbs) on lane
+  // widths.
+  static const PaillierKeyPair& LaneKeys() {
+    static const PaillierKeyPair keys = [] {
+      Rng rng(41);
+      return PaillierKeyGen(1024, rng).value();
+    }();
+    return keys;
+  }
+
   static std::vector<BigInt> Messages(size_t count) {
     std::vector<BigInt> ms;
     for (size_t i = 0; i < count; ++i) ms.push_back(BigInt(i * 31 + 1));
@@ -336,6 +346,108 @@ TEST_F(BatchInvarianceTest, BatchErrorsAndCountsAreInvariant) {
   for (int threads : {2, 8}) {
     EXPECT_EQ(run(threads, &encn).ToString(), s1.ToString());
     EXPECT_EQ(encn, 0u);
+  }
+}
+
+// Every per-key context's MontMul count, and the op counters.
+std::vector<uint64_t> WorkCounts(const PaillierContext& ctx) {
+  const auto& e = ctx.eval();
+  std::vector<uint64_t> counts = {e.n2_ctx().mont_mul_count(),
+                                  e.n_ctx().mont_mul_count()};
+  if (e.has_crt()) {
+    counts.push_back(e.p2_ctx().mont_mul_count());
+    counts.push_back(e.q2_ctx().mont_mul_count());
+  }
+  const auto& oc = ctx.op_counts();
+  for (const auto* c : {&oc.encrypts, &oc.decrypts, &oc.adds,
+                        &oc.scalar_muls}) {
+    counts.push_back(c->load());
+  }
+  return counts;
+}
+
+TEST_F(BatchInvarianceTest, EncryptAndDecryptBatchesValidateBeforeAnyWork) {
+  // The last element is out of range: the batch fails with OutOfRange
+  // before a single exponentiation, at any thread count, counting nothing.
+  auto ms = Messages(20);
+  ms.back() = Keys().pub.n;
+  PaillierOptions plain;
+  plain.secure_obfuscation = true;
+  plain.use_crt_decryption = false;
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    for (const PaillierOptions& opts : {PaillierOptions{}, plain}) {
+      auto ctx = PaillierContext::Create(Keys(), opts).value();
+      Rng rng(31);
+      auto cs = ctx.EncryptBatch(Messages(20), rng, &pool).value();
+      cs.back() = Keys().pub.n_squared;
+      ctx.ResetOpCounts();
+      const std::vector<uint64_t> before = WorkCounts(ctx);
+      EXPECT_TRUE(ctx.EncryptBatch(ms, rng, &pool).status().IsOutOfRange())
+          << threads << " threads";
+      EXPECT_TRUE(ctx.DecryptBatch(cs, &pool).status().IsOutOfRange())
+          << threads << " threads";
+      EXPECT_EQ(WorkCounts(ctx), before) << threads << " threads";
+    }
+  }
+}
+
+// 33 rows are four full lane groups and a tail row, so on a CPU with the
+// lane kernel the same-exponent powms run four lane tasks and one per-row
+// task at every thread count. Ciphertexts, plaintexts, op counts and every
+// context's MontMul count match at 1, 2, 4 and 8 threads, and batch
+// decryptions match the per-row single-op path.
+TEST_F(BatchInvarianceTest, LaneBatchesAreBitIdenticalAcrossThreadCounts) {
+  const PaillierKeyPair& keys = LaneKeys();
+  std::vector<BigInt> ms;
+  Rng data_rng(43);
+  for (size_t i = 0; i < 33; ++i) {
+    ms.push_back(BigInt::RandomBelow(data_rng, keys.pub.n));
+  }
+  ms[0] = BigInt(0);
+  ms[1] = BigInt::Sub(keys.pub.n, BigInt(1));
+  PaillierOptions plain;
+  plain.secure_obfuscation = true;
+  plain.use_crt_decryption = false;
+
+  struct Run {
+    std::vector<BigInt> enc, dec, secure, plain_dec, single;
+    std::vector<uint64_t> counts, plain_counts;
+  };
+  auto run = [&](int threads) {
+    ThreadPool pool(threads);
+    auto ctx = PaillierContext::Create(keys).value();
+    auto plain_ctx = PaillierContext::Create(keys, plain).value();
+    Rng rng(47);
+    Run r;
+    r.enc = ctx.EncryptBatch(ms, rng, &pool).value();
+    r.dec = ctx.DecryptBatch(r.enc, &pool).value();
+    r.secure = plain_ctx.EncryptBatch(ms, rng, &pool).value();
+    r.plain_dec = plain_ctx.DecryptBatch(r.secure, &pool).value();
+    // A fresh context's first single-op encryption fills its pool.
+    for (size_t i = 0; i < 3; ++i) {
+      r.single.push_back(ctx.Encrypt(ms[i], rng).value());
+    }
+    r.counts = WorkCounts(ctx);
+    r.plain_counts = WorkCounts(plain_ctx);
+    return r;
+  };
+  const Run base = run(1);
+  EXPECT_EQ(base.dec, ms);
+  EXPECT_EQ(base.plain_dec, ms);
+  auto ctx = PaillierContext::Create(keys).value();
+  for (size_t i = 0; i < ms.size(); ++i) {
+    EXPECT_EQ(ctx.Decrypt(base.enc[i]).value(), ms[i]) << "element " << i;
+  }
+  for (int threads : {2, 4, 8}) {
+    const Run r = run(threads);
+    EXPECT_EQ(r.enc, base.enc) << "threads=" << threads;
+    EXPECT_EQ(r.dec, base.dec) << "threads=" << threads;
+    EXPECT_EQ(r.secure, base.secure) << "threads=" << threads;
+    EXPECT_EQ(r.plain_dec, base.plain_dec) << "threads=" << threads;
+    EXPECT_EQ(r.single, base.single) << "threads=" << threads;
+    EXPECT_EQ(r.counts, base.counts) << "threads=" << threads;
+    EXPECT_EQ(r.plain_counts, base.plain_counts) << "threads=" << threads;
   }
 }
 
