@@ -4,7 +4,10 @@
 //     decomposed parallel CIOS (Alg. 2) at each key size;
 //   * sliding-window width sweep for modular exponentiation;
 //   * a same-exponent 8-row batch on the AVX-512 IFMA lane kernel vs per
-//     row on the same scalar kernel, alone and cut into pool tasks.
+//     row on the same scalar kernel, alone and cut into pool tasks;
+//   * the same pair for the hetero NN path's per-row batches at their
+//     real shapes: ScalarMulBatch's exponentiations (an exponent per row)
+//     and PackBatch's Horner groups.
 
 #include <benchmark/benchmark.h>
 
@@ -194,6 +197,66 @@ void BM_ModPowBatchPerRow(benchmark::State& state) {
   ModPowBatchBench(state, false);
 }
 BENCHMARK(BM_ModPowBatchPerRow)->Arg(1024)->Arg(2048);
+
+// ScalarMulBatch's exponentiations at nn_real's shape: 8 rows mod a
+// 2048-bit modulus (n^2 of a 1024-bit key), each raised to its own 15-24-bit
+// fixed-point scalar, one lane group or 8 per-row ModPows. Recorded
+// ungated by the CI perf job, like the ModPowBatch pair.
+void ScalarMulBatchBench(benchmark::State& state, bool lanes) {
+  const SameExponentBatch b = MakeBatch(2048, MontgomeryContext::kLanes, lanes);
+  Rng rng(5);
+  std::vector<BigInt> exps;
+  for (size_t i = 0; i < MontgomeryContext::kLanes; ++i) {
+    const int bits = 15 + static_cast<int>(i * 9 / 7);
+    exps.push_back(BigInt::Add(BigInt::Random(rng, bits - 1),
+                               BigInt::PowerOfTwo(bits - 1)));
+  }
+  for (auto _ : state) {
+    flb::mpint::LimbMatrix x = b.bases;
+    b.ctx.ModPowRows(x.row(0), x.rows(), exps.data());
+    benchmark::DoNotOptimize(x.row(0));
+    benchmark::ClobberMemory();
+  }
+  state.counters["lanes"] = b.ctx.lane_kernel_width() != 0 ? 1 : 0;
+}
+
+void BM_ScalarMulBatchLanes(benchmark::State& state) {
+  ScalarMulBatchBench(state, true);
+}
+BENCHMARK(BM_ScalarMulBatchLanes);
+
+void BM_ScalarMulBatchPerRow(benchmark::State& state) {
+  ScalarMulBatchBench(state, false);
+}
+BENCHMARK(BM_ScalarMulBatchPerRow);
+
+// PackBatch's Horner groups at nn_real's compression shape: 8 groups of 16
+// slots of 62 bits mod a 2048-bit modulus (n^2 of a 1024-bit key), one
+// lane group or 8 per-row groups. Recorded ungated, like the pair above.
+void PackBatchBench(benchmark::State& state, bool lanes) {
+  constexpr size_t kSlots = 16;
+  constexpr int kSlotBits = 62;
+  const SameExponentBatch b =
+      MakeBatch(2048, MontgomeryContext::kLanes * kSlots, lanes);
+  Rng rng(6);
+  const BigInt factor = BigInt::RandomBelow(rng, b.ctx.modulus());
+  flb::mpint::LimbMatrix out(MontgomeryContext::kLanes, b.bases.width());
+  for (auto _ : state) {
+    b.ctx.HornerRows(b.bases.row(0), b.bases.rows(), kSlots, kSlotBits,
+                     factor, out.row(0));
+    benchmark::DoNotOptimize(out.row(0));
+    benchmark::ClobberMemory();
+  }
+  state.counters["lanes"] = b.ctx.lane_kernel_width() != 0 ? 1 : 0;
+}
+
+void BM_PackBatchLanes(benchmark::State& state) { PackBatchBench(state, true); }
+BENCHMARK(BM_PackBatchLanes);
+
+void BM_PackBatchPerRow(benchmark::State& state) {
+  PackBatchBench(state, false);
+}
+BENCHMARK(BM_PackBatchPerRow);
 
 // The batch grouping at pool scale, args {bits, rows, threads, lanes}:
 // ForEachLaneTask cuts the rows into one task per full 8-row lane group

@@ -78,6 +78,52 @@ void WalkSlidingWindow(const BigInt& exp, int w, Mul&& mul, Sqr&& sqr,
   }
 }
 
+// MontMuls ModPow(base, exp) counts: none for exp = 0, else ToMont, the
+// sliding-window schedule and FromMont. Lane groups that run another
+// schedule add this per row, so mont_mul_count() reads the same either way.
+uint64_t ModPowMontMuls(const BigInt& exp) {
+  if (exp.IsZero()) return 0;
+  uint64_t muls = 2;
+  WalkSlidingWindow(
+      exp, ChooseWindowBits(exp.BitLength()),
+      [&](size_t, size_t, size_t) { ++muls; }, [&](size_t, size_t) { ++muls; },
+      [](size_t, size_t) {}, [](size_t) {});
+  return muls;
+}
+
+// Lane AMMs of a fixed-window schedule over exponents of at most `bits`
+// (>= 1) bits with w-bit windows: table entries base^2 .. base^(2^w - 1),
+// then w squarings and one multiply for each window below the top one.
+uint64_t FixedWindowAmms(int bits, int w) {
+  const auto windows = static_cast<uint64_t>((bits + w - 1) / w);
+  return ((uint64_t{1} << w) - 2) + (windows - 1) * static_cast<uint64_t>(w + 1);
+}
+
+// The window width in [1, 7] that needs the fewest lane AMMs.
+int FixedWindowBits(int bits) {
+  int best = 1;
+  for (int w = 2; w <= 7; ++w) {
+    if (FixedWindowAmms(bits, w) < FixedWindowAmms(bits, best)) best = w;
+  }
+  return best;
+}
+
+// Bits [pos, pos + w) of exp, for w < 32.
+uint32_t WindowDigit(const BigInt& exp, int pos, int w) {
+  const auto limb = static_cast<size_t>(pos / mpint::kLimbBits);
+  const uint64_t pair =
+      exp.word(limb) | (static_cast<uint64_t>(exp.word(limb + 1)) << 32);
+  return static_cast<uint32_t>(pair >> (pos % mpint::kLimbBits)) &
+         ((1u << w) - 1);
+}
+
+// Every lane of the d-digit operand z takes the same digits.
+void Broadcast(const uint64_t* digits, size_t d, mpint::fixed::LaneDigit* z) {
+  for (size_t j = 0; j < d; ++j) {
+    std::fill(z[j].lane, z[j].lane + mpint::fixed::kLanes, digits[j]);
+  }
+}
+
 // True when the s-limb row is >= n (s = n's limb count).
 bool RowAtLeast(const uint32_t* row, const std::vector<uint32_t>& n) {
   for (size_t i = n.size(); i-- > 0;) {
@@ -238,14 +284,19 @@ void MontgomeryContext::MontMulWordsGeneric(const uint32_t* a,
   }
 }
 
-void MontgomeryContext::MontMulWords(const uint32_t* a, const uint32_t* b,
-                                     uint32_t* out) const {
-  mont_mul_count_.fetch_add(1, std::memory_order_relaxed);
+void MontgomeryContext::MontMulUncounted(const uint32_t* a, const uint32_t* b,
+                                         uint32_t* out) const {
   if (kernel_ != nullptr) {
     kernel_->mont_mul(out, a, b, n_.words().data(), n0_inv64_);
   } else {
     MontMulWordsGeneric(a, b, out);
   }
+}
+
+void MontgomeryContext::MontMulWords(const uint32_t* a, const uint32_t* b,
+                                     uint32_t* out) const {
+  mont_mul_count_.fetch_add(1, std::memory_order_relaxed);
+  MontMulUncounted(a, b, out);
 }
 
 void MontgomeryContext::MontSqrWords(const uint32_t* a, uint32_t* out) const {
@@ -365,10 +416,37 @@ BigInt MontgomeryContext::ModPow(const BigInt& base, const BigInt& exp,
   return FromMont(slot[kAcc]);
 }
 
+// Rows enter the lane domain by one almost-Montgomery product (with R'^2
+// mod n, or with factor * R'^2 to multiply by factor on the way in) and
+// leave it by one with 1. In between every value stays < 2n, so only the
+// result needs the final subtraction.
+void MontgomeryContext::LoadLanes(const uint32_t* rows, size_t stride,
+                                  const mpint::fixed::LaneDigit* by,
+                                  mpint::fixed::LaneDigit* z) const {
+  const size_t d = lanes_->digits;
+  for (size_t l = 0; l < kLanes; ++l) {
+    mpint::fixed::RowToLane(rows + l * stride, s_, z, d, l);
+  }
+  lanes_->amm_mul(z, z, by, lane_words_.data(), lane_k0_);
+}
+
+void MontgomeryContext::StoreLanes(mpint::fixed::LaneDigit* v,
+                                   mpint::fixed::LaneDigit* scratch,
+                                   uint32_t* rows) const {
+  const size_t d = lanes_->digits;
+  std::fill(scratch, scratch + d, mpint::fixed::LaneDigit{});
+  std::fill(scratch[0].lane, scratch[0].lane + kLanes, uint64_t{1});
+  lanes_->amm_mul(v, v, scratch, lane_words_.data(), lane_k0_);
+  for (size_t l = 0; l < kLanes; ++l) {
+    uint32_t* row = rows + l * s_;
+    mpint::fixed::LaneToRow(v, d, l, row, s_);
+    if (RowAtLeast(row, n_.words())) SubtractRow(row, n_.words());
+  }
+}
+
 void MontgomeryContext::ModPowLanes(uint32_t* rows, const BigInt& exp,
                                     int w) const {
   using mpint::fixed::LaneDigit;
-  const size_t s = s_;
   const size_t d = lanes_->digits;
   const uint64_t* m = lane_words_.data();
   const uint64_t* r2 = m + d;
@@ -378,28 +456,13 @@ void MontgomeryContext::ModPowLanes(uint32_t* rows, const BigInt& exp,
   std::vector<LaneDigit> buf((slots + 1) * d);
   const auto slot = [&](size_t i) { return buf.data() + i * d; };
   LaneDigit* konst = slot(slots);
-  const auto broadcast = [&](LaneDigit* z, const uint64_t* digits) {
-    for (size_t j = 0; j < d; ++j) {
-      std::fill(z[j].lane, z[j].lane + kLanes, digits[j]);
-    }
-  };
-  const auto amm = [&](LaneDigit* z, const LaneDigit* x, const LaneDigit* y) {
-    lanes_->amm_mul(z, x, y, m, lane_k0_);
-  };
-
-  // Rows enter the lane domain by one almost-Montgomery product with
-  // R'^2 mod n and leave it by one with 1. In between every value stays
-  // < 2n, so only the result needs the final subtraction.
-  for (size_t l = 0; l < kLanes; ++l) {
-    mpint::fixed::RowToLane(rows + l * s, s, slot(kAcc), d, l);
-  }
-  broadcast(konst, r2);
-  amm(slot(kBase), slot(kAcc), konst);
+  Broadcast(r2, d, konst);
+  LoadLanes(rows, s_, konst, slot(kBase));
   uint64_t muls = 2;  // into and out of the lane domain
   WalkSlidingWindow(
       exp, w,
       [&](size_t z, size_t x, size_t y) {
-        amm(slot(z), slot(x), slot(y));
+        lanes_->amm_mul(slot(z), slot(x), slot(y), m, lane_k0_);
         ++muls;
       },
       [&](size_t z, size_t x) {
@@ -407,16 +470,16 @@ void MontgomeryContext::ModPowLanes(uint32_t* rows, const BigInt& exp,
         ++muls;
       },
       [&](size_t z, size_t x) { std::copy(slot(x), slot(x) + d, slot(z)); },
-      [&](size_t z) { broadcast(slot(z), r1); });
-  std::fill(konst, konst + d, LaneDigit{});
-  std::fill(konst[0].lane, konst[0].lane + kLanes, uint64_t{1});
-  amm(slot(kAcc), slot(kAcc), konst);
-  for (size_t l = 0; l < kLanes; ++l) {
-    uint32_t* row = rows + l * s;
-    mpint::fixed::LaneToRow(slot(kAcc), d, l, row, s);
-    if (RowAtLeast(row, n_.words())) SubtractRow(row, n_.words());
-  }
+      [&](size_t z) { Broadcast(r1, d, slot(z)); });
+  StoreLanes(slot(kAcc), konst, rows);
   mont_mul_count_.fetch_add(kLanes * muls, std::memory_order_relaxed);
+}
+
+void MontgomeryContext::ModPowRow(uint32_t* row, const BigInt& exp) const {
+  const BigInt r =
+      ModPow(BigInt::FromWords(std::vector<uint32_t>(row, row + s_)), exp);
+  const std::vector<uint32_t> rw = r.ToFixedWords(s_);
+  std::copy(rw.begin(), rw.end(), row);
 }
 
 void MontgomeryContext::ModPowRows(uint32_t* rows, size_t count,
@@ -426,12 +489,135 @@ void MontgomeryContext::ModPowRows(uint32_t* rows, size_t count,
     const int w = ChooseWindowBits(exp.BitLength());
     for (; i + kLanes <= count; i += kLanes) ModPowLanes(rows + i * s_, exp, w);
   }
-  for (; i < count; ++i) {
-    uint32_t* row = rows + i * s_;
-    const BigInt r =
-        ModPow(BigInt::FromWords(std::vector<uint32_t>(row, row + s_)), exp);
-    const std::vector<uint32_t> rw = r.ToFixedWords(s_);
-    std::copy(rw.begin(), rw.end(), row);
+  for (; i < count; ++i) ModPowRow(rows + i * s_, exp);
+}
+
+void MontgomeryContext::ModPowLanes(uint32_t* rows, const BigInt* exps) const {
+  using mpint::fixed::LaneDigit;
+  int bits = 0;
+  uint64_t muls = 0;
+  for (size_t l = 0; l < kLanes; ++l) {
+    bits = std::max(bits, exps[l].BitLength());
+    muls += ModPowMontMuls(exps[l]);
+  }
+  mont_mul_count_.fetch_add(muls, std::memory_order_relaxed);
+  if (bits == 0) {
+    // ModPow(x, 0) is 1 for every x.
+    for (size_t l = 0; l < kLanes; ++l) {
+      std::copy(one_words_.begin(), one_words_.end(), rows + l * s_);
+    }
+    return;
+  }
+  const size_t d = lanes_->digits;
+  const uint64_t* m = lane_words_.data();
+  const uint64_t* r2 = m + d;
+  const uint64_t* r1 = m + 2 * d;
+  const int w = FixedWindowBits(bits);
+  const size_t entries = size_t{1} << w;
+  // Entry k holds each lane's base^k, then come the accumulator and the
+  // operand each window multiplies by.
+  std::vector<LaneDigit> buf((entries + 2) * d);
+  const auto entry = [&](size_t k) { return buf.data() + k * d; };
+  LaneDigit* acc = entry(entries);
+  LaneDigit* pick = entry(entries + 1);
+  Broadcast(r2, d, pick);
+  LoadLanes(rows, s_, pick, entry(1));
+  Broadcast(r1, d, entry(0));
+  if (entries > 2) lanes_->amm_sqr(entry(2), entry(1), m, lane_k0_);
+  for (size_t k = 3; k < entries; ++k) {
+    lanes_->amm_mul(entry(k), entry(k - 1), entry(1), m, lane_k0_);
+  }
+  // Lane l copies the entry its own digit of window i names.
+  const auto select = [&](int i, LaneDigit* z) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      const LaneDigit* t = entry(WindowDigit(exps[l], i * w, w));
+      for (size_t j = 0; j < d; ++j) z[j].lane[l] = t[j].lane[l];
+    }
+  };
+  const int windows = (bits + w - 1) / w;
+  select(windows - 1, acc);
+  for (int i = windows - 2; i >= 0; --i) {
+    for (int b = 0; b < w; ++b) lanes_->amm_sqr(acc, acc, m, lane_k0_);
+    select(i, pick);
+    lanes_->amm_mul(acc, acc, pick, m, lane_k0_);
+  }
+  StoreLanes(acc, pick, rows);
+}
+
+void MontgomeryContext::ModPowRows(uint32_t* rows, size_t count,
+                                   const BigInt* exps) const {
+  size_t i = 0;
+  if (lanes_ != nullptr) {
+    for (; i + kLanes <= count; i += kLanes) {
+      ModPowLanes(rows + i * s_, exps + i);
+    }
+  }
+  for (; i < count; ++i) ModPowRow(rows + i * s_, exps[i]);
+}
+
+void MontgomeryContext::HornerLanes(const uint32_t* terms, size_t slots,
+                                    int shift_bits, const BigInt& factor,
+                                    uint32_t* out) const {
+  using mpint::fixed::LaneDigit;
+  const size_t d = lanes_->digits;
+  const uint64_t* m = lane_words_.data();
+  const uint64_t* r2 = m + d;
+  std::vector<LaneDigit> buf(3 * d);
+  LaneDigit* by = buf.data();
+  LaneDigit* acc = by + d;
+  LaneDigit* term = acc + d;
+  // factor * R'^2 by two products with R'^2: one product by it multiplies
+  // a row by factor and enters the lane domain.
+  Broadcast(r2, d, term);
+  const std::vector<uint32_t> fw = factor.ToFixedWords(s_);
+  LoadLanes(fw.data(), 0, term, by);
+  lanes_->amm_mul(by, by, term, m, lane_k0_);
+  // Lane l packs group l: its rows sit slots * s_ limbs after group l - 1's.
+  const size_t stride = slots * s_;
+  LoadLanes(terms + (slots - 1) * s_, stride, by, acc);
+  for (size_t j = slots - 1; j-- > 0;) {
+    for (int b = 0; b < shift_bits; ++b) {
+      lanes_->amm_sqr(acc, acc, m, lane_k0_);
+    }
+    LoadLanes(terms + j * s_, stride, by, term);
+    lanes_->amm_mul(acc, acc, term, m, lane_k0_);
+  }
+  StoreLanes(acc, term, out);
+  const uint64_t per_group =
+      2 + (slots - 1) * (static_cast<uint64_t>(shift_bits) + 2);
+  mont_mul_count_.fetch_add(kLanes * per_group, std::memory_order_relaxed);
+}
+
+void MontgomeryContext::HornerRows(const uint32_t* terms, size_t count,
+                                   size_t slots, int shift_bits,
+                                   const BigInt& factor, uint32_t* out) const {
+  const size_t s = s_;
+  const size_t groups = (count + slots - 1) / slots;
+  size_t g = 0;
+  if (lanes_ != nullptr) {
+    for (; g + kLanes <= groups && (g + kLanes) * slots <= count; g += kLanes) {
+      HornerLanes(terms + g * slots * s, slots, shift_bits, factor,
+                  out + g * s);
+    }
+  }
+  if (g == groups) return;
+  // factor * R^2: one MontMul by it multiplies a row by factor and enters
+  // the Montgomery domain.
+  std::vector<uint32_t> by = factor.ToFixedWords(s);
+  std::vector<uint32_t> term(s);
+  MontMulUncounted(by.data(), r2_words_.data(), by.data());
+  MontMulUncounted(by.data(), r2_words_.data(), by.data());
+  for (; g < groups; ++g) {
+    const uint32_t* t = terms + g * slots * s;
+    const size_t top = std::min(slots, count - g * slots) - 1;
+    uint32_t* acc = out + g * s;
+    MontMulWords(t + top * s, by.data(), acc);
+    for (size_t j = top; j-- > 0;) {
+      for (int b = 0; b < shift_bits; ++b) MontSqrWords(acc, acc);
+      MontMulWords(t + j * s, by.data(), term.data());
+      MontMulWords(acc, term.data(), acc);
+    }
+    MontMulWords(acc, one_words_.data(), acc);  // leave the Montgomery domain
   }
 }
 

@@ -21,10 +21,12 @@
 // generic, fixed-width and lane loops, so all three issue the same MontMul
 // sequence.
 //
-// Same-exponent batches (ForEachLaneTask / ModPowRows) run eight rows in
-// lock-step on the AVX-512 IFMA lane kernel when this CPU has one for the
-// modulus width — the CPU form of the batch parallelism HAFLO and
-// FLBooster's Algorithm 2 exploit on GPUs — and per-row ModPow otherwise.
+// Batches (ForEachLaneTask with ModPowRows or HornerRows) run eight rows
+// in lock-step on the AVX-512 IFMA lane kernel when this CPU has one for
+// the modulus width — the CPU form of the batch parallelism HAFLO and
+// FLBooster's Algorithm 2 exploit on GPUs — and per row otherwise: one
+// exponent for all rows (sliding window), an exponent per row (fixed
+// window up to the group's longest), and Horner packing of groups of rows.
 //
 // The simulated-GPU kernel in src/ghe runs this exact CIOS recurrence with
 // limbs distributed across device threads; tests assert bit-exact agreement.
@@ -152,7 +154,7 @@ class MontgomeryContext {
   BigInt ModPow(const BigInt& base, const BigInt& exp,
                 int window_bits = 0) const;
 
-  // ---- Same-exponent batches -----------------------------------------------
+  // ---- Lane batches ---------------------------------------------------------
   // Rows a lane group runs in lock-step.
   static constexpr size_t kLanes = mpint::fixed::kLanes;
 
@@ -163,11 +165,27 @@ class MontgomeryContext {
   // out byte-identical to ModPow's and mont_mul_count() advances by the
   // per-row total.
   void ModPowRows(uint32_t* rows, size_t count, const BigInt& exp) const;
+  // The same with row i raised to its own exponent exps[i]. A full lane
+  // group runs a fixed-window schedule up to its longest exponent, each
+  // lane multiplying by the table entry its own digit selects; bytes and
+  // mont_mul_count() again match per-row ModPow's.
+  void ModPowRows(uint32_t* rows, size_t count, const BigInt* exps) const;
 
-  // Runs fn(first, count) on `pool` over a batch of `rows` same-exponent
-  // rows: one task per full lane group (rows [8t, 8t + 8)) when a lane
-  // kernel is bound, then one task per remaining row, so each task hands
-  // its rows to ModPowRows in one call. Returns the error of the first
+  // Horner packing of the `count` rows at `terms` (each < n), cut into
+  // groups of `slots` consecutive rows, the last possibly shorter: out row
+  // g becomes prod_j (t_j * factor)^(2^(j * shift_bits)) mod n over group
+  // g's rows t_0, t_1, ..., with factor < n. Eight consecutive full groups
+  // run as one lane group; the rest run per row on MontMulWords, the
+  // oracle. mont_mul_count() advances by the per-row schedule,
+  // 2 + (k - 1) * (shift_bits + 2) for a group of k rows; bringing `factor`
+  // into the Montgomery domain is not counted.
+  void HornerRows(const uint32_t* terms, size_t count, size_t slots,
+                  int shift_bits, const BigInt& factor, uint32_t* out) const;
+
+  // Runs fn(first, count) on `pool` over a batch of `rows` rows: one task
+  // per full lane group (rows [8t, 8t + 8)) when a lane kernel is bound,
+  // then one task per remaining row, so each task hands its rows to
+  // ModPowRows or HornerRows in one call. Returns the error of the first
   // failing task in row order, as common::ParallelForEachStatus does.
   Status ForEachLaneTask(
       common::ThreadPool& pool, size_t rows,
@@ -195,6 +213,25 @@ class MontgomeryContext {
                      int window_bits) const;
   // The same schedule for kLanes rows at once on the lane kernel, in place.
   void ModPowLanes(uint32_t* rows, const BigInt& exp, int window_bits) const;
+  // kLanes rows, row l raised to exps[l], on the lane kernel, in place.
+  void ModPowLanes(uint32_t* rows, const BigInt* exps) const;
+  // One row through ModPow, in place.
+  void ModPowRow(uint32_t* row, const BigInt& exp) const;
+  // kLanes full Horner groups of `slots` rows on the lane kernel.
+  void HornerLanes(const uint32_t* terms, size_t slots, int shift_bits,
+                   const BigInt& factor, uint32_t* out) const;
+  // Lane l of z = (row at rows + l * stride) * by * R'^{-1}, almost-
+  // Montgomery; each row < n, `by` < 2n.
+  void LoadLanes(const uint32_t* rows, size_t stride,
+                 const mpint::fixed::LaneDigit* by,
+                 mpint::fixed::LaneDigit* z) const;
+  // Leaves the lane domain: row l (at rows + l * s) = lane l of v * R'^{-1}
+  // mod n, canonical. Overwrites v and the d-digit `scratch`.
+  void StoreLanes(mpint::fixed::LaneDigit* v, mpint::fixed::LaneDigit* scratch,
+                  uint32_t* rows) const;
+  // MontMulWords without the counter.
+  void MontMulUncounted(const uint32_t* a, const uint32_t* b,
+                        uint32_t* out) const;
 
   BigInt n_;
   size_t s_ = 0;

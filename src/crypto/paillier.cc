@@ -306,10 +306,11 @@ BigInt PaillierContext::ScalarMulUncounted(const BigInt& c,
 // unchanged (the kernels produce the canonical representatives the BigInt
 // path produces).
 //
-// Same-exponent exponentiations (both CRT legs and c^lambda of decryption,
-// r^n of encryption) run as MontgomeryContext::ForEachLaneTask tasks: one
-// task per full 8-row lane group, one per remaining row, each task running
-// its rows from input to output.
+// Exponentiations (both CRT legs and c^lambda of decryption, r^n of
+// encryption, the per-element exponents of ScalarMulBatch) and PackBatch's
+// Horner groups run as MontgomeryContext::ForEachLaneTask tasks: one task
+// per full 8-row lane group, one per remaining row, each task running its
+// rows from input to output.
 
 namespace {
 
@@ -508,35 +509,42 @@ Result<std::vector<BigInt>> PaillierContext::ScalarMulBatch(
   FLB_RETURN_IF_ERROR(CheckCiphertexts(cs, pub_.n_squared));
   common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::Global();
   const MontgomeryContext& n2 = eval_->n2_ctx();
-  // The negative-scalar elements' ciphertexts are inverted together,
-  // serially, with one ModInverse for the whole batch. An inverse is
-  // unique, so the bytes match ScalarMulUncounted's; if the product is not
-  // a unit, every element takes ScalarMulUncounted instead.
-  constexpr size_t kNoRow = ~size_t{0};
-  std::vector<size_t> inv_row(cs.size(), kNoRow);
-  std::vector<BigInt> negated;
-  for (size_t i = 0; i < cs.size(); ++i) {
-    if (NegatedScalar(ks[i])) {
-      inv_row[i] = negated.size();
-      negated.push_back(cs[i]);
-    }
+  const size_t count = cs.size();
+  const size_t w = n2.num_limbs();
+  // Row i is raised to exps[i]: its ciphertext to k, or, for a negative
+  // scalar, that ciphertext's inverse to the short n - k. The inverses are
+  // taken together, serially, with one ModInverse for the whole batch. An
+  // inverse is unique, so the bytes match ScalarMulUncounted's; if the
+  // product is not a unit, every element takes ScalarMulUncounted instead.
+  mpint::LimbMatrix o = mpint::LimbMatrix::Pack(cs, w);
+  std::vector<BigInt> exps;
+  exps.reserve(count);
+  std::vector<size_t> negated;
+  for (size_t i = 0; i < count; ++i) {
+    std::optional<BigInt> m = NegatedScalar(ks[i]);
+    if (m) negated.push_back(i);
+    exps.push_back(m ? std::move(*m) : ks[i]);
   }
-  mpint::LimbMatrix inv = mpint::LimbMatrix::Pack(negated, n2.num_limbs());
-  const bool inverted = BatchInvert(n2, pub_.n, inv);
-  // Exponentiations are per-element; the results land in one contiguous
-  // SoA buffer instead of per-element BigInt heap blocks.
-  mpint::LimbMatrix o(cs.size(), n2.num_limbs());
-  tp.ParallelForEach(static_cast<int64_t>(cs.size()), [&](int64_t e) {
-    const auto i = static_cast<size_t>(e);
-    if (!inverted) {
-      o.SetRow(i, ScalarMulUncounted(cs[i], ks[i]));
-    } else if (inv_row[i] != kNoRow) {
-      o.SetRow(i, n2.ModPow(inv.ToBigInt(inv_row[i]), *NegatedScalar(ks[i])));
-    } else {
-      o.SetRow(i, n2.ModPow(cs[i], ks[i]));
+  mpint::LimbMatrix inv(negated.size(), w);
+  for (size_t r = 0; r < negated.size(); ++r) {
+    std::copy(o.row(negated[r]), o.row(negated[r]) + w, inv.row(r));
+  }
+  if (BatchInvert(n2, pub_.n, inv)) {
+    for (size_t r = 0; r < negated.size(); ++r) {
+      std::copy(inv.row(r), inv.row(r) + w, o.row(negated[r]));
     }
-  });
-  op_counts_.scalar_muls.fetch_add(cs.size(), std::memory_order_relaxed);
+    FLB_RETURN_IF_ERROR(n2.ForEachLaneTask(
+        tp, count, [&](size_t first, size_t rows) -> Status {
+          n2.ModPowRows(o.row(first), rows, exps.data() + first);
+          return Status::OK();
+        }));
+  } else {
+    tp.ParallelForEach(static_cast<int64_t>(count), [&](int64_t e) {
+      const auto i = static_cast<size_t>(e);
+      o.SetRow(i, ScalarMulUncounted(cs[i], ks[i]));
+    });
+  }
+  op_counts_.scalar_muls.fetch_add(count, std::memory_order_relaxed);
   return o.Unpack();
 }
 
@@ -546,6 +554,11 @@ Result<std::vector<BigInt>> PaillierContext::PackBatch(
   if (slot_bits < 1 || slots < 1) {
     return Status::InvalidArgument("PackBatch: empty slot layout");
   }
+  // The packed plaintext is below 2^(slots * slot_bits), which stays below
+  // n only while slots * slot_bits < key_bits.
+  if (slots > static_cast<size_t>((pub_.key_bits - 1) / slot_bits)) {
+    return Status::InvalidArgument("PackBatch: slots overflow the modulus");
+  }
   if (offset >= pub_.n) {
     return Status::OutOfRange("Paillier plaintext must be < n");
   }
@@ -553,28 +566,19 @@ Result<std::vector<BigInt>> PaillierContext::PackBatch(
   common::ThreadPool& tp =
       pool != nullptr ? *pool : common::ThreadPool::Global();
   const MontgomeryContext& n2 = eval_->n2_ctx();
-  const size_t w = n2.num_limbs();
-  // g^offset * R^2: one MontMul by it both adds the offset and enters the
-  // Montgomery domain, E(m) -> E(m + offset) * R.
-  const std::vector<uint32_t> add_offset =
-      n2.ToMont(n2.ToMont(GPowM(offset))).ToFixedWords(w);
-  const std::vector<uint32_t> one = BigInt(1).ToFixedWords(w);
+  // Multiplying by g^offset adds the offset: E(m) -> E(m + offset).
+  const BigInt add_offset = GPowM(offset);
   const size_t groups = (cs.size() + slots - 1) / slots;
-  const mpint::LimbMatrix in = mpint::LimbMatrix::Pack(cs, w);
-  mpint::LimbMatrix out(groups, w);
-  tp.ParallelForEach(static_cast<int64_t>(groups), [&](int64_t g) {
-    const size_t base = static_cast<size_t>(g) * slots;
-    const size_t top = std::min(cs.size(), base + slots) - 1;
-    uint32_t* acc = out.row(static_cast<size_t>(g));
-    std::vector<uint32_t> term(w);
-    n2.MontMulWords(in.row(top), add_offset.data(), acc);
-    for (size_t j = top; j-- > base;) {
-      for (int b = 0; b < slot_bits; ++b) n2.MontSqrWords(acc, acc);
-      n2.MontMulWords(in.row(j), add_offset.data(), term.data());
-      n2.MontMulWords(acc, term.data(), acc);
-    }
-    n2.MontMulWords(acc, one.data(), acc);  // leave the Montgomery domain
-  });
+  const mpint::LimbMatrix in = mpint::LimbMatrix::Pack(cs, n2.num_limbs());
+  mpint::LimbMatrix out(groups, n2.num_limbs());
+  FLB_RETURN_IF_ERROR(n2.ForEachLaneTask(
+      tp, groups, [&](size_t first, size_t count) -> Status {
+        const size_t begin = first * slots;
+        const size_t end = std::min(cs.size(), (first + count) * slots);
+        n2.HornerRows(in.row(begin), end - begin, slots, slot_bits,
+                      add_offset, out.row(first));
+        return Status::OK();
+      }));
   op_counts_.adds.fetch_add(2 * cs.size() - groups, std::memory_order_relaxed);
   op_counts_.scalar_muls.fetch_add(cs.size(), std::memory_order_relaxed);
   return out.Unpack();

@@ -136,9 +136,11 @@ class PaillierContext {
   // Rng::ForStream(seed, i); otherwise obfuscators come from a per-call
   // seeded pool of obfuscation_pool_size bases refreshed by Montgomery
   // squaring, amortizing the powms across the batch. EncryptBatch and
-  // DecryptBatch range-check every input before any exponentiation, and
-  // run their same-exponent powms in 8-row lane groups where the CPU has
-  // a lane kernel (MontgomeryContext::ModPowRows).
+  // DecryptBatch range-check every input before any exponentiation.
+  // EncryptBatch, DecryptBatch, ScalarMulBatch and PackBatch run their
+  // exponentiations and Horner groups in 8-row lane groups where the CPU
+  // has a lane kernel (MontgomeryContext::ModPowRows and HornerRows), and
+  // per row otherwise, with the same bytes and counts.
   Result<std::vector<BigInt>> EncryptBatch(
       const std::vector<BigInt>& ms, Rng& rng,
       common::ThreadPool* pool = nullptr) const;
@@ -153,11 +155,13 @@ class PaillierContext {
   // ScalarMulBatch range-checks every ciphertext first. Negative scalars
   // (the short-exponent inverse path of ScalarMul) have their ciphertexts
   // inverted together with Montgomery's batch trick, serially, before the
-  // per-element exponentiations fan out: one ModInverse of their product
-  // (taken mod n and lifted to n^2 by a Newton step) plus 3 MontMuls per
-  // element. Inverses are unique, so outputs equal ScalarMul's. If the
+  // exponentiations fan out: one ModInverse of their product (taken mod n
+  // and lifted to n^2 by a Newton step) plus 3 MontMuls per element.
+  // Inverses are unique, so outputs equal ScalarMul's. Each element then
+  // has its own exponent, and eight of them run in lock-step to the
+  // longest one's length (ModPowRows with per-row exponents). If the
   // product is not a unit (some ciphertext shares a factor with n^2),
-  // every element falls back to ScalarMul's own path.
+  // every element falls back to ScalarMul's own path, per row.
   Result<std::vector<BigInt>> ScalarMulBatch(
       const std::vector<BigInt>& cs, const std::vector<BigInt>& ks,
       common::ThreadPool* pool = nullptr) const;
@@ -166,8 +170,11 @@ class PaillierContext {
   // sum_j (m_j + offset) * 2^(j*slot_bits), that is
   // prod_j (c_j * g^offset)^(2^(j*slot_bits)) mod n^2. Computed by Horner's
   // rule from the top slot down, acc = acc^(2^slot_bits) * E(m_j + offset):
-  // slot_bits squarings and two MontMuls per ciphertext, one group per task
-  // on `pool`. Counts the single ops it stands for: per ciphertext one
+  // slot_bits squarings and two MontMuls per ciphertext
+  // (MontgomeryContext::HornerRows), eight full groups per lane task on
+  // `pool` or one group per task. A layout with slots * slot_bits >=
+  // key_bits would wrap mod n and is rejected with InvalidArgument before
+  // any work. Counts the single ops it stands for: per ciphertext one
   // AddPlain and one ScalarMul, plus one Add beyond each group's first.
   Result<std::vector<BigInt>> PackBatch(
       const std::vector<BigInt>& cs, const BigInt& offset, int slot_bits,

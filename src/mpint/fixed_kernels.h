@@ -34,9 +34,9 @@
 // A third, multi-operand table runs eight rows at once: an almost-
 // Montgomery multiply and square in radix 2^52 on AVX-512 IFMA
 // (vpmadd52luq/vpmadd52huq), one batch row per 64-bit lane with the digits
-// interleaved across lanes (LaneDigit). It serves same-exponent batches
-// (crypto::MontgomeryContext::ModPowRows) and is found only when the CPU
-// and OS support AVX-512F and AVX512_IFMA.
+// interleaved across lanes (LaneDigit). It serves eight-row batches
+// (crypto::MontgomeryContext::ModPowRows and HornerRows) and is found only
+// when the CPU and OS support AVX-512F and AVX512_IFMA.
 
 #ifndef FLB_MPINT_FIXED_KERNELS_H_
 #define FLB_MPINT_FIXED_KERNELS_H_

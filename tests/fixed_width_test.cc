@@ -12,10 +12,11 @@
 //   * ModPow through each table vs a generic-forced context, including
 //     MontMul-count parity (the cost model depends on it);
 //   * the 8-lane AVX-512 IFMA table: its almost-Montgomery bound and
-//     congruence, dispatch iff the CPU has AVX-512F and AVX512_IFMA, and
-//     ModPowRows vs per-row ModPow (bytes and MontMul counts) over edge
-//     bases, moduli and exponents and over row/thread counts, and the
-//     tasks ForEachLaneTask cuts a batch into;
+//     congruence, dispatch iff the CPU has AVX-512F and AVX512_IFMA,
+//     ModPowRows (one exponent, or one per row) vs per-row ModPow (bytes
+//     and MontMul counts) over edge bases, moduli and exponents and over
+//     row/thread counts, HornerRows vs the direct product, and the tasks
+//     ForEachLaneTask cuts a batch into;
 //   * bit-identity of a real PaillierEval batch with kernels on vs off,
 //     and at thread counts 1/2/8 (the determinism contract).
 //
@@ -552,9 +553,12 @@ TEST(FixedWidthKernelTest, LaneKernelsAreAlmostMontgomery) {
 
 // A context with the lane table and its twin on the same scalar kernel
 // without it: ModPowRows on 8 rows against per-row ModPow, bytes and
-// MontMul counts.
-void ExpectLanesMatchPerRow(const BigInt& mod, const std::vector<BigInt>& bases,
-                            const std::vector<BigInt>& exps) {
+// MontMul counts, with each of `exps` for every row and then with each set
+// of `row_exps` (eight exponents, one per row) on both contexts.
+void ExpectLanesMatchPerRow(
+    const BigInt& mod, const std::vector<BigInt>& bases,
+    const std::vector<BigInt>& exps,
+    const std::vector<std::vector<BigInt>>& row_exps = {}) {
   const size_t w = mod.WordCount();
   const KernelOps* k = FindKernel(w);
   const auto lanes =
@@ -574,6 +578,33 @@ void ExpectLanesMatchPerRow(const BigInt& mod, const std::vector<BigInt>& bases,
     EXPECT_EQ(lanes.mont_mul_count(), per_row.mont_mul_count())
         << "width " << w << " exp bits " << exp.BitLength();
   }
+  for (size_t set = 0; set < row_exps.size(); ++set) {
+    const std::vector<BigInt>& e = row_exps[set];
+    ASSERT_EQ(e.size(), kLanes);
+    std::vector<BigInt> want;
+    per_row.ResetCounters();
+    for (size_t l = 0; l < kLanes; ++l) {
+      want.push_back(per_row.ModPow(bases[l], e[l]));
+    }
+    const uint64_t want_muls = per_row.mont_mul_count();
+    for (const MontgomeryContext* ctx : {&lanes, &per_row}) {
+      LimbMatrix rows = LimbMatrix::Pack(bases, w);
+      ctx->ResetCounters();
+      ctx->ModPowRows(rows.row(0), kLanes, e.data());
+      EXPECT_EQ(rows.Unpack(), want)
+          << "width " << w << " exponent set " << set << " lanes "
+          << ctx->lane_kernel_width();
+      EXPECT_EQ(ctx->mont_mul_count(), want_muls)
+          << "width " << w << " exponent set " << set << " lanes "
+          << ctx->lane_kernel_width();
+    }
+  }
+}
+
+// A random exponent of exactly `bits` bits.
+BigInt ExponentOfBits(Rng& rng, int bits) {
+  return BigInt::Add(BigInt::Random(rng, bits - 1),
+                     BigInt::PowerOfTwo(bits - 1));
 }
 
 std::vector<BigInt> LaneEdgeBases(Rng& rng, const BigInt& mod) {
@@ -599,14 +630,43 @@ TEST(FixedWidthKernelTest, LaneModPowMatchesPerRowWithCountParity) {
     std::vector<BigInt> exps = {BigInt(1), BigInt(2)};
     for (int bits : {24, 25, 80, 81, 240, 241, 672, 673}) {
       if (w == 128 && bits > 81) continue;  // keep the widest width quick
-      exps.push_back(BigInt::Add(BigInt::Random(rng, bits - 1),
-                                 BigInt::PowerOfTwo(bits - 1)));
+      exps.push_back(ExponentOfBits(rng, bits));
+    }
+    // One exponent per row: all zero (every row 1, no MontMul counted);
+    // 0, 1, 2, all-ones and the 24/25 and 80/81-bit window boundaries in
+    // one group; one long exponent among seven short ones; eight equal;
+    // and groups at most 2 and 7 bits long (1- and 2-bit fixed windows).
+    const int long_bits = w == 128 ? 81 : 241;
+    std::vector<std::vector<BigInt>> row_exps = {
+        std::vector<BigInt>(kLanes, BigInt()),
+        {BigInt(), BigInt(1), BigInt(2),
+         BigInt::Sub(BigInt::PowerOfTwo(23), BigInt(1)),
+         ExponentOfBits(rng, 24), ExponentOfBits(rng, 25),
+         ExponentOfBits(rng, 80), ExponentOfBits(rng, 81)},
+        {},
+        std::vector<BigInt>(kLanes, ExponentOfBits(rng, 25)),
+        {BigInt(3), BigInt(1), BigInt(2), BigInt(), BigInt(2), BigInt(3),
+         BigInt(1), BigInt(3)},
+        {BigInt(5), BigInt(127), BigInt(), BigInt(64), BigInt(1), BigInt(33),
+         BigInt(100), BigInt(2)}};
+    for (size_t l = 0; l < kLanes; ++l) {
+      row_exps[2].push_back(l == 5 ? ExponentOfBits(rng, long_bits)
+                                   : ExponentOfBits(rng, 15 + 3 * (l % 4)));
     }
     for (const BigInt& mod : {RandomModulus(rng, w),
                               TopWordAllOnesModulus(rng, w),
                               SquareModulus(rng, w)}) {
-      ExpectLanesMatchPerRow(mod, LaneEdgeBases(rng, mod), exps);
+      ExpectLanesMatchPerRow(mod, LaneEdgeBases(rng, mod), exps, row_exps);
     }
+    // Exponent 0 leaves 1 in every row and counts nothing.
+    const BigInt mod = RandomModulus(rng, w);
+    const auto lanes = MontgomeryContext::CreateWithKernel(
+                           mod, FindKernel(w), FindLaneKernel(w))
+                           .value();
+    LimbMatrix rows = LimbMatrix::Pack(LaneEdgeBases(rng, mod), w);
+    lanes.ModPowRows(rows.row(0), kLanes, row_exps[0].data());
+    EXPECT_EQ(rows.Unpack(), std::vector<BigInt>(kLanes, BigInt(1)));
+    EXPECT_EQ(lanes.mont_mul_count(), 0u);
   }
 }
 
@@ -679,8 +739,11 @@ TEST(FixedWidthKernelTest, ForEachLaneTaskCutsFullGroupsThenSingleRows) {
 }
 
 // Row counts 1..17 on a pool of 1, 2 and 4 threads, lanes on and off,
-// both as ForEachLaneTask tasks and as one ModPowRows call over all rows:
-// every run byte-identical to per-row ModPow with equal MontMul counts.
+// both as ForEachLaneTask tasks and as one ModPowRows call over all rows,
+// with one exponent for every row and with an exponent per row (15-24
+// bits as fixed-point scalars have, with a 0 and a 130-bit one among
+// them): every run byte-identical to per-row ModPow with equal MontMul
+// counts.
 TEST(FixedWidthKernelTest, LaneBatchesInvariantToRowsThreadsAndLanes) {
   Rng rng(kSeed + 28);
   const BigInt mod = SquareModulus(rng, 32);
@@ -691,37 +754,112 @@ TEST(FixedWidthKernelTest, LaneBatchesInvariantToRowsThreadsAndLanes) {
   const BigInt exp = BigInt::Random(rng, 130);
   std::vector<BigInt> bases = LaneEdgeBases(rng, mod);
   while (bases.size() < 17) bases.push_back(BigInt::RandomBelow(rng, mod));
-  std::vector<BigInt> expected;
-  off.ResetCounters();
-  for (const BigInt& b : bases) expected.push_back(off.ModPow(b, exp));
-  const uint64_t per_row_muls = off.mont_mul_count() / bases.size();
-  ASSERT_EQ(per_row_muls * bases.size(), off.mont_mul_count());
-  for (int threads : {1, 2, 4}) {
-    common::ThreadPool pool(threads);
-    for (size_t rows = 1; rows <= bases.size(); ++rows) {
-      const std::vector<BigInt> in(bases.begin(), bases.begin() + rows);
-      const std::vector<BigInt> want(expected.begin(),
-                                     expected.begin() + rows);
-      for (const MontgomeryContext* ctx : {&on, &off}) {
-        LimbMatrix m = LimbMatrix::Pack(in, 32);
-        ctx->ResetCounters();
-        ASSERT_TRUE(ctx->ForEachLaneTask(pool, rows,
-                                         [&](size_t first, size_t count) {
-                                           ctx->ModPowRows(m.row(first), count,
-                                                           exp);
-                                           return Status::OK();
-                                         })
-                        .ok());
-        EXPECT_EQ(m.Unpack(), want) << rows << " rows, " << threads;
-        EXPECT_EQ(ctx->mont_mul_count(), per_row_muls * rows)
-            << rows << " rows, " << threads << " threads";
-        if (threads > 1) continue;
-        LimbMatrix all = LimbMatrix::Pack(in, 32);
-        ctx->ResetCounters();
-        ctx->ModPowRows(all.row(0), rows, exp);
-        EXPECT_EQ(all.Unpack(), want) << rows << " rows in one call";
-        EXPECT_EQ(ctx->mont_mul_count(), per_row_muls * rows)
-            << rows << " rows in one call";
+  std::vector<BigInt> row_exps;
+  for (size_t i = 0; i < bases.size(); ++i) {
+    row_exps.push_back(ExponentOfBits(rng, 15 + static_cast<int>(i % 10)));
+  }
+  row_exps[3] = BigInt();
+  row_exps[12] = exp;
+  for (const bool per_row_exps : {false, true}) {
+    // expected[i] and muls[i], the MontMuls of rows 0..i-1, per row.
+    std::vector<BigInt> expected;
+    std::vector<uint64_t> muls = {0};
+    off.ResetCounters();
+    for (size_t i = 0; i < bases.size(); ++i) {
+      expected.push_back(off.ModPow(bases[i], per_row_exps ? row_exps[i] : exp));
+      muls.push_back(off.mont_mul_count());
+    }
+    const auto run = [&](const MontgomeryContext* ctx, uint32_t* rows,
+                         size_t first, size_t count) {
+      if (per_row_exps) {
+        ctx->ModPowRows(rows, count, row_exps.data() + first);
+      } else {
+        ctx->ModPowRows(rows, count, exp);
+      }
+    };
+    for (int threads : {1, 2, 4}) {
+      common::ThreadPool pool(threads);
+      for (size_t rows = 1; rows <= bases.size(); ++rows) {
+        const std::vector<BigInt> in(bases.begin(), bases.begin() + rows);
+        const std::vector<BigInt> want(expected.begin(),
+                                       expected.begin() + rows);
+        for (const MontgomeryContext* ctx : {&on, &off}) {
+          LimbMatrix m = LimbMatrix::Pack(in, 32);
+          ctx->ResetCounters();
+          ASSERT_TRUE(ctx->ForEachLaneTask(pool, rows,
+                                           [&](size_t first, size_t count) {
+                                             run(ctx, m.row(first), first,
+                                                 count);
+                                             return Status::OK();
+                                           })
+                          .ok());
+          EXPECT_EQ(m.Unpack(), want)
+              << rows << " rows, " << threads << " threads, per-row exps "
+              << per_row_exps;
+          EXPECT_EQ(ctx->mont_mul_count(), muls[rows])
+              << rows << " rows, " << threads << " threads, per-row exps "
+              << per_row_exps;
+          if (threads > 1) continue;
+          LimbMatrix all = LimbMatrix::Pack(in, 32);
+          ctx->ResetCounters();
+          run(ctx, all.row(0), 0, rows);
+          EXPECT_EQ(all.Unpack(), want)
+              << rows << " rows in one call, per-row exps " << per_row_exps;
+          EXPECT_EQ(ctx->mont_mul_count(), muls[rows])
+              << rows << " rows in one call, per-row exps " << per_row_exps;
+        }
+      }
+    }
+  }
+}
+
+// HornerRows against the direct product prod_j (t_j * f)^(2^(j * b)) mod m
+// at every lane width, lanes on and off: 7, 8, 9, 16 and 17 groups of
+// three rows, each also with a short last group, in one call. Bytes match
+// and so do MontMul counts, 2 + (k - 1) * (b + 2) per group of k rows.
+TEST(FixedWidthKernelTest, HornerRowsMatchDirectProductWithCountParity) {
+  Rng rng(kSeed + 29);
+  constexpr size_t kSlots = 3;
+  constexpr int kShift = 5;
+  for (size_t w : kLaneWidths) {
+    const BigInt mod = TopWordAllOnesModulus(rng, w);
+    const KernelOps* k = FindKernel(w);
+    const auto on =
+        MontgomeryContext::CreateWithKernel(mod, k, FindLaneKernel(w)).value();
+    const auto off = MontgomeryContext::CreateWithKernel(mod, k).value();
+    const BigInt factor = BigInt::RandomBelow(rng, mod);
+    std::vector<BigInt> terms = LaneEdgeBases(rng, mod);
+    while (terms.size() < 17 * kSlots) {
+      terms.push_back(BigInt::RandomBelow(rng, mod));
+    }
+    for (size_t groups : {7, 8, 9, 16, 17}) {
+      for (size_t count : {groups * kSlots, groups * kSlots - 1}) {
+        std::vector<BigInt> want;
+        uint64_t want_muls = 0;
+        for (size_t base = 0; base < count; base += kSlots) {
+          BigInt acc(1);
+          const size_t top = std::min(count, base + kSlots);
+          for (size_t j = base; j < top; ++j) {
+            const BigInt t = BigInt::Mul(terms[j], factor) % mod;
+            const BigInt shift =
+                BigInt::PowerOfTwo(static_cast<int>(j - base) * kShift);
+            acc = BigInt::Mul(acc, BigInt::ModPow(t, shift, mod).value()) % mod;
+          }
+          want.push_back(acc);
+          want_muls += 2 + (top - base - 1) * (kShift + 2);
+        }
+        const LimbMatrix in = LimbMatrix::Pack(terms, w);
+        for (const MontgomeryContext* ctx : {&on, &off}) {
+          LimbMatrix out(want.size(), w);
+          ctx->ResetCounters();
+          ctx->HornerRows(in.row(0), count, kSlots, kShift, factor,
+                          out.row(0));
+          EXPECT_EQ(out.Unpack(), want) << "width " << w << ", " << count
+                                        << " rows, lanes "
+                                        << ctx->lane_kernel_width();
+          EXPECT_EQ(ctx->mont_mul_count(), want_muls)
+              << "width " << w << ", " << count << " rows";
+        }
       }
     }
   }

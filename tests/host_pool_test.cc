@@ -306,8 +306,20 @@ TEST_F(BatchInvarianceTest, PackBatchValidatesBeforeAnyWork) {
   EXPECT_TRUE(ctx.PackBatch(cs, BigInt(8), 16, 3).status().IsOutOfRange());
   EXPECT_TRUE(ctx.PackBatch({}, Keys().pub.n, 16, 3).status().IsOutOfRange());
   EXPECT_TRUE(ctx.PackBatch({}, BigInt(8), 16, 0).status().IsInvalidArgument());
+  // slots * slot_bits >= key_bits would wrap the packed value mod n.
+  cs[2] = cs[0];
+  const int key_bits = Keys().pub.key_bits;
+  const uint64_t muls = ctx.eval().n2_ctx().mont_mul_count();
+  EXPECT_TRUE(ctx.PackBatch(cs, BigInt(8), 16, key_bits / 16)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      ctx.PackBatch(cs, BigInt(8), key_bits, 1).status().IsInvalidArgument());
   EXPECT_EQ(ctx.op_counts().adds.load(), 0u);
   EXPECT_EQ(ctx.op_counts().scalar_muls.load(), 0u);
+  EXPECT_EQ(ctx.eval().n2_ctx().mont_mul_count(), muls);
+  // The widest layout that fits still packs.
+  EXPECT_TRUE(ctx.PackBatch(cs, BigInt(8), 15, (key_bits - 1) / 15).ok());
 }
 
 TEST_F(BatchInvarianceTest, SecureObfuscationBatchIsInvariantToo) {
@@ -393,22 +405,32 @@ TEST_F(BatchInvarianceTest, EncryptAndDecryptBatchesValidateBeforeAnyWork) {
 }
 
 // 33 rows are four full lane groups and a tail row, so on a CPU with the
-// lane kernel the same-exponent powms run four lane tasks and one per-row
-// task at every thread count. Ciphertexts, plaintexts, op counts and every
+// lane kernel the batches run four lane tasks and one per-row task at
+// every thread count. Ciphertexts, plaintexts, op counts and every
 // context's MontMul count match at 1, 2, 4 and 8 threads, and batch
-// decryptions match the per-row single-op path.
+// decryptions match the per-row single-op path. The scalar
+// multiplications take mixed-sign fixed-point scalars (15-24-bit
+// magnitudes, every other one negative, so one exponent per row after the
+// batch inversion); they are repeated with the kernels off, so per row on
+// the generic path, and all match per-element ScalarMul.
 TEST_F(BatchInvarianceTest, LaneBatchesAreBitIdenticalAcrossThreadCounts) {
   const PaillierKeyPair& keys = LaneKeys();
-  std::vector<BigInt> ms;
+  std::vector<BigInt> ms, ks;
   Rng data_rng(43);
   for (size_t i = 0; i < 33; ++i) {
     ms.push_back(BigInt::RandomBelow(data_rng, keys.pub.n));
+    const int bits = 15 + static_cast<int>(data_rng.NextU64() % 10);
+    const BigInt k = BigInt::Add(BigInt::Random(data_rng, bits - 1),
+                                 BigInt::PowerOfTwo(bits - 1));
+    ks.push_back(i % 2 == 0 ? k : BigInt::Sub(keys.pub.n, k));
   }
   ms[0] = BigInt(0);
   ms[1] = BigInt::Sub(keys.pub.n, BigInt(1));
   PaillierOptions plain;
   plain.secure_obfuscation = true;
   plain.use_crt_decryption = false;
+  PaillierOptions off;
+  off.use_fixed_width_kernels = false;
 
   struct Run {
     std::vector<BigInt> enc, dec, secure, plain_dec, single;
@@ -432,22 +454,114 @@ TEST_F(BatchInvarianceTest, LaneBatchesAreBitIdenticalAcrossThreadCounts) {
     r.plain_counts = WorkCounts(plain_ctx);
     return r;
   };
+  // ScalarMulBatch on a fresh context: its outputs, then its counts.
+  const auto scale = [&](int threads, const PaillierOptions& opts,
+                         const std::vector<BigInt>& cs) {
+    ThreadPool pool(threads);
+    auto ctx = PaillierContext::Create(keys, opts).value();
+    std::vector<BigInt> out = ctx.ScalarMulBatch(cs, ks, &pool).value();
+    return std::pair{out, WorkCounts(ctx)};
+  };
   const Run base = run(1);
   EXPECT_EQ(base.dec, ms);
   EXPECT_EQ(base.plain_dec, ms);
+  const auto scaled = scale(1, PaillierOptions{}, base.enc);
   auto ctx = PaillierContext::Create(keys).value();
   for (size_t i = 0; i < ms.size(); ++i) {
     EXPECT_EQ(ctx.Decrypt(base.enc[i]).value(), ms[i]) << "element " << i;
+    EXPECT_EQ(ctx.ScalarMul(base.enc[i], ks[i]).value(), scaled.first[i])
+        << "element " << i;
   }
-  for (int threads : {2, 4, 8}) {
-    const Run r = run(threads);
-    EXPECT_EQ(r.enc, base.enc) << "threads=" << threads;
-    EXPECT_EQ(r.dec, base.dec) << "threads=" << threads;
-    EXPECT_EQ(r.secure, base.secure) << "threads=" << threads;
-    EXPECT_EQ(r.plain_dec, base.plain_dec) << "threads=" << threads;
-    EXPECT_EQ(r.single, base.single) << "threads=" << threads;
-    EXPECT_EQ(r.counts, base.counts) << "threads=" << threads;
-    EXPECT_EQ(r.plain_counts, base.plain_counts) << "threads=" << threads;
+  for (int threads : {1, 2, 4, 8}) {
+    if (threads > 1) {
+      const Run r = run(threads);
+      EXPECT_EQ(r.enc, base.enc) << "threads=" << threads;
+      EXPECT_EQ(r.dec, base.dec) << "threads=" << threads;
+      EXPECT_EQ(r.secure, base.secure) << "threads=" << threads;
+      EXPECT_EQ(r.plain_dec, base.plain_dec) << "threads=" << threads;
+      EXPECT_EQ(r.single, base.single) << "threads=" << threads;
+      EXPECT_EQ(r.counts, base.counts) << "threads=" << threads;
+      EXPECT_EQ(r.plain_counts, base.plain_counts) << "threads=" << threads;
+      EXPECT_EQ(scale(threads, PaillierOptions{}, base.enc), scaled)
+          << "threads=" << threads;
+    }
+    EXPECT_EQ(scale(threads, off, base.enc), scaled)
+        << "kernels off, threads=" << threads;
+  }
+}
+
+// PackBatch at 1024 bits (n^2 on a lane width) with 7, 8, 9, 16 and 17
+// groups, each also with a short last group, at 1, 2 and 4 threads: the
+// bytes of the direct formula prod_j (c_j * g^offset)^(2^(j*slot_bits))
+// mod n^2 (by ModPow and ModMul), whose plaintext is
+// sum_j (m_j + offset) * 2^(j*slot_bits), and one set of counts. With the
+// kernels off (per row on the generic path) 17 groups give the same bytes
+// and counts.
+TEST_F(BatchInvarianceTest, PackBatchLanesMatchDirectFormula) {
+  const PaillierKeyPair& keys = LaneKeys();
+  constexpr size_t kSlots = 4;
+  constexpr int kSlotBits = 62;
+  const BigInt offset = BigInt::PowerOfTwo(kSlotBits - 1);
+  PaillierOptions off;
+  off.use_fixed_width_kernels = false;
+  const auto ctx = PaillierContext::Create(keys).value();
+  const auto ctx_off = PaillierContext::Create(keys, off).value();
+  Rng rng(53);
+  std::vector<BigInt> ms;
+  for (size_t i = 0; i < 17 * kSlots; ++i) ms.push_back(BigInt(i * 977 + 3));
+  const std::vector<BigInt> all = ctx.EncryptBatch(ms, rng).value();
+  const crypto::MontgomeryContext& n2 = ctx.n2_ctx();
+  const BigInt g_offset =
+      n2.ModPow(BigInt::Add(keys.pub.n, BigInt(1)), offset);
+  // The packed ciphertext and plaintext of rows [first, first + k).
+  const auto direct = [&](size_t first, size_t k) {
+    BigInt acc(1), sum;
+    for (size_t j = 0; j < k; ++j) {
+      const BigInt c = n2.ModMul(all[first + j], g_offset);
+      const BigInt shift = BigInt::PowerOfTwo(static_cast<int>(j) * kSlotBits);
+      acc = n2.ModMul(acc, n2.ModPow(c, shift));
+      sum = BigInt::Add(sum,
+                        BigInt::ShiftLeft(BigInt::Add(ms[first + j], offset),
+                                          static_cast<int>(j) * kSlotBits));
+    }
+    return std::pair{acc, sum};
+  };
+  std::vector<std::pair<BigInt, BigInt>> full;
+  for (size_t g = 0; g < 17; ++g) full.push_back(direct(g * kSlots, kSlots));
+  for (size_t groups : {7, 8, 9, 16, 17}) {
+    for (size_t count : {groups * kSlots, groups * kSlots - 3}) {
+      const std::vector<BigInt> cs(all.begin(), all.begin() + count);
+      std::vector<BigInt> want, plain;
+      for (size_t g = 0; g < groups; ++g) {
+        const auto [c, m] = g * kSlots + kSlots <= count
+                                ? full[g]
+                                : direct(g * kSlots, count - g * kSlots);
+        want.push_back(c);
+        plain.push_back(m);
+      }
+      EXPECT_EQ(ctx.DecryptBatch(want).value(), plain)
+          << count << " ciphertexts";
+      std::vector<uint64_t> first_counts;
+      for (int threads : {1, 2, 4}) {
+        ThreadPool pool(threads);
+        for (const PaillierContext* c : {&ctx, &ctx_off}) {
+          if (c == &ctx_off && (threads > 1 || groups < 17)) continue;
+          c->ResetOpCounts();
+          c->eval().n2_ctx().ResetCounters();
+          const auto packed =
+              c->PackBatch(cs, offset, kSlotBits, kSlots, &pool).value();
+          EXPECT_EQ(packed, want) << count << " ciphertexts, " << threads
+                                  << " threads, lanes "
+                                  << c->eval().n2_ctx().lane_kernel_width();
+          const std::vector<uint64_t> counts = {
+              c->eval().n2_ctx().mont_mul_count(),
+              c->op_counts().adds.load(), c->op_counts().scalar_muls.load()};
+          if (first_counts.empty()) first_counts = counts;
+          EXPECT_EQ(counts, first_counts)
+              << count << " ciphertexts, " << threads << " threads";
+        }
+      }
+    }
   }
 }
 
