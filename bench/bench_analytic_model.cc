@@ -19,6 +19,7 @@
 #include "src/codec/quantizer.h"
 #include "src/core/cost_model.h"
 #include "src/ghe/ghe_engine.h"
+#include "src/ghe/he_cost.h"
 
 namespace {
 
@@ -30,7 +31,7 @@ double GpuEncryptSeconds(int key_bits, int64_t count) {
   auto device = std::make_shared<flb::gpusim::Device>(
       flb::gpusim::DeviceSpec::Rtx3090(), nullptr);
   flb::ghe::GheEngine ghe(device);
-  ghe.ModelPaillierEncrypt(key_bits, count).value();
+  ghe.ModelOp(flb::ghe::HeOp::kEncrypt, key_bits, count).value();
   return device->stats().kernel_seconds + device->stats().transfer_seconds;
 }
 
@@ -46,8 +47,7 @@ int main() {
   for (int key : kKeySizes) {
     for (int64_t batch : {256LL, 4096LL, 65536LL}) {
       const uint64_t ops_per_encrypt =
-          (flb::ghe::EstimateModPowMontMuls(key) + 3) *
-          flb::ghe::MontMulLimbOps(static_cast<size_t>(key) * 2 / 32);
+          flb::ghe::HeCost(flb::ghe::HeOp::kEncrypt, key, batch).limb_ops;
       const double t_cpu = cpu.SecondsFor(batch, ops_per_encrypt);
       const double t_gpu = GpuEncryptSeconds(key, batch);
       std::printf("%5d %10lld %14.4f %14.6f %9.0fx\n", key,

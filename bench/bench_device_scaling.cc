@@ -8,6 +8,7 @@
 
 #include "src/core/cost_model.h"
 #include "src/ghe/ghe_engine.h"
+#include "src/ghe/he_cost.h"
 #include "src/gpusim/device.h"
 
 namespace {
@@ -16,7 +17,7 @@ double EncryptSeconds(const flb::gpusim::DeviceSpec& spec, int key_bits,
                       int64_t batch) {
   auto device = std::make_shared<flb::gpusim::Device>(spec, nullptr);
   flb::ghe::GheEngine engine(device);
-  engine.ModelPaillierEncrypt(key_bits, batch).value();
+  engine.ModelOp(flb::ghe::HeOp::kEncrypt, key_bits, batch).value();
   return device->stats().kernel_seconds + device->stats().transfer_seconds;
 }
 
@@ -34,8 +35,7 @@ int main() {
   for (int key : {1024, 2048, 4096}) {
     for (int64_t batch : {1024LL, 16384LL}) {
       const uint64_t ops =
-          (ghe::EstimateModPowMontMuls(key) + 3) *
-          ghe::MontMulLimbOps(static_cast<size_t>(key) * 2 / 32);
+          ghe::HeCost(ghe::HeOp::kEncrypt, key, batch).limb_ops;
       const double t_cpu = cpu.SecondsFor(batch, ops);
       const double t_rtx = EncryptSeconds(rtx, key, batch);
       const double t_edge = EncryptSeconds(edge, key, batch);

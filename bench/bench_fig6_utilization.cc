@@ -21,6 +21,7 @@ namespace {
 
 using flb::bench::EngineKind;
 using flb::bench::FlModelKind;
+using flb::ghe::HeOp;
 
 // Work-weighted mean SM utilization for one engine configuration running a
 // model's HE-op mix at a saturated batch size.
@@ -36,24 +37,26 @@ double MeasureUtilization(EngineKind engine, FlModelKind model, int key_bits) {
   switch (model) {
     case FlModelKind::kHomoLr:
     case FlModelKind::kHomoNn:
-      ghe.ModelPaillierEncrypt(key_bits, batch).value();
-      ghe.ModelPaillierAdd(key_bits, batch).value();
-      ghe.ModelPaillierDecrypt(key_bits, batch).value();
+      ghe.ModelOp(HeOp::kEncrypt, key_bits, batch).value();
+      ghe.ModelOp(HeOp::kAdd, key_bits, batch).value();
+      ghe.ModelOp(HeOp::kDecrypt, key_bits, batch).value();
       break;
     case FlModelKind::kHeteroLr:
-      ghe.ModelPaillierEncrypt(key_bits, batch).value();
-      ghe.ModelPaillierAddPlain(key_bits, batch).value();
-      ghe.ModelPaillierDecrypt(key_bits, batch / 4).value();
+      ghe.ModelOp(HeOp::kEncrypt, key_bits, batch).value();
+      ghe.ModelOp(HeOp::kAddPlain, key_bits, batch).value();
+      ghe.ModelOp(HeOp::kDecrypt, key_bits, batch / 4).value();
       break;
     case FlModelKind::kHeteroSbt:
-      ghe.ModelPaillierEncrypt(key_bits, batch / 8).value();
-      ghe.ModelPaillierAdd(key_bits, batch * 4).value();
-      ghe.ModelPaillierDecrypt(key_bits, batch / 8).value();
+      ghe.ModelOp(HeOp::kEncrypt, key_bits, batch / 8).value();
+      ghe.ModelOp(HeOp::kAdd, key_bits, batch * 4).value();
+      ghe.ModelOp(HeOp::kDecrypt, key_bits, batch / 8).value();
       break;
     case FlModelKind::kHeteroNn:
-      ghe.ModelPaillierScalarMul(key_bits, batch, 34).value();
-      ghe.ModelPaillierAdd(key_bits, batch).value();
-      ghe.ModelPaillierDecrypt(key_bits, batch / 8).value();
+      ghe.ModelOp(HeOp::kScalarMul, key_bits, batch,
+                  flb::ghe::FixedPointScalarBits(
+                      flb::core::PlatformConfig{}.frac_bits)).value();
+      ghe.ModelOp(HeOp::kAdd, key_bits, batch).value();
+      ghe.ModelOp(HeOp::kDecrypt, key_bits, batch / 8).value();
       break;
   }
   return device->stats().MeanSmUtilization();

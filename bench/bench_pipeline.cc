@@ -104,7 +104,7 @@ void TraceDemoSection() {
   cfg.streams = 4;
   cfg.adaptive_chunking = false;  // always chunk: the overlap must be visible
   ghe::GheEngine engine(device, cfg);
-  engine.ModelPaillierAdd(1024, 1 << 16).value();
+  engine.ModelOp(ghe::HeOp::kAdd, 1024, 1 << 16).value();
   const auto& batch = engine.last_batch();
   std::printf(
       "chunks=%d streams=%d makespan=%.6fs kernel_busy=%.6fs "

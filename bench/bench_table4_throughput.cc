@@ -71,8 +71,8 @@ void PrintStreamOverlapSection() {
     flb::ghe::GheEngine one(d1, cfg);
     cfg.streams = 4;
     flb::ghe::GheEngine overlap(d4, cfg);
-    one.ModelPaillierAdd(key, batch).value();
-    overlap.ModelPaillierAdd(key, batch).value();
+    one.ModelOp(flb::ghe::HeOp::kAdd, key, batch).value();
+    overlap.ModelOp(flb::ghe::HeOp::kAdd, key, batch).value();
     const double t1 = c1.HeSeconds();
     const double t4 = c4.HeSeconds();
     std::printf("%5d %9lld %12.0f %12.0f %7.2fx\n", key,

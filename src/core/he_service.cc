@@ -5,37 +5,13 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/core/cost_model.h"
 
 namespace flb::core {
 
 namespace {
 
-using ghe::EstimateModPowMontMuls;
-using ghe::MontMulLimbOps;
-
-// CPU limb-work formulas — identical to the GPU engine's, so the two
-// execution paths price the same arithmetic consistently (Eq. 10's
-// beta_cpu vs beta_gpu act on the same op counts).
-uint64_t EncryptLimbOps(int key_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return (EstimateModPowMontMuls(key_bits) + 3) * MontMulLimbOps(s2);
-}
-uint64_t DecryptLimbOps(int key_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return 2 * EstimateModPowMontMuls(key_bits / 2) * MontMulLimbOps(s2 / 2);
-}
-uint64_t AddLimbOps(int key_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return 3 * MontMulLimbOps(s2);
-}
-uint64_t AddPlainLimbOps(int key_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return 4 * MontMulLimbOps(s2);
-}
-uint64_t ScalarMulLimbOps(int key_bits, int exp_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return EstimateModPowMontMuls(exp_bits) * MontMulLimbOps(s2);
-}
+using ghe::HeOp;
 
 // c * k mod n on residues, reading one in (half_n, n) as the negative it
 // encodes: multiply the short magnitudes, reduce, and negate once. Equal to
@@ -148,7 +124,6 @@ Result<std::unique_ptr<HeService>> HeService::Create(
                          crypto::PaillierContext::Create(keys, popts));
     service->paillier_.emplace(std::move(ctx));
   }
-  service->n_squared_ = BigInt::Mul(service->n_, service->n_);
 
   FLB_ASSIGN_OR_RETURN(
       auto fp, codec::FixedPointCodec::Create(service->n_, options.frac_bits));
@@ -187,38 +162,171 @@ Status HeService::CheckLayout(const EncVec& v, EncLayout expected,
     return Status::InvalidArgument(
         std::string(op) + ": EncVec execution mode does not match service");
   }
+  // The shape arrives off the wire (RecvEncVec); every op indexes by it.
+  if (v.slots_per_cipher < 1 || v.fp_slot_bits < 0 || v.fp_slot_bits > 63) {
+    return Status::InvalidArgument(std::string(op) +
+                                   ": EncVec has an invalid slot layout");
+  }
+  const auto slots = static_cast<size_t>(v.slots_per_cipher);
+  if (v.data.size() != v.count / slots + (v.count % slots != 0 ? 1 : 0)) {
+    return Status::InvalidArgument(
+        std::string(op) + ": EncVec count does not match its ciphertexts");
+  }
   return Status::OK();
 }
 
-void HeService::ChargeBatch(const char* kind, int64_t count,
-                            uint64_t limb_ops_per_elt, size_t bytes_in,
-                            size_t bytes_out) {
-  if (count <= 0) return;
-  if (traits_.gpu_he) {
-    // Model the batch through the engine: identical launch geometry to the
-    // real path, and with streams > 1 the same chunked copy/compute overlap
-    // (charges the clock through the device). The device traces the kernel
-    // and PCIe spans; the outer span shows the whole batch on the HE track.
-    obs::ScopedSpan span(
-        clock_, obs::TraceRecorder::Global().RegisterTrack("he", "batches"),
-        kind, "he");
-    span.AddArg(obs::Arg("count", count));
-    auto result = ghe_->ModelBatch(kind, count, CiphertextWords(),
-                                   limb_ops_per_elt, bytes_in, bytes_out);
-    FLB_CHECK(result.ok(), result.status().ToString());
-  } else {
-    ChargeCpu(kind, static_cast<uint64_t>(count), limb_ops_per_elt);
+Result<std::vector<BigInt>> HeService::ChargeBatch(const char* kind, HeOp op,
+                                                   int64_t count,
+                                                   const Compute& compute,
+                                                   int width_bits) {
+  Result<std::vector<BigInt>> out = std::vector<BigInt>{};
+  const bool in_launch = traits_.gpu_he && !options_.modeled && count > 0;
+  if (!in_launch) {
+    out = compute();
+    if (!out.ok() || count <= 0) return out;
   }
+  const ghe::HeOpCost cost =
+      ghe::HeCost(op, options_.key_bits, count, width_bits);
+  const obs::Track track =
+      obs::TraceRecorder::Global().RegisterTrack("he", "batches");
+  if (!traits_.gpu_he) {
+    // The span's extent is exactly the simulated CPU-HE time charged.
+    ChargeSpan(clock_, CostKind::kCpuHe,
+               CpuCostModel().SecondsFor(static_cast<uint64_t>(count),
+                                         cost.limb_ops),
+               track, kind, "he", {obs::Arg("count", count)});
+    return out;
+  }
+  // One device batch, with the chunked copy/compute overlap when streams >
+  // 1. The device traces the kernel and PCIe spans; the outer span shows
+  // the whole batch on the HE track.
+  obs::ScopedSpan span(clock_, track, kind, "he");
+  span.AddArg(obs::Arg("count", count));
+  std::function<void()> body;
+  if (in_launch) body = [&] { out = compute(); };
+  FLB_RETURN_IF_ERROR(ghe_->ModelBatch(kind, count, cost.limbs, cost.limb_ops,
+                                       cost.bytes_in, cost.bytes_out,
+                                       std::move(body))
+                          .status());
+  return out;
 }
 
-void HeService::ChargeCpu(const char* kind, uint64_t count,
-                          uint64_t limb_ops_per_elt) {
-  // Charge + span in one step: the span's extent is exactly the simulated
-  // CPU-HE time the cost model adds.
-  ChargeSpan(clock_, CostKind::kCpuHe,
-             options_.cpu_cost.SecondsFor(count, limb_ops_per_elt),
-             obs::TraceRecorder::Global().RegisterTrack("he", "batches"), kind,
-             "he", {obs::Arg("count", count)});
+Result<std::vector<BigInt>> HeService::PackedPlaintexts(
+    const std::vector<double>& values) const {
+  if (traits_.use_bc) return compressor_->Pack(values);
+  FLB_ASSIGN_OR_RETURN(auto slots, quantizer_.EncodeBatch(values));
+  std::vector<BigInt> plains;
+  plains.reserve(slots.size());
+  for (uint64_t s : slots) plains.emplace_back(s);
+  return plains;
+}
+
+// ---------------------------------------------------------------------------
+// Compute: one batch on the shadow residues (modeled) or through the
+// PaillierContext batch call both real engines run.
+// ---------------------------------------------------------------------------
+
+Result<std::vector<BigInt>> HeService::EncryptBatch(
+    std::vector<BigInt> plains) {
+  if (options_.modeled) return plains;
+  return paillier_->EncryptBatch(plains, rng_, host_pool_);
+}
+
+Result<std::vector<BigInt>> HeService::DecryptBatch(
+    const std::vector<BigInt>& cs) const {
+  if (options_.modeled) return cs;
+  return paillier_->DecryptBatch(cs, host_pool_);
+}
+
+Result<std::vector<BigInt>> HeService::AddBatch(
+    std::vector<BigInt> a, const std::vector<BigInt>& b) const {
+  if (!options_.modeled) return paillier_->AddBatch(a, b, host_pool_);
+  for (size_t i = 0; i < a.size(); ++i) a[i].AddModInPlace(b[i], n_);
+  return a;
+}
+
+Result<std::vector<BigInt>> HeService::AddPlainBatch(
+    std::vector<BigInt> cs, const std::vector<BigInt>& plains) const {
+  if (!options_.modeled) {
+    return paillier_->AddPlainBatch(cs, plains, host_pool_);
+  }
+  for (size_t i = 0; i < cs.size(); ++i) cs[i].AddModInPlace(plains[i], n_);
+  return cs;
+}
+
+Result<std::vector<BigInt>> HeService::ScalarMulBatch(
+    std::vector<BigInt> cs, const std::vector<BigInt>& ks) const {
+  if (!options_.modeled) return paillier_->ScalarMulBatch(cs, ks, host_pool_);
+  for (size_t i = 0; i < cs.size(); ++i) {
+    cs[i] = SignFoldedMulMod(cs[i], ks[i], n_, fp_codec_->half_modulus());
+  }
+  return cs;
+}
+
+Result<std::vector<BigInt>> HeService::FoldGroups(
+    const std::vector<BigInt>& terms,
+    const std::vector<std::vector<uint32_t>>& groups) {
+  std::vector<BigInt> sums(groups.size());
+  if (options_.modeled) {
+    // Residues add mod n; an empty group is residue 0.
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const std::vector<uint32_t>& group = groups[g];
+      if (group.empty()) continue;
+      sums[g] = terms[group[0]];
+      for (size_t t = 1; t < group.size(); ++t) {
+        sums[g].AddModInPlace(terms[group[t]], n_);
+      }
+    }
+    return sums;
+  }
+  // Ciphertexts multiply mod n^2, one group per task: group g folds its
+  // terms in order and writes only sums[g], so the schedule never shows.
+  FLB_RETURN_IF_ERROR(common::ParallelForEachStatus(
+      *host_pool_, groups.size(), [&](size_t g) -> Status {
+        const std::vector<uint32_t>& group = groups[g];
+        if (group.empty()) return Status::OK();
+        sums[g] = terms[group[0]];
+        for (size_t t = 1; t < group.size(); ++t) {
+          FLB_ASSIGN_OR_RETURN(sums[g],
+                               paillier_->Add(sums[g], terms[group[t]]));
+        }
+        return Status::OK();
+      }));
+  // An empty group is a fresh E(0). ObfuscationPool draws are ordered, so
+  // these stay serial and in group order. Like the modeled residue 0, it is
+  // neither counted nor charged (DESIGN.md §8).
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (!groups[g].empty()) continue;
+    FLB_ASSIGN_OR_RETURN(sums[g], paillier_->Encrypt(BigInt(), rng_));
+  }
+  return sums;
+}
+
+Result<std::vector<BigInt>> HeService::PackBatch(const std::vector<BigInt>& cs,
+                                                 int slot_bits,
+                                                 int slots) const {
+  const BigInt offset = BigInt::PowerOfTwo(slot_bits - 1);
+  if (!options_.modeled) {
+    // Horner from the top slot down, acc = acc^(2^sb) * E(v_j + offset),
+    // one group per task on the host pool.
+    return paillier_->PackBatch(cs, offset, slot_bits,
+                                static_cast<size_t>(slots), host_pool_);
+  }
+  std::vector<BigInt> out;
+  for (size_t base = 0; base < cs.size(); base += slots) {
+    const size_t group = std::min<size_t>(slots, cs.size() - base);
+    BigInt acc;
+    for (size_t j = 0; j < group; ++j) {
+      // shifted = (value + offset) * 2^(j*sb), on the residues.
+      BigInt with_offset = cs[base + j];
+      with_offset.AddModInPlace(offset, n_);
+      const BigInt shifted =
+          BigInt::ShiftLeft(with_offset, static_cast<int>(j) * slot_bits) % n_;
+      acc.AddModInPlace(shifted, n_);
+    }
+    out.push_back(std::move(acc));
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -236,38 +344,18 @@ Result<EncVec> HeService::EncryptValues(const std::vector<double>& values) {
              obs::TraceRecorder::Global().RegisterTrack("he", "encode"),
              "he.encode", "encode",
              {obs::Arg("values", static_cast<uint64_t>(values.size()))});
-  // Quantize (+ pack).
-  std::vector<BigInt> plains;
-  if (traits_.use_bc) {
-    FLB_ASSIGN_OR_RETURN(plains, compressor_->Pack(values));
-  } else {
-    FLB_ASSIGN_OR_RETURN(auto slots, quantizer_.EncodeBatch(values));
-    plains.reserve(slots.size());
-    for (uint64_t s : slots) plains.emplace_back(s);
-  }
-
+  FLB_ASSIGN_OR_RETURN(std::vector<BigInt> plains, PackedPlaintexts(values));
+  const size_t n_cipher = plains.size();
   EncVec out;
   out.layout = EncLayout::kPackedSum;
   out.count = values.size();
   out.slots_per_cipher = pack_slots();
   out.contributors = 1;
   out.modeled = options_.modeled;
-
-  const int64_t n_cipher = static_cast<int64_t>(plains.size());
-  if (options_.modeled) {
-    out.data = std::move(plains);
-    ChargeBatch("he.encrypt", n_cipher, EncryptLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 2,  // staged plaintexts
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         ghe_->PaillierEncrypt(*paillier_, plains, rng_));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->EncryptBatch(plains, rng_, host_pool_));
-    ChargeCpu("he.encrypt", plains.size(), EncryptLimbOps(options_.key_bits));
-  }
-  op_cells_.encrypts.fetch_add(static_cast<uint64_t>(n_cipher), std::memory_order_relaxed);
+  FLB_ASSIGN_OR_RETURN(
+      out.data, ChargeBatch("he.encrypt", HeOp::kEncrypt, n_cipher,
+                            [&] { return EncryptBatch(std::move(plains)); }));
+  op_cells_.encrypts.fetch_add(n_cipher, std::memory_order_relaxed);
   op_cells_.values_encrypted.fetch_add(values.size(), std::memory_order_relaxed);
   return out;
 }
@@ -275,8 +363,7 @@ Result<EncVec> HeService::EncryptValues(const std::vector<double>& values) {
 Result<EncVec> HeService::AddCipher(const EncVec& a, const EncVec& b) {
   FLB_RETURN_IF_ERROR(CheckLayout(a, EncLayout::kPackedSum, "AddCipher"));
   FLB_RETURN_IF_ERROR(CheckLayout(b, EncLayout::kPackedSum, "AddCipher"));
-  if (a.count != b.count || a.data.size() != b.data.size() ||
-      a.slots_per_cipher != b.slots_per_cipher) {
+  if (a.count != b.count || a.slots_per_cipher != b.slots_per_cipher) {
     return Status::InvalidArgument("AddCipher: mismatched vector layouts");
   }
   if (a.contributors + b.contributors > options_.participants) {
@@ -286,22 +373,10 @@ Result<EncVec> HeService::AddCipher(const EncVec& a, const EncVec& b) {
   }
   EncVec out = a;
   out.contributors = a.contributors + b.contributors;
-  const int64_t n_cipher = static_cast<int64_t>(a.data.size());
-  if (options_.modeled) {
-    for (size_t i = 0; i < a.data.size(); ++i) {
-      out.data[i].AddModInPlace(b.data[i], n_);
-    }
-    ChargeBatch("he.add", n_cipher, AddLimbOps(options_.key_bits),
-                2 * n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data, ghe_->PaillierAdd(*paillier_, a.data,
-                                                     b.data));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->AddBatch(a.data, b.data, host_pool_));
-    ChargeCpu("he.add", a.data.size(), AddLimbOps(options_.key_bits));
-  }
+  FLB_ASSIGN_OR_RETURN(
+      out.data, ChargeBatch("he.add", HeOp::kAdd, a.data.size(), [&] {
+        return AddBatch(std::move(out.data), b.data);
+      }));
   op_cells_.hom_adds.fetch_add(a.data.size(), std::memory_order_relaxed);
   return out;
 }
@@ -315,36 +390,17 @@ Result<EncVec> HeService::AddPlainValues(const EncVec& c,
   if (c.contributors + 1 > options_.participants) {
     return Status::OutOfRange("AddPlainValues: overflow headroom exhausted");
   }
-  std::vector<BigInt> plains;
-  if (traits_.use_bc) {
-    FLB_ASSIGN_OR_RETURN(plains, compressor_->Pack(values));
-  } else {
-    FLB_ASSIGN_OR_RETURN(auto slots, quantizer_.EncodeBatch(values));
-    plains.reserve(slots.size());
-    for (uint64_t s : slots) plains.emplace_back(s);
-  }
+  FLB_ASSIGN_OR_RETURN(const std::vector<BigInt> plains,
+                       PackedPlaintexts(values));
   if (plains.size() != c.data.size()) {
     return Status::Internal("AddPlainValues: packing layout mismatch");
   }
   EncVec out = c;
   out.contributors = c.contributors + 1;
-  const int64_t n_cipher = static_cast<int64_t>(plains.size());
-  if (options_.modeled) {
-    for (size_t i = 0; i < plains.size(); ++i) {
-      out.data[i].AddModInPlace(plains[i], n_);
-    }
-    ChargeBatch("he.add_plain", n_cipher, AddPlainLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 6,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         ghe_->PaillierAddPlain(*paillier_, c.data, plains));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->AddPlainBatch(c.data, plains, host_pool_));
-    ChargeCpu("he.add_plain", plains.size(),
-              AddPlainLimbOps(options_.key_bits));
-  }
+  FLB_ASSIGN_OR_RETURN(
+      out.data,
+      ChargeBatch("he.add_plain", HeOp::kAddPlain, plains.size(),
+                  [&] { return AddPlainBatch(std::move(out.data), plains); }));
   op_cells_.hom_adds.fetch_add(plains.size(), std::memory_order_relaxed);
   return out;
 }
@@ -352,19 +408,9 @@ Result<EncVec> HeService::AddPlainValues(const EncVec& c,
 Result<std::vector<double>> HeService::DecryptValues(const EncVec& c) {
   FLB_RETURN_IF_ERROR(CheckDeadline("HeService::DecryptValues"));
   FLB_RETURN_IF_ERROR(CheckLayout(c, EncLayout::kPackedSum, "DecryptValues"));
-  std::vector<BigInt> plains;
-  const int64_t n_cipher = static_cast<int64_t>(c.data.size());
-  if (options_.modeled) {
-    plains = c.data;
-    ChargeBatch("he.decrypt", n_cipher, DecryptLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 2);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(plains, ghe_->PaillierDecrypt(*paillier_, c.data));
-  } else {
-    FLB_ASSIGN_OR_RETURN(plains, paillier_->DecryptBatch(c.data, host_pool_));
-    ChargeCpu("he.decrypt", c.data.size(), DecryptLimbOps(options_.key_bits));
-  }
+  FLB_ASSIGN_OR_RETURN(const std::vector<BigInt> plains,
+                       ChargeBatch("he.decrypt", HeOp::kDecrypt, c.data.size(),
+                                   [&] { return DecryptBatch(c.data); }));
   op_cells_.decrypts.fetch_add(c.data.size(), std::memory_order_relaxed);
   op_cells_.values_decrypted.fetch_add(c.count, std::memory_order_relaxed);
   ChargeSpan(clock_, CostKind::kEncoding, c.count * 4e-9,
@@ -404,22 +450,11 @@ Result<EncVec> HeService::EncryptFixedPoint(const std::vector<double>& values) {
   out.layout = EncLayout::kFixedPoint;
   out.count = values.size();
   out.modeled = options_.modeled;
-  const int64_t n_cipher = static_cast<int64_t>(plains.size());
-  if (options_.modeled) {
-    out.data = std::move(plains);
-    ChargeBatch("he.fp_encrypt", n_cipher, EncryptLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 2,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         ghe_->PaillierEncrypt(*paillier_, plains, rng_));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->EncryptBatch(plains, rng_, host_pool_));
-    ChargeCpu("he.fp_encrypt", plains.size(),
-              EncryptLimbOps(options_.key_bits));
-  }
-  op_cells_.encrypts.fetch_add(static_cast<uint64_t>(n_cipher), std::memory_order_relaxed);
+  FLB_ASSIGN_OR_RETURN(
+      out.data,
+      ChargeBatch("he.fp_encrypt", HeOp::kEncrypt, values.size(),
+                  [&] { return EncryptBatch(std::move(plains)); }));
+  op_cells_.encrypts.fetch_add(values.size(), std::memory_order_relaxed);
   op_cells_.values_encrypted.fetch_add(values.size(), std::memory_order_relaxed);
   return out;
 }
@@ -433,22 +468,10 @@ Result<EncVec> HeService::AddFixedPoint(const EncVec& a, const EncVec& b) {
         "AddFixedPoint: operands must be unpacked with matching scales");
   }
   EncVec out = a;
-  const int64_t n_cipher = static_cast<int64_t>(a.data.size());
-  if (options_.modeled) {
-    for (size_t i = 0; i < a.data.size(); ++i) {
-      out.data[i].AddModInPlace(b.data[i], n_);
-    }
-    ChargeBatch("he.fp_add", n_cipher, AddLimbOps(options_.key_bits),
-                2 * n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data, ghe_->PaillierAdd(*paillier_, a.data,
-                                                     b.data));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->AddBatch(a.data, b.data, host_pool_));
-    ChargeCpu("he.fp_add", a.data.size(), AddLimbOps(options_.key_bits));
-  }
+  FLB_ASSIGN_OR_RETURN(
+      out.data, ChargeBatch("he.fp_add", HeOp::kAdd, a.data.size(), [&] {
+        return AddBatch(std::move(out.data), b.data);
+      }));
   op_cells_.hom_adds.fetch_add(a.data.size(), std::memory_order_relaxed);
   return out;
 }
@@ -469,25 +492,11 @@ Result<EncVec> HeService::ScalarMulFixedPoint(
   }
   EncVec out = c;
   out.scale_muls = c.scale_muls + 1;
-  const int64_t n_cipher = static_cast<int64_t>(c.data.size());
-  if (options_.modeled) {
-    for (size_t i = 0; i < c.data.size(); ++i) {
-      out.data[i] = SignFoldedMulMod(c.data[i], ks[i], n_,
-                                     fp_codec_->half_modulus());
-    }
-    ChargeBatch("he.fp_scalar_mul", n_cipher,
-                ScalarMulLimbOps(options_.key_bits, EffectiveScalarBits()),
-                2 * n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 4);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         ghe_->PaillierScalarMul(*paillier_, c.data, ks));
-  } else {
-    FLB_ASSIGN_OR_RETURN(out.data,
-                         paillier_->ScalarMulBatch(c.data, ks, host_pool_));
-    ChargeCpu("he.fp_scalar_mul", c.data.size(),
-              ScalarMulLimbOps(options_.key_bits, EffectiveScalarBits()));
-  }
+  FLB_ASSIGN_OR_RETURN(
+      out.data,
+      ChargeBatch("he.fp_scalar_mul", HeOp::kScalarMul, c.data.size(),
+                  [&] { return ScalarMulBatch(std::move(out.data), ks); },
+                  ghe::FixedPointScalarBits(options_.frac_bits)));
   op_cells_.scalar_muls.fetch_add(c.data.size(), std::memory_order_relaxed);
   return out;
 }
@@ -516,8 +525,8 @@ Result<EncVec> HeService::WeightedSums(
   flat.data = std::move(term_ciphers);
   FLB_ASSIGN_OR_RETURN(EncVec products, ScalarMulFixedPoint(flat, term_weights));
 
-  // Fold products group-wise (charged as one add batch below); group g's
-  // products sit at consecutive positions.
+  // Fold products group-wise as one add batch; group g's products sit at
+  // consecutive positions.
   std::vector<std::vector<uint32_t>> positions(groups.size());
   uint32_t pos = 0;
   uint64_t adds = 0;
@@ -530,55 +539,12 @@ Result<EncVec> HeService::WeightedSums(
   out.count = groups.size();
   out.scale_muls = c.scale_muls + 1;
   out.modeled = options_.modeled;
-  FLB_ASSIGN_OR_RETURN(out.data, FoldGroups(products.data, positions));
-  // ChargeBatch routes to the device model or the CPU cost model as the
-  // engine dictates. (In real-GPU mode the fold arithmetic above ran on the
-  // host context for simplicity; the charge prices it as the kernel the real
-  // system would launch.)
-  ChargeBatch("he.fp_fold", static_cast<int64_t>(adds),
-              AddLimbOps(options_.key_bits), 2 * adds * CiphertextWords() * 4,
-              adds * CiphertextWords() * 4);
+  FLB_ASSIGN_OR_RETURN(
+      out.data, ChargeBatch("he.fp_fold", HeOp::kAdd, adds, [&] {
+        return FoldGroups(products.data, positions);
+      }));
   op_cells_.hom_adds.fetch_add(adds, std::memory_order_relaxed);
   return out;
-}
-
-Result<std::vector<BigInt>> HeService::FoldGroups(
-    const std::vector<BigInt>& terms,
-    const std::vector<std::vector<uint32_t>>& groups) {
-  std::vector<BigInt> sums(groups.size());
-  if (options_.modeled) {
-    // Residues add mod n; an empty group is residue 0.
-    for (size_t g = 0; g < groups.size(); ++g) {
-      const std::vector<uint32_t>& group = groups[g];
-      if (group.empty()) continue;
-      sums[g] = terms[group[0]];
-      for (size_t t = 1; t < group.size(); ++t) {
-        sums[g].AddModInPlace(terms[group[t]], n_);
-      }
-    }
-    return sums;
-  }
-  // Ciphertexts multiply mod n^2, one group per task: group g folds its
-  // terms in order and writes only sums[g], so the schedule never shows.
-  FLB_RETURN_IF_ERROR(common::ParallelForEachStatus(
-      *host_pool_, groups.size(), [&](size_t g) -> Status {
-        const std::vector<uint32_t>& group = groups[g];
-        if (group.empty()) return Status::OK();
-        sums[g] = terms[group[0]];
-        for (size_t t = 1; t < group.size(); ++t) {
-          FLB_ASSIGN_OR_RETURN(sums[g],
-                               paillier_->Add(sums[g], terms[group[t]]));
-        }
-        return Status::OK();
-      }));
-  // An empty group is a fresh E(0). ObfuscationPool draws are ordered, so
-  // these stay serial and in group order.
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (!groups[g].empty()) continue;
-    FLB_ASSIGN_OR_RETURN(sums[g], paillier_->Encrypt(BigInt(), rng_));
-    op_cells_.encrypts.fetch_add(1, std::memory_order_relaxed);
-  }
-  return sums;
 }
 
 Result<EncVec> HeService::SelectiveSums(
@@ -604,10 +570,9 @@ Result<EncVec> HeService::SelectiveSums(
   out.count = groups.size();
   out.scale_muls = c.scale_muls;
   out.modeled = options_.modeled;
-  FLB_ASSIGN_OR_RETURN(out.data, FoldGroups(c.data, groups));
-  ChargeBatch("he.selective_sum", static_cast<int64_t>(adds),
-              AddLimbOps(options_.key_bits), 2 * adds * CiphertextWords() * 4,
-              adds * CiphertextWords() * 4);
+  FLB_ASSIGN_OR_RETURN(
+      out.data, ChargeBatch("he.selective_sum", HeOp::kAdd, adds,
+                            [&] { return FoldGroups(c.data, groups); }));
   op_cells_.hom_adds.fetch_add(adds, std::memory_order_relaxed);
   return out;
 }
@@ -616,20 +581,10 @@ Result<std::vector<double>> HeService::DecryptFixedPoint(const EncVec& c) {
   FLB_RETURN_IF_ERROR(CheckDeadline("HeService::DecryptFixedPoint"));
   FLB_RETURN_IF_ERROR(
       CheckLayout(c, EncLayout::kFixedPoint, "DecryptFixedPoint"));
-  std::vector<BigInt> plains;
-  const int64_t n_cipher = static_cast<int64_t>(c.data.size());
-  if (options_.modeled) {
-    plains = c.data;
-    ChargeBatch("he.fp_decrypt", n_cipher, DecryptLimbOps(options_.key_bits),
-                n_cipher * CiphertextWords() * 4,
-                n_cipher * CiphertextWords() * 2);
-  } else if (traits_.gpu_he) {
-    FLB_ASSIGN_OR_RETURN(plains, ghe_->PaillierDecrypt(*paillier_, c.data));
-  } else {
-    FLB_ASSIGN_OR_RETURN(plains, paillier_->DecryptBatch(c.data, host_pool_));
-    ChargeCpu("he.fp_decrypt", c.data.size(),
-              DecryptLimbOps(options_.key_bits));
-  }
+  FLB_ASSIGN_OR_RETURN(
+      const std::vector<BigInt> plains,
+      ChargeBatch("he.fp_decrypt", HeOp::kDecrypt, c.data.size(),
+                  [&] { return DecryptBatch(c.data); }));
   op_cells_.decrypts.fetch_add(c.data.size(), std::memory_order_relaxed);
   op_cells_.values_decrypted.fetch_add(c.count, std::memory_order_relaxed);
 
@@ -664,15 +619,10 @@ Result<EncVec> HeService::CompressForTransmission(const EncVec& c) {
   if (!traits_.use_bc || c.slots_per_cipher != 1 || c.count <= 1) {
     return c;  // compression disabled or nothing to gain
   }
-  if (c.data.size() != c.count) {
-    return Status::InvalidArgument(
-        "CompressForTransmission: ciphertext count mismatch");
-  }
   const int sb = fp_compress_slot_bits();
-  const int slots = std::max(1, (options_.key_bits - 2) / sb);
+  const int slots = ghe::CipherPackSlots(options_.key_bits, sb);
   if (slots <= 1) return c;
 
-  const BigInt offset = BigInt::PowerOfTwo(sb - 1);
   EncVec out;
   out.layout = EncLayout::kFixedPoint;
   out.count = c.count;
@@ -680,42 +630,15 @@ Result<EncVec> HeService::CompressForTransmission(const EncVec& c) {
   out.slots_per_cipher = slots;
   out.fp_slot_bits = sb;
   out.modeled = options_.modeled;
-
+  FLB_ASSIGN_OR_RETURN(
+      out.data,
+      ChargeBatch("he.cipher_compress", HeOp::kPack, c.data.size(),
+                  [&] { return PackBatch(c.data, sb, slots); }, sb));
   // Per source ciphertext: one offset add and one shift; beyond each
   // group's first, one add.
-  const uint64_t scalar_muls = c.count;
-  const uint64_t addplains = c.count;
-  const uint64_t adds = c.count - (c.count + slots - 1) / slots;
-  if (options_.modeled) {
-    for (size_t base = 0; base < c.count; base += slots) {
-      const size_t group = std::min<size_t>(slots, c.count - base);
-      BigInt acc;
-      for (size_t j = 0; j < group; ++j) {
-        // shifted = (value + offset) * 2^(j*sb), on the residues.
-        BigInt with_offset = c.data[base + j];
-        with_offset.AddModInPlace(offset, n_);
-        const BigInt shifted =
-            BigInt::ShiftLeft(with_offset, static_cast<int>(j) * sb) % n_;
-        acc.AddModInPlace(shifted, n_);
-      }
-      out.data.push_back(std::move(acc));
-    }
-  } else {
-    // Horner from the top slot down, acc = acc^(2^sb) * E(v_j + offset),
-    // one group per task on the host pool.
-    FLB_ASSIGN_OR_RETURN(
-        out.data, paillier_->PackBatch(c.data, offset, sb, slots, host_pool_));
-  }
-  // Charge the whole compression as one batch. Packing is Horner-style on
-  // the device and on the host alike, so each source ciphertext costs sb
-  // squarings plus one multiply and one offset add — NOT a full
-  // slots*sb-bit exponentiation.
-  const size_t s2w = CiphertextWords();
-  ChargeBatch("he.cipher_compress", static_cast<int64_t>(scalar_muls),
-              (static_cast<uint64_t>(sb) + 6) * ghe::MontMulLimbOps(s2w),
-              2 * scalar_muls * s2w * 4, out.data.size() * s2w * 4);
-  op_cells_.hom_adds.fetch_add(adds + addplains, std::memory_order_relaxed);
-  op_cells_.scalar_muls.fetch_add(scalar_muls, std::memory_order_relaxed);
+  const uint64_t adds = c.count - out.data.size();
+  op_cells_.hom_adds.fetch_add(adds + c.count, std::memory_order_relaxed);
+  op_cells_.scalar_muls.fetch_add(c.count, std::memory_order_relaxed);
   return out;
 }
 

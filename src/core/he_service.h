@@ -25,12 +25,19 @@
 //    quantize/pack/fixed-point math is still real, so model convergence is
 //    identical), while time, op counts, and bytes are charged exactly as the
 //    real engine would. Epoch-scale benches use this (DESIGN.md §1).
+//
+// Every op validates, computes, then charges once (ChargeBatch): the
+// compute runs on the shadow residues or through the PaillierContext batch
+// call both real engines share, and the one charge is priced from the HE
+// cost table (ghe/he_cost.h) whatever the mode. So a modeled run and a real
+// one account identically by construction (DESIGN.md §4).
 
 #ifndef FLB_CORE_HE_SERVICE_H_
 #define FLB_CORE_HE_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -43,10 +50,10 @@
 #include "src/common/rng.h"
 #include "src/common/sim_clock.h"
 #include "src/common/thread_pool.h"
-#include "src/core/cost_model.h"
 #include "src/core/engine_config.h"
 #include "src/crypto/paillier.h"
 #include "src/ghe/ghe_engine.h"
+#include "src/ghe/he_cost.h"
 #include "src/mpint/bigint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -89,7 +96,6 @@ struct HeServiceOptions {
   // Plaintext-shadow execution (see header comment).
   bool modeled = false;
   uint64_t seed = 20230401;
-  CpuCostModel cpu_cost;
   // Device streams for the GPU engine's chunked copy/compute overlap.
   // 0 = take the engine default (EngineTraits::gpu_streams).
   int gpu_streams = 0;
@@ -235,29 +241,51 @@ class HeService : public obs::MetricsSource {
   HeService(const HeServiceOptions& options, SimClock* clock,
             std::shared_ptr<gpusim::Device> device, codec::Quantizer quantizer);
 
-  // Charges CPU or GPU time for a batch of ops described by total limb work.
-  void ChargeBatch(const char* kind, int64_t count, uint64_t limb_ops_per_elt,
-                   size_t bytes_in, size_t bytes_out);
-  // CPU-path charge with a matching trace span (real CPU engines).
-  void ChargeCpu(const char* kind, uint64_t count, uint64_t limb_ops_per_elt);
+  // The one charge of an op: `compute` produces the batch's results, then
+  // `count` `op`s are charged, priced from the HE cost table at the
+  // declared `width_bits` — on a GPU engine as one device batch, on a CPU
+  // engine through the CPU cost model. A real GPU batch runs `compute` as
+  // its launch body, so the host batch telemetry times it; every other
+  // path runs it first. Nothing is charged when count is 0.
+  using Compute = std::function<Result<std::vector<BigInt>>()>;
+  Result<std::vector<BigInt>> ChargeBatch(const char* kind, ghe::HeOp op,
+                                          int64_t count,
+                                          const Compute& compute,
+                                          int width_bits = 0);
+  // Rejects a vector of the wrong layout or mode, or whose count, slots and
+  // slot width disagree with its ciphertexts.
   Status CheckLayout(const EncVec& v, EncLayout expected,
                      const char* op) const;
-  // Sums terms[i] over each group's indices (validated by the caller):
-  // residues add mod n (modeled); ciphertexts multiply mod n^2, one group
-  // per host pool task (real). An empty group sums to zero, in real mode a
-  // fresh E(0) encrypted serially in group order.
+  // Packed-sum plaintexts: BC-packed, or one quantized slot each.
+  Result<std::vector<BigInt>> PackedPlaintexts(
+      const std::vector<double>& values) const;
+
+  // ---- Compute: one batch on the shadow residues (modeled) or through the
+  // PaillierContext batch call both real engines run. Inputs are validated
+  // by the caller.
+  Result<std::vector<BigInt>> EncryptBatch(std::vector<BigInt> plains);
+  Result<std::vector<BigInt>> DecryptBatch(const std::vector<BigInt>& cs) const;
+  Result<std::vector<BigInt>> AddBatch(std::vector<BigInt> a,
+                                       const std::vector<BigInt>& b) const;
+  Result<std::vector<BigInt>> AddPlainBatch(
+      std::vector<BigInt> cs, const std::vector<BigInt>& plains) const;
+  Result<std::vector<BigInt>> ScalarMulBatch(
+      std::vector<BigInt> cs, const std::vector<BigInt>& ks) const;
+  // Sums terms[i] over each group's indices: residues add mod n (modeled);
+  // ciphertexts multiply mod n^2, one group per host pool task (real). An
+  // empty group sums to zero, in real mode a fresh E(0) encrypted serially
+  // in group order.
   Result<std::vector<BigInt>> FoldGroups(
       const std::vector<BigInt>& terms,
       const std::vector<std::vector<uint32_t>>& groups);
+  // Cipher-space packing of `slots` ciphertexts per result.
+  Result<std::vector<BigInt>> PackBatch(const std::vector<BigInt>& cs,
+                                        int slot_bits, int slots) const;
+
   Status CheckDeadline(const char* op) const {
     return run_deadline_ == nullptr ? Status::OK() : run_deadline_->Check(op);
   }
   int fp_compress_slot_bits() const;
-  // Exponent width of a fixed-point scalar multiplication. Weights are
-  // O(1) after clipping, so |round(w * 2^f)| has ~frac_bits+10 bits;
-  // negative scalars cost the same via the ciphertext-inverse path (see
-  // crypto::PaillierContext::ScalarMul).
-  int EffectiveScalarBits() const { return options_.frac_bits + 10; }
 
   HeServiceOptions options_;
   EngineTraits traits_;
@@ -278,7 +306,6 @@ class HeService : public obs::MetricsSource {
   // Real mode only.
   std::optional<crypto::PaillierContext> paillier_;
   BigInt n_;
-  BigInt n_squared_;
   Rng rng_;
 
   // Live op counters (see op_counts() for the threading contract).

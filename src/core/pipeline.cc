@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/ghe/he_cost.h"
 #include "src/gpusim/device.h"
 
 namespace flb::core {
@@ -67,15 +68,14 @@ Result<PipelinedModelResult> BuildChain(ghe::GheEngine& engine, int key_bits,
   chunks = std::max(1, std::min<int>(chunks, static_cast<int>(count)));
   const int64_t chunk = (count + chunks - 1) / chunks;
   const gpusim::DeviceSpec& spec = engine.device().spec();
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
+  // Encryption stages half-width plaintexts in; addition moves two
+  // full-width ciphertexts in and one out.
+  const ghe::HeOp op = encrypt ? ghe::HeOp::kEncrypt : ghe::HeOp::kAdd;
+  const ghe::HeOpCost cost = ghe::HeCost(op, key_bits, chunk);
 
   PipelinedModelResult result;
   result.chunks = chunks;
   const double host_rate = 2.0e9;  // host-side limb/copy ops per second
-  // Encryption stages half-width plaintexts in; addition moves two
-  // full-width ciphertexts in and one out.
-  const size_t in_bytes = encrypt ? chunk * (s2 / 2) * 4 : chunk * s2 * 8;
-  const size_t out_bytes = chunk * s2 * 4;
 
   // Kernel time for one chunk via the device model (stats only; the reset
   // keeps this modeling pass out of the engine's cumulative telemetry).
@@ -84,29 +84,15 @@ Result<PipelinedModelResult> BuildChain(ghe::GheEngine& engine, int key_bits,
   const int prev_streams = engine.config().streams;
   engine.device().ResetStats();
   engine.set_streams(1);
-  gpusim::LaunchResult launch;
-  if (encrypt) {
-    FLB_ASSIGN_OR_RETURN(launch, engine.ModelPaillierEncrypt(key_bits, chunk));
-  } else {
-    FLB_ASSIGN_OR_RETURN(launch, engine.ModelPaillierAdd(key_bits, chunk));
-  }
+  FLB_ASSIGN_OR_RETURN(const gpusim::LaunchResult launch,
+                       engine.ModelOp(op, key_bits, chunk));
 
   // Device-timeline measurement: the whole batch through the engine's real
   // execution path, serial vs chunked across streams.
-  if (encrypt) {
-    FLB_RETURN_IF_ERROR(
-        engine.ModelPaillierEncrypt(key_bits, count).status());
-  } else {
-    FLB_RETURN_IF_ERROR(engine.ModelPaillierAdd(key_bits, count).status());
-  }
+  FLB_RETURN_IF_ERROR(engine.ModelOp(op, key_bits, count).status());
   result.device_serial_seconds = engine.last_batch().makespan_seconds;
   engine.set_streams(chunks);
-  if (encrypt) {
-    FLB_RETURN_IF_ERROR(
-        engine.ModelPaillierEncrypt(key_bits, count).status());
-  } else {
-    FLB_RETURN_IF_ERROR(engine.ModelPaillierAdd(key_bits, count).status());
-  }
+  FLB_RETURN_IF_ERROR(engine.ModelOp(op, key_bits, count).status());
   result.device_async_seconds = engine.last_batch().makespan_seconds;
   result.streams_used =
       engine.last_batch().async ? engine.last_batch().streams : 1;
@@ -115,12 +101,12 @@ Result<PipelinedModelResult> BuildChain(ghe::GheEngine& engine, int key_bits,
 
   result.stages_per_chunk = {
       {"convert", chunk * 8.0 / host_rate},
-      {"encode+pack", encrypt ? chunk * (s2 / 2.0) / host_rate : 0.0},
+      {"encode+pack", encrypt ? chunk * (cost.limbs / 2.0) / host_rate : 0.0},
       {"h2d", spec.pcie_latency_sec +
-                  in_bytes / spec.pcie_bandwidth_bytes_per_sec},
+                  cost.bytes_in / spec.pcie_bandwidth_bytes_per_sec},
       {"kernel", launch.sim_seconds},
       {"d2h", spec.pcie_latency_sec +
-                  out_bytes / spec.pcie_bandwidth_bytes_per_sec},
+                  cost.bytes_out / spec.pcie_bandwidth_bytes_per_sec},
       {"unconvert", chunk * 8.0 / host_rate},
   };
   FLB_ASSIGN_OR_RETURN(result.serial_seconds,

@@ -60,6 +60,13 @@ Result<EncVec> RecvEncVec(net::Network* network, const std::string& to,
   vec.modeled = modeled != 0;
   FLB_ASSIGN_OR_RETURN(uint32_t cipher_words, d.GetU32());
   FLB_ASSIGN_OR_RETURN(uint32_t n, d.GetU32());
+  // Every ciphertext takes at least 4 bytes (a word, or a variable-width
+  // limb count): refuse a count the payload cannot hold before reserving.
+  const size_t min_bytes = cipher_words > 0 ? size_t{cipher_words} * 4 : 4;
+  if (n > d.remaining() / min_bytes) {
+    return Status::InvalidArgument(
+        "RecvEncVec: ciphertext count exceeds the payload");
+  }
   vec.data.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     if (cipher_words > 0) {

@@ -16,6 +16,7 @@
 #include "src/core/cost_model.h"
 #include "src/core/engine_config.h"
 #include "src/ghe/ghe_engine.h"
+#include "src/ghe/he_cost.h"
 #include "src/gpusim/device.h"
 #include "src/obs/metrics.h"
 #include "src/obs/run_status.h"
@@ -205,9 +206,15 @@ double PredictSeconds(const core::PlatformConfig& config, const CountModel& m,
     bytes *= factor;
   }
 
-  double he_seconds = 0.0;
+  // Every op class is priced from the HE cost table, as the run prices it.
   const int key_bits = config.key_bits;
-  const int scalar_bits = config.frac_bits + 10;  // HeService's effective width
+  const int scalar_bits = ghe::FixedPointScalarBits(config.frac_bits);
+  const std::pair<ghe::HeOp, double> ops[] = {
+      {ghe::HeOp::kEncrypt, encrypts},
+      {ghe::HeOp::kDecrypt, decrypts},
+      {ghe::HeOp::kAdd, hom_adds},
+      {ghe::HeOp::kScalarMul, scalar_muls}};
+  double he_seconds = 0.0;
   if (traits.gpu_he) {
     // Price the candidate's launch geometry on a throwaway device: one
     // launch per op class at the per-batch size, scaled by batch count, so
@@ -221,41 +228,20 @@ double PredictSeconds(const core::PlatformConfig& config, const CountModel& m,
     gcfg.chunks_per_stream =
         knobs.ghe_chunks_per_stream > 0 ? knobs.ghe_chunks_per_stream : 1;
     ghe::GheEngine engine(device, gcfg);
-    const auto launch_seconds = [&](double total,
-                                    auto&& model_call) -> double {
-      if (total < 0.5) return 0.0;
+    for (const auto& [op, total] : ops) {
+      if (total < 0.5) continue;
       const int64_t per_launch =
           std::max<int64_t>(1, std::llround(total / nb));
-      auto launch = model_call(per_launch);
-      if (!launch.ok()) return 0.0;
-      return launch.value().sim_seconds * nb;
-    };
-    he_seconds += launch_seconds(encrypts, [&](int64_t n) {
-      return engine.ModelPaillierEncrypt(key_bits, n);
-    });
-    he_seconds += launch_seconds(decrypts, [&](int64_t n) {
-      return engine.ModelPaillierDecrypt(key_bits, n);
-    });
-    he_seconds += launch_seconds(hom_adds, [&](int64_t n) {
-      return engine.ModelPaillierAdd(key_bits, n);
-    });
-    he_seconds += launch_seconds(scalar_muls, [&](int64_t n) {
-      return engine.ModelPaillierScalarMul(key_bits, n, scalar_bits);
-    });
+      auto launch = engine.ModelOp(op, key_bits, per_launch, scalar_bits);
+      if (launch.ok()) he_seconds += launch.value().sim_seconds * nb;
+    }
   } else {
-    const size_t s2 = static_cast<size_t>(2 * key_bits) / 32;  // n^2 limbs
     const core::CpuCostModel cost;
-    he_seconds += cost.SecondsFor(
-        static_cast<uint64_t>(encrypts),
-        (ghe::EstimateModPowMontMuls(key_bits) + 3) * ghe::MontMulLimbOps(s2));
-    he_seconds += cost.SecondsFor(static_cast<uint64_t>(decrypts),
-                                  2 * ghe::EstimateModPowMontMuls(key_bits / 2) *
-                                      ghe::MontMulLimbOps(s2 / 2));
-    he_seconds += cost.SecondsFor(static_cast<uint64_t>(hom_adds),
-                                  3 * ghe::MontMulLimbOps(s2));
-    he_seconds += cost.SecondsFor(static_cast<uint64_t>(scalar_muls),
-                                  ghe::EstimateModPowMontMuls(scalar_bits) *
-                                      ghe::MontMulLimbOps(s2));
+    for (const auto& [op, total] : ops) {
+      he_seconds += cost.SecondsFor(
+          static_cast<uint64_t>(total),
+          ghe::HeCost(op, key_bits, 1, scalar_bits).limb_ops);
+    }
   }
 
   // Link model: per-message latency + bandwidth + per-serialized-object

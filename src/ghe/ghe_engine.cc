@@ -78,22 +78,6 @@ double PipelinedMakespan(const std::vector<std::array<double, 3>>& chunks,
 
 }  // namespace
 
-uint64_t MontMulLimbOps(size_t s) {
-  // CIOS: per outer word, s mul-adds (multiply step) + s mul-adds (reduce
-  // step) + ~6 bookkeeping ops; plus the conditional subtraction.
-  return static_cast<uint64_t>(s) * (2 * s + 6) + s;
-}
-
-uint64_t EstimateModPowMontMuls(int exp_bits) {
-  if (exp_bits <= 0) return 1;
-  const int w = crypto::ChooseWindowBits(exp_bits);
-  const uint64_t squarings = exp_bits;
-  const uint64_t window_muls = exp_bits / (w + 1) + 1;
-  const uint64_t table = (uint64_t{1} << (w - 1)) + 1;
-  const uint64_t conversions = 2;  // ToMont / FromMont
-  return squarings + window_muls + table + conversions;
-}
-
 GheEngine::GheEngine(std::shared_ptr<gpusim::Device> device, GheConfig config)
     : device_(std::move(device)), config_(config) {
   FLB_CHECK(device_ != nullptr);
@@ -567,58 +551,51 @@ Result<std::vector<BigInt>> GheEngine::ModPow(const std::vector<BigInt>& x,
 // Paillier / RSA batches
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// The kernel ModelOp launches for each Paillier op.
+const char* LaunchName(HeOp op) {
+  switch (op) {
+    case HeOp::kEncrypt:
+      return "ghe.paillier_encrypt";
+    case HeOp::kDecrypt:
+      return "ghe.paillier_decrypt";
+    case HeOp::kAdd:
+      return "ghe.paillier_add";
+    case HeOp::kAddPlain:
+      return "ghe.paillier_add_plain";
+    case HeOp::kScalarMul:
+      return "ghe.paillier_scalar_mul";
+    case HeOp::kPack:
+      return "ghe.paillier_pack";
+  }
+  return "ghe.paillier";
+}
+
+}  // namespace
+
+Result<std::vector<BigInt>> GheEngine::RunOp(
+    HeOp op, int key_bits, int64_t count, int width_bits,
+    const std::function<Result<std::vector<BigInt>>()>& compute) {
+  if (count == 0) return std::vector<BigInt>{};
+  Result<std::vector<BigInt>> out = std::vector<BigInt>{};
+  FLB_RETURN_IF_ERROR(
+      ModelOp(op, key_bits, count, width_bits, [&] { out = compute(); })
+          .status());
+  return out;
+}
+
 Result<std::vector<BigInt>> GheEngine::PaillierEncrypt(
     const crypto::PaillierContext& ctx, const std::vector<BigInt>& ms,
     Rng& rng) {
-  if (ms.empty()) return std::vector<BigInt>{};
-  const int key_bits = ctx.pub().key_bits;
-  const size_t s2 = ctx.pub().CiphertextWords();
-  std::vector<BigInt> out(ms.size());
-  Status first_error;
-  // r^n mod n^2 dominates: an n-bit exponent over 2k-bit operands, plus the
-  // (n+1)^m fast path multiply.
-  const uint64_t ops =
-      (EstimateModPowMontMuls(key_bits) + 3) * MontMulLimbOps(s2);
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.paillier_encrypt", ms.size(), s2, ops,
-                  BatchBytes(ms.size(), s2 / 2), BatchBytes(ms.size(), s2),
-                  [&] {
-                    auto r = ctx.EncryptBatch(ms, rng, &host_pool());
-                    if (!r.ok()) {
-                      first_error = r.status();
-                      return;
-                    }
-                    out = std::move(r).value();
-                  })
-          .status());
-  FLB_RETURN_IF_ERROR(first_error);
-  return out;
+  return RunOp(HeOp::kEncrypt, ctx.pub().key_bits, ms.size(), 0,
+               [&] { return ctx.EncryptBatch(ms, rng, &host_pool()); });
 }
 
 Result<std::vector<BigInt>> GheEngine::PaillierDecrypt(
     const crypto::PaillierContext& ctx, const std::vector<BigInt>& cs) {
-  if (cs.empty()) return std::vector<BigInt>{};
-  const int key_bits = ctx.pub().key_bits;
-  const size_t s2 = ctx.pub().CiphertextWords();
-  // CRT: two half-width exponentiations over half-width moduli.
-  const uint64_t ops =
-      2 * EstimateModPowMontMuls(key_bits / 2) * MontMulLimbOps(s2 / 2);
-  std::vector<BigInt> out(cs.size());
-  Status first_error;
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.paillier_decrypt", cs.size(), s2, ops,
-                  BatchBytes(cs.size(), s2), BatchBytes(cs.size(), s2 / 2),
-                  [&] {
-                    auto r = ctx.DecryptBatch(cs, &host_pool());
-                    if (!r.ok()) {
-                      first_error = r.status();
-                      return;
-                    }
-                    out = std::move(r).value();
-                  })
-          .status());
-  FLB_RETURN_IF_ERROR(first_error);
-  return out;
+  return RunOp(HeOp::kDecrypt, ctx.pub().key_bits, cs.size(), 0,
+               [&] { return ctx.DecryptBatch(cs, &host_pool()); });
 }
 
 Result<std::vector<BigInt>> GheEngine::PaillierAdd(
@@ -626,25 +603,8 @@ Result<std::vector<BigInt>> GheEngine::PaillierAdd(
     const std::vector<BigInt>& c2) {
   FLB_RETURN_IF_ERROR(
       CheckSameSize(c1.size(), c2.size(), "GheEngine::PaillierAdd"));
-  if (c1.empty()) return std::vector<BigInt>{};
-  const size_t s2 = ctx.pub().CiphertextWords();
-  std::vector<BigInt> out(c1.size());
-  Status first_error;
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.paillier_add", c1.size(), s2,
-                  /*limb_ops_per_elt=*/3 * MontMulLimbOps(s2),
-                  BatchBytes(2 * c1.size(), s2), BatchBytes(c1.size(), s2),
-                  [&] {
-                    auto c = ctx.AddBatch(c1, c2, &host_pool());
-                    if (!c.ok()) {
-                      first_error = c.status();
-                      return;
-                    }
-                    out = std::move(c).value();
-                  })
-          .status());
-  FLB_RETURN_IF_ERROR(first_error);
-  return out;
+  return RunOp(HeOp::kAdd, ctx.pub().key_bits, c1.size(), 0,
+               [&] { return ctx.AddBatch(c1, c2, &host_pool()); });
 }
 
 Result<std::vector<BigInt>> GheEngine::PaillierAddPlain(
@@ -652,63 +612,17 @@ Result<std::vector<BigInt>> GheEngine::PaillierAddPlain(
     const std::vector<BigInt>& ks) {
   FLB_RETURN_IF_ERROR(
       CheckSameSize(cs.size(), ks.size(), "GheEngine::PaillierAddPlain"));
-  if (cs.empty()) return std::vector<BigInt>{};
-  const size_t s2 = ctx.pub().CiphertextWords();
-  std::vector<BigInt> out(cs.size());
-  Status first_error;
-  // g = n+1 path: one multiply + one ModMul per element.
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.paillier_add_plain", cs.size(), s2,
-                  /*limb_ops_per_elt=*/4 * MontMulLimbOps(s2),
-                  BatchBytes(cs.size(), s2) + BatchBytes(ks.size(), s2 / 2),
-                  BatchBytes(cs.size(), s2),
-                  [&] {
-                    auto c = ctx.AddPlainBatch(cs, ks, &host_pool());
-                    if (!c.ok()) {
-                      first_error = c.status();
-                      return;
-                    }
-                    out = std::move(c).value();
-                  })
-          .status());
-  FLB_RETURN_IF_ERROR(first_error);
-  return out;
+  return RunOp(HeOp::kAddPlain, ctx.pub().key_bits, cs.size(), 0,
+               [&] { return ctx.AddPlainBatch(cs, ks, &host_pool()); });
 }
 
 Result<std::vector<BigInt>> GheEngine::PaillierScalarMul(
     const crypto::PaillierContext& ctx, const std::vector<BigInt>& cs,
-    const std::vector<BigInt>& ks) {
+    const std::vector<BigInt>& ks, int scalar_bits) {
   FLB_RETURN_IF_ERROR(
       CheckSameSize(cs.size(), ks.size(), "GheEngine::PaillierScalarMul"));
-  if (cs.empty()) return std::vector<BigInt>{};
-  const size_t s2 = ctx.pub().CiphertextWords();
-  // Effective exponent width: scalars above n/2 encode negatives -(n - k)
-  // and run through the ciphertext-inverse fast path, so their cost is the
-  // width of n - k, not of k.
-  const BigInt half_n = BigInt::ShiftRight(ctx.pub().n, 1);
-  int max_exp_bits = 1;
-  for (const auto& k : ks) {
-    const int eff = k > half_n ? BigInt::Sub(ctx.pub().n, k).BitLength()
-                               : k.BitLength();
-    max_exp_bits = std::max(max_exp_bits, eff);
-  }
-  std::vector<BigInt> out(cs.size());
-  Status first_error;
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.paillier_scalar_mul", cs.size(), s2,
-                  EstimateModPowMontMuls(max_exp_bits) * MontMulLimbOps(s2),
-                  BatchBytes(2 * cs.size(), s2), BatchBytes(cs.size(), s2),
-                  [&] {
-                    auto c = ctx.ScalarMulBatch(cs, ks, &host_pool());
-                    if (!c.ok()) {
-                      first_error = c.status();
-                      return;
-                    }
-                    out = std::move(c).value();
-                  })
-          .status());
-  FLB_RETURN_IF_ERROR(first_error);
-  return out;
+  return RunOp(HeOp::kScalarMul, ctx.pub().key_bits, cs.size(), scalar_bits,
+               [&] { return ctx.ScalarMulBatch(cs, ks, &host_pool()); });
 }
 
 Result<std::vector<BigInt>> GheEngine::RsaEncrypt(
@@ -842,59 +756,19 @@ Result<crypto::RsaKeyPair> GheEngine::RsaKeyGen(int key_bits, Rng& rng) {
 // Timing-only models
 // ---------------------------------------------------------------------------
 
-Result<gpusim::LaunchResult> GheEngine::ModelPaillierEncrypt(int key_bits,
-                                                             int64_t count) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  const uint64_t ops =
-      (EstimateModPowMontMuls(key_bits) + 3) * MontMulLimbOps(s2);
-  return LaunchBatch("ghe.model_encrypt", count, s2, ops,
-                     BatchBytes(count, s2 / 2), BatchBytes(count, s2),
-                     /*body=*/nullptr);
-}
-
-Result<gpusim::LaunchResult> GheEngine::ModelPaillierDecrypt(int key_bits,
-                                                             int64_t count,
-                                                             bool crt) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  const uint64_t ops =
-      crt ? 2 * EstimateModPowMontMuls(key_bits / 2) * MontMulLimbOps(s2 / 2)
-          : EstimateModPowMontMuls(key_bits) * MontMulLimbOps(s2);
-  return LaunchBatch("ghe.model_decrypt", count, s2, ops,
-                     BatchBytes(count, s2), BatchBytes(count, s2 / 2),
-                     /*body=*/nullptr);
-}
-
-Result<gpusim::LaunchResult> GheEngine::ModelPaillierAdd(int key_bits,
-                                                         int64_t count) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return LaunchBatch("ghe.model_add", count, s2, 3 * MontMulLimbOps(s2),
-                     BatchBytes(2 * count, s2), BatchBytes(count, s2),
-                     /*body=*/nullptr);
-}
-
-Result<gpusim::LaunchResult> GheEngine::ModelPaillierAddPlain(int key_bits,
-                                                              int64_t count) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return LaunchBatch("ghe.model_add_plain", count, s2, 4 * MontMulLimbOps(s2),
-                     BatchBytes(count, s2) + BatchBytes(count, s2 / 2),
-                     BatchBytes(count, s2), /*body=*/nullptr);
-}
-
-Result<gpusim::LaunchResult> GheEngine::ModelPaillierScalarMul(int key_bits,
-                                                               int64_t count,
-                                                               int exp_bits) {
-  const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
-  return LaunchBatch("ghe.model_scalar_mul", count, s2,
-                     EstimateModPowMontMuls(exp_bits) * MontMulLimbOps(s2),
-                     BatchBytes(2 * count, s2), BatchBytes(count, s2),
-                     /*body=*/nullptr);
+Result<gpusim::LaunchResult> GheEngine::ModelOp(HeOp op, int key_bits,
+                                                int64_t count, int width_bits,
+                                                std::function<void()> body) {
+  const HeOpCost cost = HeCost(op, key_bits, count, width_bits);
+  return LaunchBatch(LaunchName(op), count, cost.limbs, cost.limb_ops,
+                     cost.bytes_in, cost.bytes_out, std::move(body));
 }
 
 Result<gpusim::LaunchResult> GheEngine::ModelBatch(
     const char* name, int64_t count, size_t s, uint64_t limb_ops_per_elt,
-    size_t bytes_in, size_t bytes_out) {
+    size_t bytes_in, size_t bytes_out, std::function<void()> body) {
   return LaunchBatch(name, count, s, limb_ops_per_elt, bytes_in, bytes_out,
-                     /*body=*/nullptr);
+                     std::move(body));
 }
 
 double GheEngine::ModelTransferToDevice(size_t bytes) {

@@ -13,10 +13,13 @@
 // parallel kernel — see parallel_montgomery tests), and the device charges
 // modeled kernel + PCIe time to the SimClock.
 //
-// Model* variants run the identical launch geometry without a body; the FL
-// epoch benches use them to price millions of HE ops without executing
-// millions of 4096-bit exponentiations (DESIGN.md §1). Tests pin Model* op
-// counts to the counters observed on the real path.
+// The Paillier launches are priced from the HE cost table (he_cost.h).
+// ModelOp runs the identical launch from the same row without a body, and
+// ModelBatch prices any batch the caller describes, with an optional body:
+// HeService charges every HE op through it, so a modeled op and a real one
+// launch the same kernel. The tuner, the pipeline model and the paper
+// drivers price millions of HE ops through ModelOp without executing
+// millions of 4096-bit exponentiations (DESIGN.md §1, §4).
 
 #ifndef FLB_GHE_GHE_ENGINE_H_
 #define FLB_GHE_GHE_ENGINE_H_
@@ -29,6 +32,7 @@
 #include "src/common/rng.h"
 #include "src/crypto/paillier.h"
 #include "src/crypto/rsa.h"
+#include "src/ghe/he_cost.h"
 #include "src/gpusim/device.h"
 #include "src/mpint/bigint.h"
 
@@ -91,12 +95,6 @@ struct GheBatchStats {
   double overlap_saved_seconds = 0.0;
 };
 
-// Limb multiply-accumulates for one s-limb CIOS Montgomery multiplication.
-uint64_t MontMulLimbOps(size_t s);
-// Montgomery multiplications in one sliding-window exponentiation with an
-// exp_bits-bit exponent (squarings + window multiplies + table build).
-uint64_t EstimateModPowMontMuls(int exp_bits);
-
 class GheEngine {
  public:
   GheEngine(std::shared_ptr<gpusim::Device> device, GheConfig config = {});
@@ -148,10 +146,11 @@ class GheEngine {
       const crypto::PaillierContext& ctx, const std::vector<BigInt>& cs,
       const std::vector<BigInt>& ks);
   // Elementwise E(m_i)^{k_i} = E(k_i * m_i) — a full modular exponentiation
-  // per element.
+  // per element, priced at the declared exponent width `scalar_bits`
+  // (FixedPointScalarBits for fixed-point weights), never at the scalars.
   Result<std::vector<BigInt>> PaillierScalarMul(
       const crypto::PaillierContext& ctx, const std::vector<BigInt>& cs,
-      const std::vector<BigInt>& ks);
+      const std::vector<BigInt>& ks, int scalar_bits);
   Result<std::vector<BigInt>> RsaEncrypt(const crypto::RsaContext& ctx,
                                          const std::vector<BigInt>& ms);
   Result<std::vector<BigInt>> RsaDecrypt(const crypto::RsaContext& ctx,
@@ -169,32 +168,28 @@ class GheEngine {
   Result<crypto::PaillierKeyPair> PaillierKeyGen(int key_bits, Rng& rng);
   Result<crypto::RsaKeyPair> RsaKeyGen(int key_bits, Rng& rng);
 
-  // ---- Timing-only models (identical launch geometry, no body) --------------
-  // key_bits is the Paillier |n|; counts are elements in the batch.
-  Result<gpusim::LaunchResult> ModelPaillierEncrypt(int key_bits,
-                                                    int64_t count);
-  Result<gpusim::LaunchResult> ModelPaillierDecrypt(int key_bits,
-                                                    int64_t count,
-                                                    bool crt = true);
-  Result<gpusim::LaunchResult> ModelPaillierAdd(int key_bits, int64_t count);
-  Result<gpusim::LaunchResult> ModelPaillierAddPlain(int key_bits,
-                                                     int64_t count);
-  // exp_bits: bit length of the plaintext scalar.
-  Result<gpusim::LaunchResult> ModelPaillierScalarMul(int key_bits,
-                                                      int64_t count,
-                                                      int exp_bits);
+  // ---- Timing-only models ----------------------------------------------------
+  // A batch of `count` `op`s at `key_bits`, priced from the HE cost table:
+  // the launch the Paillier call above makes, without a body unless one is
+  // given. `width_bits` is the row's declared width (HeCost).
+  Result<gpusim::LaunchResult> ModelOp(HeOp op, int key_bits, int64_t count,
+                                       int width_bits = 0,
+                                       std::function<void()> body = nullptr);
   // Host<->device transfer charges for `bytes` (exposed so callers can model
   // staging of packed batches).
   double ModelTransferToDevice(size_t bytes);
   double ModelTransferFromDevice(size_t bytes);
 
-  // Generic timing-only batch: `count` elements of `s` limbs, each costing
-  // `limb_ops_per_elt` limb operations, moving in/out bytes over PCIe. The
-  // HeService prices its modeled HE ops through this so they ride the same
-  // chunked multi-stream path as the real batches.
+  // Generic batch: `count` elements of `s` limbs, each costing
+  // `limb_ops_per_elt` limb operations, moving in/out bytes over PCIe. With
+  // a `body`, the body computes the batch's results inside the launch and
+  // the host batch telemetry times it. HeService charges every HE op
+  // through this, so its ops ride the same chunked multi-stream path as the
+  // Table I batches.
   Result<gpusim::LaunchResult> ModelBatch(const char* name, int64_t count,
                                           size_t s, uint64_t limb_ops_per_elt,
-                                          size_t bytes_in, size_t bytes_out);
+                                          size_t bytes_in, size_t bytes_out,
+                                          std::function<void()> body = nullptr);
 
   // Launch diagnostics of the most recent kernel (utilization telemetry).
   // For a chunked batch this aggregates the chunks: sim_seconds is the
@@ -206,14 +201,18 @@ class GheEngine {
 
  private:
   // Shared launch path: one kernel over `count` elements of `s` limbs, each
-  // costing `mont_muls` Montgomery multiplications (or raw `limb_ops` when
-  // mont_muls == 0), moving in/out bytes over PCIe. With config_.streams > 1
-  // the batch is chunked across streams when the streamed timeline prices
-  // faster (always, when adaptive_chunking is off).
+  // costing `limb_ops_per_elt` limb operations, moving in/out bytes over
+  // PCIe. With config_.streams > 1 the batch is chunked across streams when
+  // the streamed timeline prices faster (always, when adaptive_chunking is
+  // off).
   Result<gpusim::LaunchResult> LaunchBatch(const char* name, int64_t count,
                                            size_t s, uint64_t limb_ops_per_elt,
                                            size_t bytes_in, size_t bytes_out,
                                            std::function<void()> body);
+  // A Paillier batch: `compute` runs as the body of ModelOp's launch.
+  Result<std::vector<BigInt>> RunOp(
+      HeOp op, int key_bits, int64_t count, int width_bits,
+      const std::function<Result<std::vector<BigInt>>()>& compute);
   Result<gpusim::LaunchResult> LaunchBatchAsync(
       const gpusim::KernelLaunch& proto, int64_t count, int64_t tpe,
       size_t bytes_in, size_t bytes_out, double serial_seconds,

@@ -274,34 +274,100 @@ TEST_F(GheEngineTest, ModelMatchesRealLaunchGeometry) {
 
   engine_.PaillierEncrypt(ctx, ms, rng).value();
   const auto real = engine_.last_launch();
-  const auto modeled = engine_.ModelPaillierEncrypt(256, 8).value();
+  const auto modeled = engine_.ModelOp(HeOp::kEncrypt, 256, 8).value();
   EXPECT_EQ(modeled.block_threads, real.block_threads);
   EXPECT_EQ(modeled.waves, real.waves);
   EXPECT_DOUBLE_EQ(modeled.occupancy, real.occupancy);
   EXPECT_DOUBLE_EQ(modeled.sim_seconds, real.sim_seconds);
 }
 
+TEST(HeCostTable, RowsEqualTheDirectFormulas) {
+  // Every row of the table against the formulas each charging path spelled
+  // out on its own before the table existed.
+  const int64_t n = 1000;
+  for (int key_bits : {1024, 2048, 4096}) {
+    SCOPED_TRACE(key_bits);
+    const size_t s2 = static_cast<size_t>(key_bits) * 2 / 32;
+    const uint64_t mont = MontMulLimbOps(s2);
+    const size_t cipher = n * s2 * 4;
+    const auto row = [&](HeOp op, int width) {
+      return HeCost(op, key_bits, n, width);
+    };
+    HeOpCost c = row(HeOp::kEncrypt, 0);
+    EXPECT_EQ(c.limbs, s2);
+    EXPECT_EQ(c.limb_ops, (EstimateModPowMontMuls(key_bits) + 3) * mont);
+    EXPECT_EQ(c.bytes_in, n * s2 * 2);
+    EXPECT_EQ(c.bytes_out, cipher);
+    c = row(HeOp::kDecrypt, 0);
+    EXPECT_EQ(c.limbs, s2);
+    EXPECT_EQ(c.limb_ops, 2 * EstimateModPowMontMuls(key_bits / 2) *
+                              MontMulLimbOps(s2 / 2));
+    EXPECT_EQ(c.bytes_in, cipher);
+    EXPECT_EQ(c.bytes_out, n * s2 * 2);
+    c = row(HeOp::kAdd, 0);
+    EXPECT_EQ(c.limb_ops, 3 * mont);
+    EXPECT_EQ(c.bytes_in, 2 * cipher);
+    EXPECT_EQ(c.bytes_out, cipher);
+    c = row(HeOp::kAddPlain, 0);
+    EXPECT_EQ(c.limb_ops, 4 * mont);
+    EXPECT_EQ(c.bytes_in, n * s2 * 6);
+    EXPECT_EQ(c.bytes_out, cipher);
+    c = row(HeOp::kScalarMul, FixedPointScalarBits(24));
+    EXPECT_EQ(c.limb_ops, EstimateModPowMontMuls(34) * mont);
+    EXPECT_EQ(c.bytes_in, 2 * cipher);
+    EXPECT_EQ(c.bytes_out, cipher);
+    c = row(HeOp::kPack, 62);
+    const auto slots = static_cast<size_t>((key_bits - 2) / 62);
+    EXPECT_EQ(CipherPackSlots(key_bits, 62), static_cast<int>(slots));
+    EXPECT_EQ(c.limb_ops, (62 + 6) * mont);
+    EXPECT_EQ(c.bytes_in, 2 * cipher);
+    EXPECT_EQ(c.bytes_out, (n + slots - 1) / slots * s2 * 4);
+  }
+  // The primitives themselves, at 1024 bits.
+  EXPECT_EQ(MontMulLimbOps(64), 8640u);
+  EXPECT_EQ(EstimateModPowMontMuls(1024), 1206u);
+  EXPECT_EQ(HeCost(HeOp::kEncrypt, 1024, 1).limb_ops, 10445760u);
+  EXPECT_EQ(HeCost(HeOp::kDecrypt, 1024, 1).limb_ops, 2803648u);
+  EXPECT_EQ(HeCost(HeOp::kScalarMul, 1024, 1, 34).limb_ops, 432000u);
+  EXPECT_EQ(FixedPointScalarBits(24), 34);
+}
+
+TEST_F(GheEngineTest, ScalarMulPricesTheDeclaredWidthNotTheScalars) {
+  // A price that read the scalars would leak them into the simulated clock:
+  // short and full-width scalars must cost the same at one declared width.
+  Rng rng(17);
+  auto keys = crypto::PaillierKeyGen(256, rng).value();
+  auto ctx = crypto::PaillierContext::Create(keys).value();
+  const std::vector<BigInt> cs =
+      engine_.PaillierEncrypt(ctx, std::vector<BigInt>(4, BigInt(3)), rng)
+          .value();
+  const std::vector<BigInt> small(4, BigInt(5));
+  const std::vector<BigInt> wide(4, BigInt::Sub(keys.pub.n, BigInt(5)) >> 1);
+  engine_.PaillierScalarMul(ctx, cs, small, 34).value();
+  const double small_seconds = engine_.last_launch().sim_seconds;
+  engine_.PaillierScalarMul(ctx, cs, wide, 34).value();
+  EXPECT_EQ(engine_.last_launch().sim_seconds, small_seconds);
+  EXPECT_EQ(engine_.ModelOp(HeOp::kScalarMul, 256, 4, 34)->sim_seconds,
+            small_seconds);
+}
+
 TEST_F(GheEngineTest, LargerKeysCostMore) {
-  const double t1024 = engine_.ModelPaillierEncrypt(1024, 1024)->sim_seconds;
-  const double t2048 = engine_.ModelPaillierEncrypt(2048, 1024)->sim_seconds;
-  const double t4096 = engine_.ModelPaillierEncrypt(4096, 1024)->sim_seconds;
+  const auto seconds = [&](int key_bits) {
+    return engine_.ModelOp(HeOp::kEncrypt, key_bits, 1024)->sim_seconds;
+  };
+  const double t1024 = seconds(1024);
+  const double t2048 = seconds(2048);
+  const double t4096 = seconds(4096);
   // Cost grows superlinearly in key size (more mont-muls x bigger mont-muls).
   EXPECT_GT(t2048, 3 * t1024);
   EXPECT_GT(t4096, 3 * t2048);
 }
 
-TEST_F(GheEngineTest, DecryptCrtCheaperThanPlain) {
-  const double crt = engine_.ModelPaillierDecrypt(1024, 256, true)->sim_seconds;
-  const double plain =
-      engine_.ModelPaillierDecrypt(1024, 256, false)->sim_seconds;
-  EXPECT_LT(crt, plain);
-}
-
 TEST_F(GheEngineTest, BatchingAmortizesLaunchCost) {
   // Per-element cost should drop as the batch grows (launch latency and
   // partial-wave waste amortize out).
-  const double t1 = engine_.ModelPaillierAdd(1024, 1)->sim_seconds;
-  const double t4096 = engine_.ModelPaillierAdd(1024, 4096)->sim_seconds;
+  const double t1 = engine_.ModelOp(HeOp::kAdd, 1024, 1)->sim_seconds;
+  const double t4096 = engine_.ModelOp(HeOp::kAdd, 1024, 4096)->sim_seconds;
   EXPECT_LT(t4096 / 4096.0, t1);
 }
 
@@ -317,8 +383,8 @@ TEST(GheEngineUtilization, FlboosterBeatsHafloStyleConfig) {
   haflo_cfg.words_per_thread = 16;  // coarse split: fewer, heavier threads
   GheEngine fl(fl_device), haflo(haflo_device, haflo_cfg);
 
-  const auto r_fl = fl.ModelPaillierEncrypt(2048, 100000).value();
-  const auto r_haflo = haflo.ModelPaillierEncrypt(2048, 100000).value();
+  const auto r_fl = fl.ModelOp(HeOp::kEncrypt, 2048, 100000).value();
+  const auto r_haflo = haflo.ModelOp(HeOp::kEncrypt, 2048, 100000).value();
   EXPECT_GE(r_fl.sm_utilization, r_haflo.sm_utilization);
   EXPECT_LT(r_fl.sim_seconds, r_haflo.sim_seconds);
 }
@@ -367,8 +433,8 @@ TEST(GheStreams, SingleStreamConfigMatchesLegacyPathExactly) {
   GheEngine legacy(MakeDevice(&legacy_clock));
   GheEngine configured(MakeDevice(&streams_clock), one_stream);
 
-  legacy.ModelPaillierAdd(2048, 1 << 14).value();
-  configured.ModelPaillierAdd(2048, 1 << 14).value();
+  legacy.ModelOp(HeOp::kAdd, 2048, 1 << 14).value();
+  configured.ModelOp(HeOp::kAdd, 2048, 1 << 14).value();
   EXPECT_DOUBLE_EQ(streams_clock.Elapsed(CostKind::kGpuKernel),
                    legacy_clock.Elapsed(CostKind::kGpuKernel));
   EXPECT_DOUBLE_EQ(streams_clock.Elapsed(CostKind::kPcieTransfer),
@@ -428,8 +494,8 @@ TEST(GheStreams, OverlapBeatsSerialOnTransferBoundBatches) {
   GheEngine serial(MakeDevice(&serial_clock));
   GheEngine overlapped(MakeDevice(&overlap_clock), four);
 
-  serial.ModelPaillierAdd(2048, 1 << 16).value();
-  overlapped.ModelPaillierAdd(2048, 1 << 16).value();
+  serial.ModelOp(HeOp::kAdd, 2048, 1 << 16).value();
+  overlapped.ModelOp(HeOp::kAdd, 2048, 1 << 16).value();
 
   EXPECT_TRUE(overlapped.last_batch().async);
   EXPECT_EQ(overlapped.last_batch().streams, 4);
@@ -453,23 +519,23 @@ TEST(GheStreams, AdaptiveChunkingKeepsSmallBatchesSerial) {
   GheEngine one(MakeDevice(&one_clock));
   GheEngine adaptive(MakeDevice(&four_clock), four);
 
-  one.ModelPaillierEncrypt(1024, 64).value();
-  adaptive.ModelPaillierEncrypt(1024, 64).value();
+  one.ModelOp(HeOp::kEncrypt, 1024, 64).value();
+  adaptive.ModelOp(HeOp::kEncrypt, 1024, 64).value();
   EXPECT_FALSE(adaptive.last_batch().async);
   EXPECT_DOUBLE_EQ(four_clock.Now(), one_clock.Now());
 }
 
 TEST(GheStreams, SetStreamsRetargetsSubsequentBatches) {
   GheEngine engine(MakeDevice());
-  engine.ModelPaillierAdd(2048, 1 << 16).value();
+  engine.ModelOp(HeOp::kAdd, 2048, 1 << 16).value();
   EXPECT_FALSE(engine.last_batch().async);
   engine.set_streams(4);
-  engine.ModelPaillierAdd(2048, 1 << 16).value();
+  engine.ModelOp(HeOp::kAdd, 2048, 1 << 16).value();
   EXPECT_TRUE(engine.last_batch().async);
   const double overlapped = engine.last_batch().makespan_seconds;
   EXPECT_LT(overlapped, engine.last_batch().serial_seconds);
   engine.set_streams(1);
-  engine.ModelPaillierAdd(2048, 1 << 16).value();
+  engine.ModelOp(HeOp::kAdd, 2048, 1 << 16).value();
   EXPECT_FALSE(engine.last_batch().async);
 }
 

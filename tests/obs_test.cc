@@ -421,7 +421,7 @@ TEST_F(ObsTest, MultiStreamGheTraceShowsCopyComputeOverlap) {
   cfg.streams = 4;
   cfg.adaptive_chunking = false;  // force the chunked path
   ghe::GheEngine engine(device, cfg);
-  ASSERT_TRUE(engine.ModelPaillierAdd(1024, 1 << 14).ok());
+  ASSERT_TRUE(engine.ModelOp(ghe::HeOp::kAdd, 1024, 1 << 14).ok());
   ASSERT_TRUE(engine.last_batch().async);
   ASSERT_EQ(engine.last_batch().chunks, 4);
 

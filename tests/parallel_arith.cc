@@ -1,4 +1,4 @@
-#include "src/ghe/parallel_arith.h"
+#include "tests/parallel_arith.h"
 
 #include <algorithm>
 

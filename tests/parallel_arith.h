@@ -16,11 +16,12 @@
 // Each function is a host-side transcription of that decomposition: threads
 // own contiguous limb slices, carries/borrows crossing slice boundaries are
 // counted as inter-thread communications, and results are asserted
-// bit-exact against the BigInt reference in tests. The timing model uses
-// the op/communication counts these return.
+// bit-exact against the BigInt reference in parallel_arith_test.cc. Only
+// that test uses them: GheEngine prices ghe.add/sub/mul/div from its own
+// limb formulas, not from these counts.
 
-#ifndef FLB_GHE_PARALLEL_ARITH_H_
-#define FLB_GHE_PARALLEL_ARITH_H_
+#ifndef FLB_TESTS_PARALLEL_ARITH_H_
+#define FLB_TESTS_PARALLEL_ARITH_H_
 
 #include "src/common/result.h"
 #include "src/ghe/parallel_montgomery.h"
@@ -56,4 +57,4 @@ Result<std::pair<BigInt, BigInt>> ParallelDivMod(const BigInt& a,
 
 }  // namespace flb::ghe
 
-#endif  // FLB_GHE_PARALLEL_ARITH_H_
+#endif  // FLB_TESTS_PARALLEL_ARITH_H_

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/ghe/parallel_arith.h"
+#include "tests/parallel_arith.h"
 
 namespace flb::ghe {
 namespace {

@@ -7,6 +7,7 @@
 
 #include "src/core/transport.h"
 #include "src/gpusim/device.h"
+#include "src/net/serializer.h"
 
 namespace flb::core {
 namespace {
@@ -107,6 +108,50 @@ TEST(TransportTest, CorruptPayloadRejected) {
   Rig rig(false);
   ASSERT_TRUE(rig.network.Send("a", "b", "junk", {1, 2, 3}).ok());
   EXPECT_FALSE(RecvEncVec(&rig.network, "b", "junk").ok());
+}
+
+TEST(TransportTest, ShapeLiesAreInvalidArgument) {
+  // count, slots_per_cipher and fp_slot_bits arrive off the wire; each op
+  // checks them against the ciphertexts before indexing by them.
+  const std::vector<double> values{1.5, -2.25, 0.125};
+  for (bool modeled : {false, true}) {
+    SCOPED_TRACE(modeled ? "modeled" : "real");
+    Rig rig(modeled);
+    const EncVec enc = rig.he->EncryptFixedPoint(values).value();
+
+    EncVec no_slots = enc;  // would divide by zero while decoding
+    no_slots.slots_per_cipher = 0;
+    no_slots.fp_slot_bits = 32;
+    EXPECT_TRUE(
+        rig.he->DecryptFixedPoint(no_slots).status().IsInvalidArgument());
+
+    EncVec overcount = enc;  // would read past the decrypted plaintexts
+    overcount.count = enc.count + 5;
+    EXPECT_TRUE(
+        rig.he->DecryptFixedPoint(overcount).status().IsInvalidArgument());
+
+    EncVec wide = enc;  // would shift a 64-bit offset by 199 bits
+    wide.fp_slot_bits = 200;
+    EXPECT_TRUE(rig.he->DecryptFixedPoint(wide).status().IsInvalidArgument());
+
+    EncVec extra = enc;  // would read past the scalars
+    extra.data.push_back(enc.data[0]);
+    EXPECT_TRUE(rig.he->ScalarMulFixedPoint(extra, values)
+                    .status()
+                    .IsInvalidArgument());
+  }
+
+  Rig rig(false);
+  // A 40-byte header claiming 0xFFFFFFF0 ciphertexts of 16 words each.
+  net::Serializer s;
+  s.PutU32(static_cast<uint32_t>(EncLayout::kFixedPoint));
+  s.PutU64(3);
+  for (uint32_t field : {1u, 1u, 0u, 0u, 0u, 16u, 0xFFFFFFF0u}) {
+    s.PutU32(field);
+  }
+  ASSERT_EQ(s.size(), 40u);
+  ASSERT_TRUE(rig.network.Send("a", "b", "lie", s.TakeBytes()).ok());
+  EXPECT_TRUE(RecvEncVec(&rig.network, "b", "lie").status().IsInvalidArgument());
 }
 
 }  // namespace
