@@ -1,5 +1,6 @@
-// Shared workload definitions and table formatting for the experiment
-// regenerators (one binary per paper table/figure; see DESIGN.md §3).
+// Shared workload definitions and BenchJson export for the bench drivers:
+// bench_paper (every paper table and figure, with the shape claims checked),
+// bench_table4_throughput and bench_pipeline (see DESIGN.md §3).
 //
 // Shapes are container-scale versions of the paper's corpora (Table II);
 // the *ratios* between engines, models, datasets, and key sizes are the
@@ -182,12 +183,14 @@ class BenchJson {
 // Starts a new bench section: prints the header, scopes subsequent
 // BenchJson::Record calls, and resets the unified metrics plane (registry
 // counters AND every registered source — DeviceStats, NetworkStats, HE op
-// counts) so per-section numbers are never cumulative.
-inline void BeginSection(const std::string& title) {
+// counts) so per-section numbers are never cumulative. bench_paper keeps
+// the plane (reset_metrics = false): its memoized runs serve several
+// sections, so the export at exit holds them all.
+inline void BeginSection(const std::string& title, bool reset_metrics = true) {
   PrintHeader(title);
   BenchJson::Global().set_section(title);
   obs::RunStatus::Global().SetSection(title);
-  obs::MetricsRegistry::Global().ResetAll();
+  if (reset_metrics) obs::MetricsRegistry::Global().ResetAll();
 }
 
 // At-exit export of the observability artifacts, gated on the environment:
@@ -258,22 +261,6 @@ inline core::RunReport MustRun(const PlatformConfig& cfg) {
     std::abort();
   }
   return std::move(report).value();
-}
-
-inline std::string Short(FlModelKind model) {
-  switch (model) {
-    case FlModelKind::kHomoLr:
-      return "Homo LR";
-    case FlModelKind::kHeteroLr:
-      return "Hetero LR";
-    case FlModelKind::kHeteroSbt:
-      return "Hetero SBT";
-    case FlModelKind::kHeteroNn:
-      return "Hetero NN";
-    case FlModelKind::kHomoNn:
-      return "Homo NN";
-  }
-  return "?";
 }
 
 }  // namespace flb::bench

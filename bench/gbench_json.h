@@ -1,11 +1,12 @@
 // google-benchmark -> BenchJson bridge.
 //
-// The table/figure regenerators (bench_table*, bench_fig*) export their
-// numbers through bench_common.h's BenchJson ({bench, section, metric,
-// value, unit} rows, written to FLB_BENCH_JSON at exit, validated by
-// scripts/validate_obs_json.sh). The microbenchmarks (bench_paillier,
-// bench_montgomery) are google-benchmark binaries, whose own JSON speaks a
-// different schema — so the CI perf-regression job could not consume them.
+// The table/figure drivers (bench_paper, bench_table4_throughput,
+// bench_pipeline) export their numbers through bench_common.h's BenchJson
+// ({bench, section, metric, value, unit} rows, written to FLB_BENCH_JSON at
+// exit, validated by scripts/validate_obs_json.sh). The microbenchmarks
+// (bench_paillier, bench_montgomery) are google-benchmark binaries, whose
+// own JSON speaks a different schema — so the CI perf-regression job could
+// not consume them.
 //
 // FLB_GBENCH_MAIN() replaces BENCHMARK_MAIN(): console output is unchanged
 // (the reporter *is* a ConsoleReporter), and every completed per-iteration

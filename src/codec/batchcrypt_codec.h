@@ -13,9 +13,9 @@
 // FLBooster's Quantizer instead reserves b = ceil(log2 p) bits for p
 // participants (Eq. 8), making same-sign accumulation overflow-free by
 // construction. This codec exists to reproduce that §II claim
-// experimentally (see codec tests and bench_batchcrypt_overflow): identical
-// offset-binary slot encoding, the only difference being the headroom
-// policy.
+// experimentally (see codec tests and bench_paper's §II section):
+// identical offset-binary slot encoding, the only difference being the
+// headroom policy.
 
 #ifndef FLB_CODEC_BATCHCRYPT_CODEC_H_
 #define FLB_CODEC_BATCHCRYPT_CODEC_H_

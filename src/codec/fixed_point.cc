@@ -1,6 +1,7 @@
 #include "src/codec/fixed_point.h"
 
 #include <cmath>
+#include <cstdint>
 
 namespace flb::codec {
 
@@ -47,6 +48,12 @@ Result<BigInt> FixedPointCodec::Encode(double v) const {
 Result<double> FixedPointCodec::Decode(const BigInt& x, int scale_muls) const {
   if (x >= n_) {
     return Status::OutOfRange("FixedPointCodec::Decode: residue >= n");
+  }
+  // The scale 2^(f * (1 + scale_muls)) must fit below the modulus.
+  if (scale_muls < 0 ||
+      int64_t{frac_bits_} * (1 + int64_t{scale_muls}) >= n_.BitLength()) {
+    return Status::InvalidArgument(
+        "FixedPointCodec::Decode: scale_muls outside the modulus");
   }
   const double total_scale = std::ldexp(1.0, frac_bits_ * (1 + scale_muls));
   if (x > half_n_) {

@@ -39,7 +39,8 @@ class FixedPointCodec {
   // (sign would become ambiguous).
   Result<BigInt> Encode(double v) const;
   // Inverse; `scale_muls` is how many fixed-point multiplications the value
-  // has accumulated (each multiplies the scale by 2^f).
+  // has accumulated (each multiplies the scale by 2^f). InvalidArgument when
+  // scale_muls < 0 or f * (1 + scale_muls) reaches the modulus' bit length.
   Result<double> Decode(const BigInt& x, int scale_muls = 0) const;
 
   // Signed scalar as a Paillier exponent: w -> round(w * 2^f) mod n, so

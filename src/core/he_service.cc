@@ -29,6 +29,20 @@ BigInt SignFoldedMulMod(const BigInt& c, const BigInt& k, const BigInt& n,
   return BigInt::Sub(n, r);
 }
 
+// Every field of v but its ciphertexts: an op's result starts from its
+// input's header without copying the input's data.
+EncVec HeaderOf(const EncVec& v) {
+  EncVec h;
+  h.layout = v.layout;
+  h.count = v.count;
+  h.slots_per_cipher = v.slots_per_cipher;
+  h.contributors = v.contributors;
+  h.scale_muls = v.scale_muls;
+  h.fp_slot_bits = v.fp_slot_bits;
+  h.modeled = v.modeled;
+  return h;
+}
+
 }  // namespace
 
 HeService::HeService(const HeServiceOptions& options, SimClock* clock,
@@ -172,6 +186,18 @@ Status HeService::CheckLayout(const EncVec& v, EncLayout expected,
     return Status::InvalidArgument(
         std::string(op) + ": EncVec count does not match its ciphertexts");
   }
+  // Decoding sums `contributors` slot contributions and divides by
+  // 2^(frac_bits * (1 + scale_muls)); both arrive off the wire too.
+  if (v.contributors < 1 || v.contributors > options_.participants) {
+    return Status::InvalidArgument(
+        std::string(op) + ": EncVec contributors outside [1, participants]");
+  }
+  if (v.scale_muls < 0 ||
+      int64_t{options_.frac_bits} * (1 + int64_t{v.scale_muls}) >=
+          options_.key_bits) {
+    return Status::InvalidArgument(
+        std::string(op) + ": EncVec fixed-point scale exceeds the key");
+  }
   return Status::OK();
 }
 
@@ -239,28 +265,35 @@ Result<std::vector<BigInt>> HeService::DecryptBatch(
 }
 
 Result<std::vector<BigInt>> HeService::AddBatch(
-    std::vector<BigInt> a, const std::vector<BigInt>& b) const {
+    const std::vector<BigInt>& a, const std::vector<BigInt>& b) const {
   if (!options_.modeled) return paillier_->AddBatch(a, b, host_pool_);
-  for (size_t i = 0; i < a.size(); ++i) a[i].AddModInPlace(b[i], n_);
-  return a;
+  std::vector<BigInt> sums = a;
+  for (size_t i = 0; i < sums.size(); ++i) sums[i].AddModInPlace(b[i], n_);
+  return sums;
 }
 
 Result<std::vector<BigInt>> HeService::AddPlainBatch(
-    std::vector<BigInt> cs, const std::vector<BigInt>& plains) const {
+    const std::vector<BigInt>& cs, const std::vector<BigInt>& plains) const {
   if (!options_.modeled) {
     return paillier_->AddPlainBatch(cs, plains, host_pool_);
   }
-  for (size_t i = 0; i < cs.size(); ++i) cs[i].AddModInPlace(plains[i], n_);
-  return cs;
+  std::vector<BigInt> sums = cs;
+  for (size_t i = 0; i < sums.size(); ++i) {
+    sums[i].AddModInPlace(plains[i], n_);
+  }
+  return sums;
 }
 
 Result<std::vector<BigInt>> HeService::ScalarMulBatch(
-    std::vector<BigInt> cs, const std::vector<BigInt>& ks) const {
+    const std::vector<BigInt>& cs, const std::vector<BigInt>& ks) const {
   if (!options_.modeled) return paillier_->ScalarMulBatch(cs, ks, host_pool_);
+  std::vector<BigInt> products;
+  products.reserve(cs.size());
   for (size_t i = 0; i < cs.size(); ++i) {
-    cs[i] = SignFoldedMulMod(cs[i], ks[i], n_, fp_codec_->half_modulus());
+    products.push_back(
+        SignFoldedMulMod(cs[i], ks[i], n_, fp_codec_->half_modulus()));
   }
-  return cs;
+  return products;
 }
 
 Result<std::vector<BigInt>> HeService::FoldGroups(
@@ -371,12 +404,11 @@ Result<EncVec> HeService::AddCipher(const EncVec& a, const EncVec& b) {
         "AddCipher: contributor total would exceed the quantizer's overflow "
         "headroom");
   }
-  EncVec out = a;
+  EncVec out = HeaderOf(a);
   out.contributors = a.contributors + b.contributors;
   FLB_ASSIGN_OR_RETURN(
-      out.data, ChargeBatch("he.add", HeOp::kAdd, a.data.size(), [&] {
-        return AddBatch(std::move(out.data), b.data);
-      }));
+      out.data, ChargeBatch("he.add", HeOp::kAdd, a.data.size(),
+                            [&] { return AddBatch(a.data, b.data); }));
   op_cells_.hom_adds.fetch_add(a.data.size(), std::memory_order_relaxed);
   return out;
 }
@@ -395,12 +427,11 @@ Result<EncVec> HeService::AddPlainValues(const EncVec& c,
   if (plains.size() != c.data.size()) {
     return Status::Internal("AddPlainValues: packing layout mismatch");
   }
-  EncVec out = c;
+  EncVec out = HeaderOf(c);
   out.contributors = c.contributors + 1;
   FLB_ASSIGN_OR_RETURN(
-      out.data,
-      ChargeBatch("he.add_plain", HeOp::kAddPlain, plains.size(),
-                  [&] { return AddPlainBatch(std::move(out.data), plains); }));
+      out.data, ChargeBatch("he.add_plain", HeOp::kAddPlain, plains.size(),
+                            [&] { return AddPlainBatch(c.data, plains); }));
   op_cells_.hom_adds.fetch_add(plains.size(), std::memory_order_relaxed);
   return out;
 }
@@ -467,11 +498,10 @@ Result<EncVec> HeService::AddFixedPoint(const EncVec& a, const EncVec& b) {
     return Status::InvalidArgument(
         "AddFixedPoint: operands must be unpacked with matching scales");
   }
-  EncVec out = a;
+  EncVec out = HeaderOf(a);
   FLB_ASSIGN_OR_RETURN(
-      out.data, ChargeBatch("he.fp_add", HeOp::kAdd, a.data.size(), [&] {
-        return AddBatch(std::move(out.data), b.data);
-      }));
+      out.data, ChargeBatch("he.fp_add", HeOp::kAdd, a.data.size(),
+                            [&] { return AddBatch(a.data, b.data); }));
   op_cells_.hom_adds.fetch_add(a.data.size(), std::memory_order_relaxed);
   return out;
 }
@@ -490,12 +520,12 @@ Result<EncVec> HeService::ScalarMulFixedPoint(
     FLB_ASSIGN_OR_RETURN(BigInt k, fp_codec_->EncodeScalar(w));
     ks.push_back(std::move(k));
   }
-  EncVec out = c;
+  EncVec out = HeaderOf(c);
   out.scale_muls = c.scale_muls + 1;
   FLB_ASSIGN_OR_RETURN(
       out.data,
       ChargeBatch("he.fp_scalar_mul", HeOp::kScalarMul, c.data.size(),
-                  [&] { return ScalarMulBatch(std::move(out.data), ks); },
+                  [&] { return ScalarMulBatch(c.data, ks); },
                   ghe::FixedPointScalarBits(options_.frac_bits)));
   op_cells_.scalar_muls.fetch_add(c.data.size(), std::memory_order_relaxed);
   return out;
@@ -520,7 +550,7 @@ Result<EncVec> HeService::WeightedSums(
       term_weights.push_back(term.weight);
     }
   }
-  EncVec flat = c;
+  EncVec flat = HeaderOf(c);
   flat.count = term_ciphers.size();
   flat.data = std::move(term_ciphers);
   FLB_ASSIGN_OR_RETURN(EncVec products, ScalarMulFixedPoint(flat, term_weights));

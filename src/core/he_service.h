@@ -252,8 +252,10 @@ class HeService : public obs::MetricsSource {
                                           int64_t count,
                                           const Compute& compute,
                                           int width_bits = 0);
-  // Rejects a vector of the wrong layout or mode, or whose count, slots and
-  // slot width disagree with its ciphertexts.
+  // Rejects a vector of the wrong layout or mode, whose count, slots and
+  // slot width disagree with its ciphertexts, whose contributors fall
+  // outside [1, participants], or whose scale 2^(frac_bits * (1 +
+  // scale_muls)) does not fit below the key.
   Status CheckLayout(const EncVec& v, EncLayout expected,
                      const char* op) const;
   // Packed-sum plaintexts: BC-packed, or one quantized slot each.
@@ -262,15 +264,15 @@ class HeService : public obs::MetricsSource {
 
   // ---- Compute: one batch on the shadow residues (modeled) or through the
   // PaillierContext batch call both real engines run. Inputs are validated
-  // by the caller.
+  // by the caller; the real path only reads them.
   Result<std::vector<BigInt>> EncryptBatch(std::vector<BigInt> plains);
   Result<std::vector<BigInt>> DecryptBatch(const std::vector<BigInt>& cs) const;
-  Result<std::vector<BigInt>> AddBatch(std::vector<BigInt> a,
+  Result<std::vector<BigInt>> AddBatch(const std::vector<BigInt>& a,
                                        const std::vector<BigInt>& b) const;
   Result<std::vector<BigInt>> AddPlainBatch(
-      std::vector<BigInt> cs, const std::vector<BigInt>& plains) const;
+      const std::vector<BigInt>& cs, const std::vector<BigInt>& plains) const;
   Result<std::vector<BigInt>> ScalarMulBatch(
-      std::vector<BigInt> cs, const std::vector<BigInt>& ks) const;
+      const std::vector<BigInt>& cs, const std::vector<BigInt>& ks) const;
   // Sums terms[i] over each group's indices: residues add mod n (modeled);
   // ciphertexts multiply mod n^2, one group per host pool task (real). An
   // empty group sums to zero, in real mode a fresh E(0) encrypted serially

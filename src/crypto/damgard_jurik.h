@@ -14,7 +14,7 @@
 // space is s*k bits for a (s+1)*k-bit ciphertext, so batch compression
 // packs s times more slots per ciphertext and the ciphertext expansion
 // factor falls from 2x (Paillier) toward (s+1)/s — an extension the paper
-// leaves on the table (see bench_damgard_jurik).
+// leaves on the table (see bench_paper's Damgård–Jurik section).
 
 #ifndef FLB_CRYPTO_DAMGARD_JURIK_H_
 #define FLB_CRYPTO_DAMGARD_JURIK_H_

@@ -111,8 +111,8 @@ TEST(TransportTest, CorruptPayloadRejected) {
 }
 
 TEST(TransportTest, ShapeLiesAreInvalidArgument) {
-  // count, slots_per_cipher and fp_slot_bits arrive off the wire; each op
-  // checks them against the ciphertexts before indexing by them.
+  // count, slots_per_cipher, fp_slot_bits, scale_muls and contributors
+  // arrive off the wire; each op checks them before using them.
   const std::vector<double> values{1.5, -2.25, 0.125};
   for (bool modeled : {false, true}) {
     SCOPED_TRACE(modeled ? "modeled" : "real");
@@ -139,6 +139,34 @@ TEST(TransportTest, ShapeLiesAreInvalidArgument) {
     EXPECT_TRUE(rig.he->ScalarMulFixedPoint(extra, values)
                     .status()
                     .IsInvalidArgument());
+
+    // scale_muls and contributors cross the wire as u32s. Decoding scales by
+    // 2^(frac_bits * (1 + scale_muls)) and sums `contributors` slots, and
+    // ScalarMulFixedPoint and AddCipher add to them: each would overflow.
+    auto relay = [&](const EncVec& v) {
+      EXPECT_TRUE(SendEncVec(&rig.network, *rig.he, "a", "b", "lie", v).ok());
+      return RecvEncVec(&rig.network, "b", "lie").value();
+    };
+    for (uint32_t scale_muls : {0x7FFFFFFFu, 0xFFFFFFFFu}) {
+      SCOPED_TRACE(scale_muls);
+      EncVec lie = enc;
+      lie.scale_muls = static_cast<int>(scale_muls);
+      const EncVec got = relay(lie);
+      EXPECT_TRUE(rig.he->DecryptFixedPoint(got).status().IsInvalidArgument());
+      EXPECT_TRUE(rig.he->ScalarMulFixedPoint(got, values)
+                      .status()
+                      .IsInvalidArgument());
+    }
+    const EncVec summed = rig.he->EncryptValues(values).value();
+    for (uint32_t contributors : {0u, 0x7FFFFFFFu}) {
+      SCOPED_TRACE(contributors);
+      EncVec lie = summed;
+      lie.contributors = static_cast<int>(contributors);
+      const EncVec got = relay(lie);
+      EXPECT_TRUE(rig.he->DecryptValues(got).status().IsInvalidArgument());
+      EXPECT_TRUE(
+          rig.he->AddCipher(got, summed).status().IsInvalidArgument());
+    }
   }
 
   Rig rig(false);
