@@ -44,8 +44,8 @@ if driver.get("name") != "flb_analyze":
     die("tool.driver.name must be 'flb_analyze'")
 rules = driver.get("rules", [])
 ids = [r.get("id") for r in rules]
-if ids != ["FLB007", "FLB008", "FLB009"]:
-    die(f"rule table must be FLB007..FLB009 in order, got {ids}")
+if ids != [f"FLB{n:03d}" for n in range(1, 10)]:
+    die(f"rule table must be FLB001..FLB009 in order, got {ids}")
 for r in rules:
     if not r.get("shortDescription", {}).get("text"):
         die(f"rule {r.get('id')} missing shortDescription.text")

@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Opt-in developer hook installer. Writes a pre-commit hook that runs
-# flb_lint + flb_analyze + clang-format over the STAGED C++ files only —
-# the same checks the CI lint job runs over the whole tree, scoped down so
-# a commit stays fast. Nothing in the build or CI depends on this; it is
-# purely a local early-warning net.
+# flb_analyze over the STAGED src/ tree — the same command, exceptions and
+# baseline the CI lint job runs, so a clean hook means a green lint job —
+# plus clang-format over the staged C++ files. Nothing in the build or CI
+# depends on this; it is purely a local early-warning net.
 #
 # Usage:
 #   ./scripts/install_hooks.sh              # install / refresh
 #   ./scripts/install_hooks.sh --uninstall  # remove (only our hook)
 #
-# The hook respects FLB_HOOK_BUILD_DIR (default: build) for prebuilt tool
-# binaries and builds them on first use if missing. Bypass a single commit
+# The hook respects FLB_HOOK_BUILD_DIR (default: build) for a prebuilt
+# flb_analyze and builds it on first use if missing. Bypass a single commit
 # with `git commit --no-verify`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,41 +37,43 @@ mkdir -p "$(dirname "$HOOK")"
 cat > "$HOOK" <<EOF
 #!/usr/bin/env bash
 $MARKER  (installed by scripts/install_hooks.sh; edit there, not here)
-# Lints the staged versions of changed C++ files: flb_lint (FLB001-005),
-# flb_analyze (FLB007-009, with the checked-in layering exceptions and
-# baseline), and clang-format when available. Skip once: --no-verify.
+# Checks the staged tree as it will be committed: flb_analyze
+# (FLB001-FLB009) over all of src/ with the staged layering exceptions and
+# baseline — the command scripts/run_lint.sh runs, so cross-file checks
+# (FLB005's Status names, call resolution, layering) see the whole tree —
+# and clang-format over the staged C++ files when available. Skip once:
+# --no-verify.
 set -euo pipefail
 repo="\$(git rev-parse --show-toplevel)"
 build="\${FLB_HOOK_BUILD_DIR:-\$repo/build}"
+exceptions=tools/flb_analyze/layering_exceptions.txt
+baseline=tools/flb_analyze/analyze_baseline.txt
 
 mapfile -t staged < <(git diff --cached --name-only --diff-filter=ACMR -- \\
   '*.h' '*.cc' '*.cpp' | grep -E '^(src|tools|bench)/' || true)
-if [ "\${#staged[@]}" -eq 0 ]; then
+if [ "\${#staged[@]}" -eq 0 ] && git diff --cached --quiet -- src \\
+    "\$exceptions" "\$baseline"; then
   exit 0
 fi
 
-lint="\$build/tools/flb_lint/flb_lint"
 analyze="\$build/tools/flb_analyze/flb_analyze"
-if [ ! -x "\$lint" ] || [ ! -x "\$analyze" ]; then
-  echo "pre-commit: building flb_lint + flb_analyze (first run)..."
+if [ ! -x "\$analyze" ]; then
+  echo "pre-commit: building flb_analyze (first run)..."
   cmake -S "\$repo" -B "\$build" >/dev/null
-  cmake --build "\$build" -j --target flb_lint flb_analyze >/dev/null
+  cmake --build "\$build" -j --target flb_analyze >/dev/null
 fi
 
 # Check the staged blobs, not the working tree: a partially staged file is
-# checked as it will be committed.
+# checked as it will be committed, and an unstaged file is not seen at all.
 tmp="\$(mktemp -d)"
 trap 'rm -rf "\$tmp"' EXIT
-git checkout-index --prefix="\$tmp/" -- "\${staged[@]}"
+git ls-files -z -- src "\$exceptions" "\$baseline" "\${staged[@]}" |
+  git checkout-index --prefix="\$tmp/" -z --stdin
 cd "\$tmp"
 
-"\$lint" "\${staged[@]}"
-"\$analyze" \\
-  --exceptions "\$repo/tools/flb_analyze/layering_exceptions.txt" \\
-  --baseline "\$repo/tools/flb_analyze/analyze_baseline.txt" \\
-  "\${staged[@]}"
+"\$analyze" --root src --exceptions "\$exceptions" --baseline "\$baseline"
 
-if command -v clang-format >/dev/null 2>&1; then
+if [ "\${#staged[@]}" -gt 0 ] && command -v clang-format >/dev/null 2>&1; then
   clang-format --dry-run -Werror "\${staged[@]}"
 fi
 EOF

@@ -91,22 +91,32 @@ fi
 echo "== tests =="
 ctest --test-dir "$REPO_ROOT/$BUILD_DIR" | tee "$RESULTS/tests.txt" | tail -3
 
+# Names whose BENCH_<name>.json / <name>.metrics.json this run writes; the
+# fold below reads only these, so artifacts an older tree left in results/
+# never reach summary.json. Each name's old artifacts are removed before it
+# runs, so what the fold finds was written by this run.
+FOLD=()
+fold() {
+  FOLD+=("$1")
+  rm -f "$RESULTS/BENCH_$1.json" "$RESULTS/$1.metrics.json"
+}
+
 # Static-analysis counts ride the same BenchJson -> summary.json pipeline
-# as the benches: both tools drop BENCH_*.json artifacts into results/,
-# which the fold below picks up as flb.lint.* / flb.analyze.* rows.
+# as the benches: flb.analyze.* rows from BENCH_flb_analyze.json.
 echo "== static analysis =="
-"$REPO_ROOT/$BUILD_DIR"/tools/flb_lint/flb_lint \
-  --root "$REPO_ROOT/src" \
-  --json "$RESULTS/BENCH_flb_lint.json"
+fold flb_analyze
 "$REPO_ROOT/$BUILD_DIR"/tools/flb_analyze/flb_analyze \
   --root "$REPO_ROOT/src" \
   --exceptions "$REPO_ROOT/tools/flb_analyze/layering_exceptions.txt" \
   --baseline "$REPO_ROOT/tools/flb_analyze/analyze_baseline.txt" \
-  --cache "$REPO_ROOT/$BUILD_DIR/flb_analyze.cache" \
   --json "$RESULTS/BENCH_flb_analyze.json"
 
-for bench in "$REPO_ROOT/$BUILD_DIR"/bench/bench_*; do
-  name="$(basename "$bench")"
+# One driver per bench/bench_*.cc source: a binary an older tree left in
+# the build directory has no source here and is not run.
+for src in "$REPO_ROOT"/bench/bench_*.cc; do
+  name="$(basename "$src" .cc)"
+  bench="$REPO_ROOT/$BUILD_DIR/bench/$name"
+  fold "$name"
   echo "== $name =="
   case "$name" in
     # google-benchmark microbenches take runtime flags; the table/figure
@@ -136,28 +146,30 @@ for bench in "$REPO_ROOT/$BUILD_DIR"/bench/bench_*; do
   esac
 done
 
-# Fold every driver's metrics snapshot and bench records into one
+# Fold this run's metrics snapshots and bench records into one
 # results/summary.json keyed by driver name.
-python3 - "$RESULTS" <<'PYEOF'
+python3 - "$RESULTS" "${FOLD[@]}" <<'PYEOF'
 import json, pathlib, sys
 
 results = pathlib.Path(sys.argv[1])
 summary = {"benches": {}}
-for path in sorted(results.glob("BENCH_*.json")):
-    name = path.stem[len("BENCH_"):]
-    with open(path) as f:
-        data = json.load(f)
-    entry = summary["benches"].setdefault(name, {})
-    entry["results"] = data.get("results", [])
-    if "host_threads" in data:
-        entry["host_threads"] = data["host_threads"]
-    if "wall_ms" in data:
-        entry["wall_ms"] = data["wall_ms"]
-for path in sorted(results.glob("*.metrics.json")):
-    name = path.name[: -len(".metrics.json")]
-    with open(path) as f:
-        data = json.load(f)
-    summary["benches"].setdefault(name, {})["metrics"] = data.get("metrics", [])
+for name in sorted(sys.argv[2:]):
+    path = results / f"BENCH_{name}.json"
+    if path.exists():
+        with open(path) as f:
+            data = json.load(f)
+        entry = summary["benches"].setdefault(name, {})
+        entry["results"] = data.get("results", [])
+        if "host_threads" in data:
+            entry["host_threads"] = data["host_threads"]
+        if "wall_ms" in data:
+            entry["wall_ms"] = data["wall_ms"]
+    path = results / f"{name}.metrics.json"
+    if path.exists():
+        with open(path) as f:
+            data = json.load(f)
+        summary["benches"].setdefault(name, {})["metrics"] = data.get(
+            "metrics", [])
 n_results = sum(len(b.get("results", [])) for b in summary["benches"].values())
 n_metrics = sum(len(b.get("metrics", [])) for b in summary["benches"].values())
 summary["totals"] = {

@@ -7,7 +7,7 @@
 // every guarded member is only touched with its mutex held. GCC and other
 // compilers see empty macros; the annotations cost nothing at runtime.
 //
-// Conventions (enforced by tools/flb_lint rule FLB004):
+// Conventions (enforced by tools/flb_analyze rule FLB004):
 //  * every mutex member must be referenced by at least one FLB_* annotation
 //    in its file (typically FLB_GUARDED_BY on the state it protects);
 //  * internal helpers that assume the lock is held are named *Locked and

@@ -19,7 +19,6 @@ thread_local bool tls_inside_parallel_for = false;
 // no opinion about worker scheduling), and nothing derived from these
 // stamps ever feeds charged accounting.
 uint64_t MonotonicNs() {
-  // flb-lint: allow-next-line(FLB001) host profiler timestamps, observability-only
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           // flb-lint: allow-next-line(FLB001) host profiler timestamps, observability-only

@@ -19,6 +19,7 @@ class WallTimer {
   }
 
  private:
+  // flb-lint: allow-next-line(FLB001) the one sanctioned wall-clock reader
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };

@@ -14,11 +14,12 @@ namespace flb::obs {
 namespace {
 
 // Wall-clock by design: this file IS the wall plane (see header). Nothing
-// derived from these stamps ever reaches charged accounting; flb_lint
-// allowlists this file for FLB001.
+// derived from these stamps ever reaches charged accounting, so the one
+// steady_clock read carries a justified FLB001 allow.
 uint64_t NowNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
+          // flb-lint: allow-next-line(FLB001) wall plane, observability-only
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }

@@ -12,5 +12,5 @@ class Meter {
 
  private:
   common::Mutex mu_;
-  double total_ = 0.0;
+  double total_ FLB_GUARDED_BY(mu_) = 0.0;
 };

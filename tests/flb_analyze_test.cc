@@ -1,27 +1,24 @@
-// Tests for tools/flb_analyze: fixture files with exact rule+line
-// expectations, key stability, suppression/baseline semantics, cache
-// round-trips, output formats, and the real-tree cleanliness gate.
+// Tests for tools/flb_analyze (FLB001-FLB009): fixture files with exact
+// rule+line expectations, key stability, suppression/baseline semantics,
+// output formats, and the real-tree cleanliness gate. Every fixture goes
+// through the one analyzer, so each expectation lists all nine rules'
+// findings on it. The FlbLintTest cases cover the token rules
+// (FLB001-FLB006) and the `flb-lint:` allow pragmas.
 
+#include <filesystem>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "tools/flb_analyze/analyze.h"
-#include "tools/flb_analyze/cache.h"
-#include "tools/flb_analyze/facts.h"
-#include "tools/flb_lint/lint.h"
 
 namespace flb::analyze {
 namespace {
-
-std::string FixturePath(const std::string& name) {
-  return std::string(FLB_ANALYZE_FIXTURE_DIR) + "/" + name;
-}
 
 std::string ReadFileOrDie(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -31,15 +28,25 @@ std::string ReadFileOrDie(const std::string& path) {
   return ss.str();
 }
 
-// Loads fixtures by relative name; the relative name becomes the input
-// path, so layering fixtures under src/<layer>/ land in a real layer.
-Report AnalyzeFixtures(const std::vector<std::string>& names,
+// The one fixture driver: loads fixtures from `dir` by relative name and
+// analyzes them as one translation set. The relative name becomes the
+// input path, so layering fixtures under src/<layer>/ land in a real layer.
+Report AnalyzeFixtures(const char* dir, const std::vector<std::string>& names,
                        const Options& opts = Options()) {
-  std::vector<lint::FileInput> files;
+  std::vector<FileInput> files;
   for (const std::string& name : names) {
-    files.push_back({name, ReadFileOrDie(FixturePath(name))});
+    files.push_back({name, ReadFileOrDie(std::string(dir) + "/" + name)});
   }
   return AnalyzeFiles(files, opts);
+}
+
+Report AnalyzeFixtures(const std::vector<std::string>& names,
+                       const Options& opts = Options()) {
+  return AnalyzeFixtures(FLB_ANALYZE_FIXTURE_DIR, names, opts);
+}
+
+Report LintFixture(const std::string& name) {
+  return AnalyzeFixtures(FLB_LINT_FIXTURE_DIR, {name});
 }
 
 struct Expected {
@@ -57,8 +64,10 @@ void ExpectFindings(const Report& report, const std::vector<Expected>& want) {
     return ss.str();
   }();
   for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(report.findings[i].rule, want[i].rule) << "finding " << i;
-    EXPECT_EQ(report.findings[i].line, want[i].line) << "finding " << i;
+    EXPECT_EQ(report.findings[i].rule, want[i].rule)
+        << "finding " << i << ": " << report.findings[i].message;
+    EXPECT_EQ(report.findings[i].line, want[i].line)
+        << "finding " << i << ": " << report.findings[i].message;
   }
 }
 
@@ -69,21 +78,39 @@ std::string WriteTempFile(const std::string& name, const std::string& body) {
   return path;
 }
 
+Options CheckedInOptions() {
+  Options opts;
+  std::string error;
+  EXPECT_TRUE(LoadExceptionsFile(
+      std::string(FLB_SOURCE_ROOT) + "/tools/flb_analyze/layering_exceptions.txt",
+      &opts.layering_exceptions, &error))
+      << error;
+  EXPECT_TRUE(LoadBaselineFile(
+      std::string(FLB_SOURCE_ROOT) + "/tools/flb_analyze/analyze_baseline.txt",
+      &opts.baseline, &error))
+      << error;
+  return opts;
+}
+
 TEST(FlbAnalyze, RuleTableIsStable) {
   const auto& rules = Rules();
-  ASSERT_EQ(rules.size(), 3u);
-  EXPECT_STREQ(rules[0].id, "FLB007");
-  EXPECT_STREQ(rules[1].id, "FLB008");
-  EXPECT_STREQ(rules[2].id, "FLB009");
-  for (const auto& r : rules) {
-    EXPECT_NE(std::string(r.name), "");
-    EXPECT_NE(std::string(r.summary), "");
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"FLB001", "wall-clock"},       {"FLB002", "entropy"},
+      {"FLB003", "unordered-iter"},   {"FLB004", "mutex-annotation"},
+      {"FLB005", "discarded-status"}, {"FLB006", "unbounded-retry"},
+      {"FLB007", "lock-order"},       {"FLB008", "determinism-taint"},
+      {"FLB009", "layering"}};
+  ASSERT_EQ(rules.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(rules[i].id, want[i].first);
+    EXPECT_EQ(rules[i].name, want[i].second);
+    EXPECT_NE(std::string(rules[i].summary), "");
   }
 }
 
 TEST(FlbAnalyze, DeadlockCycleFixture) {
   Report report = AnalyzeFixtures({"deadlock_cycle.cc"});
-  ExpectFindings(report, {{"FLB007", 9}});
+  ExpectFindings(report, {{"FLB007", 9}, {"FLB004", 19}, {"FLB004", 20}});
   const Finding& f = report.findings[0];
   EXPECT_EQ(f.key, "FLB007|cycle|Account::mu_a_+Account::mu_b_");
   EXPECT_NE(f.message.find("lock-order cycle"), std::string::npos);
@@ -94,7 +121,7 @@ TEST(FlbAnalyze, DeadlockCycleFixture) {
 
 TEST(FlbAnalyze, DeadlockCallbackFixture) {
   Report report = AnalyzeFixtures({"deadlock_callback.cc"});
-  ExpectFindings(report, {{"FLB007", 15}, {"FLB007", 19}});
+  ExpectFindings(report, {{"FLB007", 15}, {"FLB007", 19}, {"FLB004", 24}});
   // Direct recorder call while holding the component lock.
   EXPECT_EQ(report.findings[0].key,
             "FLB007|held-call|deadlock_callback.cc|Cache::Hit|Count|"
@@ -109,13 +136,13 @@ TEST(FlbAnalyze, DeadlockCallbackFixture) {
 
 TEST(FlbAnalyze, TaintHelperFixture) {
   Report report = AnalyzeFixtures({"taint_helper.cc"});
-  ExpectFindings(report, {{"FLB008", 24}, {"FLB008", 30}});
+  ExpectFindings(report, {{"FLB008", 24}, {"FLB002", 28}, {"FLB008", 30}});
   // Wall clock reaches the sim-time charge through ProbeSeconds' return.
   EXPECT_NE(report.findings[0].key.find("charge"), std::string::npos);
   EXPECT_NE(report.findings[0].key.find("wall_clock"), std::string::npos);
   // Entropy reaches serialized bytes through Pack's parameter.
-  EXPECT_NE(report.findings[1].key.find("serialize"), std::string::npos);
-  EXPECT_NE(report.findings[1].key.find("entropy"), std::string::npos);
+  EXPECT_NE(report.findings[2].key.find("serialize"), std::string::npos);
+  EXPECT_NE(report.findings[2].key.find("entropy"), std::string::npos);
 }
 
 TEST(FlbAnalyze, LayeringUpwardFixture) {
@@ -151,53 +178,46 @@ TEST(FlbAnalyze, BaselineSuppressesKnownFindingByKey) {
   Options opts;
   opts.baseline.insert("FLB007|cycle|Account::mu_a_+Account::mu_b_");
   Report report = AnalyzeFixtures({"deadlock_cycle.cc"}, opts);
-  ExpectFindings(report, {});
+  ExpectFindings(report, {{"FLB004", 19}, {"FLB004", 20}});
   EXPECT_EQ(report.baselined, 1u);
 }
 
+// Two locks nested in opposite orders; the members carry no annotation,
+// so FLB004 reports both declarations (lines 12 and 13).
+std::string CycleSource(const std::string& allow) {
+  return "class A {\n"
+         " public:\n"
+         "  void X() {\n"
+         "    common::MutexLock a(mu_a_);\n"
+         "    common::MutexLock b(mu_b_);" +
+         allow +
+         "\n"
+         "  }\n"
+         "  void Y() {\n"
+         "    common::MutexLock b(mu_b_);\n"
+         "    common::MutexLock a(mu_a_);\n"
+         "  }\n"
+         " private:\n"
+         "  common::Mutex mu_a_;\n"
+         "  common::Mutex mu_b_;\n"
+         "};\n";
+}
+
 TEST(FlbAnalyze, JustifiedInlineAllowSuppresses) {
-  const std::string src =
-      "class A {\n"
-      " public:\n"
-      "  void X() {\n"
-      "    common::MutexLock a(mu_a_);\n"
-      "    common::MutexLock b(mu_b_);  // flb-lint: allow(FLB007) fixture "
-      "pins this order\n"
-      "  }\n"
-      "  void Y() {\n"
-      "    common::MutexLock b(mu_b_);\n"
-      "    common::MutexLock a(mu_a_);\n"
-      "  }\n"
-      " private:\n"
-      "  common::Mutex mu_a_;\n"
-      "  common::Mutex mu_b_;\n"
-      "};\n";
-  Report report = AnalyzeFiles({{"allow_ok.cc", src}}, Options());
-  EXPECT_TRUE(report.findings.empty());
+  Report report = AnalyzeFiles(
+      {{"allow_ok.cc",
+        CycleSource("  // flb-lint: allow(FLB007) fixture pins this order")}},
+      Options());
+  ExpectFindings(report, {{"FLB004", 12}, {"FLB004", 13}});
   EXPECT_EQ(report.suppressed, 1u);
   EXPECT_EQ(report.unjustified_allows, 0u);
 }
 
 TEST(FlbAnalyze, BareAllowWithoutReasonDoesNotSuppress) {
-  const std::string src =
-      "class A {\n"
-      " public:\n"
-      "  void X() {\n"
-      "    common::MutexLock a(mu_a_);\n"
-      "    common::MutexLock b(mu_b_);  // flb-lint: allow(FLB007)\n"
-      "  }\n"
-      "  void Y() {\n"
-      "    common::MutexLock b(mu_b_);\n"
-      "    common::MutexLock a(mu_a_);\n"
-      "  }\n"
-      " private:\n"
-      "  common::Mutex mu_a_;\n"
-      "  common::Mutex mu_b_;\n"
-      "};\n";
-  Report report = AnalyzeFiles({{"allow_bare.cc", src}}, Options());
-  ASSERT_EQ(report.findings.size(), 1u);
-  EXPECT_EQ(report.findings[0].rule, "FLB007");
-  EXPECT_EQ(report.findings[0].line, 5);
+  Report report = AnalyzeFiles(
+      {{"allow_bare.cc", CycleSource("  // flb-lint: allow(FLB007)")}},
+      Options());
+  ExpectFindings(report, {{"FLB007", 5}, {"FLB004", 12}, {"FLB004", 13}});
   EXPECT_EQ(report.suppressed, 0u);
   EXPECT_EQ(report.unjustified_allows, 1u);
 }
@@ -247,93 +267,54 @@ TEST(FlbAnalyze, BaselineFileParsesAndRoundTrips) {
 }
 
 TEST(FlbAnalyze, BenchJsonSummarySchema) {
-  Report report = AnalyzeFixtures({"deadlock_cycle.cc"});
+  const Report report = LintFixture("discarded_status_violation.cc");
   const std::string json = ReportToBenchJson(report);
   EXPECT_EQ(json.rfind("{", 0), 0u);
-  EXPECT_NE(json.find("\"flb_analyze\""), std::string::npos);
+  EXPECT_NE(json.find("\"bench\":\"flb_analyze\""), std::string::npos);
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.rules_run\",\"value\":9"),
+            std::string::npos);
   EXPECT_NE(json.find("flb.analyze.files_scanned"), std::string::npos);
-  EXPECT_NE(json.find("flb.analyze.findings"), std::string::npos);
   EXPECT_NE(json.find("flb.analyze.lock_edges"), std::string::npos);
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.findings\",\"value\":2"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.suppressed\",\"value\":1"),
+            std::string::npos);
+  for (const RuleInfo& rule : Rules()) {
+    const std::string row = "\"metric\":\"flb.analyze.findings_by_rule." +
+                            std::string(rule.id) + "\",\"value\":" +
+                            (std::string(rule.id) == "FLB005" ? "2" : "0");
+    EXPECT_NE(json.find(row), std::string::npos) << row;
+  }
+  EXPECT_NE(json.find("\"unit\":\"count\""), std::string::npos);
 }
 
 TEST(FlbAnalyze, SarifOutputStructure) {
   Report report = AnalyzeFixtures({"deadlock_cycle.cc", "src/net/upward.cc"});
-  ASSERT_EQ(report.findings.size(), 2u);
+  ASSERT_EQ(report.findings.size(), 4u);
   const std::string sarif = ReportToSarif(report);
   EXPECT_NE(sarif.find("\"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("sarif"), std::string::npos);
   EXPECT_NE(sarif.find("\"flb_analyze\""), std::string::npos);
-  // All three rules are declared even when only some fire.
-  for (const char* id : {"FLB007", "FLB008", "FLB009"}) {
-    EXPECT_NE(sarif.find(id), std::string::npos) << id;
+  // All nine rules are declared even when only some fire.
+  for (const RuleInfo& rule : Rules()) {
+    EXPECT_NE(sarif.find("{\"id\": \"" + std::string(rule.id) + "\""),
+              std::string::npos)
+        << rule.id;
   }
   EXPECT_NE(sarif.find("partialFingerprints"), std::string::npos);
   EXPECT_NE(sarif.find("flbAnalyzeKey/v1"), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\": 9"), std::string::npos);
 }
 
-TEST(FlbAnalyze, CacheRoundTripPreservesFindings) {
-  const std::vector<std::string> names = {
-      "deadlock_cycle.cc", "deadlock_callback.cc", "taint_helper.cc",
-      "src/net/upward.cc", "clean.cc"};
-  std::vector<FileFacts> facts;
-  for (const std::string& name : names) {
-    facts.push_back(ExtractFacts(name, ReadFileOrDie(FixturePath(name))));
-  }
-
-  const std::string text = SerializeCache(facts);
-  std::map<std::string, FileFacts> parsed;
-  std::string error;
-  ASSERT_TRUE(ParseCache(text, &parsed, &error)) << error;
-  ASSERT_EQ(parsed.size(), facts.size());
-
-  std::vector<FileFacts> round;
-  for (const FileFacts& f : facts) {
-    ASSERT_EQ(parsed.count(f.path), 1u) << f.path;
-    EXPECT_EQ(parsed.at(f.path).content_hash, f.content_hash);
-    round.push_back(parsed.at(f.path));
-  }
-  Report direct = AnalyzeFacts(facts, Options());
-  Report cached = AnalyzeFacts(round, Options());
-  ASSERT_EQ(cached.findings.size(), direct.findings.size());
-  for (size_t i = 0; i < direct.findings.size(); ++i) {
-    EXPECT_EQ(cached.findings[i].rule, direct.findings[i].rule);
-    EXPECT_EQ(cached.findings[i].file, direct.findings[i].file);
-    EXPECT_EQ(cached.findings[i].line, direct.findings[i].line);
-    EXPECT_EQ(cached.findings[i].key, direct.findings[i].key);
-  }
-}
-
-TEST(FlbAnalyze, WrongCacheVersionIsColdNotCorrupt) {
-  std::vector<FileFacts> facts = {ExtractFacts(
-      "clean.cc", ReadFileOrDie(FixturePath("clean.cc")))};
-  std::string text = SerializeCache(facts);
-  const size_t eol = text.find('\n');
-  ASSERT_NE(eol, std::string::npos);
-  text = "flb-analyze-cache 999" + text.substr(eol);
-  std::map<std::string, FileFacts> parsed;
-  std::string error;
-  EXPECT_TRUE(ParseCache(text, &parsed, &error)) << error;
-  EXPECT_TRUE(parsed.empty());
-}
-
 // The gate the CI lint job enforces: the real tree, analyzed with the
-// checked-in exceptions and baseline, has zero new findings — and every
-// baseline entry still matches a live finding (no stale debt).
+// checked-in exceptions and baseline, has zero new findings, every baseline
+// entry still matches a live finding (no stale debt), and every allow that
+// fires carries a reason.
 TEST(FlbAnalyze, RealSourceTreeIsClean) {
-  Options opts;
-  std::string error;
-  ASSERT_TRUE(LoadExceptionsFile(
-      std::string(FLB_SOURCE_ROOT) + "/tools/flb_analyze/layering_exceptions.txt",
-      &opts.layering_exceptions, &error))
-      << error;
-  ASSERT_TRUE(LoadBaselineFile(
-      std::string(FLB_SOURCE_ROOT) + "/tools/flb_analyze/analyze_baseline.txt",
-      &opts.baseline, &error))
-      << error;
-
+  const Options opts = CheckedInOptions();
   Report report;
-  ASSERT_TRUE(AnalyzeTree(std::string(FLB_SOURCE_ROOT) + "/src", opts, "",
+  std::string error;
+  ASSERT_TRUE(AnalyzeTree(std::string(FLB_SOURCE_ROOT) + "/src", opts,
                           &report, &error))
       << error;
   EXPECT_GT(report.files_scanned, 50u);
@@ -346,6 +327,178 @@ TEST(FlbAnalyze, RealSourceTreeIsClean) {
       << "stale baseline: an accepted key no longer matches any finding — "
          "remove it from tools/flb_analyze/analyze_baseline.txt";
   EXPECT_EQ(report.unjustified_allows, 0u);
+}
+
+// ---- token rules (FLB001-FLB006) -------------------------------------------
+// Each fixture under tests/lint_fixtures/ carries one deliberate violation
+// per rule at a pinned line; clean.cc carries none.
+
+TEST(FlbLintTest, WallClockFixture) {
+  ExpectFindings(LintFixture("wall_clock_violation.cc"), {{"FLB001", 10}});
+}
+
+TEST(FlbLintTest, EntropyFixture) {
+  ExpectFindings(LintFixture("entropy_violation.cc"), {{"FLB002", 8}});
+}
+
+TEST(FlbLintTest, UnorderedIterFixture) {
+  ExpectFindings(LintFixture("unordered_iter_violation.cc"), {{"FLB003", 15}});
+
+  // An unordered member declared in a header and iterated in its .cc is
+  // the same violation: FLB003 resolves names across the translation set.
+  const std::vector<FileInput> split = {
+      {"reg.h",
+       "#include <unordered_map>\n"
+       "class Registry {\n"
+       " public:\n"
+       "  int Sum() const;\n"
+       " private:\n"
+       "  std::unordered_map<int, int> index_;\n"
+       "};\n"},
+      {"reg.cc",
+       "#include \"reg.h\"\n"
+       "int Registry::Sum() const {\n"
+       "  int total = 0;\n"
+       "  for (const auto& kv : index_) total += kv.second;\n"
+       "  return total;\n"
+       "}\n"}};
+  const Report report = AnalyzeFiles(split, Options());
+  ExpectFindings(report, {{"FLB003", 4}});
+  EXPECT_EQ(report.findings[0].file, "reg.cc");
+}
+
+TEST(FlbLintTest, MutexAnnotationFixture) {
+  ExpectFindings(LintFixture("mutex_annotation_violation.cc"),
+                 {{"FLB004", 20}, {"FLB004", 32}});
+}
+
+TEST(FlbLintTest, DiscardedStatusFixture) {
+  const Report report = LintFixture("discarded_status_violation.cc");
+  ExpectFindings(report, {{"FLB005", 17}, {"FLB005", 18}});
+  // The justified (void) discard on line 19 is counted, not reported.
+  EXPECT_EQ(report.suppressed, 1u);
+}
+
+TEST(FlbLintTest, UnboundedRetryFixture) {
+  // The two bounded loops in the fixture (attempt counter, deadline
+  // predicate) must stay silent; only the budget-free spin reports.
+  ExpectFindings(LintFixture("unbounded_retry_violation.cc"),
+                 {{"FLB006", 19}});
+}
+
+TEST(FlbLintTest, TunerMeasurementFixture) {
+  // The anti-pattern the AutoTuner is forbidden from: wall-clocked probe
+  // measurement and entropy-seeded exploration.
+  ExpectFindings(
+      LintFixture("tuner_measurement_violation.cc"),
+      {{"FLB002", 8}, {"FLB001", 14}, {"FLB001", 16}, {"FLB002", 22}});
+}
+
+// The tuner's measurement path must scan clean WITHOUT any allow pragmas:
+// probes run in simulated time and the exploration pick comes from
+// Rng::ForStream, so there is nothing to justify away. Zero suppressions
+// is the point — a future allow() sneaking into the search loop fails
+// here even though the tree-wide scan would still pass.
+TEST(FlbLintTest, TunerMeasurementPathIsCleanWithoutAllowances) {
+  std::vector<FileInput> inputs;
+  for (const char* rel : {"/src/core/tuner.h", "/src/core/tuner.cc"}) {
+    const std::string path = std::string(FLB_SOURCE_ROOT) + rel;
+    inputs.push_back({path, ReadFileOrDie(path)});
+  }
+  // Layering exceptions only: a baselined key would be an allowance too.
+  Options opts = CheckedInOptions();
+  opts.baseline.clear();
+  const Report report = AnalyzeFiles(inputs, opts);
+  for (const Finding& f : report.findings) {
+    ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule << "] "
+                  << f.message;
+  }
+  EXPECT_EQ(report.suppressed, 0u);
+  EXPECT_EQ(report.unjustified_allows, 0u);
+}
+
+// Audit: every allow pragma in the real tree carries a reason. The analyzer
+// only counts an unjustified allow when its finding actually fires, so a
+// bare "// flb-lint: allow(FLBnnn)" sitting on a clean line would rot
+// silently — this textual sweep catches it at introduction time.
+TEST(FlbLintTest, EveryAllowInTreeIsJustified) {
+  namespace fs = std::filesystem;
+  const std::string root(FLB_SOURCE_ROOT);
+  size_t pragmas = 0;
+  for (const char* dir : {"/src", "/tools", "/bench"}) {
+    for (const auto& entry :
+         fs::recursive_directory_iterator(root + dir)) {
+      if (!entry.is_regular_file()) continue;
+      const std::string ext = entry.path().extension().string();
+      if (ext != ".h" && ext != ".cc" && ext != ".cpp") continue;
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::string line;
+      int lineno = 0;
+      while (std::getline(in, line)) {
+        ++lineno;
+        const size_t at = line.find("flb-lint: allow");
+        if (at == std::string::npos) continue;
+        ++pragmas;
+        const size_t open = line.find('(', at);
+        const size_t close =
+            open == std::string::npos ? std::string::npos
+                                      : line.find(')', open);
+        std::string reason =
+            close == std::string::npos ? "" : line.substr(close + 1);
+        const size_t first = reason.find_first_not_of(" \t");
+        reason = first == std::string::npos ? "" : reason.substr(first);
+        EXPECT_FALSE(reason.empty())
+            << entry.path().string() << ":" << lineno
+            << " bare allow without a reason: " << line;
+      }
+    }
+  }
+  // The sweep must actually see the tree's known justified allows;
+  // a zero count means the walk silently missed the sources.
+  EXPECT_GT(pragmas, 0u);
+}
+
+TEST(FlbLintTest, CleanFixtureHasNoViolations) {
+  const Report report = LintFixture("clean.cc");
+  ExpectFindings(report, {});
+  EXPECT_EQ(report.suppressed, 0u);
+}
+
+TEST(FlbLintTest, AllowWithoutReasonDoesNotSuppress) {
+  const Report report = AnalyzeFiles(
+      {{"unjustified.cc",
+        "void Charged() {\n"
+        "  int t = time(nullptr);  // flb-lint: allow(FLB001)\n"
+        "  (void)t;\n"
+        "}\n"}},
+      Options());
+  ExpectFindings(report, {{"FLB001", 2}});
+  EXPECT_NE(report.findings[0].message.find("missing a justification"),
+            std::string::npos);
+  EXPECT_EQ(report.unjustified_allows, 1u);
+  EXPECT_EQ(report.suppressed, 0u);
+}
+
+TEST(FlbLintTest, AllowNextLineSuppresses) {
+  const Report report = AnalyzeFiles(
+      {{"next_line.cc",
+        "void Charged() {\n"
+        "  // flb-lint: allow-next-line(FLB001) calibration-only wall read\n"
+        "  int t = time(nullptr);\n"
+        "  (void)t;\n"
+        "}\n"}},
+      Options());
+  ExpectFindings(report, {});
+  EXPECT_EQ(report.suppressed, 1u);
+}
+
+TEST(FlbLintTest, BannedNamesInsideCommentsAndStringsAreIgnored) {
+  const Report report = AnalyzeFiles(
+      {{"prose.cc",
+        "// system_clock and rand() discussed in prose only.\n"
+        "const char* kDoc = \"uses std::random_device internally\";\n"}},
+      Options());
+  ExpectFindings(report, {});
 }
 
 }  // namespace

@@ -3,21 +3,17 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 
-#include "tools/flb_analyze/cache.h"
+#include "tools/flb_analyze/facts.h"
+#include "tools/flb_analyze/token_rules.h"
 
 namespace flb::analyze {
 
 namespace {
-
-std::string Lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
 
 std::vector<std::string> SplitChain(const std::string& chain) {
   std::vector<std::string> segs;
@@ -135,6 +131,7 @@ class Analyzer {
   Report Run() {
     report_.files_scanned = facts_.size();
     report_.functions_analyzed = fns_.size();
+    TokenPass();
     Layering();
     Deadlock();
     Taint();
@@ -176,6 +173,28 @@ class Analyzer {
   std::string FnLoc(size_t f) const {
     return fns_[f]->qual_name + " (" + facts_[fn_file_[f]].path + ":" +
            std::to_string(fns_[f]->line) + ")";
+  }
+
+  // ---- FLB001..FLB006 ------------------------------------------------
+
+  // The token rules, over the token stream each file was tokenized into
+  // once. FLB005's Status-name index spans every file before any file is
+  // checked; FLB003 resolves names through the global unordered index.
+  void TokenPass() {
+    TokenRules rules(unordered_);
+    for (const FileFacts& file : facts_) rules.Index(file.tokens);
+    for (const FileFacts& file : facts_) {
+      rules.Check(file.tokens, [&](int line, const char* rule,
+                                   std::string message) {
+        Finding f;
+        f.rule = rule;
+        f.file = file.path;
+        f.line = line;
+        f.key = f.rule + "|" + file.path + "|" + std::to_string(line);
+        f.message = std::move(message);
+        Emit(std::move(f));
+      });
+    }
   }
 
   // ---- FLB009 --------------------------------------------------------
@@ -579,7 +598,8 @@ class Analyzer {
 
   void Emit(Finding f) {
     if (!keys_seen_.insert(f.key).second) return;
-    // Inline suppression at the finding line, lint syntax and semantics.
+    // A justified inline allow at the finding line silences it; a bare
+    // one is counted and named in the message.
     for (const FileFacts& file : facts_) {
       if (file.path != f.file) continue;
       const auto it = file.suppressions.find(f.line);
@@ -590,6 +610,7 @@ class Analyzer {
           return;
         }
         ++report_.unjustified_allows;
+        f.message += " [allow() present but missing a justification]";
       }
       break;
     }
@@ -663,10 +684,68 @@ bool ReadLines(const std::string& path, std::vector<std::string>* out,
   return true;
 }
 
+// Reads every *.h / *.cc / *.cpp under `root` (recursive, deterministic
+// sorted order) into `out`.
+bool ReadTree(const std::string& root, std::vector<FileInput>* out,
+              std::string* error) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (!fs::is_directory(root, ec)) {
+    if (error != nullptr) *error = "not a directory: " + root;
+    return false;
+  }
+  std::vector<std::string> paths;
+  for (fs::recursive_directory_iterator it(root, ec), end; it != end;
+       it.increment(ec)) {
+    if (ec) {
+      if (error != nullptr) *error = "walk failed under " + root;
+      return false;
+    }
+    if (!it->is_regular_file()) continue;
+    const std::string ext = it->path().extension().string();
+    if (ext == ".h" || ext == ".cc" || ext == ".cpp") {
+      paths.push_back(it->path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());  // deterministic scan order
+
+  out->reserve(out->size() + paths.size());
+  for (const std::string& path : paths) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      if (error != nullptr) *error = "cannot read " + path;
+      return false;
+    }
+    std::ostringstream content;
+    content << in.rdbuf();
+    out->push_back(FileInput{path, content.str()});
+  }
+  return true;
+}
+
 }  // namespace
 
-const std::vector<lint::RuleInfo>& Rules() {
-  static const std::vector<lint::RuleInfo> rules = {
+const std::vector<RuleInfo>& Rules() {
+  static const std::vector<RuleInfo> rules = {
+      {"FLB001", "wall-clock",
+       "wall-clock/time APIs outside common/timer.h (simulated time must "
+       "come from the SimClock)"},
+      {"FLB002", "entropy",
+       "unseeded randomness outside common/rng (breaks bit-identical "
+       "replay)"},
+      {"FLB003", "unordered-iter",
+       "iteration over std::unordered_{map,set} (order nondeterminism in "
+       "charged/serialized paths)"},
+      {"FLB004", "mutex-annotation",
+       "mutex members invisible to -Wthread-safety (raw std::mutex, or no "
+       "FLB_* annotation references the mutex)"},
+      {"FLB005", "discarded-status",
+       "Status/Result<T> return values dropped without handling or an "
+       "inline justification"},
+      {"FLB006", "unbounded-retry",
+       "retry loops on kUnavailable/kDeadlineExceeded that never consult "
+       "an attempt counter or common::Deadline (can spin forever on a "
+       "dead peer)"},
       {"FLB007", "lock-order",
        "cycles in the global lock-acquisition graph, and metrics/trace/"
        "clock/callback calls made while a component lock is held"},
@@ -726,58 +805,26 @@ bool LoadBaselineFile(const std::string& path, std::set<std::string>* out,
   return true;
 }
 
-Report AnalyzeFacts(const std::vector<FileFacts>& facts, const Options& opts) {
+Report AnalyzeFiles(const std::vector<FileInput>& files, const Options& opts) {
+  std::vector<FileFacts> facts;
+  facts.reserve(files.size());
+  for (const FileInput& f : files) {
+    facts.push_back(ExtractFacts(f.path, f.content));
+  }
   return Analyzer(facts, opts).Run();
 }
 
-Report AnalyzeFiles(const std::vector<lint::FileInput>& files,
-                    const Options& opts) {
-  std::vector<FileFacts> facts;
-  facts.reserve(files.size());
-  for (const lint::FileInput& f : files) {
-    facts.push_back(ExtractFacts(f.path, f.content));
-  }
-  return AnalyzeFacts(facts, opts);
-}
-
 bool AnalyzeTree(const std::string& root, const Options& opts,
-                 const std::string& cache_path, Report* report,
-                 std::string* error) {
-  std::vector<lint::FileInput> files;
-  if (!lint::ReadTree(root, &files, error)) return false;
-
-  std::map<std::string, FileFacts> cached;
-  if (!cache_path.empty() &&
-      !LoadCache(cache_path, &cached, error)) {
-    return false;
-  }
-  std::vector<FileFacts> facts;
-  uint64_t hits = 0, misses = 0;
-  facts.reserve(files.size());
-  for (const lint::FileInput& f : files) {
-    const std::string norm = NormalizePath(f.path);
-    const uint64_t hash = HashContent(f.content);
-    const auto it = cached.find(norm);
-    if (it != cached.end() && it->second.content_hash == hash) {
-      ++hits;
-      facts.push_back(it->second);
-    } else {
-      ++misses;
-      facts.push_back(ExtractFacts(f.path, f.content));
-    }
-  }
-  if (!cache_path.empty() && !SaveCache(cache_path, facts, error)) {
-    return false;
-  }
-  *report = AnalyzeFacts(facts, opts);
-  report->cache_hits = hits;
-  report->cache_misses = misses;
+                 Report* report, std::string* error) {
+  std::vector<FileInput> files;
+  if (!ReadTree(root, &files, error)) return false;
+  *report = AnalyzeFiles(files, opts);
   return true;
 }
 
 std::string ReportToBenchJson(const Report& report) {
   std::map<std::string, uint64_t> by_rule;
-  for (const lint::RuleInfo& rule : Rules()) by_rule[rule.id] = 0;
+  for (const RuleInfo& rule : Rules()) by_rule[rule.id] = 0;
   for (const Finding& f : report.findings) ++by_rule[f.rule];
 
   std::ostringstream out;
@@ -801,8 +848,6 @@ std::string ReportToBenchJson(const Report& report) {
   row("analyze", "flb.analyze.baselined", report.baselined);
   row("analyze", "flb.analyze.suppressed", report.suppressed);
   row("analyze", "flb.analyze.unjustified_allows", report.unjustified_allows);
-  row("analyze", "flb.analyze.cache_hits", report.cache_hits);
-  row("analyze", "flb.analyze.cache_misses", report.cache_misses);
   for (const auto& [rule, count] : by_rule) {
     row("rules", "flb.analyze.findings_by_rule." + rule, count);
   }
@@ -824,7 +869,7 @@ std::string ReportToSarif(const Report& report) {
       << "      \"version\": \"1.0.0\",\n"
       << "      \"rules\": [";
   bool first = true;
-  for (const lint::RuleInfo& rule : Rules()) {
+  for (const RuleInfo& rule : Rules()) {
     out << (first ? "\n" : ",\n") << "        {\"id\": \"" << rule.id
         << "\", \"name\": \"" << EscapeJson(rule.name)
         << "\", \"shortDescription\": {\"text\": \""

@@ -6,11 +6,6 @@ namespace flb::analyze {
 
 namespace {
 
-using lint::Is;
-using lint::IsIdent;
-using lint::SkipBalanced;
-using lint::Token;
-
 class Builder {
  public:
   Builder(const std::vector<Token>& t) : t_(t) {}
@@ -210,7 +205,7 @@ std::vector<Stmt> Cfg::Statements() const {
   return out;
 }
 
-Cfg BuildCfg(const std::vector<lint::Token>& tokens, size_t begin,
+Cfg BuildCfg(const std::vector<Token>& tokens, size_t begin,
              size_t end) {
   return Builder(tokens).Build(begin, end);
 }

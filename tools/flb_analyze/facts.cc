@@ -1,9 +1,9 @@
 #include "tools/flb_analyze/facts.h"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "tools/flb_analyze/cfg.h"
 
@@ -11,48 +11,10 @@ namespace flb::analyze {
 
 namespace {
 
-using lint::Is;
-using lint::IsIdent;
-using lint::SkipBalanced;
-using lint::Token;
-
 // ---------------------------------------------------------------------------
 // Source / sink vocabularies.
 // ---------------------------------------------------------------------------
 
-// Identifiers that name a wall-clock read wherever they appear.
-const std::set<std::string>& WallAlways() {
-  static const std::set<std::string> s = {
-      "system_clock", "steady_clock",  "high_resolution_clock",
-      "gettimeofday", "clock_gettime", "timespec_get",
-      "localtime",    "gmtime",        "mktime",
-      "WallTimer"};
-  return s;
-}
-// ...and the ones that only count when called (`time(...)`), so a member
-// or accessor named `time`/`clock` stays clean.
-const std::set<std::string>& WallCallOnly() {
-  static const std::set<std::string> s = {"time", "clock",
-                                          "ElapsedSeconds"};
-  return s;
-}
-const std::set<std::string>& EntropyAlways() {
-  static const std::set<std::string> s = {
-      "random_device", "mt19937",  "mt19937_64", "default_random_engine",
-      "minstd_rand",   "drand48",  "lrand48",    "mrand48"};
-  return s;
-}
-const std::set<std::string>& EntropyCallOnly() {
-  static const std::set<std::string> s = {"rand", "srand", "random"};
-  return s;
-}
-// Declaring a variable of one of these types taints it at birth.
-const std::set<std::string>& TaintedTypes() {
-  static const std::set<std::string> s = {
-      "WallTimer", "mt19937", "mt19937_64", "random_device",
-      "default_random_engine", "minstd_rand"};
-  return s;
-}
 const std::set<std::string>& UnorderedTypes() {
   static const std::set<std::string> s = {
       "unordered_map", "unordered_set", "unordered_multimap",
@@ -81,12 +43,6 @@ const std::set<std::string>& CastKeywords() {
   return s;
 }
 
-std::string Lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
-}
-
 bool LooksLikeMutexName(const std::string& name) {
   const std::string low = Lower(name);
   return low == "mu" || low == "mu_" ||
@@ -97,13 +53,54 @@ bool LooksLikeMutexName(const std::string& name) {
 
 }  // namespace
 
-uint64_t HashContent(const std::string& content) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : content) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
+const SourceName* FindSourceName(const std::string& name, bool header) {
+  using Use = SourceName::Use;
+  static const SourceName kTable[] = {
+      {"system_clock", "wall_clock", Use::kName},
+      {"steady_clock", "wall_clock", Use::kName},
+      {"high_resolution_clock", "wall_clock", Use::kName},
+      {"gettimeofday", "wall_clock", Use::kName},
+      {"clock_gettime", "wall_clock", Use::kName},
+      {"timespec_get", "wall_clock", Use::kName},
+      {"localtime", "wall_clock", Use::kName},
+      {"gmtime", "wall_clock", Use::kName},
+      {"mktime", "wall_clock", Use::kName},
+      {"time", "wall_clock", Use::kFreeCall},
+      {"clock", "wall_clock", Use::kFreeCall},
+      // common/timer.h's wall reader: its one steady_clock read carries a
+      // justified FLB001 allow, and taint follows every use of it.
+      {"WallTimer", "wall_clock", Use::kName, true, true},
+      {"ElapsedSeconds", "wall_clock", Use::kAnyCall, false, true},
+      {"ctime", "wall_clock", Use::kHeader},
+      {"time.h", "wall_clock", Use::kHeader},
+      {"sys/time.h", "wall_clock", Use::kHeader},
+      {"random_device", "entropy", Use::kName, true},
+      {"mt19937", "entropy", Use::kName, true},
+      {"mt19937_64", "entropy", Use::kName, true},
+      {"default_random_engine", "entropy", Use::kName, true},
+      {"minstd_rand", "entropy", Use::kName, true},
+      {"drand48", "entropy", Use::kName},
+      {"lrand48", "entropy", Use::kName},
+      {"mrand48", "entropy", Use::kName},
+      {"rand", "entropy", Use::kFreeCall},
+      {"srand", "entropy", Use::kFreeCall},
+      {"random", "entropy", Use::kFreeCall},
+      {"random", "entropy", Use::kHeader},
+  };
+  // Identifiers and include targets are indexed apart: `random` is both a
+  // call and a header.
+  using Index = std::map<std::string, const SourceName*>;
+  static const std::pair<Index, Index> kIndex = [] {
+    std::pair<Index, Index> index;
+    for (const SourceName& row : kTable) {
+      (row.use == Use::kHeader ? index.second : index.first)
+          .emplace(row.name, &row);
+    }
+    return index;
+  }();
+  const Index& index = header ? kIndex.second : kIndex.first;
+  const auto it = index.find(name);
+  return it == index.end() ? nullptr : it->second;
 }
 
 std::string NormalizePath(std::string path) {
@@ -391,15 +388,12 @@ class FnExtractor {
           if (t_[k].text == "*") add("src:pointer_order");
         }
       }
-      if ((!member && WallAlways().count(id) != 0) ||
-          (called && WallCallOnly().count(id) != 0 &&
-           (!member || id == "ElapsedSeconds"))) {
-        add("src:wall_clock");
-        continue;
-      }
-      if ((!member && EntropyAlways().count(id) != 0) ||
-          (!member && called && EntropyCallOnly().count(id) != 0)) {
-        add("src:entropy");
+      if (const SourceName* source = FindSourceName(id);
+          source != nullptr &&
+          (source->use == SourceName::Use::kAnyCall ? called
+           : source->use == SourceName::Use::kFreeCall ? called && !member
+                                                       : !member)) {
+        add(std::string("src:") + source->source);
         continue;
       }
       if (member) {
@@ -452,11 +446,11 @@ class FnExtractor {
       const std::string& head = t_[s.begin].text;
       // Type-based taint: `WallTimer timer;` etc.
       for (size_t j = s.begin; j + 1 < s.end; ++j) {
-        if (IsIdent(t_, j) && TaintedTypes().count(t_[j].text) != 0 &&
-            IsIdent(t_, j + 1)) {
-          const char* atom = t_[j].text == "WallTimer" ? "src:wall_clock"
-                                                       : "src:entropy";
-          changed |= AddTaint(t_[j + 1].text, {atom});
+        if (!IsIdent(t_, j) || !IsIdent(t_, j + 1)) continue;
+        const SourceName* source = FindSourceName(t_[j].text);
+        if (source != nullptr && source->type) {
+          changed |= AddTaint(t_[j + 1].text,
+                              {std::string("src:") + source->source});
         }
       }
       if (head == "for" && Is(t_, s.begin + 1, "(")) {
@@ -627,10 +621,8 @@ class FnExtractor {
 FileFacts ExtractFacts(const std::string& path, const std::string& content) {
   FileFacts facts;
   facts.path = NormalizePath(path);
-  facts.content_hash = HashContent(content);
-
-  std::vector<Token> tokens;
-  lint::Tokenize(content, &tokens, &facts.suppressions);
+  Tokenize(content, &facts.tokens, &facts.suppressions);
+  const std::vector<Token>& tokens = facts.tokens;
   ParsedFile parsed = ParseFile(tokens);
   facts.includes = std::move(parsed.includes);
 

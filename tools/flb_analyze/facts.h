@@ -1,17 +1,16 @@
 // Per-file facts for flb_analyze's interprocedural passes.
 //
-// A file's facts are everything the global analyses need, already reduced
-// to serializable records: the include list (FLB009), per-function lock
-// acquisitions and call sites with the set of locks held (FLB007), and
-// per-function taint atoms — sources appearing in expressions, sink call
-// sites with the atoms feeding each argument, and the atoms flowing into
-// the return value (FLB008). Extraction runs the shared tokenizer, the
-// declaration parser, the per-function CFG, and a local union-only taint
-// fixpoint; nothing here looks at any other file, which is what makes the
-// facts cacheable per (path, content-hash) in the incremental cache.
+// A file's facts are everything the global analyses need: its token
+// stream (which the token rules FLB001-FLB006 scan), the include list
+// (FLB009), per-function lock acquisitions and call sites with the set of
+// locks held (FLB007), and per-function taint atoms — sources appearing in
+// expressions, sink call sites with the atoms feeding each argument, and
+// the atoms flowing into the return value (FLB008). Extraction runs the
+// tokenizer once, then the declaration parser, the per-function CFG, and a
+// local union-only taint fixpoint over that one stream; nothing here looks
+// at any other file.
 //
-// Atom vocabulary (no whitespace, so facts serialize as space-separated
-// fields):
+// Atom vocabulary:
 //   src:wall_clock | src:entropy | src:pointer_order | src:unordered_iter
 //       a determinism-taint source appearing directly in the expression
 //   call:<name>   value returned by a call to <name> (resolved globally)
@@ -23,12 +22,11 @@
 #ifndef FLB_TOOLS_FLB_ANALYZE_FACTS_H_
 #define FLB_TOOLS_FLB_ANALYZE_FACTS_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "tools/flb_analyze/parser.h"
-#include "tools/flb_lint/token.h"
+#include "tools/flb_analyze/token.h"
 
 namespace flb::analyze {
 
@@ -70,21 +68,40 @@ struct FnFacts {
 
 struct FileFacts {
   std::string path;  // normalized ("src/..." when under a src tree)
-  uint64_t content_hash = 0;
+  std::vector<Token> tokens;
   std::vector<IncludeDecl> includes;
   std::vector<FnFacts> functions;
   // Names declared with std::unordered_{map,set,...} in this file (feeds
-  // the global unordered-name index that resolves iter:<name> atoms).
+  // the global unordered-name index that resolves iter:<name> atoms and
+  // FLB003's iteration check).
   std::vector<std::string> unordered_decls;
   // Inline `// flb-lint: allow(FLB00x) reason` suppressions by line.
-  lint::SuppressionMap suppressions;
+  SuppressionMap suppressions;
 };
 
-// 64-bit FNV-1a, the content hash the incremental cache keys on.
-uint64_t HashContent(const std::string& content);
+// One row of the determinism vocabulary: every name FLB001/FLB002 ban and
+// FLB008 treats as a taint source.
+struct SourceName {
+  enum class Use {
+    kName,      // any non-member mention: `steady_clock`, `mt19937`
+    kFreeCall,  // a non-member call only, so a member or accessor named
+                // `time`/`clock`/`random` stays clean
+    kAnyCall,   // any call, member calls included: `timer.ElapsedSeconds()`
+    kHeader,    // an `#include <...>` target (FLB001/FLB002 only)
+  };
+  const char* name;
+  const char* source;  // "wall_clock" (FLB001) | "entropy" (FLB002)
+  Use use;
+  bool type = false;        // declaring a variable of it taints the variable
+  bool taint_only = false;  // an FLB008 source the token rules leave alone
+};
+
+// The vocabulary row for an identifier (or, with `header`, an include
+// target); nullptr when the name is not in the table.
+const SourceName* FindSourceName(const std::string& name, bool header = false);
 
 // Normalizes separators and strips any prefix before the last "src/"
-// component so baselines and caches are location-independent.
+// component so baselines are location-independent.
 std::string NormalizePath(std::string path);
 
 // Tokenizes, parses, and reduces one file to its facts.

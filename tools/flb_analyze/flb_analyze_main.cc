@@ -2,8 +2,8 @@
 //
 // Usage:
 //   flb_analyze [--root DIR] [--exceptions FILE] [--baseline FILE]
-//               [--cache FILE] [--json PATH] [--sarif PATH]
-//               [--write-baseline PATH] [--list-rules] [--quiet] [file...]
+//               [--json PATH] [--sarif PATH] [--write-baseline PATH]
+//               [--list-rules] [--quiet] [file...]
 //
 // With explicit files, analyzes exactly those as one translation set (the
 // fixture-test entry point); otherwise walks --root (default: src).
@@ -24,8 +24,8 @@ namespace {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--root DIR] [--exceptions FILE] [--baseline FILE] "
-               "[--cache FILE] [--json PATH] [--sarif PATH] "
-               "[--write-baseline PATH] [--list-rules] [--quiet] [file...]\n",
+               "[--json PATH] [--sarif PATH] [--write-baseline PATH] "
+               "[--list-rules] [--quiet] [file...]\n",
                argv0);
   return 2;
 }
@@ -46,7 +46,7 @@ bool WriteFile(const std::string& path, const std::string& content,
 
 int main(int argc, char** argv) {
   std::string root = "src";
-  std::string json_path, sarif_path, cache_path, baseline_out;
+  std::string json_path, sarif_path, baseline_out;
   bool quiet = false;
   std::vector<std::string> files;
   flb::analyze::Options options;
@@ -76,10 +76,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "flb_analyze: %s\n", error.c_str());
         return 2;
       }
-    } else if (arg == "--cache") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      cache_path = v;
     } else if (arg == "--json") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -93,7 +89,7 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage(argv[0]);
       baseline_out = v;
     } else if (arg == "--list-rules") {
-      for (const flb::lint::RuleInfo& rule : flb::analyze::Rules()) {
+      for (const flb::analyze::RuleInfo& rule : flb::analyze::Rules()) {
         std::printf("%s %-18s %s\n", rule.id, rule.name, rule.summary);
       }
       return 0;
@@ -113,7 +109,7 @@ int main(int argc, char** argv) {
   flb::analyze::Report report;
   std::string error;
   if (!files.empty()) {
-    std::vector<flb::lint::FileInput> inputs;
+    std::vector<flb::analyze::FileInput> inputs;
     for (const std::string& path : files) {
       std::ifstream in(path, std::ios::binary);
       if (!in) {
@@ -125,8 +121,7 @@ int main(int argc, char** argv) {
       inputs.push_back({path, content.str()});
     }
     report = flb::analyze::AnalyzeFiles(inputs, options);
-  } else if (!flb::analyze::AnalyzeTree(root, options, cache_path, &report,
-                                        &error)) {
+  } else if (!flb::analyze::AnalyzeTree(root, options, &report, &error)) {
     std::fprintf(stderr, "flb_analyze: %s\n", error.c_str());
     return 2;
   }
@@ -141,14 +136,12 @@ int main(int argc, char** argv) {
   if (!quiet) {
     std::printf(
         "flb_analyze: %llu file(s), %llu function(s), %zu finding(s), "
-        "%llu baselined, %llu suppressed (cache: %llu hit, %llu miss)\n",
+        "%llu baselined, %llu suppressed\n",
         static_cast<unsigned long long>(report.files_scanned),
         static_cast<unsigned long long>(report.functions_analyzed),
         report.findings.size(),
         static_cast<unsigned long long>(report.baselined),
-        static_cast<unsigned long long>(report.suppressed),
-        static_cast<unsigned long long>(report.cache_hits),
-        static_cast<unsigned long long>(report.cache_misses));
+        static_cast<unsigned long long>(report.suppressed));
   }
   if (!json_path.empty() &&
       !WriteFile(json_path, flb::analyze::ReportToBenchJson(report) + "\n",

@@ -1,6 +1,6 @@
 // Lightweight declaration/function-body parser for flb_analyze.
 //
-// Sits on the shared flb_lint tokenizer and recovers just enough structure
+// Sits on the tokenizer (token.h) and recovers just enough structure
 // for the interprocedural passes: the `#include` list, and every function
 // *definition* with its qualified name, parameter names, and body token
 // range. Namespaces, classes (including out-of-line `Class::Method`
@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "tools/flb_lint/token.h"
+#include "tools/flb_analyze/token.h"
 
 namespace flb::analyze {
 
@@ -41,7 +41,7 @@ struct ParsedFile {
   std::vector<FunctionDecl> functions;
 };
 
-ParsedFile ParseFile(const std::vector<lint::Token>& tokens);
+ParsedFile ParseFile(const std::vector<Token>& tokens);
 
 }  // namespace flb::analyze
 

@@ -1,9 +1,9 @@
-#include "tools/flb_lint/token.h"
+#include "tools/flb_analyze/token.h"
 
 #include <algorithm>
 #include <cctype>
 
-namespace flb::lint {
+namespace flb::analyze {
 
 namespace {
 
@@ -54,6 +54,12 @@ int ParseDirective(const std::string& comment, int comment_line,
 }
 
 }  // namespace
+
+std::string Lower(std::string s) {
+  std::transform(s.begin(), s.end(), s.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  return s;
+}
 
 bool Is(const std::vector<Token>& t, size_t i, const char* text) {
   return i < t.size() && t[i].text == text;
@@ -190,4 +196,4 @@ void Tokenize(const std::string& src, std::vector<Token>* tokens,
   }
 }
 
-}  // namespace flb::lint
+}  // namespace flb::analyze

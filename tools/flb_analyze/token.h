@@ -1,5 +1,6 @@
-// Shared C++ tokenizer for the repo-native static-analysis tools
-// (tools/flb_lint and tools/flb_analyze).
+// C++ tokenizer for flb_analyze: every file is tokenized once, and the
+// token rules (FLB001-FLB006), the declaration parser and facts extraction
+// all read that one stream.
 //
 // The tokenizer produces identifiers, numbers, and (multi-char)
 // punctuation with line numbers. Comments and string/char literals are
@@ -9,15 +10,15 @@
 // `#` and the following tokens appear in the stream, which is how the
 // include-graph scan reads `#include "..."` lines.
 
-#ifndef FLB_TOOLS_FLB_LINT_TOKEN_H_
-#define FLB_TOOLS_FLB_LINT_TOKEN_H_
+#ifndef FLB_TOOLS_FLB_ANALYZE_TOKEN_H_
+#define FLB_TOOLS_FLB_ANALYZE_TOKEN_H_
 
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
-namespace flb::lint {
+namespace flb::analyze {
 
 struct Token {
   enum class Kind { kIdent, kNumber, kPunct, kString };
@@ -42,6 +43,8 @@ void Tokenize(const std::string& src, std::vector<Token>* tokens,
 
 // ---- token-stream helpers -------------------------------------------------
 
+std::string Lower(std::string s);
+
 bool Is(const std::vector<Token>& t, size_t i, const char* text);
 bool IsIdent(const std::vector<Token>& t, size_t i);
 bool IsString(const std::vector<Token>& t, size_t i);
@@ -53,6 +56,6 @@ bool IsString(const std::vector<Token>& t, size_t i);
 size_t SkipBalanced(const std::vector<Token>& t, size_t open,
                     const char* open_text, const char* close_text);
 
-}  // namespace flb::lint
+}  // namespace flb::analyze
 
-#endif  // FLB_TOOLS_FLB_LINT_TOKEN_H_
+#endif  // FLB_TOOLS_FLB_ANALYZE_TOKEN_H_
