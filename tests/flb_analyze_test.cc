@@ -266,26 +266,40 @@ TEST(FlbAnalyze, BaselineFileParsesAndRoundTrips) {
   EXPECT_EQ(clean.baselined, dirty.findings.size());
 }
 
-TEST(FlbAnalyze, BenchJsonSummarySchema) {
-  const Report report = LintFixture("discarded_status_violation.cc");
+// Every BenchJson row for `report`: the schema both fixtures share, plus
+// one findings_by_rule row per rule with the count in `by_rule`.
+void ExpectBenchJson(const Report& report,
+                     const std::vector<std::pair<std::string, int>>& by_rule) {
   const std::string json = ReportToBenchJson(report);
   EXPECT_EQ(json.rfind("{", 0), 0u);
   EXPECT_NE(json.find("\"bench\":\"flb_analyze\""), std::string::npos);
   EXPECT_NE(json.find("\"metric\":\"flb.analyze.rules_run\",\"value\":9"),
             std::string::npos);
   EXPECT_NE(json.find("flb.analyze.files_scanned"), std::string::npos);
-  EXPECT_NE(json.find("flb.analyze.lock_edges"), std::string::npos);
-  EXPECT_NE(json.find("\"metric\":\"flb.analyze.findings\",\"value\":2"),
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.findings\",\"value\":" +
+                      std::to_string(report.findings.size())),
             std::string::npos);
-  EXPECT_NE(json.find("\"metric\":\"flb.analyze.suppressed\",\"value\":1"),
+  EXPECT_NE(json.find("\"metric\":\"flb.analyze.lock_edges\",\"value\":" +
+                      std::to_string(report.lock_edges)),
             std::string::npos);
   for (const RuleInfo& rule : Rules()) {
+    int want = 0;
+    for (const auto& [id, count] : by_rule) {
+      if (id == rule.id) want = count;
+    }
     const std::string row = "\"metric\":\"flb.analyze.findings_by_rule." +
-                            std::string(rule.id) + "\",\"value\":" +
-                            (std::string(rule.id) == "FLB005" ? "2" : "0");
+                            std::string(rule.id) +
+                            "\",\"value\":" + std::to_string(want);
     EXPECT_NE(json.find(row), std::string::npos) << row;
   }
   EXPECT_NE(json.find("\"unit\":\"count\""), std::string::npos);
+}
+
+// A whole-program fixture: the lock graph's counters reach the summary.
+TEST(FlbAnalyze, BenchJsonSummarySchema) {
+  const Report report = AnalyzeFixtures({"deadlock_cycle.cc"});
+  EXPECT_GE(report.lock_edges, 2u);
+  ExpectBenchJson(report, {{"FLB007", 1}, {"FLB004", 2}});
 }
 
 TEST(FlbAnalyze, SarifOutputStructure) {
@@ -332,6 +346,54 @@ TEST(FlbAnalyze, RealSourceTreeIsClean) {
 // ---- token rules (FLB001-FLB006) -------------------------------------------
 // Each fixture under tests/lint_fixtures/ carries one deliberate violation
 // per rule at a pinned line; clean.cc carries none.
+
+// The token-rule fixtures report exactly the first six rows of the one
+// table: no token check emits an ID the table lacks, and every token row
+// has a fixture that trips it.
+TEST(FlbLintTest, RuleTableIsStable) {
+  std::set<std::string> reported;
+  for (const char* fixture :
+       {"wall_clock_violation.cc", "entropy_violation.cc",
+        "unordered_iter_violation.cc", "mutex_annotation_violation.cc",
+        "discarded_status_violation.cc", "unbounded_retry_violation.cc",
+        "tuner_measurement_violation.cc", "clean.cc"}) {
+    for (const Finding& f : LintFixture(fixture).findings) {
+      reported.insert(f.rule);
+    }
+  }
+  const auto& rules = Rules();
+  ASSERT_EQ(rules.size(), 9u);
+  std::set<std::string> token_rows;
+  for (size_t i = 0; i < 6; ++i) token_rows.insert(rules[i].id);
+  EXPECT_EQ(reported, token_rows);
+}
+
+// A token-rule fixture: its justified discard is counted as suppressed.
+TEST(FlbLintTest, BenchJsonSummarySchema) {
+  const Report report = LintFixture("discarded_status_violation.cc");
+  ExpectBenchJson(report, {{"FLB005", 2}});
+  EXPECT_NE(ReportToBenchJson(report).find(
+                "\"metric\":\"flb.analyze.suppressed\",\"value\":1"),
+            std::string::npos);
+}
+
+// The token rules hold on the real tree with no baseline at all: their
+// debt is never accepted, only fixed or justified inline.
+TEST(FlbLintTest, RealSourceTreeIsClean) {
+  Options opts = CheckedInOptions();
+  opts.baseline.clear();
+  Report report;
+  std::string error;
+  ASSERT_TRUE(AnalyzeTree(std::string(FLB_SOURCE_ROOT) + "/src", opts,
+                          &report, &error))
+      << error;
+  EXPECT_GT(report.files_scanned, 50u);
+  for (const Finding& f : report.findings) {
+    if (f.rule > "FLB006") continue;
+    ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule << "] "
+                  << f.message;
+  }
+}
 
 TEST(FlbLintTest, WallClockFixture) {
   ExpectFindings(LintFixture("wall_clock_violation.cc"), {{"FLB001", 10}});
