@@ -1,6 +1,6 @@
 // Shared workload definitions and BenchJson export for the bench drivers:
-// bench_paper (every paper table and figure, with the shape claims checked),
-// bench_table4_throughput and bench_pipeline (see DESIGN.md §3).
+// bench_paper (every paper table and figure, with the shape claims checked)
+// and bench_table4_throughput (see DESIGN.md §3).
 //
 // Shapes are container-scale versions of the paper's corpora (Table II);
 // the *ratios* between engines, models, datasets, and key sizes are the

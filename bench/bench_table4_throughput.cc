@@ -7,7 +7,6 @@
 // falls roughly with the cube of the key size.
 
 #include <cstdio>
-#include <memory>
 
 #include "bench/bench_common.h"
 #include "src/common/rng.h"
@@ -15,80 +14,8 @@
 #include "src/common/timer.h"
 #include "src/core/tuner.h"
 #include "src/crypto/paillier.h"
-#include "src/ghe/ghe_engine.h"
 
 namespace {
-
-// Multi-stream async GHE: model the same hom-add batch through a 1-stream
-// (fully serialized) and a 4-stream (chunked, copy/compute overlapped)
-// engine and compare the charged batch time. The host arithmetic is shared
-// by both paths, so outputs are verified identical on real small-key
-// ciphertexts first.
-void PrintStreamOverlapSection() {
-  using flb::Rng;
-  using flb::mpint::BigInt;
-
-  // Bit-exactness: the chunked schedule never touches the math.
-  Rng rng(7);
-  auto keys = flb::crypto::PaillierKeyGen(256, rng).value();
-  auto ctx = flb::crypto::PaillierContext::Create(keys).value();
-  std::vector<BigInt> ms;
-  for (uint64_t i = 1; i <= 64; ++i) ms.push_back(BigInt(i * 17));
-  flb::ghe::GheConfig four;
-  four.streams = 4;
-  four.adaptive_chunking = false;
-  auto mk_device = [] {
-    return std::make_shared<flb::gpusim::Device>(
-        flb::gpusim::DeviceSpec::Rtx3090(), nullptr);
-  };
-  flb::ghe::GheEngine serial_engine(mk_device());
-  flb::ghe::GheEngine chunked_engine(mk_device(), four);
-  Rng r1(13), r4(13);
-  auto cs1 = serial_engine.PaillierEncrypt(ctx, ms, r1).value();
-  auto cs4 = chunked_engine.PaillierEncrypt(ctx, ms, r4).value();
-  auto sum1 = serial_engine.PaillierAdd(ctx, cs1, cs1).value();
-  auto sum4 = chunked_engine.PaillierAdd(ctx, cs4, cs4).value();
-  bool identical = cs1.size() == cs4.size();
-  for (size_t i = 0; identical && i < cs1.size(); ++i) {
-    identical = cs1[i] == cs4[i] && sum1[i] == sum4[i];
-  }
-
-  flb::bench::BeginSection("stream_overlap");
-  std::printf(
-      "Multi-stream async GHE — modeled hom-add batch throughput "
-      "(values/s)\n");
-  std::printf("%5s %9s %12s %12s %8s\n", "key", "batch", "streams=1",
-              "streams=4", "speedup");
-  const int64_t batch = 1 << 16;
-  for (int key : flb::bench::kKeySizes) {
-    flb::SimClock c1, c4;
-    auto d1 = std::make_shared<flb::gpusim::Device>(
-        flb::gpusim::DeviceSpec::Rtx3090(), &c1);
-    auto d4 = std::make_shared<flb::gpusim::Device>(
-        flb::gpusim::DeviceSpec::Rtx3090(), &c4);
-    flb::ghe::GheConfig cfg;
-    cfg.streams = 1;
-    flb::ghe::GheEngine one(d1, cfg);
-    cfg.streams = 4;
-    flb::ghe::GheEngine overlap(d4, cfg);
-    one.ModelOp(flb::ghe::HeOp::kAdd, key, batch).value();
-    overlap.ModelOp(flb::ghe::HeOp::kAdd, key, batch).value();
-    const double t1 = c1.HeSeconds();
-    const double t4 = c4.HeSeconds();
-    std::printf("%5d %9lld %12.0f %12.0f %7.2fx\n", key,
-                static_cast<long long>(batch), batch / t1, batch / t4,
-                t1 / t4);
-    const std::string suffix = "key=" + std::to_string(key);
-    auto& json = flb::bench::BenchJson::Global();
-    json.Record("hom_add_throughput_streams1," + suffix, batch / t1,
-                "values/s");
-    json.Record("hom_add_throughput_streams4," + suffix, batch / t4,
-                "values/s");
-    json.Record("stream_overlap_speedup," + suffix, t1 / t4, "x");
-  }
-  std::printf("Ciphertext outputs identical across paths: %s\n",
-              identical ? "yes" : "NO — MISMATCH");
-}
 
 // Host execution engine: wall-clock cost of the real Paillier batch
 // helpers. Two levers, measured separately:
@@ -331,7 +258,6 @@ int main() {
   std::printf(
       "\nShape: FLBooster > HAFLO >> FATE; throughput decays steeply with "
       "key size (paper Table IV).\n");
-  PrintStreamOverlapSection();
   PrintHostWallclockSection();
   PrintAutotuneSection();
   return 0;

@@ -1,7 +1,6 @@
 #include "src/ghe/ghe_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
 #include "src/common/check.h"
@@ -44,38 +43,6 @@ int64_t ChunkCount(int64_t count, int nchunks, int k) {
   return base + (k < rem ? 1 : 0);
 }
 
-// Makespan of the chunked schedule under the device's async scheduling
-// rule: in-order streams, one compute engine, one DMA engine per PCIe
-// direction (shared when the link is half duplex). chunks[k] holds the
-// {h2d, kernel, d2h} durations of chunk k; chunks are issued round-robin.
-double PipelinedMakespan(const std::vector<std::array<double, 3>>& chunks,
-                         int streams, bool full_duplex) {
-  std::vector<double> ready(static_cast<size_t>(streams), 0.0);
-  double h2d_free = 0.0, compute_free = 0.0, d2h_free = 0.0;
-  double makespan = 0.0;
-  for (size_t k = 0; k < chunks.size(); ++k) {
-    double& r = ready[k % streams];
-    double start = std::max(r, h2d_free);
-    if (!full_duplex) start = std::max(start, d2h_free);
-    r = start + chunks[k][0];
-    h2d_free = r;
-    if (!full_duplex) d2h_free = r;
-
-    start = std::max(r, compute_free);
-    r = start + chunks[k][1];
-    compute_free = r;
-
-    start = std::max(r, d2h_free);
-    if (!full_duplex) start = std::max(start, h2d_free);
-    r = start + chunks[k][2];
-    d2h_free = r;
-    if (!full_duplex) h2d_free = r;
-
-    makespan = std::max(makespan, r);
-  }
-  return makespan;
-}
-
 }  // namespace
 
 GheEngine::GheEngine(std::shared_ptr<gpusim::Device> device, GheConfig config)
@@ -103,14 +70,6 @@ gpusim::KernelDemand GheEngine::DemandFor(size_t s, int threads_per_elt) const {
   demand.divergent_branches = config_.divergent_branches;
   demand.shared_mem_per_block = 0;
   return demand;
-}
-
-void GheEngine::set_streams(int streams) {
-  config_.streams = std::max(1, streams);
-}
-
-void GheEngine::set_chunks_per_stream(int chunks) {
-  config_.chunks_per_stream = std::max(1, chunks);
 }
 
 common::ThreadPool& GheEngine::host_pool() const {
@@ -162,47 +121,41 @@ Result<gpusim::LaunchResult> GheEngine::LaunchBatch(
 
   const int streams = std::max(1, config_.streams);
   if (streams > 1 && count >= streams) {
+    // The chunk plan: `nchunks` near-equal pieces round-robin over the
+    // streams, each moving its share of the batch's bytes.
     const int nchunks = static_cast<int>(std::min<int64_t>(
         count,
         static_cast<int64_t>(streams) *
             std::max(1, config_.chunks_per_stream)));
-    // What the one-launch synchronous path would cost.
+    std::vector<gpusim::StreamChunk> plan;
+    plan.reserve(static_cast<size_t>(nchunks));
+    int64_t done = 0;
+    size_t in_done = 0, out_done = 0;
+    for (int k = 0; k < nchunks; ++k) {
+      const int64_t next = done + ChunkCount(count, nchunks, k);
+      const size_t in_next = bytes_in * next / count;
+      const size_t out_next = bytes_out * next / count;
+      gpusim::StreamChunk& chunk = plan.emplace_back();
+      chunk.stream = k % streams;
+      chunk.bytes_in = in_next - in_done;
+      chunk.kernel = launch;
+      chunk.kernel.total_threads = (next - done) * tpe;
+      chunk.bytes_out = out_next - out_done;
+      done = next;
+      in_done = in_next;
+      out_done = out_next;
+    }
+    // Per-chunk PCIe latency and launch latency mean small or kernel-bound
+    // batches lose by splitting: chunk only when the plan prices strictly
+    // faster than the one-launch synchronous path.
     FLB_ASSIGN_OR_RETURN(const gpusim::LaunchResult serial_est,
                          device_->EstimateLaunch(launch));
     const double serial_seconds = device_->TransferSeconds(bytes_in) +
                                   serial_est.sim_seconds +
                                   device_->TransferSeconds(bytes_out);
-    bool chunk = true;
-    double pipelined_seconds = 0.0;
-    if (config_.adaptive_chunking) {
-      // Price the chunked schedule first: per-transfer PCIe latency and
-      // per-chunk launch latency mean small or kernel-bound batches lose
-      // by splitting, so only chunk when the pipeline is strictly faster.
-      std::vector<std::array<double, 3>> plan;
-      plan.reserve(static_cast<size_t>(nchunks));
-      int64_t done = 0;
-      size_t in_done = 0, out_done = 0;
-      for (int k = 0; k < nchunks; ++k) {
-        const int64_t n = ChunkCount(count, nchunks, k);
-        if (n == 0) continue;
-        const int64_t next = done + n;
-        const size_t in_next = bytes_in * next / count;
-        const size_t out_next = bytes_out * next / count;
-        gpusim::KernelLaunch piece = launch;
-        piece.total_threads = n * tpe;
-        FLB_ASSIGN_OR_RETURN(const gpusim::LaunchResult est,
-                             device_->EstimateLaunch(piece));
-        plan.push_back({device_->TransferSeconds(in_next - in_done),
-                        est.sim_seconds,
-                        device_->TransferSeconds(out_next - out_done)});
-        done = next;
-        in_done = in_next;
-        out_done = out_next;
-      }
-      pipelined_seconds = PipelinedMakespan(plan, streams,
-                                            device_->spec().pcie_full_duplex);
-      chunk = pipelined_seconds < serial_seconds;
-    }
+    FLB_ASSIGN_OR_RETURN(const double pipelined_seconds,
+                         device_->EstimateChunks(plan));
+    const bool chunked = pipelined_seconds < serial_seconds;
     // The scheduler's pricing decision, visible on the trace timeline and
     // countable in the metrics snapshot.
     auto& rec = obs::TraceRecorder::Global();
@@ -212,15 +165,21 @@ Result<gpusim::LaunchResult> GheEngine::LaunchBatch(
                   {obs::Arg("op", name), obs::Arg("count", count),
                    obs::Arg("serial_seconds", serial_seconds),
                    obs::Arg("pipelined_seconds", pipelined_seconds),
-                   obs::Arg("adaptive", config_.adaptive_chunking),
-                   obs::Arg("chunked", chunk)});
+                   obs::Arg("chunked", chunked)});
     }
     obs::MetricsRegistry::Global().Count(
         "flb.ghe.chunk_decisions", 1,
-        chunk ? "choice=chunked" : "choice=serial");
-    if (chunk) {
-      return LaunchBatchAsync(launch, count, tpe, bytes_in, bytes_out,
-                              serial_seconds, std::move(body));
+        chunked ? "choice=chunked" : "choice=serial");
+    if (chunked) {
+      // Staging buffers per stream: input + output slices of the largest
+      // chunk, page-rounded so successive batches reuse the same pool slots.
+      const size_t stage_bytes = RoundUpPage(
+          (bytes_in + bytes_out) *
+              static_cast<size_t>(ChunkCount(count, nchunks, 0)) /
+              static_cast<size_t>(count) +
+          1);
+      return LaunchChunks(std::move(plan), streams, stage_bytes,
+                          serial_seconds, std::move(body));
     }
   }
 
@@ -242,30 +201,14 @@ Result<gpusim::LaunchResult> GheEngine::LaunchBatch(
   return last_launch_;
 }
 
-Result<gpusim::LaunchResult> GheEngine::LaunchBatchAsync(
-    const gpusim::KernelLaunch& proto, int64_t count, int64_t tpe,
-    size_t bytes_in, size_t bytes_out, double serial_seconds,
-    std::function<void()> body) {
-  const int streams = std::max(1, config_.streams);
-  // Mirror of LaunchBatch's chunk plan: the pricing and the execution must
-  // split the batch identically or the adaptive decision prices the wrong
-  // schedule.
-  const int nchunks = static_cast<int>(std::min<int64_t>(
-      count,
-      static_cast<int64_t>(streams) * std::max(1, config_.chunks_per_stream)));
+Result<gpusim::LaunchResult> GheEngine::LaunchChunks(
+    std::vector<gpusim::StreamChunk> plan, int streams, size_t stage_bytes,
+    double serial_seconds, std::function<void()> body) {
   while (static_cast<int>(stream_ids_.size()) < streams) {
     stream_ids_.push_back(stream_ids_.empty() ? gpusim::kDefaultStream
                                               : device_->CreateStream());
   }
-
-  // Per-stream staging buffers: input + output slices of the largest chunk,
-  // page-rounded so successive batches reuse the same pool slots.
   auto& rm = device_->resource_manager();
-  const int64_t max_chunk = ChunkCount(count, nchunks, 0);
-  const size_t stage_bytes = RoundUpPage(
-      (bytes_in + bytes_out) * static_cast<size_t>(max_chunk) /
-          static_cast<size_t>(count) +
-      1);
   std::vector<gpusim::ResourceManager::DeviceAddress> staging;
   staging.reserve(static_cast<size_t>(streams));
   for (int i = 0; i < streams; ++i) {
@@ -273,32 +216,21 @@ Result<gpusim::LaunchResult> GheEngine::LaunchBatchAsync(
     staging.push_back(addr);
   }
 
+  // The host body computes the whole batch in one pass; it rides the first
+  // chunk. Arithmetic is immediate either way — only the modeled schedule
+  // is deferred — so chunking cannot change the results.
+  plan.front().kernel.body = std::move(body);
   gpusim::LaunchResult agg{};
   double weight = 0.0, occ_sum = 0.0, util_sum = 0.0;
   double kernel_busy = 0.0, transfer_busy = 0.0;
-  int chunks = 0;
-  int64_t done = 0;
-  size_t in_done = 0, out_done = 0;
-  for (int k = 0; k < nchunks; ++k) {
-    const int64_t n = ChunkCount(count, nchunks, k);
-    if (n == 0) continue;
-    const int64_t next = done + n;
-    const size_t in_next = bytes_in * next / count;
-    const size_t out_next = bytes_out * next / count;
-    const gpusim::StreamId sid = stream_ids_[static_cast<size_t>(k % streams)];
-
+  for (const gpusim::StreamChunk& chunk : plan) {
+    const gpusim::StreamId sid = stream_ids_[static_cast<size_t>(chunk.stream)];
     FLB_ASSIGN_OR_RETURN(const gpusim::CopyResult h2d,
-                         device_->CopyToDeviceAsync(in_next - in_done, sid));
-    gpusim::KernelLaunch piece = proto;
-    piece.total_threads = n * tpe;
-    // The host body computes the whole batch in one pass; it rides the
-    // first chunk. Arithmetic is immediate either way — only the modeled
-    // schedule is deferred — so chunking cannot change the results.
-    if (chunks == 0) piece.body = std::move(body);
+                         device_->CopyToDeviceAsync(chunk.bytes_in, sid));
     FLB_ASSIGN_OR_RETURN(const gpusim::LaunchResult r,
-                         device_->LaunchAsync(piece, sid));
+                         device_->LaunchAsync(chunk.kernel, sid));
     FLB_ASSIGN_OR_RETURN(const gpusim::CopyResult d2h,
-                         device_->CopyFromDeviceAsync(out_next - out_done, sid));
+                         device_->CopyFromDeviceAsync(chunk.bytes_out, sid));
 
     agg.waves += r.waves;
     agg.block_threads = r.block_threads;
@@ -309,10 +241,6 @@ Result<gpusim::LaunchResult> GheEngine::LaunchBatchAsync(
     weight += r.sim_seconds;
     kernel_busy += r.sim_seconds;
     transfer_busy += h2d.seconds + d2h.seconds;
-    ++chunks;
-    done = next;
-    in_done = in_next;
-    out_done = out_next;
   }
 
   const double makespan = device_->Synchronize();
@@ -326,6 +254,7 @@ Result<gpusim::LaunchResult> GheEngine::LaunchBatchAsync(
   agg.sm_utilization = weight > 0.0 ? util_sum / weight : 0.0;
   last_launch_ = agg;
 
+  const int chunks = static_cast<int>(plan.size());
   last_batch_ = GheBatchStats{};
   last_batch_.chunks = chunks;
   last_batch_.streams = streams;

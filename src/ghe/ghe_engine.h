@@ -17,9 +17,9 @@
 // ModelOp runs the identical launch from the same row without a body, and
 // ModelBatch prices any batch the caller describes, with an optional body:
 // HeService charges every HE op through it, so a modeled op and a real one
-// launch the same kernel. The tuner, the pipeline model and the paper
-// drivers price millions of HE ops through ModelOp without executing
-// millions of 4096-bit exponentiations (DESIGN.md §1, §4).
+// launch the same kernel. The tuner and the paper driver price millions
+// of HE ops through ModelOp without executing millions of 4096-bit
+// exponentiations (DESIGN.md §1, §4).
 
 #ifndef FLB_GHE_GHE_ENGINE_H_
 #define FLB_GHE_GHE_ENGINE_H_
@@ -57,16 +57,14 @@ struct GheConfig {
   // branch combining is on; the HAFLO baseline leaves them unmanaged.
   int divergent_branches = 2;
   // Device streams for batch execution. 1 = the original fully synchronous
-  // H2D → kernel → D2H path. N > 1 cuts each batch into N chunks issued
+  // H2D → kernel → D2H path. N > 1 plans each batch as chunks issued
   // round-robin across N streams, so chunk k's H2D overlaps chunk k-1's
   // kernel and chunk k-2's D2H on the device timeline (§V / Fig. 4 overlap,
-  // HAFLO-style streamed staging).
+  // HAFLO-style streamed staging). The engine prices the plan with
+  // Device::EstimateChunks and runs it only when it beats one launch, so
+  // small or kernel-bound batches keep the one-launch path and more streams
+  // never slow a workload down.
   int streams = 1;
-  // When true (default) the engine prices both schedules first and only
-  // chunks when the streamed timeline is strictly faster — small or
-  // kernel-bound batches keep the one-launch path, so enabling streams can
-  // never slow a workload down. Tests disable this to force chunking.
-  bool adaptive_chunking = true;
   // Chunks issued per stream on the chunked path. 1 = one chunk per stream
   // (each stream runs exactly one H2D → kernel → D2H pipeline). Higher
   // values slice the batch finer, which fills pipeline bubbles on large
@@ -101,11 +99,6 @@ class GheEngine {
 
   gpusim::Device& device() { return *device_; }
   const GheConfig& config() const { return config_; }
-  // Re-targets the stream count for subsequent batches (clamped to >= 1).
-  // Streams are created on the device lazily, on first chunked batch.
-  void set_streams(int streams);
-  // Re-targets the chunk granularity for subsequent batches (clamped >= 1).
-  void set_chunks_per_stream(int chunks);
 
   // ---- Table I: fundamental vector arithmetic -------------------------------
   // Elementwise over equal-length arrays.
@@ -202,9 +195,8 @@ class GheEngine {
  private:
   // Shared launch path: one kernel over `count` elements of `s` limbs, each
   // costing `limb_ops_per_elt` limb operations, moving in/out bytes over
-  // PCIe. With config_.streams > 1 the batch is chunked across streams when
-  // the streamed timeline prices faster (always, when adaptive_chunking is
-  // off).
+  // PCIe. With config_.streams > 1 the batch runs as its chunk plan when
+  // the plan prices faster than one launch.
   Result<gpusim::LaunchResult> LaunchBatch(const char* name, int64_t count,
                                            size_t s, uint64_t limb_ops_per_elt,
                                            size_t bytes_in, size_t bytes_out,
@@ -213,10 +205,11 @@ class GheEngine {
   Result<std::vector<BigInt>> RunOp(
       HeOp op, int key_bits, int64_t count, int width_bits,
       const std::function<Result<std::vector<BigInt>>()>& compute);
-  Result<gpusim::LaunchResult> LaunchBatchAsync(
-      const gpusim::KernelLaunch& proto, int64_t count, int64_t tpe,
-      size_t bytes_in, size_t bytes_out, double serial_seconds,
-      std::function<void()> body);
+  // Enqueues the priced plan on the engine's streams (creating them on
+  // first use), with `body` riding the first chunk, and synchronizes.
+  Result<gpusim::LaunchResult> LaunchChunks(
+      std::vector<gpusim::StreamChunk> plan, int streams, size_t stage_bytes,
+      double serial_seconds, std::function<void()> body);
 
   gpusim::KernelDemand DemandFor(size_t s, int threads_per_elt) const;
   int ThreadsPerElement(size_t s) const;

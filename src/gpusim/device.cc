@@ -7,11 +7,49 @@
 
 namespace flb::gpusim {
 
+StreamTimeline::StreamTimeline(bool full_duplex, int streams)
+    : full_duplex_(full_duplex),
+      ready_(static_cast<size_t>(streams), 0.0) {}
+
+double StreamTimeline::Kernel(int stream, double seconds) {
+  double& ready = ready_[static_cast<size_t>(stream)];
+  const double start = std::max(ready, compute_free_);
+  ready = compute_free_ = start + seconds;
+  kernel_busy_ += seconds;
+  return start;
+}
+
+double StreamTimeline::Copy(int stream, double seconds, bool to_device) {
+  double& ready = ready_[static_cast<size_t>(stream)];
+  double& engine = to_device ? h2d_free_ : d2h_free_;
+  double& other = to_device ? d2h_free_ : h2d_free_;
+  double start = std::max(ready, engine);
+  // A half-duplex link has one DMA engine shared by both directions.
+  if (!full_duplex_) start = std::max(start, other);
+  ready = engine = start + seconds;
+  if (!full_duplex_) other = ready;
+  transfer_busy_ += seconds;
+  return start;
+}
+
+double StreamTimeline::Makespan() const {
+  double makespan = 0.0;
+  for (double ready : ready_) makespan = std::max(makespan, ready);
+  return makespan;
+}
+
+void StreamTimeline::Reset() {
+  std::fill(ready_.begin(), ready_.end(), 0.0);
+  compute_free_ = h2d_free_ = d2h_free_ = 0.0;
+  kernel_busy_ = transfer_busy_ = 0.0;
+}
+
 Device::Device(DeviceSpec spec, SimClock* clock, bool branch_combining)
     : spec_(std::move(spec)),
       clock_(clock),
       rm_(spec_, branch_combining),
-      instance_(obs::TraceRecorder::Global().UniqueProcessName("gpu")) {}
+      instance_(obs::TraceRecorder::Global().UniqueProcessName("gpu")),
+      window_(spec_.pcie_full_duplex, 1) {}
 
 double Device::TimelineNow() const {
   common::MutexLock lock(mu_);
@@ -188,12 +226,11 @@ double Device::CopyFromDevice(size_t bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Streams and events
+// Streams
 // ---------------------------------------------------------------------------
 
 Status Device::CheckStream(StreamId stream) const {
-  if (stream < 0 ||
-      stream >= static_cast<StreamId>(stream_ready_.size())) {
+  if (stream < 0 || stream >= window_.num_streams()) {
     return Status::InvalidArgument("Device: unknown stream " +
                                    std::to_string(stream));
   }
@@ -202,9 +239,9 @@ Status Device::CheckStream(StreamId stream) const {
 
 StreamId Device::CreateStream() {
   common::MutexLock lock(mu_);
-  stream_ready_.push_back(0.0);
+  window_.AddStream();
   ++stats_.streams_created;
-  return static_cast<StreamId>(stream_ready_.size()) - 1;
+  return window_.num_streams() - 1;
 }
 
 Result<LaunchResult> Device::LaunchAsync(const KernelLaunch& launch,
@@ -221,17 +258,13 @@ Result<LaunchResult> Device::LaunchAsync(const KernelLaunch& launch,
   if (launch.body) launch.body();
 
   common::MutexLock lock(mu_);
-  const double start = std::max(stream_ready_[stream], compute_free_);
-  const double end = start + result.sim_seconds;
-  result.start_seconds = start;
-  result.end_seconds = end;
-  stream_ready_[stream] = end;
-  compute_free_ = end;
-  window_kernel_busy_ += result.sim_seconds;
+  result.start_seconds = window_.Kernel(stream, result.sim_seconds);
+  result.end_seconds = result.start_seconds + result.sim_seconds;
   RecordKernelStats(result);
   if (obs::TraceRecorder::Global().enabled()) {
     pending_trace_.push_back({PendingTraceOp::Kind::kKernel, launch.name,
-                              stream, start, end, result.occupancy, 0});
+                              stream, result.start_seconds,
+                              result.end_seconds, result.occupancy, 0});
   }
   return result;
 }
@@ -242,17 +275,8 @@ Result<CopyResult> Device::CopyAsync(size_t bytes, StreamId stream,
   FLB_RETURN_IF_ERROR(CheckStream(stream));
   CopyResult copy;
   copy.seconds = TransferSeconds(bytes);
-  double& engine = to_device ? h2d_free_ : d2h_free_;
-  double& other = to_device ? d2h_free_ : h2d_free_;
-  double start = std::max(stream_ready_[stream], engine);
-  // A half-duplex link has one DMA engine shared by both directions.
-  if (!spec_.pcie_full_duplex) start = std::max(start, other);
-  copy.start_seconds = start;
-  copy.end_seconds = start + copy.seconds;
-  engine = copy.end_seconds;
-  if (!spec_.pcie_full_duplex) other = copy.end_seconds;
-  stream_ready_[stream] = copy.end_seconds;
-  window_transfer_busy_ += copy.seconds;
+  copy.start_seconds = window_.Copy(stream, copy.seconds, to_device);
+  copy.end_seconds = copy.start_seconds + copy.seconds;
   if (to_device) {
     ++stats_.h2d_copies;
     stats_.bytes_h2d += bytes;
@@ -278,29 +302,24 @@ Result<CopyResult> Device::CopyFromDeviceAsync(size_t bytes, StreamId stream) {
   return CopyAsync(bytes, stream, /*to_device=*/false);
 }
 
-Result<EventId> Device::RecordEvent(StreamId stream) {
-  common::MutexLock lock(mu_);
-  FLB_RETURN_IF_ERROR(CheckStream(stream));
-  events_.push_back(stream_ready_[stream]);
-  ++stats_.events_recorded;
-  return static_cast<EventId>(events_.size()) - 1;
-}
-
-Status Device::WaitEvent(StreamId stream, EventId event) {
-  common::MutexLock lock(mu_);
-  FLB_RETURN_IF_ERROR(CheckStream(stream));
-  if (event < 0 || event >= static_cast<EventId>(events_.size())) {
-    return Status::InvalidArgument("Device: unknown event " +
-                                   std::to_string(event));
+Result<double> Device::EstimateChunks(
+    const std::vector<StreamChunk>& chunks) const {
+  int streams = 1;
+  for (const StreamChunk& chunk : chunks) {
+    if (chunk.stream < 0) {
+      return Status::InvalidArgument("EstimateChunks: negative stream");
+    }
+    streams = std::max(streams, chunk.stream + 1);
   }
-  stream_ready_[stream] = std::max(stream_ready_[stream], events_[event]);
-  return Status::OK();
-}
-
-Result<double> Device::StreamReadySeconds(StreamId stream) const {
-  common::MutexLock lock(mu_);
-  FLB_RETURN_IF_ERROR(CheckStream(stream));
-  return stream_ready_[stream];
+  StreamTimeline timeline(spec_.pcie_full_duplex, streams);
+  for (const StreamChunk& chunk : chunks) {
+    FLB_ASSIGN_OR_RETURN(const LaunchResult kernel,
+                         EstimateLaunch(chunk.kernel));
+    timeline.Copy(chunk.stream, TransferSeconds(chunk.bytes_in), true);
+    timeline.Kernel(chunk.stream, kernel.sim_seconds);
+    timeline.Copy(chunk.stream, TransferSeconds(chunk.bytes_out), false);
+  }
+  return timeline.Makespan();
 }
 
 double Device::Synchronize() {
@@ -311,26 +330,21 @@ double Device::Synchronize() {
   std::vector<PendingTraceOp> flush;
   {
     common::MutexLock lock(mu_);
-    for (double ready : stream_ready_) makespan = std::max(makespan, ready);
+    makespan = window_.Makespan();
 
     // Kernels serialize on the compute engine, so the window is never
     // shorter than its kernel busy time; everything beyond that is transfer
     // time the overlap failed to hide.
-    kernel_busy = window_kernel_busy_;
-    exposed_transfer = std::max(0.0, makespan - window_kernel_busy_);
+    kernel_busy = window_.kernel_busy();
+    exposed_transfer = std::max(0.0, makespan - kernel_busy);
 
     stats_.overlap_saved_seconds +=
-        window_kernel_busy_ + window_transfer_busy_ - makespan;
+        kernel_busy + window_.transfer_busy() - makespan;
     ++stats_.synchronizations;
 
     t0 = TimelineNowLocked();
     flush.swap(pending_trace_);
-
-    // Fresh window origin.
-    std::fill(stream_ready_.begin(), stream_ready_.end(), 0.0);
-    compute_free_ = h2d_free_ = d2h_free_ = 0.0;
-    events_.clear();
-    window_kernel_busy_ = window_transfer_busy_ = 0.0;
+    window_.Reset();  // fresh window origin
     AdvanceLocalTime(makespan);
   }
 
@@ -389,8 +403,6 @@ void Device::CollectMetrics(std::vector<obs::MetricValue>& out) const {
   counter("flb.gpusim.transfer_seconds", stats_.transfer_seconds);
   counter("flb.gpusim.streams_created",
           static_cast<double>(stats_.streams_created));
-  counter("flb.gpusim.events_recorded",
-          static_cast<double>(stats_.events_recorded));
   counter("flb.gpusim.synchronizations",
           static_cast<double>(stats_.synchronizations));
   counter("flb.gpusim.overlap_saved_seconds", stats_.overlap_saved_seconds);

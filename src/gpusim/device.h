@@ -16,9 +16,9 @@
 // beta_transfer term).
 //
 // Async execution (§IV / §V copy-compute overlap): the device also exposes
-// CUDA-style streams and events. Each stream is an in-order queue with its
-// own timeline; work on different streams overlaps subject to the shared
-// hardware engines:
+// CUDA-style streams. Each stream is an in-order queue with its own
+// timeline; work on different streams overlaps subject to the shared
+// hardware engines (StreamTimeline below, the one statement of this rule):
 //
 //   * one compute engine — kernels serialize device-wide (the HE kernels
 //     saturate the SMs, so concurrent kernels would not help);
@@ -30,7 +30,9 @@
 // time plus only the *exposed* PCIe time (makespan - kernel busy): copies
 // hidden behind kernels are free, exactly the overlap Fig. 4 banks on. A
 // single-stream window degenerates to the old serialized H2D → kernel →
-// D2H accounting bit-for-bit.
+// D2H accounting bit-for-bit. EstimateChunks replays a chunk plan on a
+// fresh StreamTimeline without touching the window, the stats or the
+// clock: it is to the async calls what EstimateLaunch is to Launch.
 //
 // The device also keeps the utilization telemetry behind Fig. 6: a
 // work-weighted average of SM utilization across launches.
@@ -56,7 +58,6 @@ namespace flb::gpusim {
 
 // Stream 0 always exists (the default stream); CreateStream returns 1, 2, ...
 using StreamId = int;
-using EventId = int;
 
 inline constexpr StreamId kDefaultStream = 0;
 
@@ -93,6 +94,49 @@ struct CopyResult {
   double end_seconds = 0.0;
 };
 
+// The async scheduling rule (§V / Fig. 4): in-order streams, one compute
+// engine, one DMA engine per PCIe direction, shared when the link is half
+// duplex. An op starts once both its stream and its engine are free and
+// holds both until it ends. Times are seconds since the window origin. The
+// device runs its async window on one, and EstimateChunks replays a chunk
+// plan on a fresh one, so what a plan is priced at and what its window
+// charges come from the same arithmetic.
+class StreamTimeline {
+ public:
+  StreamTimeline(bool full_duplex, int streams);
+
+  int num_streams() const { return static_cast<int>(ready_.size()); }
+  void AddStream() { ready_.push_back(0.0); }
+  // Appends an op of `seconds` to `stream` (0 <= stream < num_streams())
+  // and returns its start.
+  double Kernel(int stream, double seconds);
+  double Copy(int stream, double seconds, bool to_device);
+  // When the last stream drains.
+  double Makespan() const;
+  double kernel_busy() const { return kernel_busy_; }
+  double transfer_busy() const { return transfer_busy_; }
+  // An empty window at the origin; the streams stay.
+  void Reset();
+
+ private:
+  bool full_duplex_;
+  std::vector<double> ready_;  // per stream
+  double compute_free_ = 0.0;
+  double h2d_free_ = 0.0;
+  double d2h_free_ = 0.0;
+  double kernel_busy_ = 0.0;
+  double transfer_busy_ = 0.0;
+};
+
+// One chunk of a chunked batch: H2D of `bytes_in`, `kernel`, then D2H of
+// `bytes_out`, in order on the caller's `stream`-th stream.
+struct StreamChunk {
+  int stream = 0;
+  size_t bytes_in = 0;
+  KernelLaunch kernel;
+  size_t bytes_out = 0;
+};
+
 struct DeviceStats {
   uint64_t kernels_launched = 0;
   uint64_t h2d_copies = 0;
@@ -103,7 +147,6 @@ struct DeviceStats {
   double transfer_seconds = 0.0;
   // Async-window telemetry.
   uint64_t streams_created = 0;
-  uint64_t events_recorded = 0;
   uint64_t synchronizations = 0;
   // Sum over windows of (busy kernel + busy transfer) - makespan: the time
   // the stream overlap hid relative to fully serial execution.
@@ -140,14 +183,10 @@ class Device : public obs::MetricsSource {
   // Modeled duration of one transfer of `bytes` (latency + bytes/bandwidth).
   double TransferSeconds(size_t bytes) const;
 
-  // ---- Streams and events (async timeline) ---------------------------------
+  // ---- Streams (async timeline) --------------------------------------------
 
   // Creates a new stream, idle at the current window origin.
   StreamId CreateStream();
-  int num_streams() const {
-    common::MutexLock lock(mu_);
-    return static_cast<int>(stream_ready_.size());
-  }
 
   // Enqueues work on a stream. The body (if any) runs immediately — results
   // are bit-exact regardless of the modeled schedule — while the modeled
@@ -156,16 +195,10 @@ class Device : public obs::MetricsSource {
   Result<CopyResult> CopyToDeviceAsync(size_t bytes, StreamId stream);
   Result<CopyResult> CopyFromDeviceAsync(size_t bytes, StreamId stream);
 
-  // Records the stream's current timeline position; WaitEvent makes another
-  // stream's next op start no earlier than that position (cross-stream
-  // ordering, cudaStreamWaitEvent semantics). Events are window-local and
-  // cleared by Synchronize().
-  Result<EventId> RecordEvent(StreamId stream);
-  Status WaitEvent(StreamId stream, EventId event);
-
-  // Seconds since the window origin at which the stream's enqueued work
-  // completes.
-  Result<double> StreamReadySeconds(StreamId stream) const;
+  // Pure: the makespan Synchronize() would return after `chunks` were
+  // enqueued in order on an empty window, chunk.stream naming the caller's
+  // stream. No body runs; no stats, clock or window change.
+  Result<double> EstimateChunks(const std::vector<StreamChunk>& chunks) const;
 
   // Drains every stream: charges the SimClock with the window's kernel busy
   // time and the exposed (non-overlapped) transfer time, resets all stream
@@ -230,17 +263,8 @@ class Device : public obs::MetricsSource {
   double local_now_ FLB_GUARDED_BY(mu_) = 0.0;
   std::vector<PendingTraceOp> pending_trace_ FLB_GUARDED_BY(mu_);
 
-  // Async window state: all values are seconds since the window origin.
-  // Index 0 = default stream.
-  std::vector<double> stream_ready_ FLB_GUARDED_BY(mu_) = {0.0};
-  // The single kernel engine.
-  double compute_free_ FLB_GUARDED_BY(mu_) = 0.0;
-  // Per-direction DMA engines.
-  double h2d_free_ FLB_GUARDED_BY(mu_) = 0.0;
-  double d2h_free_ FLB_GUARDED_BY(mu_) = 0.0;
-  std::vector<double> events_ FLB_GUARDED_BY(mu_);
-  double window_kernel_busy_ FLB_GUARDED_BY(mu_) = 0.0;
-  double window_transfer_busy_ FLB_GUARDED_BY(mu_) = 0.0;
+  // The async window; index 0 = default stream.
+  StreamTimeline window_ FLB_GUARDED_BY(mu_);
 
   // Registers DeviceStats with the global MetricsRegistry for the device's
   // lifetime (declared last: registration after the stats exist).

@@ -181,7 +181,9 @@ TEST(CpuCostModelTest, ChargeTargetsCpuHe) {
 TEST(WallTimerTest, MeasuresElapsed) {
   WallTimer timer;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) {
+    sink = sink + std::sqrt(static_cast<double>(i));
+  }
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
   timer.Restart();
   EXPECT_LT(timer.ElapsedSeconds(), 1.0);

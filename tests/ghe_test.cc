@@ -446,42 +446,42 @@ TEST(GheStreams, SingleStreamConfigMatchesLegacyPathExactly) {
 }
 
 TEST(GheStreams, ChunkedBatchIsBitExactWithSynchronousPath) {
-  // Real Paillier arithmetic through a forced 4-way chunked schedule must
-  // produce ciphertexts identical to the synchronous path: the modeled
-  // timeline never touches the math.
+  // Real Paillier arithmetic through a 4-way chunked schedule must produce
+  // ciphertexts identical to the synchronous path: the modeled timeline
+  // never touches the math. At 2^14 elements a 256-bit key's encrypt, add
+  // and decrypt batches all price faster chunked, so each one chunks.
   Rng rng(21);
   auto keys = crypto::PaillierKeyGen(256, rng).value();
   auto ctx = crypto::PaillierContext::Create(keys).value();
   std::vector<BigInt> ms;
-  for (uint64_t i = 1; i <= 64; ++i) ms.push_back(BigInt(i * 31));
+  for (uint64_t i = 1; i <= (1 << 14); ++i) ms.push_back(BigInt(i * 31));
 
   GheConfig chunked_cfg;
   chunked_cfg.streams = 4;
-  chunked_cfg.adaptive_chunking = false;  // force chunking even when slower
   GheEngine sync_engine(MakeDevice());
   GheEngine chunked(MakeDevice(), chunked_cfg);
+  auto expect_chunked = [&] {
+    EXPECT_TRUE(chunked.last_batch().async);
+    EXPECT_EQ(chunked.last_batch().chunks, 4);
+  };
 
   // Same RNG seed on both engines so encryption randomness matches.
   Rng r_sync(22), r_chunked(22);
   const auto cs_sync = sync_engine.PaillierEncrypt(ctx, ms, r_sync).value();
   const auto cs_chunked = chunked.PaillierEncrypt(ctx, ms, r_chunked).value();
-  ASSERT_EQ(cs_sync.size(), cs_chunked.size());
-  for (size_t i = 0; i < cs_sync.size(); ++i) {
-    EXPECT_EQ(cs_sync[i], cs_chunked[i]);
-  }
-  EXPECT_TRUE(chunked.last_batch().async);
-  EXPECT_EQ(chunked.last_batch().chunks, 4);
+  expect_chunked();
+  EXPECT_TRUE(cs_sync == cs_chunked);
 
   const auto sum_sync = sync_engine.PaillierAdd(ctx, cs_sync, cs_sync).value();
   const auto sum_chunked =
       chunked.PaillierAdd(ctx, cs_chunked, cs_chunked).value();
-  for (size_t i = 0; i < sum_sync.size(); ++i) {
-    EXPECT_EQ(sum_sync[i], sum_chunked[i]);
-  }
+  expect_chunked();
+  EXPECT_TRUE(sum_sync == sum_chunked);
   // And the results decrypt correctly.
   const auto dec = chunked.PaillierDecrypt(ctx, sum_chunked).value();
+  expect_chunked();
   for (size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_EQ(dec[i], BigInt::Add(ms[i], ms[i]));
+    ASSERT_EQ(dec[i], BigInt::Add(ms[i], ms[i]));
   }
 }
 
@@ -525,18 +525,56 @@ TEST(GheStreams, AdaptiveChunkingKeepsSmallBatchesSerial) {
   EXPECT_DOUBLE_EQ(four_clock.Now(), one_clock.Now());
 }
 
-TEST(GheStreams, SetStreamsRetargetsSubsequentBatches) {
-  GheEngine engine(MakeDevice());
-  engine.ModelOp(HeOp::kAdd, 2048, 1 << 16).value();
-  EXPECT_FALSE(engine.last_batch().async);
-  engine.set_streams(4);
-  engine.ModelOp(HeOp::kAdd, 2048, 1 << 16).value();
-  EXPECT_TRUE(engine.last_batch().async);
-  const double overlapped = engine.last_batch().makespan_seconds;
-  EXPECT_LT(overlapped, engine.last_batch().serial_seconds);
-  engine.set_streams(1);
-  engine.ModelOp(HeOp::kAdd, 2048, 1 << 16).value();
-  EXPECT_FALSE(engine.last_batch().async);
+// §V pipelined staging through the engine's chunk plan.
+GheBatchStats Staged(HeOp op, int key_bits, int64_t count, int streams) {
+  GheConfig cfg;
+  cfg.streams = streams;
+  GheEngine engine(MakeDevice(), cfg);
+  engine.ModelOp(op, key_bits, count).value();
+  return engine.last_batch();
+}
+
+TEST(PipelinedModelTest, OverlapNeverSlower) {
+  for (int streams : {1, 2, 8, 32}) {
+    const auto enc = Staged(HeOp::kEncrypt, 1024, 1 << 14, streams);
+    EXPECT_LE(enc.makespan_seconds, enc.serial_seconds);
+    const auto add = Staged(HeOp::kAdd, 1024, 1 << 16, streams);
+    EXPECT_LE(add.makespan_seconds, add.serial_seconds);
+  }
+}
+
+TEST(PipelinedModelTest, TransferBoundOpGainsFromChunking) {
+  const auto add = Staged(HeOp::kAdd, 2048, 1 << 18, 16);
+  EXPECT_TRUE(add.async);
+  EXPECT_GT(add.serial_seconds / add.makespan_seconds, 1.3);
+  // The bottleneck of a homomorphic-add batch is the PCIe link.
+  EXPECT_GT(add.transfer_busy_seconds, add.kernel_busy_seconds);
+}
+
+TEST(PipelinedModelTest, KernelBoundOpBarelyChanges) {
+  const auto enc = Staged(HeOp::kEncrypt, 4096, 1 << 14, 8);
+  EXPECT_LT(enc.serial_seconds / enc.makespan_seconds, 1.2);
+  EXPECT_GT(enc.kernel_busy_seconds, enc.transfer_busy_seconds);
+}
+
+TEST(PipelinedModelTest, ChunksClampedToBatch) {
+  // A batch with fewer elements than streams cannot fill them: one launch.
+  const auto tiny = Staged(HeOp::kAdd, 1024, 3, 100);
+  EXPECT_FALSE(tiny.async);
+  EXPECT_EQ(tiny.chunks, 1);
+  GheConfig cfg;
+  cfg.streams = 100;
+  GheEngine engine(MakeDevice(), cfg);
+  EXPECT_FALSE(engine.ModelOp(HeOp::kAdd, 1024, 0).ok());
+}
+
+TEST(PipelinedModelTest, KernelBoundOpStaysSerialOnDevice) {
+  // Encryption is kernel-bound: the engine declines to chunk, so the
+  // device-timeline numbers coincide with one stream's.
+  const auto four = Staged(HeOp::kEncrypt, 2048, 1 << 10, 4);
+  EXPECT_FALSE(four.async);
+  EXPECT_DOUBLE_EQ(four.makespan_seconds,
+                   Staged(HeOp::kEncrypt, 2048, 1 << 10, 1).makespan_seconds);
 }
 
 TEST(GheKeyGen, LargerKeysChargeMoreSearchTime) {

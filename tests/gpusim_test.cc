@@ -277,7 +277,7 @@ TEST(DeviceTest, LaunchRejectsEmptyWork) {
 }
 
 // ---------------------------------------------------------------------------
-// Streams and events: the async timeline
+// Streams: the async timeline
 // ---------------------------------------------------------------------------
 
 KernelLaunch SmallKernel(int64_t threads = 1 << 16,
@@ -385,22 +385,6 @@ TEST(DeviceStreamTest, HalfDuplexLinkSerializesBothDirections) {
   EXPECT_DOUBLE_EQ(d2h.start_seconds, h2d.end_seconds);
 }
 
-TEST(DeviceStreamTest, EventsOrderCrossStreamWork) {
-  // cudaStreamWaitEvent semantics: stream 1 must not start its kernel until
-  // stream 0 reaches the recorded event.
-  Device dev(Spec(), nullptr);
-  const StreamId s1 = dev.CreateStream();
-  const size_t bytes = 64 << 20;
-  dev.CopyToDeviceAsync(bytes, kDefaultStream).value();
-  const EventId staged = dev.RecordEvent(kDefaultStream).value();
-  const double staged_at =
-      dev.StreamReadySeconds(kDefaultStream).value();
-  ASSERT_TRUE(dev.WaitEvent(s1, staged).ok());
-  const auto r = dev.LaunchAsync(SmallKernel(), s1).value();
-  EXPECT_GE(r.start_seconds, staged_at);
-  EXPECT_EQ(dev.stats().events_recorded, 1u);
-}
-
 TEST(DeviceStreamTest, SynchronizeChargesExposedTransferOnly) {
   // Charged PCIe time is makespan - kernel busy: copies hidden behind
   // kernels cost nothing, copies the overlap failed to hide cost in full.
@@ -428,18 +412,122 @@ TEST(DeviceStreamTest, SynchronizeResetsTheWindow) {
   dev.CopyToDeviceAsync(1 << 20, s1).value();
   EXPECT_GT(dev.Synchronize(), 0.0);
   const double charged = clock.Now();
-  // Fresh window: timelines back at the origin, empty Synchronize is free.
-  EXPECT_DOUBLE_EQ(dev.StreamReadySeconds(s1).value(), 0.0);
+  // Fresh window: an empty Synchronize is free, and the next op on the
+  // stream starts back at the origin.
   EXPECT_DOUBLE_EQ(dev.Synchronize(), 0.0);
   EXPECT_DOUBLE_EQ(clock.Now(), charged);
+  EXPECT_DOUBLE_EQ(dev.CopyToDeviceAsync(1 << 20, s1).value().start_seconds,
+                   0.0);
 }
 
-TEST(DeviceStreamTest, RejectsUnknownStreamsAndEvents) {
+TEST(DeviceStreamTest, RejectsUnknownStreams) {
   Device dev(Spec(), nullptr);
   EXPECT_FALSE(dev.LaunchAsync(SmallKernel(), 7).ok());
   EXPECT_FALSE(dev.CopyToDeviceAsync(1024, -1).ok());
-  EXPECT_FALSE(dev.RecordEvent(3).ok());
-  EXPECT_FALSE(dev.WaitEvent(kDefaultStream, 0).ok());  // no events yet
+  StreamChunk chunk;
+  chunk.stream = -1;
+  chunk.kernel = SmallKernel();
+  EXPECT_FALSE(dev.EstimateChunks({chunk}).ok());
+}
+
+// Chunks of uneven sizes round-robin over `streams` streams.
+std::vector<StreamChunk> UnevenPlan(int streams) {
+  std::vector<StreamChunk> plan;
+  for (int k = 0; k < 7; ++k) {
+    StreamChunk& chunk = plan.emplace_back();
+    chunk.stream = k % streams;
+    chunk.bytes_in = static_cast<size_t>(4 + k) << 20;
+    chunk.kernel = SmallKernel(int64_t{1} << (12 + k % 3), 20000 + 5000 * k);
+    chunk.bytes_out = static_cast<size_t>(9 - k) << 19;
+  }
+  return plan;
+}
+
+TEST(DeviceStreamTest, EstimateChunksEqualsSynchronize) {
+  // The estimate replays the window's rule on a fresh timeline: the same
+  // plan enqueued for real must drain at exactly the priced makespan, on
+  // a full-duplex link and on a half-duplex one.
+  for (const DeviceSpec& spec :
+       {DeviceSpec::Rtx3090(), DeviceSpec::JetsonClass()}) {
+    SimClock clock;
+    Device dev(spec, &clock);
+    const std::vector<StreamId> ids = {kDefaultStream, dev.CreateStream(),
+                                       dev.CreateStream()};
+    const std::vector<StreamChunk> plan = UnevenPlan(3);
+    const double priced = dev.EstimateChunks(plan).value();
+    EXPECT_EQ(dev.stats().kernels_launched, 0u);
+    EXPECT_EQ(dev.stats().h2d_copies, 0u);
+    EXPECT_EQ(dev.stats().synchronizations, 0u);
+    EXPECT_EQ(clock.Now(), 0.0);
+
+    double serial = 0.0;
+    for (const StreamChunk& chunk : plan) {
+      const StreamId sid = ids[static_cast<size_t>(chunk.stream)];
+      serial += dev.CopyToDeviceAsync(chunk.bytes_in, sid).value().seconds;
+      serial += dev.LaunchAsync(chunk.kernel, sid).value().sim_seconds;
+      serial += dev.CopyFromDeviceAsync(chunk.bytes_out, sid).value().seconds;
+    }
+    EXPECT_EQ(dev.Synchronize(), priced) << spec.name;
+    if (spec.pcie_full_duplex) {
+      EXPECT_LT(priced, serial);
+    } else {
+      // One DMA engine in issue order: each chunk's H2D waits for the
+      // previous chunk's D2H, which waited for its kernel.
+      EXPECT_DOUBLE_EQ(priced, serial);
+    }
+  }
+}
+
+// The closed-form pipeline laws the stream rule obeys: with one chunk per
+// stream, S equal-length stages per chunk and a full-duplex link, chunks
+// flow through the three engines like a classic pipeline.
+double PipelineMakespan(double h2d, double kernel, double d2h, int chunks,
+                        int streams) {
+  StreamTimeline timeline(/*full_duplex=*/true, streams);
+  for (int k = 0; k < chunks; ++k) {
+    timeline.Copy(k % streams, h2d, /*to_device=*/true);
+    timeline.Kernel(k % streams, kernel);
+    timeline.Copy(k % streams, d2h, /*to_device=*/false);
+  }
+  return timeline.Makespan();
+}
+
+TEST(PipelineScheduleTest, SingleChunkEqualsSerial) {
+  EXPECT_DOUBLE_EQ(PipelineMakespan(1.0, 2.0, 3.0, 1, 1), 6.0);
+  EXPECT_DOUBLE_EQ(PipelineMakespan(1.0, 2.0, 3.0, 1, 4), 6.0);
+}
+
+TEST(PipelineScheduleTest, ClassicPipelineFormula) {
+  // fill (1+2+3) + (chunks-1) * bottleneck(3); 24 s serially.
+  EXPECT_DOUBLE_EQ(PipelineMakespan(1.0, 2.0, 3.0, 4, 4), 6.0 + 3 * 3.0);
+  // One stream keeps the chunks in order: no overlap at all.
+  EXPECT_DOUBLE_EQ(PipelineMakespan(1.0, 2.0, 3.0, 4, 1), 24.0);
+}
+
+TEST(PipelineScheduleTest, BalancedStagesApproachStageCountSpeedup) {
+  // With 3 equal stages and many chunks, speedup -> 3, already on 4
+  // round-robin streams.
+  const int chunks = 1000;
+  EXPECT_NEAR(3.0 * chunks / PipelineMakespan(1.0, 1.0, 1.0, chunks, 4), 3.0,
+              0.05);
+}
+
+TEST(PipelineScheduleTest, BottleneckIdentified) {
+  // Whichever engine holds the longest stage paces the pipeline: each
+  // further chunk adds exactly that stage.
+  const double stages[3][3] = {{5, 1, 2}, {1, 5, 2}, {1, 2, 5}};
+  for (const auto& st : stages) {
+    EXPECT_DOUBLE_EQ(PipelineMakespan(st[0], st[1], st[2], 9, 9) -
+                         PipelineMakespan(st[0], st[1], st[2], 8, 9),
+                     5.0);
+  }
+}
+
+TEST(PipelineScheduleTest, Validation) {
+  Device dev(Spec(), nullptr);
+  EXPECT_DOUBLE_EQ(dev.EstimateChunks({}).value(), 0.0);
+  StreamChunk empty_kernel;
+  EXPECT_FALSE(dev.EstimateChunks({empty_kernel}).ok());
 }
 
 }  // namespace

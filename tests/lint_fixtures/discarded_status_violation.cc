@@ -1,7 +1,7 @@
 // Fixture: FLB005 discarded-status. Dropping a Status/Result return loses
 // typed errors on send/ack paths; (void)-casting without a justification is
 // the same bug wearing a hat. Violations are pinned to exact lines by
-// tests/flb_lint_test.cc — edit with care.
+// tests/flb_analyze_test.cc — edit with care.
 
 namespace fixture {
 

@@ -1,6 +1,6 @@
 // Fixture: FLB002 entropy. Unseeded randomness outside common::Rng breaks
 // bit-identical replay. Violations are pinned to exact lines by
-// tests/flb_lint_test.cc — edit with care.
+// tests/flb_analyze_test.cc — edit with care.
 
 namespace fixture {
 

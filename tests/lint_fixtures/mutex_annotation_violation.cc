@@ -1,7 +1,7 @@
 // Fixture: FLB004 mutex-annotation. A raw std::mutex member is invisible
 // to -Wthread-safety, and a common::Mutex member that no FLB_* annotation
 // references guards nothing the analysis can check. Violations are pinned
-// to exact lines by tests/flb_lint_test.cc — edit with care.
+// to exact lines by tests/flb_analyze_test.cc — edit with care.
 
 #include <mutex>
 

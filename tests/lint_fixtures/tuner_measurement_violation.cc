@@ -1,7 +1,7 @@
 // Fixture: what the AutoTuner's measurement loop must NOT look like —
 // timing warm-up probes with a host clock (FLB001) and drawing the
 // exploration pick from ambient entropy (FLB002). The real tuner measures
-// in simulated seconds and draws with Rng::ForStream — flb_lint_test.cc
+// in simulated seconds and draws with Rng::ForStream — flb_analyze_test.cc
 // asserts src/core/tuner.{h,cc} scan clean with zero allowances.
 
 #include <chrono>

@@ -1,7 +1,7 @@
 // Fixture: FLB006 unbounded-retry. A loop that `continue`s on transient
 // transport failure (kUnavailable / kDeadlineExceeded) without consulting
 // an attempt counter or a common::Deadline spins forever against a dead
-// peer. Violations are pinned to exact lines by tests/flb_lint_test.cc —
+// peer. Violations are pinned to exact lines by tests/flb_analyze_test.cc —
 // edit with care.
 
 namespace fixture {

@@ -1,6 +1,6 @@
 // Fixture: FLB003 unordered-iter. Hash-order traversal feeding a payload
 // serializes in nondeterministic order. Violations are pinned to exact
-// lines by tests/flb_lint_test.cc — edit with care.
+// lines by tests/flb_analyze_test.cc — edit with care.
 
 #include <cstdint>
 #include <string>

@@ -1,6 +1,6 @@
 // Fixture: FLB001 wall-clock. Reading a real clock in a charged path makes
 // simulated timings depend on the host machine. Violations are pinned to
-// exact lines by tests/flb_lint_test.cc — edit with care.
+// exact lines by tests/flb_analyze_test.cc — edit with care.
 
 #include <chrono>
 

@@ -418,8 +418,7 @@ TEST_F(ObsTest, MultiStreamGheTraceShowsCopyComputeOverlap) {
   auto device = std::make_shared<gpusim::Device>(
       gpusim::DeviceSpec::Rtx3090(), &clock);
   ghe::GheConfig cfg;
-  cfg.streams = 4;
-  cfg.adaptive_chunking = false;  // force the chunked path
+  cfg.streams = 4;  // a 1024-bit add at 2^14 elements prices faster chunked
   ghe::GheEngine engine(device, cfg);
   ASSERT_TRUE(engine.ModelOp(ghe::HeOp::kAdd, 1024, 1 << 14).ok());
   ASSERT_TRUE(engine.last_batch().async);
