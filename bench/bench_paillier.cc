@@ -227,6 +227,91 @@ BENCHMARK(BM_DecryptBatchGeneric)
     ->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
+// Fold groups at two shapes on a 1024-bit key, arg {shape}: 0 is nn_real's
+// interactive layer (128 groups of 8 consecutive products), 1 an SBT-like
+// histogram (256 rows, each in one of 32 bins per feature for 16 features:
+// 512 groups of about 8 terms over 256 ciphertexts).
+struct FoldShape {
+  std::vector<BigInt> cs;
+  std::vector<std::vector<uint32_t>> groups;
+  size_t terms = 0;
+};
+
+const FoldShape& CachedFoldShape(int shape) {
+  static std::map<int, FoldShape> cache;
+  auto it = cache.find(shape);
+  if (it != cache.end()) return it->second;
+  Rng rng(23 + shape);
+  FoldShape f;
+  uint32_t rows = 0;
+  if (shape == 0) {
+    rows = 128 * 8;
+    for (uint32_t i = 0; i < rows; ++i) {
+      if (i % 8 == 0) f.groups.emplace_back();
+      f.groups.back().push_back(i);
+    }
+  } else {
+    constexpr uint32_t kFeatures = 16, kBins = 32;
+    rows = 256;
+    f.groups.resize(kFeatures * kBins);
+    for (uint32_t r = 0; r < rows; ++r) {
+      for (uint32_t c = 0; c < kFeatures; ++c) {
+        f.groups[c * kBins + rng.NextBelow(kBins)].push_back(r);
+      }
+    }
+  }
+  std::vector<BigInt> ms;
+  for (uint32_t i = 0; i < rows; ++i) ms.push_back(BigInt(i * 11 + 5));
+  f.cs = CachedBatchContext(1024, false)
+             .EncryptBatch(ms, rng, &CachedPool(1))
+             .value();
+  for (const auto& group : f.groups) f.terms += group.size();
+  return cache.emplace(shape, std::move(f)).first->second;
+}
+
+const char* FoldLabel(int shape) {
+  return shape == 0 ? "nn_real 128 x 8, 1 thread(s)"
+                    : "SBT-like 512 bins, 1 thread(s)";
+}
+
+// PaillierContext::FoldBatch: one Montgomery chain per group, k MontMuls
+// for k terms.
+void BM_FoldBatch(benchmark::State& state) {
+  const int shape = static_cast<int>(state.range(0));
+  const FoldShape& f = CachedFoldShape(shape);
+  const auto& ctx = CachedBatchContext(1024, false);
+  auto& pool = CachedPool(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.FoldBatch(f.cs, f.groups, &pool).value());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * f.terms));
+  state.SetLabel(FoldLabel(shape));
+}
+BENCHMARK(BM_FoldBatch)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The same groups folded one PaillierContext::Add at a time, in order: a
+// ModMul of 4 MontMuls per add.
+void BM_FoldPerAdd(benchmark::State& state) {
+  const int shape = static_cast<int>(state.range(0));
+  const FoldShape& f = CachedFoldShape(shape);
+  const auto& ctx = CachedBatchContext(1024, false);
+  for (auto _ : state) {
+    std::vector<BigInt> sums(f.groups.size());
+    for (size_t g = 0; g < f.groups.size(); ++g) {
+      const std::vector<uint32_t>& group = f.groups[g];
+      if (group.empty()) continue;
+      sums[g] = f.cs[group[0]];
+      for (size_t t = 1; t < group.size(); ++t) {
+        sums[g] = ctx.Add(sums[g], f.cs[group[t]]).value();
+      }
+    }
+    benchmark::DoNotOptimize(sums);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * f.terms));
+  state.SetLabel(FoldLabel(shape));
+}
+BENCHMARK(BM_FoldPerAdd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_KeyGen(benchmark::State& state) {
   const int bits = static_cast<int>(state.range(0));
   uint64_t seed = 42;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "src/common/check.h"
@@ -13,19 +14,37 @@ namespace {
 
 using ghe::HeOp;
 
+// A residue c in (half_n, n) stands for the negative it encodes; returns
+// its magnitude n - c, or nullopt for any other c. A codec value's
+// magnitude is short, so c is read once from the top limb down to where it
+// leaves n's limbs, and only the limbs below that are subtracted.
+std::optional<BigInt> NegativeMagnitude(const BigInt& c, const BigInt& n,
+                                        const BigInt& half_n) {
+  const std::vector<uint32_t>& m = n.words();
+  if (c <= half_n || c.WordCount() > m.size()) return std::nullopt;
+  size_t top = m.size();
+  while (top > 0 && c.word(top - 1) == m[top - 1]) --top;
+  if (top == 0 || c.word(top - 1) > m[top - 1]) return std::nullopt;  // c >= n
+  std::vector<uint32_t> diff(top);
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < top; ++i) {
+    const uint64_t d = uint64_t{m[i]} - c.word(i) - borrow;
+    diff[i] = static_cast<uint32_t>(d);
+    borrow = d >> 63;
+  }
+  return BigInt::FromWords(std::move(diff));
+}
+
 // c * k mod n on residues, reading one in (half_n, n) as the negative it
 // encodes: multiply the short magnitudes, reduce, and negate once. Equal to
 // BigInt::Mul(c, k) % n for every c and k; the plaintext twin of
 // crypto::PaillierContext::NegatedScalar.
 BigInt SignFoldedMulMod(const BigInt& c, const BigInt& k, const BigInt& n,
                         const BigInt& half_n) {
-  auto negative = [&](const BigInt& x) { return x > half_n && x < n; };
-  const bool c_neg = negative(c);
-  const bool k_neg = negative(k);
-  const BigInt c_mag = c_neg ? BigInt::Sub(n, c) : c;
-  const BigInt k_mag = k_neg ? BigInt::Sub(n, k) : k;
-  BigInt r = BigInt::Mul(c_mag, k_mag) % n;
-  if (c_neg == k_neg || r.IsZero()) return r;
+  const std::optional<BigInt> c_mag = NegativeMagnitude(c, n, half_n);
+  const std::optional<BigInt> k_mag = NegativeMagnitude(k, n, half_n);
+  BigInt r = BigInt::Mul(c_mag ? *c_mag : c, k_mag ? *k_mag : k) % n;
+  if (c_mag.has_value() == k_mag.has_value() || r.IsZero()) return r;
   return BigInt::Sub(n, r);
 }
 
@@ -299,38 +318,53 @@ Result<std::vector<BigInt>> HeService::ScalarMulBatch(
 Result<std::vector<BigInt>> HeService::FoldGroups(
     const std::vector<BigInt>& terms,
     const std::vector<std::vector<uint32_t>>& groups) {
-  std::vector<BigInt> sums(groups.size());
-  if (options_.modeled) {
-    // Residues add mod n; an empty group is residue 0.
+  if (!options_.modeled) {
+    // Ciphertexts multiply mod n^2: one Montgomery chain per group, one
+    // group per pool task.
+    FLB_ASSIGN_OR_RETURN(std::vector<BigInt> sums,
+                         paillier_->FoldBatch(terms, groups, host_pool_));
+    // An empty group is a fresh E(0). ObfuscationPool draws are ordered, so
+    // these stay serial and in group order. Like the modeled residue 0, it
+    // is neither counted nor charged (DESIGN.md §8).
     for (size_t g = 0; g < groups.size(); ++g) {
-      const std::vector<uint32_t>& group = groups[g];
-      if (group.empty()) continue;
-      sums[g] = terms[group[0]];
-      for (size_t t = 1; t < group.size(); ++t) {
-        sums[g].AddModInPlace(terms[group[t]], n_);
-      }
+      if (!groups[g].empty()) continue;
+      FLB_ASSIGN_OR_RETURN(sums[g], paillier_->Encrypt(BigInt(), rng_));
     }
     return sums;
   }
-  // Ciphertexts multiply mod n^2, one group per task: group g folds its
-  // terms in order and writes only sums[g], so the schedule never shows.
-  FLB_RETURN_IF_ERROR(common::ParallelForEachStatus(
-      *host_pool_, groups.size(), [&](size_t g) -> Status {
-        const std::vector<uint32_t>& group = groups[g];
-        if (group.empty()) return Status::OK();
-        sums[g] = terms[group[0]];
-        for (size_t t = 1; t < group.size(); ++t) {
-          FLB_ASSIGN_OR_RETURN(sums[g],
-                               paillier_->Add(sums[g], terms[group[t]]));
-        }
-        return Status::OK();
-      }));
-  // An empty group is a fresh E(0). ObfuscationPool draws are ordered, so
-  // these stay serial and in group order. Like the modeled residue 0, it is
-  // neither counted nor charged (DESIGN.md §8).
+  // Residues add mod n, sign-folded: a term in (n/2, n) enters as its
+  // magnitude n - c, taken at most once per term per call (SBT's
+  // SelectiveSums reads each gradient once per feature). Positives and
+  // magnitudes go into two plain sums over the terms' own limbs, and the
+  // group's residue is their difference, reduced once. A one-term group is
+  // copied as it is, and an empty group is residue 0.
+  const BigInt& half_n = fp_codec_->half_modulus();
+  std::vector<uint8_t> read(terms.size(), 0);
+  std::vector<std::optional<BigInt>> magnitude(terms.size());
+  std::vector<BigInt> sums(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
-    if (!groups[g].empty()) continue;
-    FLB_ASSIGN_OR_RETURN(sums[g], paillier_->Encrypt(BigInt(), rng_));
+    const std::vector<uint32_t>& group = groups[g];
+    if (group.size() < 2) {
+      if (!group.empty()) sums[g] = terms[group[0]];
+      continue;
+    }
+    BigInt pos, neg;
+    for (uint32_t i : group) {
+      if (read[i] == 0) {
+        magnitude[i] = NegativeMagnitude(terms[i], n_, half_n);
+        read[i] = 1;
+      }
+      if (magnitude[i].has_value()) {
+        neg.AddInPlace(*magnitude[i]);
+      } else {
+        pos.AddInPlace(terms[i]);
+      }
+    }
+    const bool negative = pos < neg;
+    BigInt diff = negative ? BigInt::Sub(neg, pos) : BigInt::Sub(pos, neg);
+    if (diff >= n_) diff = diff % n_;
+    sums[g] = negative && !diff.IsZero() ? BigInt::Sub(n_, diff)
+                                         : std::move(diff);
   }
   return sums;
 }

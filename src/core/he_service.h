@@ -273,10 +273,12 @@ class HeService : public obs::MetricsSource {
       const std::vector<BigInt>& cs, const std::vector<BigInt>& plains) const;
   Result<std::vector<BigInt>> ScalarMulBatch(
       const std::vector<BigInt>& cs, const std::vector<BigInt>& ks) const;
-  // Sums terms[i] over each group's indices: residues add mod n (modeled);
-  // ciphertexts multiply mod n^2, one group per host pool task (real). An
-  // empty group sums to zero, in real mode a fresh E(0) encrypted serially
-  // in group order.
+  // Sums terms[i] over each group's indices, reducing once per group:
+  // residues add mod n as a sign-folded sum (modeled); ciphertexts multiply
+  // mod n^2 in PaillierContext::FoldBatch's Montgomery chains, one group per
+  // host pool task (real). A one-term group is its term as it is. An empty
+  // group sums to zero, in real mode a fresh E(0) encrypted serially in
+  // group order.
   Result<std::vector<BigInt>> FoldGroups(
       const std::vector<BigInt>& terms,
       const std::vector<std::vector<uint32_t>>& groups);

@@ -500,6 +500,67 @@ Result<std::vector<BigInt>> PaillierContext::AddPlainBatch(
   return o.Unpack();
 }
 
+Result<std::vector<BigInt>> PaillierContext::FoldBatch(
+    const std::vector<BigInt>& cs,
+    const std::vector<std::vector<uint32_t>>& groups,
+    common::ThreadPool* pool) const {
+  size_t longest = 0;
+  uint64_t adds = 0;
+  for (const std::vector<uint32_t>& group : groups) {
+    for (uint32_t i : group) {
+      if (i >= cs.size()) {
+        return Status::OutOfRange("FoldBatch: index out of range");
+      }
+      if (cs[i] >= pub_.n_squared) {
+        return Status::OutOfRange("Paillier ciphertext must be < n^2");
+      }
+    }
+    longest = std::max(longest, group.size());
+    if (!group.empty()) adds += group.size() - 1;
+  }
+  common::ThreadPool& tp =
+      pool != nullptr ? *pool : common::ThreadPool::Global();
+  const MontgomeryContext& n2 = eval_->n2_ctx();
+  const size_t w = n2.num_limbs();
+  // lift[k] = R^k mod n^2 for each group length k >= 2 that occurs.
+  // MontMul(c, R^k) = c R^(k-1), and the chain's k - 1 MontMuls take the
+  // R^(k-1) away again. R^2 = MontMul(R, R^2 mod n^2) is ToMont(R), and
+  // R^(k+1) = MontMul(R^k, R^2).
+  std::vector<std::vector<uint32_t>> lift(longest + 1);
+  for (const std::vector<uint32_t>& group : groups) {
+    if (group.size() >= 2) lift[group.size()].resize(w);
+  }
+  if (longest >= 2) {
+    const std::vector<uint32_t> r2 = n2.ToMont(n2.MontOne()).ToFixedWords(w);
+    std::vector<uint32_t> r_k = r2;
+    for (size_t k = 2; k <= longest; ++k) {
+      if (k > 2) n2.MontMulWords(r_k.data(), r2.data(), r_k.data());
+      if (!lift[k].empty()) lift[k] = r_k;
+    }
+  }
+  const mpint::LimbMatrix in = mpint::LimbMatrix::Pack(cs, w);
+  mpint::LimbMatrix out(groups.size(), w);
+  tp.ParallelForEach(static_cast<int64_t>(groups.size()), [&](int64_t e) {
+    const auto g = static_cast<size_t>(e);
+    const std::vector<uint32_t>& group = groups[g];
+    uint32_t* acc = out.row(g);
+    if (group.size() < 2) {
+      if (group.empty()) {
+        acc[0] = 1;  // the empty product
+      } else {
+        std::copy(in.row(group[0]), in.row(group[0]) + w, acc);
+      }
+      return;
+    }
+    n2.MontMulWords(in.row(group[0]), lift[group.size()].data(), acc);
+    for (size_t t = 1; t < group.size(); ++t) {
+      n2.MontMulWords(acc, in.row(group[t]), acc);
+    }
+  });
+  op_counts_.adds.fetch_add(adds, std::memory_order_relaxed);
+  return out.Unpack();
+}
+
 Result<std::vector<BigInt>> PaillierContext::ScalarMulBatch(
     const std::vector<BigInt>& cs, const std::vector<BigInt>& ks,
     common::ThreadPool* pool) const {

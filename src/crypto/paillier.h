@@ -152,6 +152,22 @@ class PaillierContext {
   Result<std::vector<BigInt>> AddPlainBatch(
       const std::vector<BigInt>& cs, const std::vector<BigInt>& ks,
       common::ThreadPool* pool = nullptr) const;
+  // Folds groups of ciphertexts: out[g] = prod of cs[i] over groups[g]'s
+  // indices, mod n^2, the encryption of the sum of their plaintexts. Every
+  // index and every referenced ciphertext is range-checked before any work,
+  // one-term groups included (OutOfRange). Group g of k >= 2 terms runs as
+  // a chain of k MontMuls on flat rows, one group per task on `pool`: one
+  // MontMul by R^k mod n^2 lifts the first term to c R^(k-1), and each of
+  // the k - 1 products that follow takes one R away. The R^k factors are
+  // computed once per call, R^2 from R and each next one from the last by
+  // one MontMul, up to the longest group. A one-term group is its
+  // ciphertext; an empty group is 1, the empty product (a trivial E(0)
+  // with no randomness; HeService sends a fresh E(0) instead). Counts
+  // k - 1 adds per group of k terms.
+  Result<std::vector<BigInt>> FoldBatch(
+      const std::vector<BigInt>& cs,
+      const std::vector<std::vector<uint32_t>>& groups,
+      common::ThreadPool* pool = nullptr) const;
   // ScalarMulBatch range-checks every ciphertext first. Negative scalars
   // (the short-exponent inverse path of ScalarMul) have their ciphertexts
   // inverted together with Montgomery's batch trick, serially, before the

@@ -16,9 +16,9 @@ constexpr size_t kKaratsubaThreshold = 40;
 
 }  // namespace
 
-// Pins the modeled HE path's hot functions (AddModInPlace, Mul, DivMod,
-// operator%) to cache-line boundaries, so code added elsewhere in the link
-// cannot shift their loops and move wall time.
+// Pins the modeled HE path's hot functions (AddModInPlace, AddInPlace, Mul,
+// DivMod, operator%) to cache-line boundaries, so code added elsewhere in
+// the link cannot shift their loops and move wall time.
 #define FLB_HOT_ALIGNED __attribute__((aligned(64)))
 
 BigInt::BigInt(uint64_t v) {
@@ -462,6 +462,28 @@ FLB_HOT_ALIGNED void BigInt::AddModInPlace(const BigInt& b, const BigInt& n) {
     }
   }
   Normalize();
+}
+
+FLB_HOT_ALIGNED void BigInt::AddInPlace(const BigInt& b) {
+  // Both operands are normalized, so the sum is too: its top limb is at
+  // least b's or *this's nonzero top, unless the carry leaves it, and then
+  // the carry becomes the new top limb.
+  const size_t b_size = b.limbs_.size();
+  if (limbs_.size() < b_size) limbs_.resize(b_size, 0);
+  const uint32_t* y = b.limbs_.data();  // after the resize, for aliasing
+  uint64_t carry = 0;
+  size_t i = 0;
+  for (; i < b_size; ++i) {
+    const uint64_t sum = carry + limbs_[i] + y[i];
+    limbs_[i] = static_cast<uint32_t>(sum);
+    carry = sum >> kLimbBits;
+  }
+  for (; carry != 0 && i < limbs_.size(); ++i) {
+    const uint64_t sum = carry + limbs_[i];
+    limbs_[i] = static_cast<uint32_t>(sum);
+    carry = sum >> kLimbBits;
+  }
+  if (carry != 0) limbs_.push_back(1);
 }
 
 Result<BigInt> BigInt::ModMul(const BigInt& a, const BigInt& b,

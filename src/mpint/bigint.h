@@ -116,6 +116,11 @@ class BigInt {
   // falls back to a full reduction, so the result always equals
   // Add(*this, b) % n. n must be nonzero (FLB_CHECK).
   void AddModInPlace(const BigInt& b, const BigInt& n);
+  // *this += b, in place and without a modulus (b may alias *this). The add
+  // runs over b's limbs and then only as far as the carry ripples, so a
+  // short addend stays cheap however wide *this is; the result grows by a
+  // limb when the carry leaves the top. Equal to Add(*this, b).
+  void AddInPlace(const BigInt& b);
   // (a*b) mod n via full multiply + reduce. The fast path for repeated use
   // is crypto::MontgomeryContext.
   static Result<BigInt> ModMul(const BigInt& a, const BigInt& b,

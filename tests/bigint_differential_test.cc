@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/common/rng.h"
 #include "src/crypto/montgomery.h"
 #include "src/mpint/bigint.h"
@@ -165,6 +167,49 @@ TEST(BigIntDifferential, AddModInPlaceAgainstAddThenMod) {
     EXPECT_GT(carried, 0) << bits;
     EXPECT_GT(exactly_n, 0) << bits;
     EXPECT_GT(fell_back, 0) << bits;
+  }
+}
+
+TEST(BigIntDifferential, AddInPlaceAgainstAdd) {
+  // The modulus-free in-place add against the allocating BigInt::Add, at
+  // every width from 1 to 130 limbs on either side.
+  Rng rng(327);
+  const BigInt one(1);
+  int new_limb = 0;
+  auto check = [&](const BigInt& a, const BigInt& b) {
+    const BigInt sum = BigInt::Add(a, b);
+    new_limb += sum.WordCount() > std::max(a.WordCount(), b.WordCount());
+    BigInt acc = a;
+    acc.AddInPlace(b);
+    EXPECT_EQ(acc, sum) << a.ToHex() << " + " << b.ToHex();
+  };
+  for (int limbs = 1; limbs <= 130; ++limbs) {
+    const int bits = 32 * limbs;
+    const BigInt ones = BigInt::PowerOfTwo(bits) - one;  // all-ones limbs
+    const BigInt wide =
+        BigInt::Random(rng, bits - 1) + BigInt::PowerOfTwo(bits - 1);
+    const BigInt narrow =
+        BigInt::Random(rng, 1 + static_cast<int>(rng.NextBelow(bits)));
+    for (const BigInt& a : {BigInt(), one, ones, wide, narrow}) {
+      for (const BigInt& b : {BigInt(), one, ones, wide, narrow}) check(a, b);
+    }
+    // b aliasing *this doubles in place.
+    BigInt twice = wide;
+    twice.AddInPlace(twice);
+    EXPECT_EQ(twice, BigInt::Add(wide, wide)) << limbs;
+  }
+  // Some sums carried out into a new top limb.
+  EXPECT_GT(new_limb, 0);
+  // A long chain reuses the accumulator's limbs from one add to the next,
+  // its terms mixing widths so carries ripple past a short addend.
+  BigInt acc, want;
+  for (int i = 0; i < 200; ++i) {
+    const int bits = 1 + static_cast<int>(rng.NextBelow(130 * 32));
+    const BigInt t = i % 5 == 0 ? BigInt::PowerOfTwo(bits) - one
+                                : BigInt::Random(rng, bits);
+    acc.AddInPlace(t);
+    want = BigInt::Add(want, t);
+    ASSERT_EQ(acc, want) << "at step " << i;
   }
 }
 

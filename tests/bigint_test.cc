@@ -13,8 +13,9 @@ namespace {
 
 TEST(BigIntPlacement, HotStaticFunctionsAreCacheLineAligned) {
   // The modeled HE path's hot functions are pinned to 64 bytes so code
-  // added elsewhere in the link cannot move them. AddModInPlace and
-  // operator% are pinned too but have no portable function address.
+  // added elsewhere in the link cannot move them. AddModInPlace, AddInPlace
+  // (the modeled fold's add) and operator% are pinned too but have no
+  // portable function address.
   EXPECT_EQ(reinterpret_cast<uintptr_t>(&BigInt::Mul) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(&BigInt::DivMod) % 64, 0u);
 }

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <numeric>
@@ -909,6 +910,31 @@ std::vector<BigInt> TestPlaintexts(Rng& rng, const BigInt& n, size_t count) {
   return ms;
 }
 
+// Fold groups over `count` ciphertexts: empty, one term, two, a repeated
+// index, 8, 9 and all of them.
+std::vector<std::vector<uint32_t>> TestFoldGroups(uint32_t count) {
+  std::vector<std::vector<uint32_t>> groups{{}, {count - 1}, {0, 1}, {2, 2}};
+  for (uint32_t k : {8u, 9u, count}) {
+    std::vector<uint32_t> group;
+    for (uint32_t t = 0; t < k; ++t) group.push_back((5 * t + 3) % count);
+    groups.push_back(std::move(group));
+  }
+  return groups;
+}
+
+// What FoldBatch must return: each group's product mod n^2, 1 when empty.
+std::vector<BigInt> ReferenceFold(
+    const std::vector<BigInt>& cs,
+    const std::vector<std::vector<uint32_t>>& groups, const BigInt& n_sq) {
+  std::vector<BigInt> out;
+  for (const auto& group : groups) {
+    BigInt acc(1);
+    for (uint32_t i : group) acc = BigInt::Mul(acc, cs[i]) % n_sq;
+    out.push_back(acc);
+  }
+  return out;
+}
+
 class FixedWidthPaillierTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FixedWidthPaillierTest, BatchesBitIdenticalWithKernelsOnAndOff) {
@@ -948,6 +974,27 @@ TEST_P(FixedWidthPaillierTest, BatchesBitIdenticalWithKernelsOnAndOff) {
   const auto pa = ctx_on.DecryptBatch(ca, &pool).value();
   EXPECT_EQ(pa, ctx_off.DecryptBatch(ca, &pool).value());
   EXPECT_EQ(pa, ms);  // and the crypto still round-trips
+
+  // Folds: a group of k >= 2 terms costs k MontMuls, and the R^k factors
+  // one MontMul each, R^2 through the longest group's; a group of k terms
+  // counts k - 1 adds.
+  const auto groups = TestFoldGroups(static_cast<uint32_t>(ca.size()));
+  uint64_t adds = 0, muls = 0;
+  size_t longest = 0;
+  for (const auto& group : groups) {
+    if (!group.empty()) adds += group.size() - 1;
+    if (group.size() >= 2) muls += group.size();
+    longest = std::max(longest, group.size());
+  }
+  muls += longest - 1;
+  for (const PaillierContext* ctx : {&ctx_on, &ctx_off}) {
+    const uint64_t adds_before = ctx->op_counts().adds.load();
+    const uint64_t muls_before = ctx->eval().n2_ctx().mont_mul_count();
+    EXPECT_EQ(ctx->FoldBatch(ca, groups, &pool).value(),
+              ReferenceFold(ca, groups, keys.pub.n_squared));
+    EXPECT_EQ(ctx->op_counts().adds.load() - adds_before, adds);
+    EXPECT_EQ(ctx->eval().n2_ctx().mont_mul_count() - muls_before, muls);
+  }
 
   // Secure obfuscation (fresh r^n per element) and plain c^lambda
   // decryption take their own same-exponent batches.
@@ -1004,13 +1051,16 @@ TEST_P(FixedWidthPaillierTest, BatchesInvariantAcrossThreadCounts) {
 
   // On lane-width keys 23 rows are two full lane groups and seven
   // per-row tails at every thread count.
-  std::vector<BigInt> first_cipher, first_sum, first_plain, first_secure;
+  const auto groups = TestFoldGroups(static_cast<uint32_t>(ms.size()));
+  std::vector<BigInt> first_cipher, first_sum, first_plain, first_secure,
+      first_fold;
   for (int threads : {1, 2, 8}) {
     common::ThreadPool pool(threads);
     Rng er(kSeed + 15);  // same seed at every thread count
     const auto cs = ctx.EncryptBatch(ms, er, &pool).value();
     const auto sum = ctx.AddBatch(cs, cs, &pool).value();
     const auto sm = ctx.ScalarMulBatch(cs, ks, &pool).value();
+    const auto fold = ctx.FoldBatch(cs, groups, &pool).value();
     const auto ps = ctx.DecryptBatch(cs, &pool).value();
     EXPECT_EQ(ps, ms) << threads << " threads";
     Rng sr(kSeed + 18);
@@ -1022,12 +1072,15 @@ TEST_P(FixedWidthPaillierTest, BatchesInvariantAcrossThreadCounts) {
       first_sum = ctx.AddPlainBatch(sum, ks, &pool).value();
       first_plain = sm;
       first_secure = secure;
+      first_fold = fold;
+      EXPECT_EQ(fold, ReferenceFold(cs, groups, keys.pub.n_squared));
     } else {
       EXPECT_EQ(cs, first_cipher) << threads << " threads";
       EXPECT_EQ(ctx.AddPlainBatch(sum, ks, &pool).value(), first_sum)
           << threads << " threads";
       EXPECT_EQ(sm, first_plain) << threads << " threads";
       EXPECT_EQ(secure, first_secure) << threads << " threads";
+      EXPECT_EQ(fold, first_fold) << threads << " threads";
     }
   }
 }

@@ -334,13 +334,15 @@ TEST(HeServiceTest, ModeledBytesMatchDirectFormula) {
       EXPECT_EQ(prod.data[i], BigInt::Mul(cs[i], ks[i]) % n) << i;
     }
 
-    // Folds, each with an empty group (residue 0).
+    // Folds, each with an empty group (residue 0). A fold sums a group's
+    // terms and reduces once; a one-term group is copied as it is.
     const EncVec vec = make(EncLayout::kFixedPoint, residues);
     const std::vector<std::vector<HeService::WeightedTerm>> wgroups{
         {{0, -1.5}, {edge0 + 2, 2.0}, {edge0 + 6, -0.25}},
         {},
         {{edge0 + 1, 0.0}},
-        {{edge0 + 5, -3.0}, {edge0 + 5, -3.0}, {3, 1024.5}, {1, 1.0}}};
+        {{edge0 + 5, -3.0}, {edge0 + 5, -3.0}, {3, 1024.5}, {1, 1.0}},
+        {{0, 1.0}, {0, -1.0}}};  // c + (n - c): cancels to 0
     const EncVec ws_out = he->WeightedSums(vec, wgroups).value();
     ASSERT_EQ(ws_out.data.size(), wgroups.size());
     for (size_t g = 0; g < wgroups.size(); ++g) {
@@ -351,18 +353,42 @@ TEST(HeServiceTest, ModeledBytesMatchDirectFormula) {
       }
       EXPECT_EQ(ws_out.data[g], want) << "weighted group " << g;
     }
+    EXPECT_TRUE(ws_out.data.back().IsZero());
+    // Selective sums also take terms at or above n, which only arrive from
+    // outside the codec, up to the widest a modeled wire value holds
+    // (2 * key_bits bits, RecvEncVec's fixed-width words).
+    std::vector<BigInt> terms = residues;
+    const auto over0 = static_cast<uint32_t>(terms.size());
+    terms.push_back(n);
+    terms.push_back(n + one);
+    terms.push_back(BigInt::PowerOfTwo(2 * key_bits) - one);
     const std::vector<std::vector<uint32_t>> sgroups{
         {edge0 + 2, edge0 + 2, edge0 + 3},
         {},
         {edge0 + 6},
-        {0, 1, 2, 3, 4, 5, 6, edge0, edge0 + 4, edge0 + 5, edge0 + 7}};
-    const EncVec ss_out = he->SelectiveSums(vec, sgroups).value();
+        {0, 1, 2, 3, 4, 5, 6, edge0, edge0 + 4, edge0 + 5, edge0 + 7},
+        {over0 + 1},  // one term, n + 1: stays unreduced
+        // Codec values mixed with half - 1, half + 1 and n - 1.
+        {0, edge0 + 4, 1, edge0 + 6, 2, edge0 + 2, 3, 6},
+        // 1 + (n - 1) + half + (half + 1) = 2n: cancels to 0.
+        {edge0 + 1, edge0 + 2, edge0 + 5, edge0 + 6},
+        // Magnitudes 3 half + (half - 1), about 2n, against one small
+        // positive: the negatives outweigh it by more than n.
+        {edge0 + 6, edge0 + 6, 0, edge0 + 6, edge0 + 7},
+        // Terms >= n among residues on both sides of n/2.
+        {over0, over0 + 1, edge0 + 6, over0 + 2, 1, edge0 + 2}};
+    const EncVec ss_out =
+        he->SelectiveSums(make(EncLayout::kFixedPoint, terms), sgroups)
+            .value();
     ASSERT_EQ(ss_out.data.size(), sgroups.size());
     for (size_t g = 0; g < sgroups.size(); ++g) {
-      BigInt want;
-      for (uint32_t i : sgroups[g]) want = add_mod(want, residues[i]);
+      BigInt sum;
+      for (uint32_t i : sgroups[g]) sum = sum + terms[i];
+      const BigInt want = sgroups[g].size() == 1 ? sum : sum % n;
       EXPECT_EQ(ss_out.data[g], want) << "selective group " << g;
     }
+    EXPECT_EQ(ss_out.data[4], n + one);
+    EXPECT_TRUE(ss_out.data[6].IsZero());
 
     // Cipher-space packing: group residue sum_j (c_j + 2^(sb-1)) 2^(j*sb)
     // mod n, taken as one sum and one reduction.
@@ -394,10 +420,22 @@ TEST(HeServiceTest, ModeledBytesMatchDirectFormula) {
 
 TEST(HeServiceTest, FoldsWithEmptyGroupsMatchReferenceAtAnyThreadCount) {
   const std::vector<double> values{1.0, -0.5, 0.25, 2.0, -1.5};
-  const std::vector<std::vector<HeService::WeightedTerm>> wgroups{
+  std::vector<std::vector<HeService::WeightedTerm>> wgroups{
       {{0, 2.0}, {1, -4.0}, {3, 0.5}}, {}, {{2, -1.0}}, {{4, 1.5}, {0, -0.25}}};
-  const std::vector<std::vector<uint32_t>> sgroups{
-      {0, 3, 4}, {}, {2}, {1, 2}, {}};
+  std::vector<std::vector<uint32_t>> sgroups{
+      {0, 3, 4}, {}, {2}, {1, 2}, {}, {3, 3}};
+  // Longer Montgomery chains: groups of 8, 9 and 33 terms cycling through
+  // the values (so indices repeat), weighted ones of 8 and 9.
+  for (uint32_t k : {8u, 9u, 33u}) {
+    std::vector<uint32_t> group;
+    std::vector<HeService::WeightedTerm> wgroup;
+    for (uint32_t t = 0; t < k; ++t) {
+      group.push_back((3 * t + k) % values.size());
+      wgroup.push_back({group.back(), 0.5 * t - 2.0});
+    }
+    sgroups.push_back(group);
+    if (k < 33) wgroups.push_back(wgroup);
+  }
   struct Run {
     std::vector<BigInt> weighted, selective;
     double sim_seconds;

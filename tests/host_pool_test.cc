@@ -322,6 +322,51 @@ TEST_F(BatchInvarianceTest, PackBatchValidatesBeforeAnyWork) {
   EXPECT_TRUE(ctx.PackBatch(cs, BigInt(8), 15, (key_bits - 1) / 15).ok());
 }
 
+TEST_F(BatchInvarianceTest, FoldBatchValidatesBeforeAnyWork) {
+  // A ciphertext >= n^2 is rejected wherever a group references it, also
+  // alone in a one-term group, which is otherwise copied without a
+  // multiply; so is an index past the end. No add is counted and no
+  // MontMul runs.
+  auto ctx = PaillierContext::Create(Keys()).value();
+  Rng rng(6);
+  auto cs = ctx.EncryptBatch(Messages(4), rng).value();
+  cs[2] = Keys().pub.n_squared;
+  const uint64_t muls = ctx.eval().n2_ctx().mont_mul_count();
+  EXPECT_TRUE(ctx.FoldBatch(cs, {{0, 1}, {2}}).status().IsOutOfRange());
+  EXPECT_TRUE(ctx.FoldBatch(cs, {{0, 1, 3, 2}}).status().IsOutOfRange());
+  EXPECT_TRUE(ctx.FoldBatch(cs, {{0, 1}, {4}}).status().IsOutOfRange());
+  EXPECT_EQ(ctx.op_counts().adds.load(), 0u);
+  EXPECT_EQ(ctx.eval().n2_ctx().mont_mul_count(), muls);
+  // An unreferenced ciphertext is not read.
+  EXPECT_TRUE(ctx.FoldBatch(cs, {{0, 1}, {3}, {}}).ok());
+
+  // Through HeService, on every real engine: a one-term SelectiveSums group
+  // holding a ciphertext >= n^2 (RecvEncVec's fixed-width words reach
+  // 2^(2 key_bits)) fails as it does in a longer group.
+  for (core::EngineKind engine :
+       {core::EngineKind::kFate, core::EngineKind::kHaflo,
+        core::EngineKind::kFlBooster}) {
+    SimClock clock;
+    core::HeServiceOptions opts;
+    opts.engine = engine;
+    opts.key_bits = 256;
+    opts.modeled = false;
+    auto device = std::make_shared<gpusim::Device>(
+        gpusim::DeviceSpec::Rtx3090(), &clock);
+    auto he = core::HeService::Create(opts, &clock, device).value();
+    core::EncVec enc = he->EncryptFixedPoint({0.5, -1.0, 2.0}).value();
+    const BigInt& n = he->modulus();
+    enc.data[1] = BigInt::Mul(n, n);
+    const uint64_t adds = he->op_counts().hom_adds;
+    EXPECT_TRUE(he->SelectiveSums(enc, {{0, 2}, {1}}).status().IsOutOfRange())
+        << core::EngineName(engine);
+    EXPECT_TRUE(
+        he->SelectiveSums(enc, {{0, 1, 2}}).status().IsOutOfRange())
+        << core::EngineName(engine);
+    EXPECT_EQ(he->op_counts().hom_adds, adds) << core::EngineName(engine);
+  }
+}
+
 TEST_F(BatchInvarianceTest, SecureObfuscationBatchIsInvariantToo) {
   PaillierOptions opts;
   opts.secure_obfuscation = true;
