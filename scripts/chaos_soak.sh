@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Chaos soak: drive every trainer through a matrix of fault plans (loss,
-# straggler, crash window, partition window) and assert the resilience
-# layer's contract on each run:
+# straggler, crash window, partition window, critical-party crash window)
+# and assert the resilience layer's contract on each run:
 #   - the run terminates (timeout-guarded — a hang fails the soak),
 #   - the outcome is converged/complete or a typed error (never "error"),
 #   - the run emitted flb.resilience.* metrics,
+#   - a critical-party crash ("resume" row) was resumed from a checkpoint,
 #   - a same-seed rerun is bit-identical (same fingerprint line).
 # Usage: ./scripts/chaos_soak.sh [build-dir]
 set -euo pipefail
@@ -66,6 +67,11 @@ one_run() {
     echo "FAIL $model/$plan_name: ok outcome with missing epochs: $line_a" >&2
     fail=1
   fi
+  if [ "$plan_name" = resume ] &&
+      ! echo "$line_a" | jq -e '.resumes >= 1' >/dev/null; then
+    echo "FAIL $model/$plan_name: no checkpoint resume: $line_a" >&2
+    fail=1
+  fi
   if [ "$line_a" != "$line_b" ]; then
     echo "FAIL $model/$plan_name: same-seed rerun differs:" >&2
     echo "  a: $line_a" >&2
@@ -86,6 +92,15 @@ for model in homo_lr homo_nn hetero_lr hetero_sbt hetero_nn; do
   one_run "$model" straggler "seed=9;straggler=${party}:6"
   one_run "$model" crash     "seed=9;crash=${party}@0.05-0.2"
   one_run "$model" partition "seed=9;partition=${party}|${peer}@0.05-0.15"
+  # The critical party crashes inside one epoch and recovers before the
+  # run deadline: the trainer must roll back to its last checkpoint.
+  case "$model" in
+    homo_lr)    critical="server@0.01-0.2" ;;
+    homo_nn)    critical="server@0.15-0.6" ;;
+    hetero_sbt) critical="guest@1.1-2.2" ;;
+    hetero_*)   critical="guest@0.15-0.6" ;;
+  esac
+  one_run "$model" resume "seed=9;crash=${critical}"
 done
 
 echo "soak: $runs runs recorded in $OUT"

@@ -34,11 +34,6 @@ struct EngineTraits {
   // (§V Fig. 4). 1 = fully synchronous staging; FLBooster pipelines across
   // 4 streams, the HAFLO/FATE baselines stay serial.
   int gpu_streams = 1;
-  // Host worker threads for element-parallel batch bodies (real Paillier/RSA
-  // arithmetic). 0 = the process-global pool (FLB_HOST_THREADS, then
-  // hardware_concurrency). Results are bit-identical at any thread count;
-  // only wall-clock execution changes, never the simulated timeline.
-  int host_threads = 0;
 };
 
 inline EngineTraits TraitsFor(EngineKind kind) {

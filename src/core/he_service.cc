@@ -106,10 +106,9 @@ Result<std::unique_ptr<HeService>> HeService::Create(
 
   // Host execution pool: an explicit size makes the service own a private
   // pool; otherwise everyone shares the process-global one.
-  const int host_threads =
-      options.host_threads > 0 ? options.host_threads : traits.host_threads;
-  if (host_threads > 0) {
-    service->owned_pool_ = std::make_unique<common::ThreadPool>(host_threads);
+  if (options.host_threads > 0) {
+    service->owned_pool_ =
+        std::make_unique<common::ThreadPool>(options.host_threads);
     service->host_pool_ = service->owned_pool_.get();
   } else {
     service->host_pool_ = &common::ThreadPool::Global();
@@ -247,11 +246,15 @@ Result<std::vector<BigInt>> HeService::ChargeBatch(const char* kind, HeOp op,
   // the whole batch on the HE track.
   obs::ScopedSpan span(clock_, track, kind, "he");
   span.AddArg(obs::Arg("count", count));
-  std::function<void()> body;
-  if (in_launch) body = [&] { out = compute(); };
+  std::function<Status()> body;
+  if (in_launch) {
+    body = [&] {
+      out = compute();
+      return out.status();
+    };
+  }
   FLB_RETURN_IF_ERROR(ghe_->ModelBatch(kind, count, cost.limbs, cost.limb_ops,
-                                       cost.bytes_in, cost.bytes_out,
-                                       std::move(body))
+                                       cost.bytes_in, cost.bytes_out, body)
                           .status());
   return out;
 }

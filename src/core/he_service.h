@@ -108,9 +108,9 @@ struct HeServiceOptions {
   // the workload's compute/network balance.
   int use_bc = -1;
   // Host worker threads for element-parallel HE bodies. > 0 makes the
-  // service own a private pool of that size; 0 defers to the engine trait,
-  // and when that is also 0, to the process-global pool (FLB_HOST_THREADS).
-  // Bit-identical results at any value — only wall-clock time changes.
+  // service own a private pool of that size; 0 defers to the process-global
+  // pool (FLB_HOST_THREADS). Bit-identical results at any value — only
+  // wall-clock time changes.
   int host_threads = 0;
   // Dispatch the fixed-width Montgomery kernels for this key's contexts
   // (src/mpint/fixed_kernels.h). Results are bit-identical either way;
@@ -246,7 +246,8 @@ class HeService : public obs::MetricsSource {
   // declared `width_bits` — on a GPU engine as one device batch, on a CPU
   // engine through the CPU cost model. A real GPU batch runs `compute` as
   // its launch body, so the host batch telemetry times it; every other
-  // path runs it first. Nothing is charged when count is 0.
+  // path runs it directly. Either way a failed compute is charged nothing,
+  // and nothing is charged when count is 0.
   using Compute = std::function<Result<std::vector<BigInt>>()>;
   Result<std::vector<BigInt>> ChargeBatch(const char* kind, ghe::HeOp op,
                                           int64_t count,

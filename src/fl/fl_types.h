@@ -58,7 +58,7 @@ struct RobustnessCounters {
   uint64_t partial_rounds = 0;      // rounds aggregated with < all parties
   uint64_t skipped_rounds = 0;      // rounds with zero contributions
   uint64_t checkpoints = 0;         // epoch-boundary model snapshots
-  uint64_t resumes = 0;             // server crash-resume restorations
+  uint64_t resumes = 0;             // critical-party crash-resumes
   uint64_t quarantines = 0;         // PartyHealth quarantine events
   uint64_t quarantine_skips = 0;    // rounds a quarantined party sat out
   uint64_t readmits = 0;            // probation readmissions

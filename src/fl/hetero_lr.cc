@@ -1,8 +1,6 @@
 #include "src/fl/hetero_lr.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "src/common/check.h"
 #include "src/core/transport.h"
@@ -94,7 +92,6 @@ Result<TrainResult> HeteroLrTrainer::Train() {
   // The protocol cannot proceed without the label owner or the key holder;
   // hosts only contribute score shares and can be absorbed partially.
   robust.set_critical_parties({kGuestName, kArbiterName});
-  robust.Checkpoint(-1, FlattenWeights(weights_));
 
   std::vector<std::unique_ptr<Optimizer>> optimizers;
   for (int p = 0; p < parties; ++p) {
@@ -103,231 +100,137 @@ Result<TrainResult> HeteroLrTrainer::Train() {
   }
 
   const size_t rows = partition_.shards[0].x.rows();
-  const size_t batches =
+  // A lost residual ends the batch without an update, or aborts the epoch
+  // when a critical party is down.
+  auto lose_residual = [&](const char* at,
+                           const Status& status) -> Result<RoundEnd> {
+    if (!robust.active() || !RobustCoordinator::Recoverable(status)) {
+      return status;
+    }
+    if (robust.CriticalDown()) return RoundEnd::kAborted;
+    robust.CountTransportDropout(at, status);
+    robust.CountSkippedRound();
+    return RoundEnd::kDone;
+  };
+
+  EpochSteps steps;
+  steps.name = "HeteroLrTrainer::Train";
+  steps.rounds =
       std::max<size_t>(1, (rows + config_.batch_size - 1) / config_.batch_size);
+  steps.round = [&](size_t b) -> Result<RoundEnd> {
+    const size_t begin = b * config_.batch_size;
+    const size_t end = std::min(rows, begin + config_.batch_size);
+    const size_t m = end - begin;
 
-  TrainResult result;
-  double prev_loss = std::numeric_limits<double>::infinity();
-  int epoch = 0;
-  while (epoch < config_.max_epochs) {
-    const ClockSnapshot before = ClockSnapshot::Take(clock, &net);
-    bool epoch_aborted = false;
-    for (size_t b = 0; b < batches && !epoch_aborted; ++b) {
-      if (robust.active() && robust.CriticalDown()) {
-        epoch_aborted = true;
-        break;
-      }
-      FLB_RETURN_IF_ERROR(robust.CheckDeadline("HeteroLrTrainer::Train"));
-      const size_t begin = b * config_.batch_size;
-      const size_t end = std::min(rows, begin + config_.batch_size);
-      const size_t m = end - begin;
+    // --- hosts: encrypted scaled partial scores -> guest --------------------
+    // A host that is down, quarantined, straggling past the gate, or whose
+    // upload exhausts the transport retries drops out of this batch; the
+    // guest folds only the shares that actually arrived (partial Taylor
+    // residual — the hetero analogue of FedAvg renormalization).
+    size_t fwd_sent = 0;
+    for (int h = 1; h < parties; ++h) {
+      FLB_ASSIGN_OR_RETURN(const bool sent,
+                           robust.Upload(HostName(h), kGuestName, "fwd", [&] {
+                             std::vector<double> u =
+                                 PartialScores(h, begin, end);
+                             for (double& v : u) v *= 0.25;
+                             return u;
+                           }));
+      if (sent) fwd_sent += 1;
+    }
 
-      // --- hosts: encrypted scaled partial scores -> guest ------------------
-      // A host that is down, quarantined, straggling past the gate, or whose
-      // upload exhausts the transport retries drops out of this batch; the
-      // guest folds only the shares that actually arrived (partial Taylor
-      // residual — the hetero analogue of FedAvg renormalization).
-      size_t fwd_sent = 0;
-      for (int h = 1; h < parties; ++h) {
-        const std::string name = HostName(h);
-        if (!robust.AdmitParty(name)) continue;
-        const double t0 = clock != nullptr ? clock->Now() : 0.0;
-        std::vector<double> u = PartialScores(h, begin, end);
-        for (double& v : u) v *= 0.25;
-        FLB_ASSIGN_OR_RETURN(core::EncVec enc, he.EncryptValues(u));
-        double response = 0.0;
-        if (robust.active()) {
-          const double compute = clock != nullptr ? clock->Now() - t0 : 0.0;
-          const double send =
-              net.TransferSeconds(he.WireBytes(enc), enc.data.size());
-          response = compute + send;
-          if (!robust.AdmitUpload(name, compute, send)) {
-            robust.RecordPartyOutcome(name, false, response);
-            continue;
-          }
-        }
-        Status sent =
-            core::SendEncVec(&net, he, name, kGuestName, "fwd", enc);
-        if (!sent.ok()) {
-          if (robust.active() && RobustCoordinator::Recoverable(sent)) {
-            robust.RecordPartyOutcome(name, false, response);
-            robust.CountTransportDropout(name, sent);
-            continue;
-          }
-          return sent;
-        }
-        robust.RecordPartyOutcome(name, true, response);
-        fwd_sent += 1;
-      }
+    // --- guest: fold + own share + label term -> arbiter ---------------------
+    // Taylor residual for {0,1} labels: d = sigmoid(z) - y ~= 0.25 z +
+    // (0.5 - y); the guest owns the label term and its score share.
+    std::vector<double> guest_term = PartialScores(0, begin, end);
+    for (size_t i = 0; i < m; ++i) {
+      guest_term[i] =
+          0.25 * guest_term[i] + 0.5 - partition_.labels[begin + i];
+    }
+    const size_t expected_fwd =
+        robust.active() ? fwd_sent : static_cast<size_t>(parties - 1);
+    FLB_ASSIGN_OR_RETURN(RobustCoordinator::Fold fwd,
+                         robust.FoldUploads(kGuestName, "fwd", expected_fwd));
+    if (fwd.aborted) return RoundEnd::kAborted;
+    core::EncVec residual;
+    if (fwd.count > 0) {
+      FLB_ASSIGN_OR_RETURN(residual, he.AddPlainValues(fwd.sum, guest_term));
+    } else {
+      // Every host share is missing this batch: train on the guest's own
+      // term alone rather than stalling the round.
+      FLB_ASSIGN_OR_RETURN(residual, he.EncryptValues(guest_term));
+    }
+    if (robust.active() && fwd.count < static_cast<size_t>(parties - 1)) {
+      robust.CountPartialRound();
+    }
+    Status to_arbiter = core::SendEncVec(&net, he, kGuestName, kArbiterName,
+                                         "residual", residual);
+    if (!to_arbiter.ok()) return lose_residual(kGuestName, to_arbiter);
 
-      // --- guest: fold + own share + label term -> arbiter -------------------
-      // Taylor residual for {0,1} labels: d = sigmoid(z) - y ~= 0.25 z +
-      // (0.5 - y); the guest owns the label term and its score share.
-      std::vector<double> guest_term = PartialScores(0, begin, end);
-      for (size_t i = 0; i < m; ++i) {
-        guest_term[i] =
-            0.25 * guest_term[i] + 0.5 - partition_.labels[begin + i];
-      }
-      const size_t expected_fwd =
-          robust.active() ? fwd_sent : static_cast<size_t>(parties - 1);
-      core::EncVec residual;
-      size_t folded = 0;
-      for (size_t i = 0; i < expected_fwd && !epoch_aborted; ++i) {
-        Result<core::EncVec> next = core::RecvEncVec(&net, kGuestName, "fwd");
-        if (!next.ok()) {
-          if (robust.active() &&
-              RobustCoordinator::Recoverable(next.status())) {
-            if (robust.CriticalDown()) {
-              epoch_aborted = true;
-              break;
-            }
-            robust.CountTransportDropout(kGuestName, next.status());
-            continue;
-          }
-          return next.status();
-        }
-        if (folded == 0) {
-          residual = std::move(next).value();
-        } else {
-          FLB_ASSIGN_OR_RETURN(residual, he.AddCipher(residual, next.value()));
-        }
-        folded += 1;
-      }
-      if (epoch_aborted) break;
-      if (folded > 0) {
-        FLB_ASSIGN_OR_RETURN(residual,
-                             he.AddPlainValues(residual, guest_term));
-      } else {
-        // Every host share is missing this batch: train on the guest's own
-        // term alone rather than stalling the round.
-        FLB_ASSIGN_OR_RETURN(residual, he.EncryptValues(guest_term));
-      }
-      if (robust.active() && folded < static_cast<size_t>(parties - 1)) {
-        robust.CountPartialRound();
-      }
-      Status to_arbiter = core::SendEncVec(&net, he, kGuestName, kArbiterName,
-                                           "residual", residual);
-      if (!to_arbiter.ok()) {
-        if (robust.active() && RobustCoordinator::Recoverable(to_arbiter)) {
-          if (robust.CriticalDown()) {
-            epoch_aborted = true;
-            break;
-          }
-          robust.CountTransportDropout(kGuestName, to_arbiter);
-          robust.CountSkippedRound();
-          continue;  // no residual -> no update this batch
-        }
-        return to_arbiter;
-      }
-
-      // --- arbiter: decrypt, broadcast d -------------------------------------
-      Result<core::EncVec> enc_d =
-          core::RecvEncVec(&net, kArbiterName, "residual");
-      if (!enc_d.ok()) {
-        if (robust.active() && RobustCoordinator::Recoverable(enc_d.status())) {
-          if (robust.CriticalDown()) {
-            epoch_aborted = true;
-            break;
-          }
-          robust.CountTransportDropout(kArbiterName, enc_d.status());
-          robust.CountSkippedRound();
+    // --- arbiter: decrypt, broadcast d ---------------------------------------
+    Result<core::EncVec> enc_d =
+        core::RecvEncVec(&net, kArbiterName, "residual");
+    if (!enc_d.ok()) return lose_residual(kArbiterName, enc_d.status());
+    FLB_ASSIGN_OR_RETURN(std::vector<double> d,
+                         he.DecryptValues(enc_d.value()));
+    std::vector<bool> got_d(parties, false);
+    for (int p = 0; p < parties; ++p) {
+      const std::string name = p == 0 ? kGuestName : HostName(p);
+      if (robust.active() && !robust.IsUp(name)) continue;
+      Status sent = core::SendDoubles(&net, kArbiterName, name, "d", d);
+      if (!sent.ok()) {
+        if (robust.active() && RobustCoordinator::Recoverable(sent)) {
+          robust.CountTransportDropout(name, sent);
           continue;
         }
-        return enc_d.status();
+        return sent;
       }
-      FLB_ASSIGN_OR_RETURN(std::vector<double> d,
-                           he.DecryptValues(enc_d.value()));
-      std::vector<bool> got_d(parties, false);
-      for (int p = 0; p < parties; ++p) {
-        const std::string name = p == 0 ? kGuestName : HostName(p);
-        if (robust.active() && !robust.IsUp(name)) continue;
-        Status sent = core::SendDoubles(&net, kArbiterName, name, "d", d);
-        if (!sent.ok()) {
-          if (robust.active() && RobustCoordinator::Recoverable(sent)) {
-            robust.CountTransportDropout(name, sent);
-            continue;
-          }
-          return sent;
-        }
-        got_d[p] = true;
-      }
-
-      // --- all parties: plaintext local gradient + update --------------------
-      // A party that missed the broadcast keeps last round's weights; the
-      // others advance (per-party models drift is bounded by the next
-      // successful broadcast, exactly like a homo partial round).
-      for (int p = 0; p < parties; ++p) {
-        if (!got_d[p]) continue;
-        const std::string name = p == 0 ? kGuestName : HostName(p);
-        Result<std::vector<double>> received_d =
-            core::RecvDoubles(&net, name, "d");
-        if (!received_d.ok()) {
-          if (robust.active() &&
-              RobustCoordinator::Recoverable(received_d.status())) {
-            robust.CountTransportDropout(name, received_d.status());
-            continue;
-          }
-          return received_d.status();
-        }
-        const DataMatrix& x = partition_.shards[p].x;
-        std::vector<double> grad(weights_[p].size(), 0.0);
-        double flops = 0;
-        for (size_t i = 0; i < m; ++i) {
-          x.AddScaledRowTo(begin + i, received_d.value()[i], &grad);
-          if (p == 0) grad.back() += received_d.value()[i];
-          flops += 2.0 * x.RowNnz(begin + i);
-        }
-        const double inv = 1.0 / static_cast<double>(m);
-        for (size_t j = 0; j < grad.size(); ++j) {
-          grad[j] = grad[j] * inv + config_.l2 * weights_[p][j];
-        }
-        ChargeModelCompute(clock, flops + 3.0 * grad.size());
-        FLB_RETURN_IF_ERROR(optimizers[p]->Step(&weights_[p], grad));
-      }
+      got_d[p] = true;
     }
 
-    if (epoch_aborted) {
-      // A critical party (guest / arbiter) restart: wait out the downtime,
-      // restore the epoch-boundary checkpoint, re-run from there. Optimizer
-      // moments are not checkpointed (they restart cold, like the server in
-      // the homo trainers).
-      std::vector<double> flat;
-      FLB_ASSIGN_OR_RETURN(const int resume_epoch, robust.Resume(&flat));
-      UnflattenWeights(flat, &weights_);
-      if (static_cast<size_t>(resume_epoch) < result.epochs.size()) {
-        result.epochs.resize(resume_epoch);
+    // --- all parties: plaintext local gradient + update ----------------------
+    // A party that missed the broadcast keeps last round's weights; the
+    // others advance (per-party models drift is bounded by the next
+    // successful broadcast, exactly like a homo partial round).
+    for (int p = 0; p < parties; ++p) {
+      if (!got_d[p]) continue;
+      const std::string name = p == 0 ? kGuestName : HostName(p);
+      Result<std::vector<double>> received_d =
+          core::RecvDoubles(&net, name, "d");
+      if (!received_d.ok()) {
+        if (robust.active() &&
+            RobustCoordinator::Recoverable(received_d.status())) {
+          robust.CountTransportDropout(name, received_d.status());
+          continue;
+        }
+        return received_d.status();
       }
-      epoch = resume_epoch;
-      for (int p = 0; p < parties; ++p) {
-        optimizers[p] = MakeOptimizer(config_.optimizer, config_.learning_rate);
+      const DataMatrix& x = partition_.shards[p].x;
+      std::vector<double> grad(weights_[p].size(), 0.0);
+      double flops = 0;
+      for (size_t i = 0; i < m; ++i) {
+        x.AddScaledRowTo(begin + i, received_d.value()[i], &grad);
+        if (p == 0) grad.back() += received_d.value()[i];
+        flops += 2.0 * x.RowNnz(begin + i);
       }
-      prev_loss = result.epochs.empty()
-                      ? std::numeric_limits<double>::infinity()
-                      : result.epochs.back().loss;
-      continue;
+      const double inv = 1.0 / static_cast<double>(m);
+      for (size_t j = 0; j < grad.size(); ++j) {
+        grad[j] = grad[j] * inv + config_.l2 * weights_[p][j];
+      }
+      ChargeModelCompute(clock, flops + 3.0 * grad.size());
+      FLB_RETURN_IF_ERROR(optimizers[p]->Step(&weights_[p], grad));
     }
-
-    EpochRecord record;
-    record.epoch = epoch;
-    record.loss = GlobalLoss(&record.accuracy);
-    const ClockSnapshot after = ClockSnapshot::Take(clock, &net);
-    FillEpochTiming(before, after, &record);
-    TraceEpoch("hetero_lr", record, session_, config_.max_epochs);
-    result.epochs.push_back(record);
-    robust.Checkpoint(epoch, FlattenWeights(weights_));
-    if (std::fabs(prev_loss - record.loss) < config_.tolerance) {
-      result.converged = true;
-      break;
-    }
-    prev_loss = record.loss;
-    epoch += 1;
-  }
-  if (!result.epochs.empty()) {
-    result.final_loss = result.epochs.back().loss;
-    result.final_accuracy = result.epochs.back().accuracy;
-  }
-  result.robustness = robust.counters();
-  return result;
+    return RoundEnd::kDone;
+  };
+  steps.snapshot = [&] { return FlattenWeights(weights_); };
+  // Optimizer moments are not checkpointed: they restart cold, like the
+  // server's in the homo trainers.
+  steps.restore = [&](std::vector<double> state, int) {
+    UnflattenWeights(state, &weights_);
+    for (auto& optimizer : optimizers) optimizer->Reset();
+  };
+  steps.evaluate = [&](double* accuracy) { return GlobalLoss(accuracy); };
+  return robust.RunEpochs(steps);
 }
 
 }  // namespace flb::fl

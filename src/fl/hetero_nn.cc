@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/common/check.h"
 #include "src/core/transport.h"
@@ -314,80 +313,37 @@ Status HeteroNnTrainer::TrainBatch(size_t begin, size_t end) {
 }
 
 Result<TrainResult> HeteroNnTrainer::Train() {
-  net::Network& net = *session_.network;
   const size_t rows = partition_.shards[0].x.rows();
-  const size_t batches =
-      std::max<size_t>(1, (rows + config_.batch_size - 1) / config_.batch_size);
   RobustCoordinator robust(session_, config_, "hetero_nn");
   // Every message in this protocol crosses a link between guest, host, and
   // arbiter, and each round mutates weights mid-protocol; no party is
   // droppable. Any recoverable transport failure therefore aborts the
   // epoch and restores the last checkpoint (split-NN fast abort).
   robust.set_critical_parties({kGuestName, HostName(1), kArbiterName});
-  robust.Checkpoint(-1, SnapshotWeights());
 
-  TrainResult result;
-  double prev_loss = std::numeric_limits<double>::infinity();
-  int epoch = 0;
-  while (epoch < config_.max_epochs) {
-    const ClockSnapshot before = ClockSnapshot::Take(session_.clock, &net);
-    bool epoch_aborted = false;
-    for (size_t b = 0; b < batches && !epoch_aborted; ++b) {
-      if (robust.active() && robust.CriticalDown()) {
-        epoch_aborted = true;
-        break;
-      }
-      FLB_RETURN_IF_ERROR(robust.CheckDeadline("HeteroNnTrainer::Train"));
-      const size_t begin = b * config_.batch_size;
-      const size_t end = std::min(rows, begin + config_.batch_size);
-      Status batch = TrainBatch(begin, end);
-      if (!batch.ok()) {
-        if (robust.active() && RobustCoordinator::Recoverable(batch)) {
-          // The round died mid-protocol: weights may be half-updated and
-          // peers hold stale in-flight messages. Roll the epoch back.
-          robust.CountTransportDropout("protocol", batch);
-          epoch_aborted = true;
-          break;
-        }
-        return batch;
-      }
+  EpochSteps steps;
+  steps.name = "HeteroNnTrainer::Train";
+  steps.rounds =
+      std::max<size_t>(1, (rows + config_.batch_size - 1) / config_.batch_size);
+  steps.round = [&](size_t b) -> Result<RoundEnd> {
+    const size_t begin = b * config_.batch_size;
+    const size_t end = std::min(rows, begin + config_.batch_size);
+    Status batch = TrainBatch(begin, end);
+    if (batch.ok()) return RoundEnd::kDone;
+    if (!robust.active() || !RobustCoordinator::Recoverable(batch)) {
+      return batch;
     }
-
-    if (epoch_aborted) {
-      std::vector<double> flat;
-      FLB_ASSIGN_OR_RETURN(const int resume_epoch, robust.Resume(&flat));
-      RestoreWeights(flat);
-      if (static_cast<size_t>(resume_epoch) < result.epochs.size()) {
-        result.epochs.resize(resume_epoch);
-      }
-      epoch = resume_epoch;
-      prev_loss = result.epochs.empty()
-                      ? std::numeric_limits<double>::infinity()
-                      : result.epochs.back().loss;
-      continue;
-    }
-
-    EpochRecord record;
-    record.epoch = epoch;
-    record.loss = EvaluateLoss(&record.accuracy);
-    const ClockSnapshot after = ClockSnapshot::Take(session_.clock, &net);
-    FillEpochTiming(before, after, &record);
-    TraceEpoch("hetero_nn", record, session_, config_.max_epochs);
-    result.epochs.push_back(record);
-    robust.Checkpoint(epoch, SnapshotWeights());
-    if (std::fabs(prev_loss - record.loss) < config_.tolerance) {
-      result.converged = true;
-      break;
-    }
-    prev_loss = record.loss;
-    epoch += 1;
-  }
-  if (!result.epochs.empty()) {
-    result.final_loss = result.epochs.back().loss;
-    result.final_accuracy = result.epochs.back().accuracy;
-  }
-  result.robustness = robust.counters();
-  return result;
+    // The round died mid-protocol: weights may be half-updated and peers
+    // hold stale in-flight messages. Roll the epoch back.
+    robust.CountTransportDropout("protocol", batch);
+    return RoundEnd::kAborted;
+  };
+  steps.snapshot = [&] { return SnapshotWeights(); };
+  steps.restore = [&](std::vector<double> state, int) {
+    RestoreWeights(state);
+  };
+  steps.evaluate = [&](double* accuracy) { return EvaluateLoss(accuracy); };
+  return robust.RunEpochs(steps);
 }
 
 }  // namespace flb::fl

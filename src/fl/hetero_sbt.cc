@@ -1,8 +1,7 @@
 #include "src/fl/hetero_sbt.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/core/transport.h"
@@ -428,105 +427,65 @@ Result<SbtTree> HeteroSbtTrainer::BuildTree(const std::vector<double>& g,
 
 Result<TrainResult> HeteroSbtTrainer::Train() {
   const size_t rows = margins_.size();
-  net::Network& net = *session_.network;
   RobustCoordinator robust(session_, config_, "hetero_sbt");
   // Only the guest (labels, margins, decryption requests) is
   // irreplaceable; hosts degrade to excluded feature shards.
   robust.set_critical_parties({kGuestName});
-  robust.Checkpoint(-1, margins_);
 
-  TrainResult result;
-  double prev_loss = std::numeric_limits<double>::infinity();
-  int round = 0;
-  while (round < config_.max_epochs) {
-    const ClockSnapshot before = ClockSnapshot::Take(session_.clock, &net);
-    bool round_aborted = false;
-    if (robust.active() && robust.CriticalDown()) {
-      round_aborted = true;
-    } else {
-      FLB_RETURN_IF_ERROR(robust.CheckDeadline("HeteroSbtTrainer::Train"));
-
-      // Gradients from current margins.
-      std::vector<double> g(rows), h(rows);
-      for (size_t i = 0; i < rows; ++i) {
-        const double p = Sigmoid(margins_[i]);
-        g[i] = p - partition_.labels[i];
-        h[i] = std::max(p * (1.0 - p), 1e-6);
-      }
-      ChargeModelCompute(session_.clock, 6.0 * rows);
-
-      Result<SbtTree> tree = BuildTree(g, h, &robust);
-      if (!tree.ok()) {
-        if (robust.active() &&
-            RobustCoordinator::Recoverable(tree.status())) {
-          // The guest died mid-tree: discard the partial tree and roll the
-          // round back to the margin checkpoint.
-          robust.CountTransportDropout(kGuestName, tree.status());
-          round_aborted = true;
-        } else {
-          return tree.status();
-        }
-      } else {
-        // Advance margins: route every instance down the tree.
-        for (size_t i = 0; i < rows; ++i) {
-          int node = 0;
-          while (!tree.value().nodes[node].is_leaf) {
-            const SbtNode& n = tree.value().nodes[node];
-            node = BinOf(n.split_party, i, n.split_feature) <= n.split_bin
-                       ? n.left
-                       : n.right;
-          }
-          margins_[i] +=
-              config_.learning_rate * tree.value().nodes[node].leaf_weight;
-        }
-        ChargeModelCompute(session_.clock, 4.0 * rows * params_.max_depth);
-        trees_.push_back(std::move(tree).value());
-      }
+  EpochSteps steps;  // one boosting round per epoch
+  steps.name = "HeteroSbtTrainer::Train";
+  steps.round = [&](size_t) -> Result<RoundEnd> {
+    // Gradients from current margins.
+    std::vector<double> g(rows), h(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      const double p = Sigmoid(margins_[i]);
+      g[i] = p - partition_.labels[i];
+      h[i] = std::max(p * (1.0 - p), 1e-6);
     }
+    ChargeModelCompute(session_.clock, 6.0 * rows);
 
-    if (round_aborted) {
-      // Guest restart: wait out the downtime, restore the margin
-      // checkpoint, drop the trees built after it, re-run from there.
-      FLB_ASSIGN_OR_RETURN(const int resume_round, robust.Resume(&margins_));
-      if (static_cast<size_t>(resume_round) < result.epochs.size()) {
-        result.epochs.resize(resume_round);
+    Result<SbtTree> tree = BuildTree(g, h, &robust);
+    if (!tree.ok()) {
+      if (!robust.active() || !RobustCoordinator::Recoverable(tree.status())) {
+        return tree.status();
       }
-      if (static_cast<size_t>(resume_round) < trees_.size()) {
-        trees_.resize(resume_round);
+      // The guest died mid-tree: discard the partial tree and roll the
+      // round back to the margin checkpoint.
+      robust.CountTransportDropout(kGuestName, tree.status());
+      return RoundEnd::kAborted;
+    }
+    // Advance margins: route every instance down the tree.
+    for (size_t i = 0; i < rows; ++i) {
+      int node = 0;
+      while (!tree.value().nodes[node].is_leaf) {
+        const SbtNode& n = tree.value().nodes[node];
+        node = BinOf(n.split_party, i, n.split_feature) <= n.split_bin
+                   ? n.left
+                   : n.right;
       }
-      round = resume_round;
-      prev_loss = result.epochs.empty()
-                      ? std::numeric_limits<double>::infinity()
-                      : result.epochs.back().loss;
-      continue;
+      margins_[i] +=
+          config_.learning_rate * tree.value().nodes[node].leaf_weight;
     }
-
-    EpochRecord record;
-    record.epoch = round;
-    {
-      std::vector<double> probs(rows);
-      for (size_t i = 0; i < rows; ++i) probs[i] = Sigmoid(margins_[i]);
-      record.loss = MeanLogLoss(probs, partition_.labels);
-      record.accuracy = Accuracy(probs, partition_.labels);
+    ChargeModelCompute(session_.clock, 4.0 * rows * params_.max_depth);
+    trees_.push_back(std::move(tree).value());
+    return RoundEnd::kDone;
+  };
+  steps.snapshot = [&] { return margins_; };
+  // Guest restart: the margin checkpoint comes back and the trees built
+  // after it go.
+  steps.restore = [&](std::vector<double> state, int resume_round) {
+    margins_ = std::move(state);
+    if (static_cast<size_t>(resume_round) < trees_.size()) {
+      trees_.resize(resume_round);
     }
-    const ClockSnapshot after = ClockSnapshot::Take(session_.clock, &net);
-    FillEpochTiming(before, after, &record);
-    TraceEpoch("hetero_sbt", record, session_, config_.max_epochs);
-    result.epochs.push_back(record);
-    robust.Checkpoint(round, margins_);
-    if (std::fabs(prev_loss - record.loss) < config_.tolerance) {
-      result.converged = true;
-      break;
-    }
-    prev_loss = record.loss;
-    round += 1;
-  }
-  if (!result.epochs.empty()) {
-    result.final_loss = result.epochs.back().loss;
-    result.final_accuracy = result.epochs.back().accuracy;
-  }
-  result.robustness = robust.counters();
-  return result;
+  };
+  steps.evaluate = [&](double* accuracy) {
+    std::vector<double> probs(rows);
+    for (size_t i = 0; i < rows; ++i) probs[i] = Sigmoid(margins_[i]);
+    *accuracy = Accuracy(probs, partition_.labels);
+    return MeanLogLoss(probs, partition_.labels);
+  };
+  return robust.RunEpochs(steps);
 }
 
 }  // namespace flb::fl

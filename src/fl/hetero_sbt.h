@@ -86,7 +86,6 @@ class HeteroSbtTrainer {
                            const std::vector<double>& g,
                            const std::vector<double>& h) const;
 
-  Result<TrainResult> TrainImpl();
   // Builds one boosting tree. `robust` (never null) supplies the
   // degradation policy: hosts that are down, quarantined, or whose
   // histogram exchange dies mid-tree are excluded from the rest of the

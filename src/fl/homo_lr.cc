@@ -1,20 +1,13 @@
 #include "src/fl/homo_lr.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
 #include "src/common/check.h"
-#include "src/core/transport.h"
 #include "src/fl/metrics.h"
 #include "src/fl/robust.h"
-#include "src/fl/trainer_util.h"
 
 namespace flb::fl {
-
-namespace {
-constexpr const char* kServer = kServerName;
-}  // namespace
 
 HomoLrTrainer::HomoLrTrainer(std::vector<Dataset> shards, FlSession session,
                              TrainConfig config)
@@ -69,185 +62,40 @@ double HomoLrTrainer::GlobalLoss(double* accuracy) const {
 }
 
 Result<TrainResult> HomoLrTrainer::Train() {
-  const int p = static_cast<int>(shards_.size());
-  core::HeService& he = *session_.he;
-  net::Network& net = *session_.network;
-  SimClock* clock = session_.clock;
   auto optimizer = MakeOptimizer(config_.optimizer, config_.learning_rate);
   RobustCoordinator robust(session_, config_, "homo_lr");
-  robust.Checkpoint(-1, weights_);
 
   size_t min_rows = shards_[0].rows();
   for (const auto& s : shards_) min_rows = std::min(min_rows, s.rows());
-  const size_t batches = std::max<size_t>(
+  EpochSteps steps;
+  steps.name = "HomoLrTrainer::Train";
+  steps.rounds = std::max<size_t>(
       1, (min_rows + config_.batch_size - 1) / config_.batch_size);
-
-  TrainResult result;
-  double prev_loss = std::numeric_limits<double>::infinity();
-  int epoch = 0;
-  while (epoch < config_.max_epochs) {
-    const ClockSnapshot before = ClockSnapshot::Take(clock, &net);
-    bool epoch_aborted = false;
-    for (size_t b = 0; b < batches && !epoch_aborted; ++b) {
-      // Server crash detected at the round boundary aborts the epoch; the
-      // resume path below restores the last checkpoint.
-      if (robust.active() && robust.ServerDown()) {
-        epoch_aborted = true;
-        break;
-      }
-      FLB_RETURN_IF_ERROR(robust.CheckDeadline("HomoLrTrainer::Train"));
-      // --- clients: local gradient -> encrypt -> upload --------------------
-      size_t participants = 0;
-      for (int party = 0; party < p; ++party) {
-        const std::string name = PartyName(party);
-        if (!robust.AdmitParty(name)) continue;
-        const Dataset& shard = shards_[party];
-        const size_t begin = std::min<size_t>(b * config_.batch_size,
-                                              shard.rows());
-        const size_t end = std::min<size_t>(begin + config_.batch_size,
-                                            shard.rows());
-        const double t0 = clock != nullptr ? clock->Now() : 0.0;
-        std::vector<double> grad =
-            begin < end ? LocalGradient(shard, begin, end)
-                        : std::vector<double>(weights_.size(), 0.0);
-        FLB_ASSIGN_OR_RETURN(core::EncVec enc, he.EncryptValues(grad));
-        double response = 0.0;
-        if (robust.active()) {
-          const double compute = clock != nullptr ? clock->Now() - t0 : 0.0;
-          const double send =
-              net.TransferSeconds(he.WireBytes(enc), enc.data.size());
-          response = compute + send;
-          if (!robust.AdmitUpload(name, compute, send)) {
-            robust.RecordPartyOutcome(name, false, response);
-            continue;
-          }
-        }
-        Status sent = core::SendEncVec(&net, he, name, kServer, "grad", enc);
-        if (!sent.ok()) {
-          if (robust.active() && RobustCoordinator::Recoverable(sent)) {
-            robust.RecordPartyOutcome(name, false, response);
-            robust.CountTransportDropout(name, sent);
-            continue;
-          }
-          return sent;
-        }
-        robust.RecordPartyOutcome(name, true, response);
-        participants += 1;
-      }
-      // --- server: homomorphic aggregation ---------------------------------
-      const size_t expected =
-          robust.active() ? participants : static_cast<size_t>(p);
-      if (expected == 0) {
-        robust.CountSkippedRound();
-        continue;
-      }
-      core::EncVec agg;
-      size_t received = 0;
-      for (size_t i = 0; i < expected && !epoch_aborted; ++i) {
-        Result<core::EncVec> next = core::RecvEncVec(&net, kServer, "grad");
-        if (!next.ok()) {
-          if (robust.active() &&
-              RobustCoordinator::Recoverable(next.status())) {
-            if (robust.ServerDown()) {
-              epoch_aborted = true;
-              break;
-            }
-            robust.CountTransportDropout(kServer, next.status());
-            continue;
-          }
-          return next.status();
-        }
-        if (received == 0) {
-          agg = std::move(next).value();
-        } else {
-          FLB_ASSIGN_OR_RETURN(agg, he.AddCipher(agg, next.value()));
-        }
-        received += 1;
-      }
-      if (epoch_aborted) break;
-      if (received == 0) {
-        robust.CountSkippedRound();
-        continue;
-      }
-      if (received < static_cast<size_t>(p)) robust.CountPartialRound();
-      for (int party = 0; party < p; ++party) {
-        const std::string name = PartyName(party);
-        if (robust.active() && !robust.IsUp(name)) continue;
-        Status sent = core::SendEncVec(&net, he, kServer, name, "agg", agg);
-        if (!sent.ok()) {
-          if (robust.active() && RobustCoordinator::Recoverable(sent)) {
-            robust.CountTransportDropout(name, sent);
-            continue;
-          }
-          return sent;
-        }
-      }
-      // --- clients: decrypt, average, update --------------------------------
-      // All live parties perform the identical decrypt+update; the
-      // HE/compute cost is charged once per party.
-      std::vector<double> update;
-      size_t decrypted = 0;
-      for (int party = 0; party < p; ++party) {
-        const std::string name = PartyName(party);
-        if (robust.active() && !robust.IsUp(name)) continue;
-        Result<core::EncVec> got = core::RecvEncVec(&net, name, "agg");
-        if (!got.ok()) {
-          if (robust.active() && RobustCoordinator::Recoverable(got.status())) {
-            robust.CountTransportDropout(name, got.status());
-            continue;
-          }
-          return got.status();
-        }
-        FLB_ASSIGN_OR_RETURN(update, he.DecryptValues(got.value()));
-        decrypted += 1;
-      }
-      if (decrypted == 0) continue;  // no live party got the aggregate
-      // FedAvg renormalization: the aggregate carries `received` gradients
-      // (== p on the healthy path).
-      for (double& g : update) g /= static_cast<double>(received);
-      ChargeModelCompute(clock, 2.0 * update.size() * decrypted);
-      FLB_RETURN_IF_ERROR(optimizer->Step(&weights_, update));
-    }
-
-    if (epoch_aborted) {
-      // Server restart: wait out the downtime, restore the last epoch
-      // checkpoint, and re-run from there. The restarted server also lost
-      // the optimizer moments (they are not checkpointed).
-      FLB_ASSIGN_OR_RETURN(const int resume_epoch, robust.Resume(&weights_));
-      if (static_cast<size_t>(resume_epoch) < result.epochs.size()) {
-        result.epochs.resize(resume_epoch);
-      }
-      epoch = resume_epoch;
-      optimizer = MakeOptimizer(config_.optimizer, config_.learning_rate);
-      prev_loss = result.epochs.empty()
-                      ? std::numeric_limits<double>::infinity()
-                      : result.epochs.back().loss;
-      continue;
-    }
-
-    // --- epoch bookkeeping ---------------------------------------------------
-    EpochRecord record;
-    record.epoch = epoch;
-    record.loss = GlobalLoss(&record.accuracy);
-    const ClockSnapshot after = ClockSnapshot::Take(clock, &net);
-    FillEpochTiming(before, after, &record);
-    TraceEpoch("homo_lr", record, session_, config_.max_epochs);
-    result.epochs.push_back(record);
-    robust.Checkpoint(epoch, weights_);
-
-    if (std::fabs(prev_loss - record.loss) < config_.tolerance) {
-      result.converged = true;
-      break;
-    }
-    prev_loss = record.loss;
-    epoch += 1;
-  }
-  if (!result.epochs.empty()) {
-    result.final_loss = result.epochs.back().loss;
-    result.final_accuracy = result.epochs.back().accuracy;
-  }
-  result.robustness = robust.counters();
-  return result;
+  steps.round = [&](size_t b) {
+    return robust.SecureAggregationRound(
+        static_cast<int>(shards_.size()), "grad",
+        [&](int party) {
+          const Dataset& shard = shards_[party];
+          const size_t begin =
+              std::min<size_t>(b * config_.batch_size, shard.rows());
+          const size_t end =
+              std::min<size_t>(begin + config_.batch_size, shard.rows());
+          return begin < end ? LocalGradient(shard, begin, end)
+                             : std::vector<double>(weights_.size(), 0.0);
+        },
+        [&](const std::vector<double>& mean) {
+          return optimizer->Step(&weights_, mean);
+        });
+  };
+  steps.snapshot = [&] { return weights_; };
+  // The restarted server also lost the optimizer moments (they are not
+  // checkpointed).
+  steps.restore = [&](std::vector<double> state, int) {
+    weights_ = std::move(state);
+    optimizer->Reset();
+  };
+  steps.evaluate = [&](double* accuracy) { return GlobalLoss(accuracy); };
+  return robust.RunEpochs(steps);
 }
 
 }  // namespace flb::fl

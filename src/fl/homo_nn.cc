@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "src/common/check.h"
-#include "src/core/transport.h"
 #include "src/fl/metrics.h"
 #include "src/fl/robust.h"
-#include "src/fl/trainer_util.h"
 
 namespace flb::fl {
 
@@ -134,159 +132,38 @@ double HomoNnTrainer::ForwardLoss(const Dataset& data,
 }
 
 Result<TrainResult> HomoNnTrainer::Train() {
-  const int parties = static_cast<int>(shards_.size());
-  core::HeService& he = *session_.he;
-  net::Network& net = *session_.network;
-  SimClock* clock = session_.clock;
   RobustCoordinator robust(session_, config_, "homo_nn");
-  robust.Checkpoint(-1, params_vec_);
 
   size_t min_rows = shards_[0].rows();
   for (const auto& s : shards_) min_rows = std::min(min_rows, s.rows());
-  const size_t batches = std::max<size_t>(
+  EpochSteps steps;
+  steps.name = "HomoNnTrainer::Train";
+  steps.rounds = std::max<size_t>(
       1, (min_rows + config_.batch_size - 1) / config_.batch_size);
-
-  TrainResult result;
-  double prev_loss = std::numeric_limits<double>::infinity();
-  int epoch = 0;
-  while (epoch < config_.max_epochs) {
-    const ClockSnapshot before = ClockSnapshot::Take(clock, &net);
-    bool epoch_aborted = false;
-    for (size_t b = 0; b < batches && !epoch_aborted; ++b) {
-      if (robust.active() && robust.ServerDown()) {
-        epoch_aborted = true;
-        break;
-      }
-      FLB_RETURN_IF_ERROR(robust.CheckDeadline("HomoNnTrainer::Train"));
-      // --- clients: local steps -> encrypted deltas -> server ---------------
-      size_t participants = 0;
-      for (int party = 0; party < parties; ++party) {
-        const std::string name = PartyName(party);
-        if (!robust.AdmitParty(name)) continue;
-        const Dataset& shard = shards_[party];
-        const size_t begin =
-            std::min<size_t>(b * config_.batch_size, shard.rows());
-        const size_t end =
-            std::min<size_t>(begin + config_.batch_size, shard.rows());
-        const double t0 = clock != nullptr ? clock->Now() : 0.0;
-        std::vector<double> delta =
-            begin < end ? LocalDelta(shard, begin, end, params_vec_)
-                        : std::vector<double>(params_vec_.size(), 0.0);
-        FLB_ASSIGN_OR_RETURN(core::EncVec enc, he.EncryptValues(delta));
-        double response = 0.0;
-        if (robust.active()) {
-          const double compute = clock != nullptr ? clock->Now() - t0 : 0.0;
-          const double send =
-              net.TransferSeconds(he.WireBytes(enc), enc.data.size());
-          response = compute + send;
-          if (!robust.AdmitUpload(name, compute, send)) {
-            robust.RecordPartyOutcome(name, false, response);
-            continue;
+  steps.round = [&](size_t b) {
+    return robust.SecureAggregationRound(
+        static_cast<int>(shards_.size()), "delta",
+        [&](int party) {
+          const Dataset& shard = shards_[party];
+          const size_t begin =
+              std::min<size_t>(b * config_.batch_size, shard.rows());
+          const size_t end =
+              std::min<size_t>(begin + config_.batch_size, shard.rows());
+          return begin < end ? LocalDelta(shard, begin, end, params_vec_)
+                             : std::vector<double>(params_vec_.size(), 0.0);
+        },
+        [&](const std::vector<double>& mean) {
+          for (size_t j = 0; j < params_vec_.size(); ++j) {
+            params_vec_[j] += mean[j];
           }
-        }
-        Status sent =
-            core::SendEncVec(&net, he, name, kServerName, "delta", enc);
-        if (!sent.ok()) {
-          if (robust.active() && RobustCoordinator::Recoverable(sent)) {
-            robust.RecordPartyOutcome(name, false, response);
-            robust.CountTransportDropout(name, sent);
-            continue;
-          }
-          return sent;
-        }
-        robust.RecordPartyOutcome(name, true, response);
-        participants += 1;
-      }
-      // --- server: homomorphic FedAvg ---------------------------------------
-      const size_t expected =
-          robust.active() ? participants : static_cast<size_t>(parties);
-      if (expected == 0) {
-        robust.CountSkippedRound();
-        continue;
-      }
-      core::EncVec agg;
-      size_t received = 0;
-      for (size_t i = 0; i < expected && !epoch_aborted; ++i) {
-        Result<core::EncVec> next = core::RecvEncVec(&net, kServerName,
-                                                     "delta");
-        if (!next.ok()) {
-          if (robust.active() &&
-              RobustCoordinator::Recoverable(next.status())) {
-            if (robust.ServerDown()) {
-              epoch_aborted = true;
-              break;
-            }
-            robust.CountTransportDropout(kServerName, next.status());
-            continue;
-          }
-          return next.status();
-        }
-        if (received == 0) {
-          agg = std::move(next).value();
-        } else {
-          FLB_ASSIGN_OR_RETURN(agg, he.AddCipher(agg, next.value()));
-        }
-        received += 1;
-      }
-      if (epoch_aborted) break;
-      if (received == 0) {
-        robust.CountSkippedRound();
-        continue;
-      }
-      if (received < static_cast<size_t>(parties)) robust.CountPartialRound();
-      for (int party = 0; party < parties; ++party) {
-        const std::string name = PartyName(party);
-        if (robust.active() && !robust.IsUp(name)) continue;
-        Status sent = core::SendEncVec(&net, he, kServerName, name, "agg",
-                                       agg);
-        if (!sent.ok()) {
-          if (robust.active() && RobustCoordinator::Recoverable(sent)) {
-            robust.CountTransportDropout(name, sent);
-            continue;
-          }
-          return sent;
-        }
-      }
-      // --- clients: decrypt, average, apply ----------------------------------
-      std::vector<double> update;
-      size_t decrypted = 0;
-      for (int party = 0; party < parties; ++party) {
-        const std::string name = PartyName(party);
-        if (robust.active() && !robust.IsUp(name)) continue;
-        Result<core::EncVec> got = core::RecvEncVec(&net, name, "agg");
-        if (!got.ok()) {
-          if (robust.active() && RobustCoordinator::Recoverable(got.status())) {
-            robust.CountTransportDropout(name, got.status());
-            continue;
-          }
-          return got.status();
-        }
-        FLB_ASSIGN_OR_RETURN(update, he.DecryptValues(got.value()));
-        decrypted += 1;
-      }
-      if (decrypted == 0) continue;  // no live party got the aggregate
-      // FedAvg renormalization over the deltas actually aggregated.
-      for (size_t j = 0; j < params_vec_.size(); ++j) {
-        params_vec_[j] += update[j] / static_cast<double>(received);
-      }
-      ChargeModelCompute(clock, 2.0 * params_vec_.size() * decrypted);
-    }
-
-    if (epoch_aborted) {
-      FLB_ASSIGN_OR_RETURN(const int resume_epoch,
-                           robust.Resume(&params_vec_));
-      if (static_cast<size_t>(resume_epoch) < result.epochs.size()) {
-        result.epochs.resize(resume_epoch);
-      }
-      epoch = resume_epoch;
-      prev_loss = result.epochs.empty()
-                      ? std::numeric_limits<double>::infinity()
-                      : result.epochs.back().loss;
-      continue;
-    }
-
-    EpochRecord record;
-    record.epoch = epoch;
+          return Status::OK();
+        });
+  };
+  steps.snapshot = [&] { return params_vec_; };
+  steps.restore = [&](std::vector<double> state, int) {
+    params_vec_ = std::move(state);
+  };
+  steps.evaluate = [&](double* accuracy) {
     double loss = 0, acc = 0;
     size_t total = 0;
     for (const auto& shard : shards_) {
@@ -295,26 +172,10 @@ Result<TrainResult> HomoNnTrainer::Train() {
       acc += a * shard.rows();
       total += shard.rows();
     }
-    record.loss = loss / total;
-    record.accuracy = acc / total;
-    const ClockSnapshot after = ClockSnapshot::Take(clock, &net);
-    FillEpochTiming(before, after, &record);
-    TraceEpoch("homo_nn", record, session_, config_.max_epochs);
-    result.epochs.push_back(record);
-    robust.Checkpoint(epoch, params_vec_);
-    if (std::fabs(prev_loss - record.loss) < config_.tolerance) {
-      result.converged = true;
-      break;
-    }
-    prev_loss = record.loss;
-    epoch += 1;
-  }
-  if (!result.epochs.empty()) {
-    result.final_loss = result.epochs.back().loss;
-    result.final_accuracy = result.epochs.back().accuracy;
-  }
-  result.robustness = robust.counters();
-  return result;
+    *accuracy = acc / total;
+    return loss / total;
+  };
+  return robust.RunEpochs(steps);
 }
 
 }  // namespace flb::fl

@@ -1,22 +1,9 @@
-// Small shared helpers for the federated trainers: party naming, per-epoch
-// clock attribution, convergence bookkeeping.
+// Party naming shared by the federated trainers.
 
 #ifndef FLB_FL_TRAINER_UTIL_H_
 #define FLB_FL_TRAINER_UTIL_H_
 
-#include <cmath>
-#include <limits>
 #include <string>
-
-#include "src/common/sim_clock.h"
-#include "src/core/he_service.h"
-#include "src/fl/fl_types.h"
-#include "src/net/fault.h"
-#include "src/net/network.h"
-#include "src/net/reliable_channel.h"
-#include "src/obs/metrics.h"
-#include "src/obs/run_status.h"
-#include "src/obs/trace.h"
 
 namespace flb::fl {
 
@@ -25,105 +12,6 @@ inline constexpr char kServerName[] = "server";
 inline constexpr char kGuestName[] = "guest";
 inline constexpr char kArbiterName[] = "arbiter";
 inline std::string HostName(int h) { return "host" + std::to_string(h); }
-
-// Snapshot of the simulated clock + network counters, used to attribute
-// per-epoch component times (Table VI's decomposition).
-struct ClockSnapshot {
-  double total = 0, he = 0, comm = 0;
-  uint64_t bytes = 0;
-
-  static ClockSnapshot Take(const SimClock* clock, const net::Network* net) {
-    ClockSnapshot s;
-    if (clock != nullptr) {
-      s.total = clock->Now();
-      s.he = clock->HeSeconds();
-      s.comm = clock->CommSeconds();
-    }
-    if (net != nullptr) s.bytes = net->stats().bytes;
-    return s;
-  }
-};
-
-// Fills the timing fields of an EpochRecord from two snapshots.
-inline void FillEpochTiming(const ClockSnapshot& before,
-                            const ClockSnapshot& after, EpochRecord* record) {
-  record->sim_seconds_cum = after.total;
-  record->epoch_seconds = after.total - before.total;
-  record->he_seconds = after.he - before.he;
-  record->comm_seconds = after.comm - before.comm;
-  record->other_seconds =
-      record->epoch_seconds - record->he_seconds - record->comm_seconds;
-  record->comm_bytes = after.bytes - before.bytes;
-}
-
-// Records the finished epoch on the trainer's trace track (span args carry
-// the Table VI component breakdown), in the metrics registry, and in the
-// live RunStatus served by /status. Call right after FillEpochTiming.
-//
-// The status snapshot is taken here — on the trainer thread — because
-// HeService's op counters are plain fields only this thread may read;
-// RunStatus gets values, never pointers, so a concurrent scrape can't race
-// the trainer (see run_status.h).
-inline void TraceEpoch(const char* trainer, const EpochRecord& record,
-                       const FlSession& session, int max_epochs) {
-  auto& metrics = obs::MetricsRegistry::Global();
-  const std::string labels = std::string("model=") + trainer;
-  metrics.Count("flb.fl.epochs", 1, labels);
-  metrics.Observe("flb.fl.epoch_seconds", record.epoch_seconds, labels);
-
-  obs::EpochStatus epoch_status;
-  epoch_status.epoch = record.epoch;
-  epoch_status.max_epochs = max_epochs;
-  epoch_status.loss = record.loss;
-  epoch_status.accuracy = record.accuracy;
-  epoch_status.sim_seconds = record.sim_seconds_cum;
-  epoch_status.comm_bytes = record.comm_bytes;
-  obs::HeOpsStatus he_status;
-  if (session.he != nullptr) {
-    const core::HeOpCounts ops = session.he->op_counts();
-    he_status.encrypts = ops.encrypts;
-    he_status.decrypts = ops.decrypts;
-    he_status.hom_adds = ops.hom_adds;
-    he_status.scalar_muls = ops.scalar_muls;
-    he_status.values_encrypted = ops.values_encrypted;
-    he_status.values_decrypted = ops.values_decrypted;
-  }
-  obs::RunStatus::Global().UpdateEpoch(epoch_status, he_status);
-
-  if (session.faults != nullptr) {
-    const net::FaultStats fs = session.faults->stats();
-    obs::FaultStatus fault_status;
-    fault_status.injected = fs.TotalInjected();
-    fault_status.drops = fs.drops + fs.partition_drops + fs.crash_drops;
-    fault_status.duplicates = fs.duplicates;
-    fault_status.reorders = fs.reorders;
-    fault_status.corruptions = fs.corruptions;
-    fault_status.delays = fs.delays;
-    obs::ChannelStatus channel_status;
-    if (session.network != nullptr &&
-        session.network->reliable_channel() != nullptr) {
-      const net::ChannelStats cs =
-          session.network->reliable_channel()->stats();
-      channel_status.retransmits = cs.retransmits;
-      channel_status.timeouts = cs.timeouts;
-      channel_status.crc_failures = cs.crc_failures;
-    }
-    obs::RunStatus::Global().UpdateFaults(fault_status, channel_status);
-  }
-
-  auto& rec = obs::TraceRecorder::Global();
-  if (!rec.enabled()) return;
-  rec.Span(rec.RegisterTrack("trainer", trainer),
-           "epoch " + std::to_string(record.epoch), "epoch",
-           record.sim_seconds_cum - record.epoch_seconds,
-           record.sim_seconds_cum,
-           {obs::Arg("he_seconds", record.he_seconds),
-            obs::Arg("comm_seconds", record.comm_seconds),
-            obs::Arg("other_seconds", record.other_seconds),
-            obs::Arg("comm_bytes", record.comm_bytes),
-            obs::Arg("loss", record.loss),
-            obs::Arg("accuracy", record.accuracy)});
-}
 
 }  // namespace flb::fl
 

@@ -77,41 +77,41 @@ common::ThreadPool& GheEngine::host_pool() const {
                                       : common::ThreadPool::Global();
 }
 
-std::function<void()> GheEngine::InstrumentBody(const char* name,
-                                                std::function<void()> body) {
-  if (!body) return body;
-  return [this, name, inner = std::move(body)] {
-    common::ThreadPool& tp = host_pool();
-    const auto before = tp.stats();
-    WallTimer timer;
-    inner();
-    const double wall = timer.ElapsedSeconds();
-    const auto after = tp.stats();
-    auto& metrics = obs::MetricsRegistry::Global();
-    const std::string label = std::string("op=") + name;
-    metrics.Count("flb.host.pool_tasks",
-                  static_cast<double>(after.tasks - before.tasks), label);
-    metrics.Count("flb.host.pool_steals",
-                  static_cast<double>(after.steals - before.steals), label);
-    metrics.Observe("flb.host.batch_wall_seconds", wall, label);
-    metrics.Set("flb.host.threads", tp.num_threads());
-    auto& rec = obs::TraceRecorder::Global();
-    if (rec.enabled()) {
-      rec.Instant(rec.RegisterTrack("host", "threads"), "host.batch", "host",
-                  device_->TimelineNow(),
-                  {obs::Arg("op", name), obs::Arg("wall_seconds", wall),
-                   obs::Arg("threads", tp.num_threads())});
-    }
-  };
+Status GheEngine::RunBody(const char* name,
+                          const std::function<Status()>& body) {
+  common::ThreadPool& tp = host_pool();
+  const auto before = tp.stats();
+  WallTimer timer;
+  Status status = body();
+  const double wall = timer.ElapsedSeconds();
+  const auto after = tp.stats();
+  auto& metrics = obs::MetricsRegistry::Global();
+  const std::string label = std::string("op=") + name;
+  metrics.Count("flb.host.pool_tasks",
+                static_cast<double>(after.tasks - before.tasks), label);
+  metrics.Count("flb.host.pool_steals",
+                static_cast<double>(after.steals - before.steals), label);
+  metrics.Observe("flb.host.batch_wall_seconds", wall, label);
+  metrics.Set("flb.host.threads", tp.num_threads());
+  auto& rec = obs::TraceRecorder::Global();
+  if (rec.enabled()) {
+    rec.Instant(rec.RegisterTrack("host", "threads"), "host.batch", "host",
+                device_->TimelineNow(),
+                {obs::Arg("op", name), obs::Arg("wall_seconds", wall),
+                 obs::Arg("threads", tp.num_threads())});
+  }
+  return status;
 }
 
 Result<gpusim::LaunchResult> GheEngine::LaunchBatch(
     const char* name, int64_t count, size_t s, uint64_t limb_ops_per_elt,
-    size_t bytes_in, size_t bytes_out, std::function<void()> body) {
+    size_t bytes_in, size_t bytes_out, const std::function<Status()>& body) {
   if (count <= 0) {
     return Status::InvalidArgument(std::string(name) + ": empty batch");
   }
-  body = InstrumentBody(name, std::move(body));
+  // The host computes the batch's results before the device is touched, so
+  // a batch whose compute fails is charged nothing.
+  if (body) FLB_RETURN_IF_ERROR(RunBody(name, body));
   const int tpe = ThreadsPerElement(s);
   gpusim::KernelLaunch launch;
   launch.name = name;
@@ -178,14 +178,12 @@ Result<gpusim::LaunchResult> GheEngine::LaunchBatch(
               static_cast<size_t>(ChunkCount(count, nchunks, 0)) /
               static_cast<size_t>(count) +
           1);
-      return LaunchChunks(std::move(plan), streams, stage_bytes,
-                          serial_seconds, std::move(body));
+      return LaunchChunks(plan, streams, stage_bytes, serial_seconds);
     }
   }
 
   // Synchronous path: H2D, one kernel, D2H, each charged immediately.
   const double in_sec = device_->CopyToDevice(bytes_in);
-  launch.body = std::move(body);
   FLB_ASSIGN_OR_RETURN(last_launch_, device_->Launch(launch));
   const double out_sec = device_->CopyFromDevice(bytes_out);
 
@@ -202,8 +200,8 @@ Result<gpusim::LaunchResult> GheEngine::LaunchBatch(
 }
 
 Result<gpusim::LaunchResult> GheEngine::LaunchChunks(
-    std::vector<gpusim::StreamChunk> plan, int streams, size_t stage_bytes,
-    double serial_seconds, std::function<void()> body) {
+    const std::vector<gpusim::StreamChunk>& plan, int streams,
+    size_t stage_bytes, double serial_seconds) {
   while (static_cast<int>(stream_ids_.size()) < streams) {
     stream_ids_.push_back(stream_ids_.empty() ? gpusim::kDefaultStream
                                               : device_->CreateStream());
@@ -216,10 +214,6 @@ Result<gpusim::LaunchResult> GheEngine::LaunchChunks(
     staging.push_back(addr);
   }
 
-  // The host body computes the whole batch in one pass; it rides the first
-  // chunk. Arithmetic is immediate either way — only the modeled schedule
-  // is deferred — so chunking cannot change the results.
-  plan.front().kernel.body = std::move(body);
   gpusim::LaunchResult agg{};
   double weight = 0.0, occ_sum = 0.0, util_sum = 0.0;
   double kernel_busy = 0.0, transfer_busy = 0.0;
@@ -296,6 +290,7 @@ Result<std::vector<BigInt>> GheEngine::Add(const std::vector<BigInt>& a,
                             out[i] = BigInt::Add(a[i], b[i]);
                           }
                         });
+                    return Status::OK();
                   })
           .status());
   return out;
@@ -325,6 +320,7 @@ Result<std::vector<BigInt>> GheEngine::Sub(const std::vector<BigInt>& a,
                             out[i] = BigInt::Sub(a[i], b[i]);
                           }
                         });
+                    return Status::OK();
                   })
           .status());
   return out;
@@ -349,6 +345,7 @@ Result<std::vector<BigInt>> GheEngine::Mul(const std::vector<BigInt>& a,
                             out[i] = BigInt::Mul(a[i], b[i]);
                           }
                         });
+                    return Status::OK();
                   })
           .status());
   return out;
@@ -361,12 +358,11 @@ Result<std::vector<BigInt>> GheEngine::Div(const std::vector<BigInt>& a,
   size_t s = 1;
   for (const auto& v : a) s = std::max(s, v.WordCount());
   std::vector<BigInt> out(a.size());
-  Status first_error;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.div", a.size(), s, /*limb_ops_per_elt=*/2 * s * s,
                   BatchBytes(2 * a.size(), s), BatchBytes(a.size(), s),
                   [&] {
-                    first_error = common::ParallelForEachStatus(
+                    return common::ParallelForEachStatus(
                         host_pool(), a.size(), [&](size_t i) -> Status {
                           FLB_ASSIGN_OR_RETURN(out[i],
                                                BigInt::Div(a[i], b[i]));
@@ -374,7 +370,6 @@ Result<std::vector<BigInt>> GheEngine::Div(const std::vector<BigInt>& a,
                         });
                   })
           .status());
-  FLB_RETURN_IF_ERROR(first_error);
   return out;
 }
 
@@ -384,19 +379,17 @@ Result<std::vector<BigInt>> GheEngine::Mod(const std::vector<BigInt>& a,
   if (n.IsZero()) return Status::ArithmeticError("GheEngine::Mod: n == 0");
   const size_t s = std::max<size_t>(n.WordCount(), 1);
   std::vector<BigInt> out(a.size());
-  Status first_error;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.mod", a.size(), s, /*limb_ops_per_elt=*/2 * s * s,
                   BatchBytes(a.size(), 2 * s), BatchBytes(a.size(), s),
                   [&] {
-                    first_error = common::ParallelForEachStatus(
+                    return common::ParallelForEachStatus(
                         host_pool(), a.size(), [&](size_t i) -> Status {
                           FLB_ASSIGN_OR_RETURN(out[i], BigInt::Mod(a[i], n));
                           return Status::OK();
                         });
                   })
           .status());
-  FLB_RETURN_IF_ERROR(first_error);
   return out;
 }
 
@@ -405,14 +398,13 @@ Result<std::vector<BigInt>> GheEngine::ModInv(const std::vector<BigInt>& a,
   if (a.empty()) return std::vector<BigInt>{};
   const size_t s = std::max<size_t>(n.WordCount(), 1);
   std::vector<BigInt> out(a.size());
-  Status first_error;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.mod_inv", a.size(), s,
                   // Extended Euclid: ~2*bits iterations of O(s) work.
                   /*limb_ops_per_elt=*/static_cast<uint64_t>(4) * s * s * 32,
                   BatchBytes(a.size(), s), BatchBytes(a.size(), s),
                   [&] {
-                    first_error = common::ParallelForEachStatus(
+                    return common::ParallelForEachStatus(
                         host_pool(), a.size(), [&](size_t i) -> Status {
                           FLB_ASSIGN_OR_RETURN(out[i],
                                                BigInt::ModInverse(a[i], n));
@@ -420,7 +412,6 @@ Result<std::vector<BigInt>> GheEngine::ModInv(const std::vector<BigInt>& a,
                         });
                   })
           .status());
-  FLB_RETURN_IF_ERROR(first_error);
   return out;
 }
 
@@ -444,6 +435,7 @@ Result<std::vector<BigInt>> GheEngine::ModMul(const std::vector<BigInt>& a,
                             out[i] = ctx.ModMul(a[i] % n, b[i] % n);
                           }
                         });
+                    return Status::OK();
                   })
           .status());
   return out;
@@ -471,6 +463,7 @@ Result<std::vector<BigInt>> GheEngine::ModPow(const std::vector<BigInt>& x,
                                         out[i] = ctx.ModPow(x[i], p[i]);
                                       }
                                     });
+            return Status::OK();
           })
           .status());
   return out;
@@ -508,9 +501,10 @@ Result<std::vector<BigInt>> GheEngine::RunOp(
     const std::function<Result<std::vector<BigInt>>()>& compute) {
   if (count == 0) return std::vector<BigInt>{};
   Result<std::vector<BigInt>> out = std::vector<BigInt>{};
-  FLB_RETURN_IF_ERROR(
-      ModelOp(op, key_bits, count, width_bits, [&] { out = compute(); })
-          .status());
+  FLB_RETURN_IF_ERROR(ModelOp(op, key_bits, count, width_bits, [&] {
+                        out = compute();
+                        return out.status();
+                      }).status());
   return out;
 }
 
@@ -561,19 +555,17 @@ Result<std::vector<BigInt>> GheEngine::RsaEncrypt(
   // e = 65537: 17 squarings + 1 multiply.
   const uint64_t ops = 20 * MontMulLimbOps(s);
   std::vector<BigInt> out(ms.size());
-  Status first_error;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.rsa_encrypt", ms.size(), s, ops,
                   BatchBytes(ms.size(), s), BatchBytes(ms.size(), s),
                   [&] {
-                    first_error = common::ParallelForEachStatus(
+                    return common::ParallelForEachStatus(
                         host_pool(), ms.size(), [&](size_t i) -> Status {
                           FLB_ASSIGN_OR_RETURN(out[i], ctx.Encrypt(ms[i]));
                           return Status::OK();
                         });
                   })
           .status());
-  FLB_RETURN_IF_ERROR(first_error);
   return out;
 }
 
@@ -585,19 +577,17 @@ Result<std::vector<BigInt>> GheEngine::RsaDecrypt(
   const uint64_t ops =
       2 * EstimateModPowMontMuls(key_bits / 2) * MontMulLimbOps(s / 2);
   std::vector<BigInt> out(cs.size());
-  Status first_error;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.rsa_decrypt", cs.size(), s, ops,
                   BatchBytes(cs.size(), s), BatchBytes(cs.size(), s),
                   [&] {
-                    first_error = common::ParallelForEachStatus(
+                    return common::ParallelForEachStatus(
                         host_pool(), cs.size(), [&](size_t i) -> Status {
                           FLB_ASSIGN_OR_RETURN(out[i], ctx.Decrypt(cs[i]));
                           return Status::OK();
                         });
                   })
           .status());
-  FLB_RETURN_IF_ERROR(first_error);
   return out;
 }
 
@@ -608,19 +598,17 @@ Result<std::vector<BigInt>> GheEngine::RsaMul(const crypto::RsaContext& ctx,
   if (c1.empty()) return std::vector<BigInt>{};
   const size_t s = ctx.pub().CiphertextWords();
   std::vector<BigInt> out(c1.size());
-  Status first_error;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.rsa_mul", c1.size(), s, 3 * MontMulLimbOps(s),
                   BatchBytes(2 * c1.size(), s), BatchBytes(c1.size(), s),
                   [&] {
-                    first_error = common::ParallelForEachStatus(
+                    return common::ParallelForEachStatus(
                         host_pool(), c1.size(), [&](size_t i) -> Status {
                           FLB_ASSIGN_OR_RETURN(out[i], ctx.Mul(c1[i], c2[i]));
                           return Status::OK();
                         });
                   })
           .status());
-  FLB_RETURN_IF_ERROR(first_error);
   return out;
 }
 
@@ -643,41 +631,30 @@ uint64_t PrimeSearchLimbOps(int prime_bits) {
 Result<crypto::PaillierKeyPair> GheEngine::PaillierKeyGen(int key_bits,
                                                           Rng& rng) {
   crypto::PaillierKeyPair keys;
-  Status status;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.paillier_keygen", /*count=*/2, key_bits / 2 / 32,
                   PrimeSearchLimbOps(key_bits / 2),
                   /*bytes_in=*/64, /*bytes_out=*/key_bits / 4,
                   [&] {
-                    auto result = crypto::PaillierKeyGen(key_bits, rng);
-                    if (result.ok()) {
-                      keys = std::move(result).value();
-                    } else {
-                      status = result.status();
-                    }
+                    FLB_ASSIGN_OR_RETURN(keys,
+                                         crypto::PaillierKeyGen(key_bits, rng));
+                    return Status::OK();
                   })
           .status());
-  FLB_RETURN_IF_ERROR(status);
   return keys;
 }
 
 Result<crypto::RsaKeyPair> GheEngine::RsaKeyGen(int key_bits, Rng& rng) {
   crypto::RsaKeyPair keys;
-  Status status;
   FLB_RETURN_IF_ERROR(
       LaunchBatch("ghe.rsa_keygen", /*count=*/2, key_bits / 2 / 32,
                   PrimeSearchLimbOps(key_bits / 2),
                   /*bytes_in=*/64, /*bytes_out=*/key_bits / 4,
                   [&] {
-                    auto result = crypto::RsaKeyGen(key_bits, rng);
-                    if (result.ok()) {
-                      keys = std::move(result).value();
-                    } else {
-                      status = result.status();
-                    }
+                    FLB_ASSIGN_OR_RETURN(keys, crypto::RsaKeyGen(key_bits, rng));
+                    return Status::OK();
                   })
           .status());
-  FLB_RETURN_IF_ERROR(status);
   return keys;
 }
 
@@ -685,19 +662,19 @@ Result<crypto::RsaKeyPair> GheEngine::RsaKeyGen(int key_bits, Rng& rng) {
 // Timing-only models
 // ---------------------------------------------------------------------------
 
-Result<gpusim::LaunchResult> GheEngine::ModelOp(HeOp op, int key_bits,
-                                                int64_t count, int width_bits,
-                                                std::function<void()> body) {
+Result<gpusim::LaunchResult> GheEngine::ModelOp(
+    HeOp op, int key_bits, int64_t count, int width_bits,
+    const std::function<Status()>& body) {
   const HeOpCost cost = HeCost(op, key_bits, count, width_bits);
   return LaunchBatch(LaunchName(op), count, cost.limbs, cost.limb_ops,
-                     cost.bytes_in, cost.bytes_out, std::move(body));
+                     cost.bytes_in, cost.bytes_out, body);
 }
 
 Result<gpusim::LaunchResult> GheEngine::ModelBatch(
     const char* name, int64_t count, size_t s, uint64_t limb_ops_per_elt,
-    size_t bytes_in, size_t bytes_out, std::function<void()> body) {
+    size_t bytes_in, size_t bytes_out, const std::function<Status()>& body) {
   return LaunchBatch(name, count, s, limb_ops_per_elt, bytes_in, bytes_out,
-                     std::move(body));
+                     body);
 }
 
 double GheEngine::ModelTransferToDevice(size_t bytes) {

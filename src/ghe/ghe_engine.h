@@ -9,9 +9,10 @@
 //
 // Every batch call becomes one kernel launch: each array element is served
 // by T = s/x device threads (Algorithm 2's decomposition, x words per
-// thread), the host body computes the real results (bit-exact with the
-// parallel kernel — see parallel_montgomery tests), and the device charges
-// modeled kernel + PCIe time to the SimClock.
+// thread). The host body first computes the real results (bit-exact with
+// the parallel kernel — see parallel_montgomery tests); only when it
+// succeeds does the device charge modeled kernel + PCIe time to the
+// SimClock, so a failed batch costs nothing.
 //
 // The Paillier launches are priced from the HE cost table (he_cost.h).
 // ModelOp runs the identical launch from the same row without a body, and
@@ -25,6 +26,7 @@
 #define FLB_GHE_GHE_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -165,9 +167,9 @@ class GheEngine {
   // A batch of `count` `op`s at `key_bits`, priced from the HE cost table:
   // the launch the Paillier call above makes, without a body unless one is
   // given. `width_bits` is the row's declared width (HeCost).
-  Result<gpusim::LaunchResult> ModelOp(HeOp op, int key_bits, int64_t count,
-                                       int width_bits = 0,
-                                       std::function<void()> body = nullptr);
+  Result<gpusim::LaunchResult> ModelOp(
+      HeOp op, int key_bits, int64_t count, int width_bits = 0,
+      const std::function<Status()>& body = nullptr);
   // Host<->device transfer charges for `bytes` (exposed so callers can model
   // staging of packed batches).
   double ModelTransferToDevice(size_t bytes);
@@ -175,14 +177,14 @@ class GheEngine {
 
   // Generic batch: `count` elements of `s` limbs, each costing
   // `limb_ops_per_elt` limb operations, moving in/out bytes over PCIe. With
-  // a `body`, the body computes the batch's results inside the launch and
-  // the host batch telemetry times it. HeService charges every HE op
-  // through this, so its ops ride the same chunked multi-stream path as the
-  // Table I batches.
-  Result<gpusim::LaunchResult> ModelBatch(const char* name, int64_t count,
-                                          size_t s, uint64_t limb_ops_per_elt,
-                                          size_t bytes_in, size_t bytes_out,
-                                          std::function<void()> body = nullptr);
+  // a `body`, the body computes the batch's results before the launch (the
+  // host batch telemetry times it) and a failing body's Status is returned
+  // with nothing charged. HeService charges every HE op through this, so
+  // its ops ride the same chunked multi-stream path as the Table I batches.
+  Result<gpusim::LaunchResult> ModelBatch(
+      const char* name, int64_t count, size_t s, uint64_t limb_ops_per_elt,
+      size_t bytes_in, size_t bytes_out,
+      const std::function<Status()>& body = nullptr);
 
   // Launch diagnostics of the most recent kernel (utilization telemetry).
   // For a chunked batch this aggregates the chunks: sim_seconds is the
@@ -193,32 +195,31 @@ class GheEngine {
   const GheBatchStats& last_batch() const { return last_batch_; }
 
  private:
-  // Shared launch path: one kernel over `count` elements of `s` limbs, each
-  // costing `limb_ops_per_elt` limb operations, moving in/out bytes over
-  // PCIe. With config_.streams > 1 the batch runs as its chunk plan when
-  // the plan prices faster than one launch.
-  Result<gpusim::LaunchResult> LaunchBatch(const char* name, int64_t count,
-                                           size_t s, uint64_t limb_ops_per_elt,
-                                           size_t bytes_in, size_t bytes_out,
-                                           std::function<void()> body);
+  // Shared launch path: runs `body` (if any) and returns its error before
+  // touching the device, then launches one kernel over `count` elements of
+  // `s` limbs, each costing `limb_ops_per_elt` limb operations, moving
+  // in/out bytes over PCIe. With config_.streams > 1 the batch runs as its
+  // chunk plan when the plan prices faster than one launch.
+  Result<gpusim::LaunchResult> LaunchBatch(
+      const char* name, int64_t count, size_t s, uint64_t limb_ops_per_elt,
+      size_t bytes_in, size_t bytes_out, const std::function<Status()>& body);
   // A Paillier batch: `compute` runs as the body of ModelOp's launch.
   Result<std::vector<BigInt>> RunOp(
       HeOp op, int key_bits, int64_t count, int width_bits,
       const std::function<Result<std::vector<BigInt>>()>& compute);
   // Enqueues the priced plan on the engine's streams (creating them on
-  // first use), with `body` riding the first chunk, and synchronizes.
+  // first use) and synchronizes.
   Result<gpusim::LaunchResult> LaunchChunks(
-      std::vector<gpusim::StreamChunk> plan, int streams, size_t stage_bytes,
-      double serial_seconds, std::function<void()> body);
+      const std::vector<gpusim::StreamChunk>& plan, int streams,
+      size_t stage_bytes, double serial_seconds);
 
   gpusim::KernelDemand DemandFor(size_t s, int threads_per_elt) const;
   int ThreadsPerElement(size_t s) const;
   // The pool batch bodies run on (config override or the global pool).
   common::ThreadPool& host_pool() const;
-  // Wraps a batch body with host-side wall-clock + pool-stat telemetry
+  // Runs a batch body under host-side wall-clock + pool-stat telemetry
   // (flb.host.* metrics and the host/threads trace track).
-  std::function<void()> InstrumentBody(const char* name,
-                                       std::function<void()> body);
+  Status RunBody(const char* name, const std::function<Status()>& body);
 
   std::shared_ptr<gpusim::Device> device_;
   GheConfig config_;

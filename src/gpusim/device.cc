@@ -158,11 +158,6 @@ void Device::RecordKernelStats(const LaunchResult& result) {
 
 Result<LaunchResult> Device::Launch(const KernelLaunch& launch) {
   FLB_ASSIGN_OR_RETURN(LaunchResult result, EstimateLaunch(launch));
-
-  // Execute the real arithmetic (outside the lock: bodies are arbitrary
-  // host work and may themselves use the thread pool).
-  if (launch.body) launch.body();
-
   double t0 = 0.0;
   {
     common::MutexLock lock(mu_);
@@ -251,12 +246,6 @@ Result<LaunchResult> Device::LaunchAsync(const KernelLaunch& launch,
     FLB_RETURN_IF_ERROR(CheckStream(stream));
   }
   FLB_ASSIGN_OR_RETURN(LaunchResult result, EstimateLaunch(launch));
-
-  // The real arithmetic still runs host-side, immediately, and outside the
-  // lock: only the modeled schedule is deferred, so async results stay
-  // bit-exact with the synchronous path.
-  if (launch.body) launch.body();
-
   common::MutexLock lock(mu_);
   result.start_seconds = window_.Kernel(stream, result.sim_seconds);
   result.end_seconds = result.start_seconds + result.sim_seconds;

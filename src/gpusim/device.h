@@ -1,9 +1,9 @@
 // Device: the simulated CUDA device FLBooster's GPU-HE layer runs on.
 //
-// A kernel launch takes (a) the work decomposition — total threads and limb
-// operations per thread — and (b) a host-side body that performs the real
-// arithmetic. The body executes synchronously (results are bit-exact); the
-// device charges *modeled* kernel time to the SimClock:
+// A kernel launch is its work decomposition — total threads and limb
+// operations per thread. The caller computes the real results on the host
+// (bit-exact) before it launches; the device charges *modeled* kernel time
+// to the SimClock:
 //
 //   waves        = ceil(total_threads / resident_threads)
 //   kernel_time  = launch_latency + waves * ops_per_thread * cycles_per_op
@@ -41,7 +41,6 @@
 #define FLB_GPUSIM_DEVICE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -69,8 +68,6 @@ struct KernelLaunch {
   // retires. The GHE layer derives this from key size and thread split.
   uint64_t ops_per_thread = 0;
   KernelDemand demand;
-  // Host body computing the real results. May be empty for pure modeling.
-  std::function<void()> body;
 };
 
 struct LaunchResult {
@@ -170,11 +167,11 @@ class Device : public obs::MetricsSource {
   ResourceManager& resource_manager() { return rm_; }
   const ResourceManager& resource_manager() const { return rm_; }
 
-  // Runs the kernel body and charges modeled time.
+  // Charges the launch's modeled time.
   Result<LaunchResult> Launch(const KernelLaunch& launch);
 
-  // Pure timing/geometry model of a launch: no body execution, no stats,
-  // no clock. Launch/LaunchAsync price the identical result.
+  // Pure timing/geometry model of a launch: no stats, no clock.
+  // Launch/LaunchAsync price the identical result.
   Result<LaunchResult> EstimateLaunch(const KernelLaunch& launch) const;
 
   // PCIe transfers (paper Eq. 10's beta_transfer terms).
@@ -188,16 +185,15 @@ class Device : public obs::MetricsSource {
   // Creates a new stream, idle at the current window origin.
   StreamId CreateStream();
 
-  // Enqueues work on a stream. The body (if any) runs immediately — results
-  // are bit-exact regardless of the modeled schedule — while the modeled
-  // time lands on the stream timeline. Charges nothing until Synchronize().
+  // Enqueues work on a stream: the modeled time lands on the stream
+  // timeline. Charges nothing until Synchronize().
   Result<LaunchResult> LaunchAsync(const KernelLaunch& launch, StreamId stream);
   Result<CopyResult> CopyToDeviceAsync(size_t bytes, StreamId stream);
   Result<CopyResult> CopyFromDeviceAsync(size_t bytes, StreamId stream);
 
   // Pure: the makespan Synchronize() would return after `chunks` were
   // enqueued in order on an empty window, chunk.stream naming the caller's
-  // stream. No body runs; no stats, clock or window change.
+  // stream. No stats, clock or window change.
   Result<double> EstimateChunks(const std::vector<StreamChunk>& chunks) const;
 
   // Drains every stream: charges the SimClock with the window's kernel busy
@@ -253,9 +249,9 @@ class Device : public obs::MetricsSource {
   DeviceSpec spec_;
   SimClock* clock_;
   ResourceManager rm_;
-  // Guards the mutable device/stream/window state below. Kernel bodies and
-  // the SimClock/recorder calls run outside the lock (Launch* validate and
-  // account under brief critical sections around the body).
+  // Guards the mutable device/stream/window state below. The SimClock and
+  // recorder calls run outside the lock (Launch* account under brief
+  // critical sections).
   mutable common::Mutex mu_;
   DeviceStats stats_ FLB_GUARDED_BY(mu_);
   std::string instance_;

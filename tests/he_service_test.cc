@@ -494,6 +494,27 @@ TEST(HeServiceTest, FoldsWithEmptyGroupsMatchReferenceAtAnyThreadCount) {
   EXPECT_EQ(four.ops.scalar_muls, base.ops.scalar_muls);
 }
 
+TEST(HeServiceTest, FailedRealOpIsNotCharged) {
+  // A real op whose compute fails charges nothing on any engine: the GPU
+  // engines run the compute before the device launch, FATE before its CPU
+  // charge.
+  for (const EngineKind engine :
+       {EngineKind::kFate, EngineKind::kHaflo, EngineKind::kFlBooster}) {
+    SimClock clock;
+    auto device = MakeDevice(&clock, TraitsFor(engine).branch_combining);
+    auto he = HeService::Create(SmallRealOptions(engine), &clock, device)
+                  .value();
+    EncVec enc = he->EncryptFixedPoint({1.0, -0.5, 0.25}).value();
+    // Out of Z*_{n^2} for the 256-bit key.
+    enc.data[0] = BigInt::PowerOfTwo(513);
+    const double before = clock.Now();
+    const Status status = he->SelectiveSums(enc, {{0, 1}, {2}}).status();
+    EXPECT_TRUE(status.IsOutOfRange())
+        << EngineName(engine) << ": " << status.ToString();
+    EXPECT_EQ(clock.Now(), before) << EngineName(engine);
+  }
+}
+
 TEST(HeServiceTest, CipherCompressionIsNoOpWithoutBc) {
   SimClock clock;
   auto device = MakeDevice(&clock);

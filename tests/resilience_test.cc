@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -359,6 +360,55 @@ TEST(ResilienceEndToEndTest, TinyRunDeadlineIsTypedForAllModels) {
     ASSERT_FALSE(report.ok()) << core::ModelName(model);
     EXPECT_TRUE(report.status().IsDeadlineExceeded())
         << core::ModelName(model) << ": " << report.status().ToString();
+  }
+}
+
+TEST(ResilienceEndToEndTest, CriticalCrashWindowResumesEveryTrainer) {
+  // A critical party that crashes mid-run and comes back is waited out:
+  // every trainer restores its last epoch checkpoint, re-runs from there,
+  // completes all its epochs, and replays bit-identically under one seed.
+  const core::FlModelKind kModels[] = {
+      core::FlModelKind::kHomoLr, core::FlModelKind::kHomoNn,
+      core::FlModelKind::kHeteroLr, core::FlModelKind::kHeteroSbt,
+      core::FlModelKind::kHeteroNn};
+  for (const auto model : kModels) {
+    const auto clean = core::Platform::Run(SmallConfig(model));
+    ASSERT_TRUE(clean.ok()) << core::ModelName(model);
+    const double t = clean->total_seconds;
+    char window[64];
+    std::snprintf(window, sizeof(window), "@%.9f-%.9f", 0.3 * t, 0.6 * t);
+    auto run = [&] {
+      auto cfg = SmallConfig(model);
+      cfg.fault_plan = "crash=" + CriticalParty(model) + window;
+      cfg.reliable.deadline_sec = 0.02 * t;
+      cfg.reliable.max_attempts = 3;
+      return core::Platform::Run(cfg);
+    };
+    const auto a = run();
+    const auto b = run();
+    ASSERT_TRUE(a.ok()) << core::ModelName(model) << ": "
+                        << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << core::ModelName(model) << ": "
+                        << b.status().ToString();
+    EXPECT_EQ(a->train.epochs.size(), 2u) << core::ModelName(model);
+    EXPECT_GE(a->robustness.resumes, 1u) << core::ModelName(model);
+    EXPECT_EQ(a->total_seconds, b->total_seconds) << core::ModelName(model);
+    EXPECT_EQ(a->train.final_loss, b->train.final_loss)
+        << core::ModelName(model);
+    EXPECT_EQ(a->comm_bytes, b->comm_bytes) << core::ModelName(model);
+    const fl::RobustnessCounters& ra = a->robustness;
+    const fl::RobustnessCounters& rb = b->robustness;
+    EXPECT_EQ(ra.straggler_dropouts, rb.straggler_dropouts);
+    EXPECT_EQ(ra.crash_dropouts, rb.crash_dropouts);
+    EXPECT_EQ(ra.transport_dropouts, rb.transport_dropouts);
+    EXPECT_EQ(ra.partial_rounds, rb.partial_rounds);
+    EXPECT_EQ(ra.skipped_rounds, rb.skipped_rounds);
+    EXPECT_EQ(ra.checkpoints, rb.checkpoints);
+    EXPECT_EQ(ra.resumes, rb.resumes);
+    EXPECT_EQ(ra.quarantines, rb.quarantines);
+    EXPECT_EQ(ra.quarantine_skips, rb.quarantine_skips);
+    EXPECT_EQ(ra.readmits, rb.readmits);
+    EXPECT_EQ(ra.deadline_exceeded, rb.deadline_exceeded);
   }
 }
 
