@@ -12,7 +12,6 @@
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
-#include "src/core/tuner.h"
 #include "src/crypto/paillier.h"
 
 namespace {
@@ -125,105 +124,6 @@ void PrintHostWallclockSection() {
   json.Record("outputs_identical," + suffix, identical ? 1 : 0, "bool");
 }
 
-// Auto-tuner: tuned vs default knobs, and the tuned config's distance from
-// the oracle-best point (exhaustive sweep of the same knob space). The key
-// size stays 2048 even under FLB_SMOKE — the speedup gate in
-// bench/baselines/autotune_smoke.json targets exactly this shape, and the
-// runs are modeled so the big key costs nothing real. Runs LAST so the
-// final metrics snapshot retains the flb.tuner.* series for
-// validate_obs_json.sh.
-void PrintAutotuneSection() {
-  using flb::bench::EngineKind;
-  using flb::bench::FlModelKind;
-  using flb::core::PlatformConfig;
-  using flb::core::RunReport;
-  using flb::tune::AutoTuner;
-  using flb::tune::KnobConfig;
-  using flb::tune::KnobSpace;
-  using flb::tune::TuneOutcome;
-
-  flb::bench::BeginSection("autotune");
-  std::printf(
-      "Auto-tuned vs default knobs (modeled epoch seconds, key=2048)\n");
-  std::printf("%-16s %10s %10s %10s %8s %8s\n", "engine", "default",
-              "tuned", "oracle", "speedup", "%oracle");
-
-  struct Case {
-    EngineKind engine;
-    const char* label;
-  };
-  // The w/o-BC ablation engine is the headline gate: its default leaves
-  // batch compression off, which the tuner's use_bc axis can reclaim.
-  const Case cases[] = {
-      {EngineKind::kFlBooster, "flbooster"},
-      {EngineKind::kFlBoosterNoBc, "flbooster_nobc"},
-      {EngineKind::kFate, "fate"},
-  };
-
-  auto& json = flb::bench::BenchJson::Global();
-  for (const Case& c : cases) {
-    PlatformConfig cfg = flb::bench::WorkloadFor(
-        FlModelKind::kHomoLr, flb::fl::DatasetKind::kSynthetic, c.engine,
-        2048);
-    const std::string suffix =
-        "engine=" + std::string(c.label) + ",model=Homo LR,key=2048";
-
-    const RunReport def = flb::bench::MustRun(cfg);
-
-    auto tuned_outcome = AutoTuner::Tune(cfg);
-    if (!tuned_outcome.ok()) {
-      std::fprintf(stderr, "autotune failed: %s\n",
-                   tuned_outcome.status().ToString().c_str());
-      std::abort();
-    }
-    const TuneOutcome outcome = std::move(tuned_outcome).value();
-    const RunReport tuned =
-        flb::bench::MustRun(AutoTuner::Apply(cfg, outcome.chosen));
-
-    // Oracle: exhaustive sweep of the same knob space the tuner searched
-    // (plus the untouched default), at full fidelity.
-    double oracle = def.SecondsPerEpoch();
-    for (const KnobConfig& knobs : KnobSpace::For(cfg).Enumerate()) {
-      const RunReport r = flb::bench::MustRun(AutoTuner::Apply(cfg, knobs));
-      oracle = std::min(oracle, r.SecondsPerEpoch());
-    }
-
-    const double def_s = def.SecondsPerEpoch();
-    const double tuned_s = tuned.SecondsPerEpoch();
-    const double speedup = tuned_s > 0 ? def_s / tuned_s : 0.0;
-    const double pct_oracle = tuned_s > 0 ? 100.0 * oracle / tuned_s : 0.0;
-    std::printf("%-16s %10.3f %10.3f %10.3f %7.2fx %7.1f%%\n", c.label,
-                def_s, tuned_s, oracle, speedup, pct_oracle);
-    std::printf(
-        "  %s: cache_hit=%d warmup_runs=%d warmup_s=%.3f\n  chosen: %s\n",
-        c.label, outcome.cache_hit ? 1 : 0, outcome.warmup_runs,
-        outcome.warmup_seconds, outcome.chosen.ToString().c_str());
-
-    json.Record("autotune_epoch_seconds_default," + suffix, def_s, "s");
-    json.Record("autotune_epoch_seconds_tuned," + suffix, tuned_s, "s");
-    json.Record("autotune_epoch_seconds_oracle," + suffix, oracle, "s");
-    json.Record("autotune_speedup," + suffix, speedup, "x");
-    json.Record("autotune_pct_of_oracle," + suffix, pct_oracle, "%");
-    json.Record("autotune_cache_hit," + suffix, outcome.cache_hit ? 1 : 0,
-                "bool");
-    json.Record("autotune_warmup_runs," + suffix, outcome.warmup_runs,
-                "count");
-    json.Record("autotune_warmup_seconds," + suffix, outcome.warmup_seconds,
-                "s");
-    json.Record("autotune_chosen_streams," + suffix,
-                outcome.chosen.gpu_streams, "count");
-    json.Record("autotune_chosen_chunks," + suffix,
-                outcome.chosen.ghe_chunks_per_stream, "count");
-    json.Record("autotune_chosen_batch," + suffix, outcome.chosen.batch_size,
-                "rows");
-    json.Record("autotune_chosen_bc," + suffix, outcome.chosen.use_bc,
-                "enum");
-  }
-  std::printf(
-      "Shape: tuned <= default everywhere; >= 1.3x on the w/o-BC 2048-bit "
-      "workload; tuned within 10%% of the oracle sweep.\n");
-}
-
 }  // namespace
 
 int main() {
@@ -259,6 +159,5 @@ int main() {
       "\nShape: FLBooster > HAFLO >> FATE; throughput decays steeply with "
       "key size (paper Table IV).\n");
   PrintHostWallclockSection();
-  PrintAutotuneSection();
   return 0;
 }

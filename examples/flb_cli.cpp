@@ -2,7 +2,7 @@
 // the command line and print the measurement report — the "user-friendly
 // API" surface for scripting custom experiments.
 //
-//   $ ./example_flb_cli --model=hetero_sbt --engine=flbooster \
+//   $ ./example_flb_cli --model=hetero_sbt --engine=flbooster
 //         --dataset=avazu --key-bits=2048 --epochs=2 --parties=4
 //
 // All flags optional; defaults shown by --help.

@@ -92,15 +92,6 @@ for f in "$DIR"/*.status.json; do
       (.resilience.breaker_half_open | type == "number") and
       (.resilience.breaker_trips | type == "number") and
       (.resilience.breaker_fast_fails | type == "number") and
-      (.tuner.enabled | type == "boolean") and
-      (.tuner.cache_hit | type == "boolean") and
-      (.tuner.candidates | type == "number") and
-      (.tuner.warmup_runs | type == "number") and
-      (.tuner.warmup_seconds | type == "number") and
-      (.tuner.predicted_seconds | type == "number") and
-      (.tuner.measured_seconds | type == "number") and
-      (.tuner.fingerprint | type == "string") and
-      (.tuner.chosen | type == "string") and
       (.server.requests.metrics | type == "number") and
       (.server.requests.status | type == "number") and
       (.server.requests.trace | type == "number") and

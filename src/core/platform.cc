@@ -1,11 +1,9 @@
 #include "src/core/platform.h"
 
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "src/common/env.h"
-#include "src/core/tuner.h"
 #include "src/fl/hetero_lr.h"
 #include "src/fl/homo_lr.h"
 #include "src/fl/partition.h"
@@ -46,25 +44,10 @@ Result<RunReport> Platform::Run(const PlatformConfig& config) {
   auto& recorder = obs::TraceRecorder::Global();
   if (recorder.enabled()) recorder.Clear();
 
-  if (config.auto_tune || common::Env::Flag("FLB_AUTO_TUNE")) {
-    FLB_ASSIGN_OR_RETURN(const PlatformConfig tuned,
-                         tune::AutoTuner::TunedConfig(config));
-    return RunImpl(tuned, /*probe=*/false);
-  }
-  return RunImpl(config, /*probe=*/false);
-}
-
-Result<RunReport> Platform::RunForTuning(const PlatformConfig& config) {
-  return RunImpl(config, /*probe=*/true);
-}
-
-Result<RunReport> Platform::RunImpl(const PlatformConfig& config,
-                                    const bool probe) {
   if (config.num_parties < 1) {
     return Status::InvalidArgument("Platform: num_parties must be >= 1");
   }
   const EngineTraits traits = TraitsFor(config.engine);
-  auto& recorder = obs::TraceRecorder::Global();
 
   auto clock = std::make_unique<SimClock>();
   std::shared_ptr<gpusim::Device> device;
@@ -80,9 +63,7 @@ Result<RunReport> Platform::RunImpl(const PlatformConfig& config,
   // fixtures can set/unset it). An active plan attaches the fault injector
   // and reroutes all traffic through a reliable channel.
   std::string fault_spec = config.fault_plan;
-  if (fault_spec.empty() && !probe) {
-    fault_spec = common::Env::Str("FLB_FAULT_PLAN");
-  }
+  if (fault_spec.empty()) fault_spec = common::Env::Str("FLB_FAULT_PLAN");
   // The run-wide deadline. Lives on this frame; every component holds a
   // plain pointer and treats the default-constructed (infinite) case as
   // free — clean runs keep bit-identical accounting.
@@ -125,15 +106,13 @@ Result<RunReport> Platform::RunImpl(const PlatformConfig& config,
   const obs::Track run_track = recorder.RegisterTrack("platform", "run");
   const double setup_start = clock->Now();
 
-  if (!probe) {
-    obs::RunInfo run_info;
-    run_info.engine = EngineName(config.engine);
-    run_info.model = ModelName(config.model);
-    run_info.key_bits = config.key_bits;
-    run_info.parties = parties;
-    run_info.seed = config.seed;
-    obs::RunStatus::Global().BeginRun(run_info);
-  }
+  obs::RunInfo run_info;
+  run_info.engine = EngineName(config.engine);
+  run_info.model = ModelName(config.model);
+  run_info.key_bits = config.key_bits;
+  run_info.parties = parties;
+  run_info.seed = config.seed;
+  obs::RunStatus::Global().BeginRun(run_info);
 
   HeServiceOptions he_opts;
   he_opts.engine = config.engine;
@@ -173,7 +152,7 @@ Result<RunReport> Platform::RunImpl(const PlatformConfig& config,
                    obs::Arg("parties", parties)});
   }
   const double train_start = clock->Now();
-  if (!probe) obs::RunStatus::Global().SetPhase("train");
+  obs::RunStatus::Global().SetPhase("train");
 
   RunReport report;
   switch (config.model) {
@@ -244,8 +223,6 @@ Result<RunReport> Platform::RunImpl(const PlatformConfig& config,
   if (injector != nullptr) report.fault_stats = injector->stats();
   if (reliable != nullptr) report.channel_stats = reliable->stats();
   if (breaker != nullptr) report.breaker_stats = breaker->stats();
-
-  if (probe) return report;
 
   {
     // Final /status snapshot, pushed by value on the run thread (the HE op

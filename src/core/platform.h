@@ -84,10 +84,7 @@ struct PlatformConfig {
   // server starts once per process and never changes run results.
   int obs_port = 0;
 
-  // ---- Performance knobs the auto-tuner searches (src/core/tuner.h) ------
-  // Each is also directly settable for a hand-tuned run; the tuner only
-  // overwrites them on its effective copy of the config.
-  //
+  // ---- Engine overrides for a hand-set run --------------------------------
   // Chunks per stream for the GHE chunked batch schedule. 0 = engine
   // default (1 chunk per stream).
   int ghe_chunks_per_stream = 0;
@@ -97,18 +94,6 @@ struct PlatformConfig {
   // Dispatch the fixed-width Montgomery kernels (bit-identical results
   // either way; real-crypto wall-clock only).
   bool use_fixed_width_kernels = true;
-
-  // ---- Auto-tuning -------------------------------------------------------
-  // When true — or when FLB_AUTO_TUNE is set truthy in the environment —
-  // Platform::Run first resolves the knobs above through tune::AutoTuner:
-  // analytic (Eq. 10) warm start, a few simulated warm-up probes,
-  // deterministic successive halving, and a per-workload TuningCache so
-  // repeated runs skip the search. Off by default: the untuned path is
-  // byte-identical to a build without the tuner.
-  bool auto_tune = false;
-  // Disk path for the TuningCache ("" = FLB_TUNER_CACHE environment
-  // variable; both empty = in-memory cache only, scoped to the process).
-  std::string tuner_cache;
 };
 
 struct RunReport {
@@ -143,19 +128,8 @@ struct RunReport {
 class Platform {
  public:
   // Builds the whole stack, trains, and reports. Deterministic for a fixed
-  // config. With auto_tune (or FLB_AUTO_TUNE) set, resolves the performance
-  // knobs through tune::AutoTuner first, then runs with the chosen config.
+  // config.
   static Result<RunReport> Run(const PlatformConfig& config);
-
-  // Tuner probe entry point: one measurement run with the knobs exactly as
-  // given. Skips every global side effect Run performs — trace reset,
-  // RunStatus lifecycle, per-run gauges, FLB_FAULT_PLAN/FLB_AUTO_TUNE env
-  // pickup — so warm-up probes never perturb the observable state of the
-  // real run. Charged accounting is identical to Run with the same config.
-  static Result<RunReport> RunForTuning(const PlatformConfig& config);
-
- private:
-  static Result<RunReport> RunImpl(const PlatformConfig& config, bool probe);
 };
 
 }  // namespace flb::core

@@ -160,13 +160,6 @@ BigInt PaillierContext::GPowM(const BigInt& m) const {
   return eval_->FixedBaseGPow(m);
 }
 
-BigInt PaillierContext::ApplyObfuscatorMont(const BigInt& gm,
-                                            const BigInt& obf_mont) const {
-  // MontMul(gm, obf*R) = gm * obf mod n^2: the Montgomery factors cancel, so
-  // applying a pool obfuscator costs a single MontMul.
-  return eval_->n2_ctx().MontMul(gm, obf_mont);
-}
-
 Result<BigInt> PaillierContext::Encrypt(const BigInt& m, Rng& rng) const {
   if (m >= pub_.n) {
     return Status::OutOfRange("Paillier plaintext must be < n");

@@ -57,7 +57,6 @@ struct PaillierPublicKey {
     return (static_cast<size_t>(key_bits) * 2 + mpint::kLimbBits - 1) /
            mpint::kLimbBits;
   }
-  size_t CiphertextBytes() const { return CiphertextWords() * 4; }
 };
 
 struct PaillierPrivateKey {
@@ -246,8 +245,6 @@ class PaillierContext {
   std::optional<BigInt> NegatedScalar(const BigInt& k) const;
   // g^m mod n^2 via the (n+1) fast path or the fixed-base table.
   BigInt GPowM(const BigInt& m) const;
-  // c * obf mod n^2 with obf already in Montgomery form.
-  BigInt ApplyObfuscatorMont(const BigInt& gm, const BigInt& obf_mont) const;
 
   PaillierPublicKey pub_;
   std::optional<PaillierPrivateKey> priv_;

@@ -28,7 +28,6 @@ struct RsaPublicKey {
     return (static_cast<size_t>(key_bits) + mpint::kLimbBits - 1) /
            mpint::kLimbBits;
   }
-  size_t CiphertextBytes() const { return CiphertextWords() * 4; }
 };
 
 struct RsaPrivateKey {

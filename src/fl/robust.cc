@@ -4,6 +4,7 @@
 #include <limits>
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/common/env.h"
 #include "src/core/transport.h"
 #include "src/fl/metrics.h"
@@ -145,6 +146,7 @@ RobustCoordinator::RobustCoordinator(const FlSession& session,
 
 void RobustCoordinator::set_critical_parties(
     std::vector<std::string> parties) {
+  FLB_CHECK(!parties.empty(), "a run needs a coordinating party");
   critical_parties_ = std::move(parties);
 }
 
@@ -191,7 +193,7 @@ Status RobustCoordinator::CheckDeadline(const char* what) {
   Status status = session_.deadline->Check(what);
   if (status.ok()) return status;
   counters_.deadline_exceeded += 1;
-  RecordEvent("deadline_exceeded", kServerName);
+  RecordEvent("deadline_exceeded", Coordinator());
   return status;
 }
 
@@ -243,12 +245,12 @@ void RobustCoordinator::CountTransportDropout(const std::string& party,
 
 void RobustCoordinator::CountSkippedRound() {
   counters_.skipped_rounds += 1;
-  RecordEvent("skipped_round", kServerName);
+  RecordEvent("skipped_round", Coordinator());
 }
 
 void RobustCoordinator::CountPartialRound() {
   counters_.partial_rounds += 1;
-  RecordEvent("partial_round", kServerName);
+  RecordEvent("partial_round", Coordinator());
 }
 
 void RobustCoordinator::Checkpoint(int epoch, const EpochSteps& steps) {
@@ -259,7 +261,7 @@ void RobustCoordinator::Checkpoint(int epoch, const EpochSteps& steps) {
     (void)WriteModelFile(checkpoint_path_, last_checkpoint_);
   }
   counters_.checkpoints += 1;
-  RecordEvent("checkpoint", kServerName);
+  RecordEvent("checkpoint", Coordinator());
 }
 
 Result<int> RobustCoordinator::Resume(std::vector<double>* state) {
@@ -289,7 +291,7 @@ Result<int> RobustCoordinator::Resume(std::vector<double>* state) {
   // The restarted party lost all in-flight round state.
   if (session_.network != nullptr) session_.network->PurgeInboxes();
   counters_.resumes += 1;
-  RecordEvent("resume", kServerName);
+  RecordEvent("resume", Coordinator());
   return ckpt.epoch + 1;
 }
 

@@ -77,8 +77,9 @@ class RobustCoordinator {
 
   // The parties whose loss aborts the round outright (homo: the
   // aggregation server; hetero LR: guest + arbiter; hetero NN: all three;
-  // SBT: the guest). Checkpoint/resume and CriticalDown key off this set.
-  // Default: {kServerName}.
+  // SBT: the guest). Checkpoint/resume and CriticalDown key off this set,
+  // and its first party is the Coordinator(). Non-empty; default:
+  // {kServerName}.
   void set_critical_parties(std::vector<std::string> parties);
 
   // Runs up to config.max_epochs epochs of steps.rounds rounds each.
@@ -162,6 +163,12 @@ class RobustCoordinator {
   // recovers), restores the last checkpoint into `state`, purges in-flight
   // messages, and returns the first epoch to re-run.
   Result<int> Resume(std::vector<double>* state);
+
+  // The party that coordinates the run, and the label of its events
+  // (checkpoint, resume, skipped/partial rounds, deadline): the first
+  // critical party, so the server for the homo trainers and the guest for
+  // the hetero ones.
+  const std::string& Coordinator() const { return critical_parties_.front(); }
 
   void RecordEvent(const char* kind, const std::string& party);
   // Mirrors the quarantine/deadline counters into obs::RunStatus.

@@ -677,12 +677,4 @@ Result<gpusim::LaunchResult> GheEngine::ModelBatch(
                      body);
 }
 
-double GheEngine::ModelTransferToDevice(size_t bytes) {
-  return device_->CopyToDevice(bytes);
-}
-
-double GheEngine::ModelTransferFromDevice(size_t bytes) {
-  return device_->CopyFromDevice(bytes);
-}
-
 }  // namespace flb::ghe

@@ -18,9 +18,9 @@
 // ModelOp runs the identical launch from the same row without a body, and
 // ModelBatch prices any batch the caller describes, with an optional body:
 // HeService charges every HE op through it, so a modeled op and a real one
-// launch the same kernel. The tuner and the paper driver price millions
-// of HE ops through ModelOp without executing millions of 4096-bit
-// exponentiations (DESIGN.md §1, §4).
+// launch the same kernel. The paper driver prices millions of HE ops
+// through ModelOp without executing millions of 4096-bit exponentiations
+// (DESIGN.md §1, §4).
 
 #ifndef FLB_GHE_GHE_ENGINE_H_
 #define FLB_GHE_GHE_ENGINE_H_
@@ -70,8 +70,7 @@ struct GheConfig {
   // Chunks issued per stream on the chunked path. 1 = one chunk per stream
   // (each stream runs exactly one H2D → kernel → D2H pipeline). Higher
   // values slice the batch finer, which fills pipeline bubbles on large
-  // batches at the price of more per-chunk launch/transfer latency — the
-  // chunk-size knob the auto-tuner searches.
+  // batches at the price of more per-chunk launch/transfer latency.
   int chunks_per_stream = 1;
   // Host thread pool the batch bodies run on (element-parallel, bit-exact at
   // any thread count). nullptr = the process-global pool. Host parallelism
@@ -170,10 +169,6 @@ class GheEngine {
   Result<gpusim::LaunchResult> ModelOp(
       HeOp op, int key_bits, int64_t count, int width_bits = 0,
       const std::function<Status()>& body = nullptr);
-  // Host<->device transfer charges for `bytes` (exposed so callers can model
-  // staging of packed batches).
-  double ModelTransferToDevice(size_t bytes);
-  double ModelTransferFromDevice(size_t bytes);
 
   // Generic batch: `count` elements of `s` limbs, each costing
   // `limb_ops_per_elt` limb operations, moving in/out bytes over PCIe. With

@@ -30,8 +30,6 @@ Result<ParallelMontStats> ParallelMontMul(const uint32_t* a, const uint32_t* b,
   // are where inter-thread communication happens.
   std::vector<uint32_t> t(s + 2, 0);
 
-  auto owner_of = [&](size_t word) { return word / x; };
-
   // Outer loop: one iteration per word of b (Algorithm 2's combined i/j
   // loops — thread i broadcasts its j-th word b_i[j]).
   for (size_t gi = 0; gi < s; ++gi) {

@@ -143,15 +143,6 @@ uint64_t CircuitBreaker::OpenCount() const {
   return n;
 }
 
-uint64_t CircuitBreaker::HalfOpenCount() const {
-  common::MutexLock lock(mu_);
-  uint64_t n = 0;
-  for (const auto& [link, state] : links_) {
-    if (state.state == BreakerState::kHalfOpen) n += 1;
-  }
-  return n;
-}
-
 void CircuitBreaker::RecordTransition(const char* kind,
                                       const std::string& link) {
   obs::MetricsRegistry::Global().Count(

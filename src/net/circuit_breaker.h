@@ -73,9 +73,8 @@ class CircuitBreaker {
 
   BreakerState StateOf(const std::string& from, const std::string& to) const;
 
-  // Links currently open / half-open (RunStatus resilience block).
+  // Links currently open.
   uint64_t OpenCount() const;
-  uint64_t HalfOpenCount() const;
 
   // Snapshot by value: the counters keep moving under their own lock.
   BreakerStats stats() const {

@@ -46,7 +46,10 @@ inline std::string JsonEscape(const std::string& s) {
 }
 
 inline std::string JsonQuote(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
+  std::string out = "\"";
+  out += JsonEscape(s);
+  out += '"';
+  return out;
 }
 
 // JSON has no NaN/Inf literals; clamp them so exports always parse.

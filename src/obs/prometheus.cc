@@ -14,13 +14,14 @@ bool IsNameChar(char c, bool allow_colon) {
 }
 
 std::string Sanitize(const std::string& name, bool allow_colon) {
+  if (name.empty()) return "_";
   std::string out;
   out.reserve(name.size() + 1);
+  // A name may not start with a digit; sanitizing keeps digits as they are.
+  if (std::isdigit(static_cast<unsigned char>(name[0]))) out += '_';
   for (char c : name) {
     out += IsNameChar(c, allow_colon) ? c : '_';
   }
-  if (out.empty()) return "_";
-  if (std::isdigit(static_cast<unsigned char>(out[0]))) out.insert(0, "_");
   return out;
 }
 

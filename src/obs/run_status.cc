@@ -14,7 +14,6 @@ RunStatus& RunStatus::Global() {
 }
 
 void RunStatus::BeginRun(const RunInfo& info) {
-  if (quiet()) return;
   {
     common::MutexLock lock(mu_);
     run_ = info;
@@ -30,7 +29,6 @@ void RunStatus::BeginRun(const RunInfo& info) {
 }
 
 void RunStatus::SetPhase(const std::string& phase) {
-  if (quiet()) return;
   {
     common::MutexLock lock(mu_);
     phase_ = phase;
@@ -55,7 +53,6 @@ void RunStatus::SetSection(const std::string& section) {
 }
 
 void RunStatus::UpdateEpoch(const EpochStatus& epoch, const HeOpsStatus& he) {
-  if (quiet()) return;
   {
     common::MutexLock lock(mu_);
     epoch_ = epoch;
@@ -67,7 +64,6 @@ void RunStatus::UpdateEpoch(const EpochStatus& epoch, const HeOpsStatus& he) {
 
 void RunStatus::UpdateFaults(const FaultStatus& faults,
                              const ChannelStatus& channel) {
-  if (quiet()) return;
   {
     common::MutexLock lock(mu_);
     faults_ = faults;
@@ -79,7 +75,6 @@ void RunStatus::UpdateFaults(const FaultStatus& faults,
 void RunStatus::UpdateQuarantine(uint64_t quarantined, uint64_t quarantines,
                                  uint64_t readmits,
                                  uint64_t deadline_exceeded) {
-  if (quiet()) return;
   {
     common::MutexLock lock(mu_);
     resilience_.quarantined = quarantined;
@@ -92,7 +87,6 @@ void RunStatus::UpdateQuarantine(uint64_t quarantined, uint64_t quarantines,
 
 void RunStatus::UpdateBreaker(uint64_t open, uint64_t half_open,
                               uint64_t trips, uint64_t fast_fails) {
-  if (quiet()) return;
   {
     common::MutexLock lock(mu_);
     resilience_.breaker_open = open;
@@ -104,20 +98,11 @@ void RunStatus::UpdateBreaker(uint64_t open, uint64_t half_open,
 }
 
 void RunStatus::EndRun(const RunTotals& totals, const HeOpsStatus& he) {
-  if (quiet()) return;
   {
     common::MutexLock lock(mu_);
     totals_ = totals;
     he_ = he;
     phase_ = "done";
-  }
-  generation_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void RunStatus::UpdateTuner(const TunerStatus& tuner) {
-  {
-    common::MutexLock lock(mu_);
-    tuner_ = tuner;
   }
   generation_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -135,9 +120,7 @@ void RunStatus::Reset() {
     channel_ = ChannelStatus{};
     resilience_ = ResilienceStatus{};
     totals_ = RunTotals{};
-    tuner_ = TunerStatus{};
   }
-  quiet_.store(false, std::memory_order_relaxed);
   scrapes_metrics_.store(0, std::memory_order_relaxed);
   scrapes_status_.store(0, std::memory_order_relaxed);
   scrapes_trace_.store(0, std::memory_order_relaxed);
@@ -222,16 +205,6 @@ std::string RunStatus::ToJson() const {
          ",\"breaker_trips\":" + JsonNumber(resilience_.breaker_trips) +
          ",\"breaker_fast_fails\":" +
          JsonNumber(resilience_.breaker_fast_fails) + "}";
-  out += ",\"tuner\":{\"enabled\":" +
-         std::string(tuner_.enabled ? "true" : "false") +
-         ",\"cache_hit\":" + std::string(tuner_.cache_hit ? "true" : "false") +
-         ",\"candidates\":" + JsonNumber(tuner_.candidates) +
-         ",\"warmup_runs\":" + JsonNumber(tuner_.warmup_runs) +
-         ",\"warmup_seconds\":" + JsonNumber(tuner_.warmup_seconds) +
-         ",\"predicted_seconds\":" + JsonNumber(tuner_.predicted_seconds) +
-         ",\"measured_seconds\":" + JsonNumber(tuner_.measured_seconds) +
-         ",\"fingerprint\":" + JsonQuote(tuner_.fingerprint) +
-         ",\"chosen\":" + JsonQuote(tuner_.chosen) + "}";
   out += ",\"trace\":{\"dropped_events\":" + JsonNumber(dropped) + "}";
   out += ",\"server\":{\"requests\":{\"metrics\":" + JsonNumber(s_metrics) +
          ",\"status\":" + JsonNumber(s_status) +

@@ -87,20 +87,6 @@ struct ResilienceStatus {
   uint64_t breaker_fast_fails = 0;
 };
 
-// Auto-tuner outcome for the most recent tuned run (core/tuner.h). All
-// zeros / empty strings when auto-tuning is off.
-struct TunerStatus {
-  bool enabled = false;
-  bool cache_hit = false;
-  uint64_t candidates = 0;         // knob configs considered by the search
-  uint64_t warmup_runs = 0;        // probe runs actually measured
-  double warmup_seconds = 0.0;     // simulated seconds spent probing
-  double predicted_seconds = 0.0;  // analytic estimate for the chosen knobs
-  double measured_seconds = 0.0;   // probe measurement for the chosen knobs
-  std::string fingerprint;         // workload fingerprint (hex)
-  std::string chosen;              // chosen knobs (KnobConfig::ToString)
-};
-
 // Whole-run decomposition, published once at EndRun.
 struct RunTotals {
   double total_seconds = 0.0;
@@ -130,19 +116,8 @@ class RunStatus {
   void UpdateBreaker(uint64_t open, uint64_t half_open, uint64_t trips,
                      uint64_t fast_fails);
   void EndRun(const RunTotals& totals, const HeOpsStatus& he);
-  // Auto-tuner outcome (core/tuner.h); always applied, even while quiet.
-  void UpdateTuner(const TunerStatus& tuner);
   // Back to the initial state (tests).
   void Reset();
-
-  // Quiet mode: while set, run-lifecycle updates (BeginRun, SetPhase,
-  // UpdateEpoch, fault/resilience updates, EndRun) are dropped. The
-  // auto-tuner wraps its probe runs in this so /status keeps showing the
-  // real run, not the warm-up churn.
-  void set_quiet(bool quiet) {
-    quiet_.store(quiet, std::memory_order_relaxed);
-  }
-  bool quiet() const { return quiet_.load(std::memory_order_relaxed); }
 
   // Scrape accounting, bumped by ObsServer (lock-free; shows up in the
   // /status payload so a dashboard can see it is being polled).
@@ -163,7 +138,6 @@ class RunStatus {
   std::string ToJson() const;
 
  private:
-  std::atomic<bool> quiet_{false};
   std::atomic<uint64_t> generation_{0};
   std::atomic<uint64_t> scrapes_metrics_{0};
   std::atomic<uint64_t> scrapes_status_{0};
@@ -182,7 +156,6 @@ class RunStatus {
   ChannelStatus channel_ FLB_GUARDED_BY(mu_);
   ResilienceStatus resilience_ FLB_GUARDED_BY(mu_);
   RunTotals totals_ FLB_GUARDED_BY(mu_);
-  TunerStatus tuner_ FLB_GUARDED_BY(mu_);
 };
 
 }  // namespace flb::obs

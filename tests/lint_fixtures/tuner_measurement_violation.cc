@@ -1,8 +1,8 @@
-// Fixture: what the AutoTuner's measurement loop must NOT look like —
-// timing warm-up probes with a host clock (FLB001) and drawing the
-// exploration pick from ambient entropy (FLB002). The real tuner measures
-// in simulated seconds and draws with Rng::ForStream — flb_analyze_test.cc
-// asserts src/core/tuner.{h,cc} scan clean with zero allowances.
+// Fixture: what a measurement loop over candidate configs must NOT look
+// like — timing each probe run with a host clock (FLB001) and drawing the
+// exploration pick from ambient entropy (FLB002). A reproducible probe
+// loop measures simulated seconds and draws with Rng::ForStream, so it
+// picks the same candidate on every host and at every thread count.
 
 #include <chrono>
 #include <random>

@@ -418,8 +418,8 @@ TEST(TraceDropTest, DropsAreCountedAndPublished) {
 
   const obs::Track track = recorder.RegisterTrack("test", "drops");
   for (int i = 0; i < 10; ++i) {
-    recorder.Instant(track, "e" + std::to_string(i), "test",
-                     static_cast<double>(i));
+    recorder.Instant(track, std::string("e").append(std::to_string(i)),
+                     "test", static_cast<double>(i));
   }
   EXPECT_EQ(recorder.dropped_events(), 6u);
   EXPECT_NE(recorder.ToJson().find("\"dropped_events\":6"),

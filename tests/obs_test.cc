@@ -271,7 +271,8 @@ TEST_F(ObsTest, EventCapDropsAndCounts) {
   rec.set_max_events(10);
   const Track track = rec.RegisterTrack("test", "cap");
   for (int i = 0; i < 25; ++i) {
-    rec.Instant(track, "i" + std::to_string(i), "test", i);
+    rec.Instant(track, std::string("i").append(std::to_string(i)), "test",
+                i);
   }
   EXPECT_EQ(rec.events().size(), 10u);
   EXPECT_EQ(rec.dropped_events(), 15u);

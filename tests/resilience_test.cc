@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "src/fl/party_health.h"
 #include "src/net/circuit_breaker.h"
 #include "src/net/reliable_channel.h"
+#include "src/obs/metrics.h"
 
 namespace flb {
 namespace {
@@ -322,6 +324,33 @@ std::string CriticalParty(core::FlModelKind model) {
   }
 }
 
+// SmallConfig(model) with its critical party crashed over [0.3 T, 0.6 T]
+// of a clean run's simulated time T: the party comes back mid-run.
+core::PlatformConfig CrashWindowConfig(core::FlModelKind model, double t) {
+  char window[64];
+  std::snprintf(window, sizeof(window), "@%.9f-%.9f", 0.3 * t, 0.6 * t);
+  auto cfg = SmallConfig(model);
+  cfg.fault_plan = "crash=" + CriticalParty(model) + window;
+  cfg.reliable.deadline_sec = 0.02 * t;
+  cfg.reliable.max_attempts = 3;
+  return cfg;
+}
+
+// The flb.resilience.events series `trainer` recorded, by label set.
+std::map<std::string, double> ResilienceEvents(const std::string& trainer) {
+  const std::string model = ",model=" + trainer;
+  std::map<std::string, double> events;
+  for (const auto& m : obs::MetricsRegistry::Global().Collect()) {
+    if (m.name == "flb.resilience.events" &&
+        m.labels.size() > model.size() &&
+        m.labels.compare(m.labels.size() - model.size(), model.size(),
+                         model) == 0) {
+      events[m.labels] += m.value;
+    }
+  }
+  return events;
+}
+
 TEST(ResilienceEndToEndTest, PermanentCriticalCrashTerminatesTyped) {
   // The acceptance scenario: with a critical party dead from t=0 and a
   // run-wide deadline, every trainer must terminate with a typed error —
@@ -375,14 +404,8 @@ TEST(ResilienceEndToEndTest, CriticalCrashWindowResumesEveryTrainer) {
     const auto clean = core::Platform::Run(SmallConfig(model));
     ASSERT_TRUE(clean.ok()) << core::ModelName(model);
     const double t = clean->total_seconds;
-    char window[64];
-    std::snprintf(window, sizeof(window), "@%.9f-%.9f", 0.3 * t, 0.6 * t);
     auto run = [&] {
-      auto cfg = SmallConfig(model);
-      cfg.fault_plan = "crash=" + CriticalParty(model) + window;
-      cfg.reliable.deadline_sec = 0.02 * t;
-      cfg.reliable.max_attempts = 3;
-      return core::Platform::Run(cfg);
+      return core::Platform::Run(CrashWindowConfig(model, t));
     };
     const auto a = run();
     const auto b = run();
@@ -410,6 +433,31 @@ TEST(ResilienceEndToEndTest, CriticalCrashWindowResumesEveryTrainer) {
     EXPECT_EQ(ra.readmits, rb.readmits);
     EXPECT_EQ(ra.deadline_exceeded, rb.deadline_exceeded);
   }
+}
+
+TEST(ResilienceEndToEndTest, CoordinatorEventsNameTheCoordinator) {
+  // Checkpoints, resumes and round-level events belong to the party that
+  // coordinates the run: the guest of a hetero run, which has no server,
+  // and the server of a homo one.
+  obs::MetricsRegistry::Global().ResetAll();
+  for (const auto model :
+       {core::FlModelKind::kHeteroLr, core::FlModelKind::kHomoLr}) {
+    const auto clean = core::Platform::Run(SmallConfig(model));
+    ASSERT_TRUE(clean.ok()) << core::ModelName(model);
+    const auto run =
+        core::Platform::Run(CrashWindowConfig(model, clean->total_seconds));
+    ASSERT_TRUE(run.ok()) << core::ModelName(model) << ": "
+                          << run.status().ToString();
+    ASSERT_GE(run->robustness.resumes, 1u) << core::ModelName(model);
+  }
+  const auto hetero = ResilienceEvents("hetero_lr");
+  EXPECT_EQ(hetero.count("kind=resume,party=guest,model=hetero_lr"), 1u);
+  for (const auto& [labels, count] : hetero) {
+    EXPECT_EQ(labels.find("party=server"), std::string::npos) << labels;
+  }
+  EXPECT_EQ(ResilienceEvents("homo_lr").count(
+                "kind=resume,party=server,model=homo_lr"),
+            1u);
 }
 
 TEST(ResilienceEndToEndTest, HostCrashDegradesHeteroLrGracefully) {
