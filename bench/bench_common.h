@@ -1,6 +1,5 @@
-// Shared workload definitions and BenchJson export for the bench drivers:
-// bench_paper (every paper table and figure, with the shape claims checked)
-// and bench_table4_throughput (see DESIGN.md §3).
+// Workload definitions and BenchJson export for bench_paper, the driver of
+// every paper table and figure with the shape claims checked (DESIGN.md §3).
 //
 // Shapes are container-scale versions of the paper's corpora (Table II);
 // the *ratios* between engines, models, datasets, and key sizes are the
@@ -104,10 +103,6 @@ inline PlatformConfig WorkloadFor(FlModelKind model, DatasetKind dataset,
   return cfg;
 }
 
-inline void PrintHeader(const std::string& title) {
-  std::printf("\n==== %s ====\n", title.c_str());
-}
-
 // Machine-readable bench results: one {bench, section, metric, value, unit}
 // record per printed number that matters. Serialized as
 // {"bench": "...", "results": [...]} to the FLB_BENCH_JSON path at exit.
@@ -180,17 +175,13 @@ class BenchJson {
   std::vector<Row> rows_;
 };
 
-// Starts a new bench section: prints the header, scopes subsequent
-// BenchJson::Record calls, and resets the unified metrics plane (registry
-// counters AND every registered source — DeviceStats, NetworkStats, HE op
-// counts) so per-section numbers are never cumulative. bench_paper keeps
-// the plane (reset_metrics = false): its memoized runs serve several
-// sections, so the export at exit holds them all.
-inline void BeginSection(const std::string& title, bool reset_metrics = true) {
-  PrintHeader(title);
+// Starts a new bench section: prints the header and scopes subsequent
+// BenchJson::Record calls. The metrics plane is never reset: memoized runs
+// serve several sections, so the export at exit holds them all.
+inline void BeginSection(const std::string& title) {
+  std::printf("\n==== %s ====\n", title.c_str());
   BenchJson::Global().set_section(title);
   obs::RunStatus::Global().SetSection(title);
-  if (reset_metrics) obs::MetricsRegistry::Global().ResetAll();
 }
 
 // At-exit export of the observability artifacts, gated on the environment:

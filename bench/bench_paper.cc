@@ -2,8 +2,8 @@
 // its §V staging pipeline and the extension sweeps, then the paper's shape
 // claims checked against the same numbers. A section is a table whose rows
 // are the cells of its axes; every printed number is also a BenchJson row.
-// Fig. 1, Tables III, V and VI, Fig. 7 and Eq. 14 share one grid of
-// memoized one-epoch runs.
+// Fig. 1, Tables III to VI, Fig. 7 and Eq. 14 share one grid of memoized
+// one-epoch runs.
 // A claim is a row too: an id, the paper's wording, a domain of cells, a
 // per-cell predicate and the exact cells where it is known not to hold (the
 // deviations in EXPERIMENTS.md). The run exits 1 when an unlisted cell breaks
@@ -192,6 +192,10 @@ double Share(const Cell& c) {
 constexpr auto kHeShare = Share<&RunReport::he_seconds>;
 constexpr auto kCommShare = Share<&RunReport::comm_seconds>;
 constexpr auto kOtherShare = Share<&RunReport::other_seconds>;
+
+// Table IV: values through HE per HE-second.
+template <EngineKind E>
+double Throughput(const Cell& c) { return Run(c, E).he_throughput; }
 
 // Fig. 7: bytes on the wire without BC over bytes with it.
 template <EngineKind E>
@@ -443,7 +447,7 @@ Col Pct(const char* h, int w, int p, Fn f) { return {h, w, p, "%", "%", f}; }
 void Section(const std::string& title, const std::vector<Axis>& axes,
              const std::vector<Col>& cols,
              const char* (*note)(const Cell&) = nullptr) {
-  BeginSection(title, /*reset_metrics=*/false);
+  BeginSection(title);
   const char* sep = "";
   for (const Axis& a : axes) {
     std::printf("%s%*s", std::exchange(sep, " "), a.width, a.head);
@@ -472,7 +476,7 @@ void Section(const std::string& title, const std::vector<Axis>& axes,
 }
 
 void Fig8() {
-  BeginSection("Fig. 8 — convergence on Synthetic @ 1024-bit keys", false);
+  BeginSection("Fig. 8 — convergence on Synthetic @ 1024-bit keys");
   auto& json = BenchJson::Global();
   ForEach({Models()}, [&](const Cell& c) {
     const std::string model = core::ModelName(c.model);
@@ -526,6 +530,10 @@ void PrintSections() {
       lo, hi);
   json.Record("vsHAFLO min", lo, "x");
   json.Record("vsHAFLO max", hi, "x");
+  Section("Table IV — HE-op throughput (values per second)", grid,
+          {{"FATE", 12, 0, "", "values/s", Throughput<kFate>},
+           {"HAFLO", 12, 0, "", "values/s", Throughput<kHaflo>},
+           {"FLBooster", 12, 0, "", "values/s", Throughput<kBooster>}});
   Section("Fig. 6 — SM utilization in HE operations (%)", {Models(), Keys()},
           {Pct("HAFLO", 9, 1, UtilizationOf<kHaflo>),
            Pct("FLBooster", 11, 1, UtilizationOf<kBooster>)});
@@ -654,6 +662,15 @@ std::vector<Claim> Claims() {
        steps, Grows(VsFate)},
       {"table3.vs_haflo_grows", "the speedup over HAFLO grows with key size",
        steps, Grows(VsHaflo), {"Homo LR/Synthetic/2048->4096"}},
+      {"table4.order", "FLBooster's HE throughput beats HAFLO's beats FATE's",
+       grid,
+       [](const Cell& c) {
+         return Throughput<kBooster>(c) > Throughput<kHaflo>(c) &&
+                Throughput<kHaflo>(c) > Throughput<kFate>(c);
+       }},
+      {"table4.falls_with_key", "every engine's throughput falls with key size",
+       {Engines({kFate, kHaflo, kBooster}), Models(), Datasets(), Steps()},
+       Grows([](const Cell& c) { return -Run(c, c.engine).he_throughput; })},
       {"table5.ablations_slower", "removing either module slows every cell",
        grid,
        [](const Cell& c) {
@@ -814,7 +831,7 @@ int main() {
   using namespace flb::bench;
   PrintSections();
 
-  BeginSection("Claims", /*reset_metrics=*/false);
+  BeginSection("Claims");
   std::printf("one-epoch grid runs: %d\n", epoch_runs);
   BenchJson::Global().Record("one-epoch runs", epoch_runs, "count");
   const std::vector<Claim> claims = Claims();

@@ -1,7 +1,7 @@
 // google-benchmark -> BenchJson bridge.
 //
-// The table/figure drivers (bench_paper, bench_table4_throughput) export
-// their numbers through bench_common.h's BenchJson
+// The paper driver (bench_paper) exports its numbers through
+// bench_common.h's BenchJson
 // ({bench, section, metric, value, unit} rows, written to FLB_BENCH_JSON at
 // exit, validated by scripts/validate_obs_json.sh). The microbenchmarks
 // (bench_paillier, bench_montgomery) are google-benchmark binaries, whose

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "src/core/platform.h"
+#include "src/obs/obs_server.h"
 
 namespace {
 
@@ -59,7 +60,8 @@ void PrintHelp(const Args& d) {
   std::printf(
       "flb_cli — run one FLBooster experiment\n\n"
       "  --engine=fate|haflo|flbooster|no_ghe|no_bc   (default %s)\n"
-      "  --model=homo_lr|hetero_lr|hetero_sbt|hetero_nn (default %s)\n"
+      "  --model=homo_lr|homo_nn|hetero_lr|hetero_sbt|hetero_nn\n"
+      "                                               (default %s)\n"
       "  --dataset=rcv1|avazu|synthetic               (default %s)\n"
       "  --key-bits=N        Paillier |n|             (default %d)\n"
       "  --epochs=N                                   (default %d)\n"
@@ -108,6 +110,7 @@ int main(int argc, char** argv) {
   else { std::fprintf(stderr, "bad --engine\n"); return 2; }
 
   if (args.model == "homo_lr") cfg.model = FlModelKind::kHomoLr;
+  else if (args.model == "homo_nn") cfg.model = FlModelKind::kHomoNn;
   else if (args.model == "hetero_lr") cfg.model = FlModelKind::kHeteroLr;
   else if (args.model == "hetero_sbt") cfg.model = FlModelKind::kHeteroSbt;
   else if (args.model == "hetero_nn") cfg.model = FlModelKind::kHeteroNn;
@@ -168,5 +171,7 @@ int main(int argc, char** argv) {
     std::printf("GPU: mean SM utilization %.1f%%\n",
                 100 * report->sm_utilization);
   }
+  // FLB_OBS_LINGER: with FLB_OBS_PORT set, stay up for final scrapes.
+  flb::obs::ObsServer::LingerFromEnv();
   return 0;
 }

@@ -9,8 +9,9 @@
 // exactly the decomposition the paper reports.
 //
 // The clock is purely additive — FLBooster's in-process "parties" execute
-// sequentially, and phases that the real system would overlap are modeled
-// by the pipeline in src/core (which charges max() of overlapped stages).
+// sequentially. Copy/compute phases that the real system overlaps are
+// modeled by the device's stream window (gpusim::Device), which charges a
+// chunked batch its makespan rather than the sum of its stages.
 
 #ifndef FLB_COMMON_SIM_CLOCK_H_
 #define FLB_COMMON_SIM_CLOCK_H_

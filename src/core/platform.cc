@@ -32,10 +32,10 @@ std::string ModelName(FlModelKind kind) {
 }
 
 Result<RunReport> Platform::Run(const PlatformConfig& config) {
-  // Live inspection plane: env-gated HTTP server (or forced by obs_port)
-  // plus the wall profiler. Both are pure observers — same-seed runs are
+  // Live inspection plane: the FLB_OBS_PORT-gated HTTP server plus the
+  // wall profiler. Both are pure observers — same-seed runs are
   // bit-identical with them on or off.
-  obs::ObsServer::EnsureGlobalFromEnv(config.obs_port);
+  obs::ObsServer::EnsureGlobalFromEnv();
   obs::HostProfiler::EnableFromEnv();
 
   // One coherent timeline per run: grid drivers call Run many times, each
@@ -87,10 +87,9 @@ Result<RunReport> Platform::Run(const PlatformConfig& config) {
     reliable_opts.jitter_seed ^= config.seed;
     reliable = std::make_unique<net::ReliableChannel>(&network,
                                                       reliable_opts);
-    net::BreakerOptions breaker_opts = config.breaker;
-    // Mix the run seed into the breaker's jitter stream so same-seed runs
-    // reproduce the same open windows (config.breaker.seed still offsets
-    // the stream when a caller wants a different one).
+    // The per-link circuit breaker, with the run seed mixed into its
+    // jitter stream so same-seed runs reproduce the same open windows.
+    net::BreakerOptions breaker_opts;
     breaker_opts.seed ^= config.seed;
     breaker = std::make_unique<net::CircuitBreaker>(breaker_opts,
                                                     clock.get());
@@ -225,8 +224,8 @@ Result<RunReport> Platform::Run(const PlatformConfig& config) {
   if (breaker != nullptr) report.breaker_stats = breaker->stats();
 
   {
-    // Final /status snapshot, pushed by value on the run thread (the HE op
-    // struct is only safe to read here; see run_status.h).
+    // Final /status snapshot, pushed by value: RunStatus never points into
+    // the run's components, which die with this frame (see run_status.h).
     obs::RunTotals totals;
     totals.total_seconds = report.total_seconds;
     totals.he_seconds = report.he_seconds;

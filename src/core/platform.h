@@ -71,18 +71,11 @@ struct PlatformConfig {
   // ReliableChannel (framing + ack/retransmit).
   std::string fault_plan;
   net::ReliableOptions reliable;
-  // Per-link circuit breaker over the reliable channel (active only under
-  // a fault plan, like the channel itself).
-  net::BreakerOptions breaker;
   // Run-wide simulated-seconds budget. 0 = unbounded. When set, a
   // common::Deadline is threaded through the network, the HE service, and
   // the trainers; expiry surfaces as typed kDeadlineExceeded instead of a
   // run that drags on past the budget.
   double run_deadline_sec = 0;
-  // Live-inspection HTTP server (obs::ObsServer). 0 = start only when
-  // FLB_OBS_PORT is set in the environment; > 0 forces that port. The
-  // server starts once per process and never changes run results.
-  int obs_port = 0;
 
   // ---- Engine overrides for a hand-set run --------------------------------
   // Chunks per stream for the GHE chunked batch schedule. 0 = engine

@@ -28,8 +28,9 @@
 // exponent for all rows (sliding window), an exponent per row (fixed
 // window up to the group's longest), and Horner packing of groups of rows.
 //
-// The simulated-GPU kernel in src/ghe runs this exact CIOS recurrence with
-// limbs distributed across device threads; tests assert bit-exact agreement.
+// Algorithm 2's parallel form (ghe::ParallelMontMul) distributes this CIOS
+// recurrence's limbs across device threads; tests assert bit-exact agreement.
+// The GHE batch bodies call this context, not the parallel form.
 
 #ifndef FLB_CRYPTO_MONTGOMERY_H_
 #define FLB_CRYPTO_MONTGOMERY_H_

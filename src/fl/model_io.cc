@@ -1,6 +1,7 @@
 #include "src/fl/model_io.h"
 
 #include <cstdio>
+#include <string>
 
 #include "src/net/serializer.h"
 
@@ -13,6 +14,8 @@ constexpr uint32_t kSbtMagic = 0x464C4253;  // "FLBS"
 constexpr uint32_t kCkptMagic = 0x464C4243;  // "FLBC"
 constexpr uint32_t kVersion = 1;
 
+constexpr size_t kHeaderBytes = 16;  // magic u32, version u32, checksum u64
+
 uint64_t Checksum(const std::vector<uint8_t>& bytes, size_t from) {
   // FNV-1a over the payload, cheap integrity guard against truncation.
   uint64_t h = 1469598103934665603ULL;
@@ -22,13 +25,11 @@ uint64_t Checksum(const std::vector<uint8_t>& bytes, size_t from) {
   return h;
 }
 
-}  // namespace
-
-std::vector<uint8_t> SerializeLrModel(const std::vector<double>& weights) {
-  net::Serializer payload;
-  payload.PutDoubleVector(weights);
+// The envelope every format shares: magic, version, the payload's
+// checksum, then the payload.
+std::vector<uint8_t> Seal(uint32_t magic, const net::Serializer& payload) {
   net::Serializer out;
-  out.PutU32(kLrMagic);
+  out.PutU32(magic);
   out.PutU32(kVersion);
   out.PutU64(Checksum(payload.bytes(), 0));
   auto bytes = out.TakeBytes();
@@ -37,21 +38,37 @@ std::vector<uint8_t> SerializeLrModel(const std::vector<double>& weights) {
   return bytes;
 }
 
+// Checks the envelope of `bytes` through `d`, which then reads the payload.
+// Errors name the format `what`.
+Status Open(const std::vector<uint8_t>& bytes, uint32_t magic,
+            const std::string& what, net::Deserializer* d) {
+  FLB_ASSIGN_OR_RETURN(uint32_t got_magic, d->GetU32());
+  if (got_magic != magic) {
+    return Status::InvalidArgument(what + ": bad magic");
+  }
+  FLB_ASSIGN_OR_RETURN(uint32_t version, d->GetU32());
+  if (version != kVersion) {
+    return Status::NotSupported(what + ": unsupported version");
+  }
+  FLB_ASSIGN_OR_RETURN(uint64_t checksum, d->GetU64());
+  if (checksum != Checksum(bytes, kHeaderBytes)) {
+    return Status::IoError(what + ": checksum mismatch (corrupt file)");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+std::vector<uint8_t> SerializeLrModel(const std::vector<double>& weights) {
+  net::Serializer payload;
+  payload.PutDoubleVector(weights);
+  return Seal(kLrMagic, payload);
+}
+
 Result<std::vector<double>> DeserializeLrModel(
     const std::vector<uint8_t>& bytes) {
   net::Deserializer d(bytes);
-  FLB_ASSIGN_OR_RETURN(uint32_t magic, d.GetU32());
-  if (magic != kLrMagic) {
-    return Status::InvalidArgument("LR model: bad magic");
-  }
-  FLB_ASSIGN_OR_RETURN(uint32_t version, d.GetU32());
-  if (version != kVersion) {
-    return Status::NotSupported("LR model: unsupported version");
-  }
-  FLB_ASSIGN_OR_RETURN(uint64_t checksum, d.GetU64());
-  if (checksum != Checksum(bytes, 16)) {
-    return Status::IoError("LR model: checksum mismatch (corrupt file)");
-  }
+  FLB_RETURN_IF_ERROR(Open(bytes, kLrMagic, "LR model", &d));
   return d.GetDoubleVector();
 }
 
@@ -72,30 +89,12 @@ std::vector<uint8_t> SerializeSbtModel(const std::vector<SbtTree>& trees,
       payload.PutDouble(node.leaf_weight);
     }
   }
-  net::Serializer out;
-  out.PutU32(kSbtMagic);
-  out.PutU32(kVersion);
-  out.PutU64(Checksum(payload.bytes(), 0));
-  auto bytes = out.TakeBytes();
-  const auto& p = payload.bytes();
-  bytes.insert(bytes.end(), p.begin(), p.end());
-  return bytes;
+  return Seal(kSbtMagic, payload);
 }
 
 Result<SbtModel> DeserializeSbtModel(const std::vector<uint8_t>& bytes) {
   net::Deserializer d(bytes);
-  FLB_ASSIGN_OR_RETURN(uint32_t magic, d.GetU32());
-  if (magic != kSbtMagic) {
-    return Status::InvalidArgument("SBT model: bad magic");
-  }
-  FLB_ASSIGN_OR_RETURN(uint32_t version, d.GetU32());
-  if (version != kVersion) {
-    return Status::NotSupported("SBT model: unsupported version");
-  }
-  FLB_ASSIGN_OR_RETURN(uint64_t checksum, d.GetU64());
-  if (checksum != Checksum(bytes, 16)) {
-    return Status::IoError("SBT model: checksum mismatch (corrupt file)");
-  }
+  FLB_RETURN_IF_ERROR(Open(bytes, kSbtMagic, "SBT model", &d));
   SbtModel model;
   FLB_ASSIGN_OR_RETURN(model.learning_rate, d.GetDouble());
   FLB_ASSIGN_OR_RETURN(uint32_t num_trees, d.GetU32());
@@ -137,31 +136,13 @@ std::vector<uint8_t> SerializeCheckpoint(int epoch,
   net::Serializer payload;
   payload.PutU32(static_cast<uint32_t>(epoch + 1));  // -1 stored as 0
   payload.PutDoubleVector(weights);
-  net::Serializer out;
-  out.PutU32(kCkptMagic);
-  out.PutU32(kVersion);
-  out.PutU64(Checksum(payload.bytes(), 0));
-  auto bytes = out.TakeBytes();
-  const auto& p = payload.bytes();
-  bytes.insert(bytes.end(), p.begin(), p.end());
-  return bytes;
+  return Seal(kCkptMagic, payload);
 }
 
 Result<TrainCheckpoint> DeserializeCheckpoint(
     const std::vector<uint8_t>& bytes) {
   net::Deserializer d(bytes);
-  FLB_ASSIGN_OR_RETURN(uint32_t magic, d.GetU32());
-  if (magic != kCkptMagic) {
-    return Status::InvalidArgument("checkpoint: bad magic");
-  }
-  FLB_ASSIGN_OR_RETURN(uint32_t version, d.GetU32());
-  if (version != kVersion) {
-    return Status::NotSupported("checkpoint: unsupported version");
-  }
-  FLB_ASSIGN_OR_RETURN(uint64_t checksum, d.GetU64());
-  if (checksum != Checksum(bytes, 16)) {
-    return Status::IoError("checkpoint: checksum mismatch (corrupt file)");
-  }
+  FLB_RETURN_IF_ERROR(Open(bytes, kCkptMagic, "checkpoint", &d));
   TrainCheckpoint ckpt;
   FLB_ASSIGN_OR_RETURN(uint32_t epoch, d.GetU32());
   ckpt.epoch = static_cast<int>(epoch) - 1;

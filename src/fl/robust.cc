@@ -63,8 +63,8 @@ void FillEpochTiming(const ClockSnapshot& before, const ClockSnapshot& after,
 // the Table VI component breakdown), in the metrics registry, and in the
 // live RunStatus served by /status. Call right after FillEpochTiming.
 //
-// The status snapshot is taken here — on the trainer thread — because
-// HeService's op counters are plain fields only this thread may read;
+// The status snapshot is taken here, between batches, where HeService's op
+// counters (relaxed atomics, each exact) also agree with each other;
 // RunStatus gets values, never pointers, so a concurrent scrape can't race
 // the trainer (see run_status.h).
 void TraceEpoch(const std::string& trainer, const EpochRecord& record,

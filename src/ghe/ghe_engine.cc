@@ -43,6 +43,29 @@ int64_t ChunkCount(int64_t count, int nchunks, int k) {
   return base + (k < rem ? 1 : 0);
 }
 
+// Registers a kernel thread needs per held word (operand slices + the
+// working accumulator slice), on top of a fixed base.
+constexpr int kRegistersPerWord = 6;
+constexpr int kBaseRegisters = 24;
+// Divergent branch regions in the modular kernels (window selection + final
+// conditional subtraction). The resource manager combines them when branch
+// combining is on; the HAFLO baseline leaves them unmanaged.
+constexpr int kDivergentBranches = 2;
+
+gpusim::KernelDemand DemandFor(size_t s, int threads_per_elt) {
+  gpusim::KernelDemand demand;
+  const int x = static_cast<int>(s) / std::max(threads_per_elt, 1);
+  // Per-thread registers: the operand slices (x words each of a, b, n, t)
+  // plus each thread's share of the sliding-window table, which grows with
+  // the operand width — the reason SM occupancy decays at larger key sizes
+  // (paper Fig. 6 commentary).
+  demand.registers_per_thread =
+      kBaseRegisters + kRegistersPerWord * x + static_cast<int>(s) / 4;
+  demand.divergent_branches = kDivergentBranches;
+  demand.shared_mem_per_block = 0;
+  return demand;
+}
+
 }  // namespace
 
 GheEngine::GheEngine(std::shared_ptr<gpusim::Device> device, GheConfig config)
@@ -55,21 +78,6 @@ int GheEngine::ThreadsPerElement(size_t s) const {
   const int target = std::max<int>(
       1, static_cast<int>(s) / config_.words_per_thread);
   return LargestValidThreadCount(s, target);
-}
-
-gpusim::KernelDemand GheEngine::DemandFor(size_t s, int threads_per_elt) const {
-  gpusim::KernelDemand demand;
-  const int x = static_cast<int>(s) / std::max(threads_per_elt, 1);
-  // Per-thread registers: the operand slices (x words each of a, b, n, t)
-  // plus each thread's share of the sliding-window table, which grows with
-  // the operand width — the reason SM occupancy decays at larger key sizes
-  // (paper Fig. 6 commentary).
-  demand.registers_per_thread = config_.base_registers +
-                                config_.registers_per_word * x +
-                                static_cast<int>(s) / 4;
-  demand.divergent_branches = config_.divergent_branches;
-  demand.shared_mem_per_block = 0;
-  return demand;
 }
 
 common::ThreadPool& GheEngine::host_pool() const {

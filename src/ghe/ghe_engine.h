@@ -9,8 +9,9 @@
 //
 // Every batch call becomes one kernel launch: each array element is served
 // by T = s/x device threads (Algorithm 2's decomposition, x words per
-// thread). The host body first computes the real results (bit-exact with
-// the parallel kernel — see parallel_montgomery tests); only when it
+// thread). The host body first computes the real results with BigInt and
+// MontgomeryContext (the sequential CIOS loop; Algorithm 2's
+// ParallelMontMul is only checked against it in tests); only when it
 // succeeds does the device charge modeled kernel + PCIe time to the
 // SimClock, so a failed batch costs nothing.
 //
@@ -50,14 +51,6 @@ struct GheConfig {
   // x in Algorithm 2: words of each operand held per device thread. The
   // thread count per element is s/x (adjusted down to a divisor of s).
   int words_per_thread = 4;
-  // Registers a kernel thread needs per held word (operand slices + the
-  // working accumulator slice).
-  int registers_per_word = 6;
-  int base_registers = 24;
-  // Divergent branch regions in the modular kernels (window selection +
-  // final conditional subtraction). The resource manager combines them when
-  // branch combining is on; the HAFLO baseline leaves them unmanaged.
-  int divergent_branches = 2;
   // Device streams for batch execution. 1 = the original fully synchronous
   // H2D → kernel → D2H path. N > 1 plans each batch as chunks issued
   // round-robin across N streams, so chunk k's H2D overlaps chunk k-1's
@@ -208,7 +201,6 @@ class GheEngine {
       const std::vector<gpusim::StreamChunk>& plan, int streams,
       size_t stage_bytes, double serial_seconds);
 
-  gpusim::KernelDemand DemandFor(size_t s, int threads_per_elt) const;
   int ThreadsPerElement(size_t s) const;
   // The pool batch bodies run on (config override or the global pool).
   common::ThreadPool& host_pool() const;

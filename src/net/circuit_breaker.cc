@@ -134,15 +134,6 @@ BreakerState CircuitBreaker::StateOf(const std::string& from,
   return it == links_.end() ? BreakerState::kClosed : it->second.state;
 }
 
-uint64_t CircuitBreaker::OpenCount() const {
-  common::MutexLock lock(mu_);
-  uint64_t n = 0;
-  for (const auto& [link, state] : links_) {
-    if (state.state == BreakerState::kOpen) n += 1;
-  }
-  return n;
-}
-
 void CircuitBreaker::RecordTransition(const char* kind,
                                       const std::string& link) {
   obs::MetricsRegistry::Global().Count(

@@ -73,9 +73,6 @@ class CircuitBreaker {
 
   BreakerState StateOf(const std::string& from, const std::string& to) const;
 
-  // Links currently open.
-  uint64_t OpenCount() const;
-
   // Snapshot by value: the counters keep moving under their own lock.
   BreakerStats stats() const {
     common::MutexLock lock(mu_);

@@ -55,24 +55,16 @@ ObsServer* ObsServer::Global() {
   return g_global.load(std::memory_order_acquire);
 }
 
-ObsServer* ObsServer::EnsureGlobalFromEnv(int explicit_port) {
+ObsServer* ObsServer::EnsureGlobalFromEnv() {
   static common::Mutex init_mu;
   common::MutexLock lock(init_mu);
   if (ObsServer* existing = Global()) return existing;
 
-  int port = explicit_port;
-  bool requested = explicit_port > 0;
-  if (!requested) {
-    const char* v = common::Env::Raw("FLB_OBS_PORT");
-    if (v != nullptr && *v != '\0') {
-      requested = true;
-      port = common::Env::Int("FLB_OBS_PORT", 0, 0, 65535);
-    }
-  }
-  if (!requested) return nullptr;
+  const char* v = common::Env::Raw("FLB_OBS_PORT");
+  if (v == nullptr || *v == '\0') return nullptr;
 
   Options options;
-  options.port = port;
+  options.port = common::Env::Int("FLB_OBS_PORT", 0, 0, 65535);
   auto result = Start(options);
   if (!result.ok()) {
     std::fprintf(stderr, "[obs] server not started: %s\n",

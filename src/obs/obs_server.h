@@ -17,9 +17,8 @@
 //
 // Startup is env-gated: any binary that calls Platform::Run (or constructs
 // a bench ObsExporter) starts the server when FLB_OBS_PORT is set
-// (FLB_OBS_PORT=0 picks an ephemeral port, printed to stderr), or when
-// PlatformConfig::obs_port is set explicitly. Starting the server also
-// enables the HostProfiler wall plane.
+// (FLB_OBS_PORT=0 picks an ephemeral port, printed to stderr). Starting the
+// server also enables the HostProfiler wall plane.
 //
 // Determinism contract: the scrape path only *reads* snapshots (registry
 // collect, status JSON, trace JSON) and writes obs-only gauges/counters —
@@ -58,15 +57,16 @@ class ObsServer {
   // obs plane must never take down an experiment.
   static Result<std::unique_ptr<ObsServer>> Start(const Options& options);
 
-  // Starts the process-global server once: explicit_port > 0 forces that
-  // port; otherwise FLB_OBS_PORT decides (unset = no server). Safe to call
-  // from every Platform::Run. Returns the global server or nullptr.
-  static ObsServer* EnsureGlobalFromEnv(int explicit_port = 0);
+  // Starts the process-global server once on the FLB_OBS_PORT port (unset =
+  // no server). Safe to call from every Platform::Run. Returns the global
+  // server or nullptr.
+  static ObsServer* EnsureGlobalFromEnv();
   static ObsServer* Global();
 
-  // FLB_OBS_LINGER=<seconds>: keeps the process alive that long after the
-  // benches finish (phase "linger") so a scraper can take final snapshots.
-  // No-op unless the global server is running. Called by ObsExporter.
+  // FLB_OBS_LINGER=<seconds>: keeps the process alive that long after its
+  // runs finish (phase "linger") so a scraper can take final snapshots.
+  // No-op unless the global server is running. Called by the bench
+  // ObsExporter and at the end of example_flb_cli.
   static void LingerFromEnv();
 
   ~ObsServer();

@@ -3,10 +3,9 @@
 // The batch obs layer (metrics + trace) only becomes visible after a run
 // ends; RunStatus is the "what is happening right now" plane. Platform::Run
 // stamps run identity and phase transitions, every trainer publishes its
-// epoch progress (plus an HE-op and fault snapshot taken on the trainer
-// thread, where the underlying counters are safe to read), and bench_common
-// contributes the bench/section names. The ObsServer scrape thread renders
-// the whole thing as one JSON object.
+// epoch progress (plus an HE-op and fault snapshot copied at the epoch
+// boundary), and bench_common contributes the bench/section names. The
+// ObsServer scrape thread renders the whole thing as one JSON object.
 //
 // Update discipline: producers push *plain values* at coarse boundaries
 // (run start/end, epoch end, section start) — RunStatus never holds
@@ -36,8 +35,9 @@ struct RunInfo {
   uint64_t seed = 0;
 };
 
-// HE op totals snapshotted on the trainer thread (HeService's counters are
-// plain fields mutated by the trainer thread, so only it may read them).
+// HE op totals copied from HeService::op_counts() between batches (the
+// counters are relaxed atomics: each exact, mutually consistent only at
+// batch boundaries).
 struct HeOpsStatus {
   uint64_t encrypts = 0;
   uint64_t decrypts = 0;

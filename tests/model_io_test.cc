@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/core/he_service.h"
 #include "src/fl/hetero_sbt.h"
@@ -13,6 +15,62 @@
 
 namespace flb::fl {
 namespace {
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+// Each format's full bytes (magic, version, FNV-1a checksum of the payload,
+// then the payload): files written earlier must keep loading.
+TEST(ModelIoTest, EnvelopeBytesAreStable) {
+  EXPECT_EQ(Hex(SerializeLrModel({1.5, -0.25})),
+            "52424c46" "01000000" "290b75062a662668"
+            "02000000" "000000000000f83f" "000000000000d0bf");
+
+  SbtTree tree;
+  tree.nodes.resize(3);
+  tree.nodes[0] = {false, 1, 7, 2, 1, 2, 0.0};
+  tree.nodes[1].leaf_weight = -0.5;
+  tree.nodes[2].leaf_weight = 0.75;
+  EXPECT_EQ(Hex(SerializeSbtModel({tree}, 0.3)),
+            "53424c46" "01000000" "b344adf2c37d7fa6"
+            "333333333333d33f" "01000000" "03000000"
+            "00000000" "02000000" "07000000" "02000000" "02000000" "03000000"
+            "0000000000000000"
+            "01000000" "00000000" "00000000" "00000000" "00000000" "00000000"
+            "000000000000e0bf"
+            "01000000" "00000000" "00000000" "00000000" "00000000" "00000000"
+            "000000000000e83f");
+
+  const std::vector<uint8_t> ckpt = SerializeCheckpoint(2, {0.5, -1.0});
+  EXPECT_EQ(Hex(ckpt), "43424c46" "01000000" "52de3c59692704ce"
+                       "03000000" "02000000" "000000000000e03f"
+                       "000000000000f0bf");
+  EXPECT_EQ(Hex(SerializeCheckpoint(-1, {})),
+            "43424c46" "01000000" "e3518eaf7e0dfe47" "00000000" "00000000");
+
+  auto bad = ckpt;
+  bad[0] ^= 0xFF;
+  Status s = DeserializeCheckpoint(bad).status();
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_EQ(s.message(), "checkpoint: bad magic");
+  bad = ckpt;
+  bad[4] = 2;
+  s = DeserializeCheckpoint(bad).status();
+  EXPECT_TRUE(s.IsNotSupported());
+  EXPECT_EQ(s.message(), "checkpoint: unsupported version");
+  bad = ckpt;
+  bad.back() ^= 0x01;
+  s = DeserializeCheckpoint(bad).status();
+  EXPECT_TRUE(s.IsIoError());
+  EXPECT_EQ(s.message(), "checkpoint: checksum mismatch (corrupt file)");
+}
 
 TEST(ModelIoTest, LrRoundTrip) {
   std::vector<double> weights{0.5, -1.25, 3.0e-7, 0.0, 123.456};

@@ -94,7 +94,6 @@ TEST(CircuitBreakerTest, TripsAfterConsecutiveFailuresAndFailsFast) {
   EXPECT_FALSE(breaker.AllowSend("a", "b"));
   EXPECT_EQ(breaker.stats().trips, 1u);
   EXPECT_EQ(breaker.stats().fast_fails, 2u);
-  EXPECT_EQ(breaker.OpenCount(), 1u);
   // The breaker is per directed link: the reverse direction is untouched.
   EXPECT_TRUE(breaker.AllowSend("b", "a"));
   EXPECT_EQ(breaker.StateOf("b", "a"), net::BreakerState::kClosed);
