@@ -55,12 +55,6 @@ struct MutexContention {
     while (b + 1 < kNumBuckets && (wait_ns >> (b + 1)) != 0) ++b;
     buckets[b].fetch_add(1, std::memory_order_relaxed);
   }
-
-  static void Reset() {
-    contended_acquires.store(0, std::memory_order_relaxed);
-    total_wait_ns.store(0, std::memory_order_relaxed);
-    for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
-  }
 };
 
 class FLB_CAPABILITY("mutex") Mutex {

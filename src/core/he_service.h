@@ -216,23 +216,9 @@ class HeService : public obs::MetricsSource {
         op_cells_.values_decrypted.load(std::memory_order_relaxed);
     return counts;
   }
-  void ResetOpCounts() {
-    op_cells_.encrypts.store(0, std::memory_order_relaxed);
-    op_cells_.decrypts.store(0, std::memory_order_relaxed);
-    op_cells_.hom_adds.store(0, std::memory_order_relaxed);
-    op_cells_.scalar_muls.store(0, std::memory_order_relaxed);
-    op_cells_.values_encrypted.store(0, std::memory_order_relaxed);
-    op_cells_.values_decrypted.store(0, std::memory_order_relaxed);
-  }
 
   // obs::MetricsSource: HeOpCounts exposed through the unified registry.
   void CollectMetrics(std::vector<obs::MetricValue>& out) const override;
-  void ResetMetrics() override { ResetOpCounts(); }
-
-  // The GPU engine backing this service, or null for CPU engines. Exposed
-  // for stream retargeting and batch-scheduling telemetry.
-  ghe::GheEngine* ghe_engine() { return ghe_.get(); }
-  const ghe::GheEngine* ghe_engine() const { return ghe_.get(); }
 
   // The host pool HE batch bodies run on (private or process-global).
   common::ThreadPool& host_pool() const { return *host_pool_; }

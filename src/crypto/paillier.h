@@ -226,7 +226,6 @@ class PaillierContext {
     }
   };
   const OpCounts& op_counts() const { return op_counts_; }
-  void ResetOpCounts() const { op_counts_ = OpCounts{}; }
 
  private:
   PaillierContext() = default;

@@ -1,5 +1,5 @@
-// Textbook RSA with multiplicative homomorphism, as exposed by the paper's
-// API surface (Table I: RSA::key_gen / encrypt / decrypt / mul).
+// Textbook RSA with multiplicative homomorphism: the key pair and CRT
+// signing that RSA-blind PSI (src/fl/psi) runs on.
 //
 // Note: unpadded RSA is used here deliberately — the homomorphic property
 // E(m1)*E(m2) = E(m1*m2 mod n) only holds without padding, which is what

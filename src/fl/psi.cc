@@ -6,7 +6,7 @@
 #include "src/common/check.h"
 #include "src/core/cost_model.h"
 #include "src/crypto/rsa.h"
-#include "src/ghe/ghe_engine.h"
+#include "src/ghe/he_cost.h"
 #include "src/net/serializer.h"
 
 namespace flb::fl {

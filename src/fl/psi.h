@@ -1,6 +1,6 @@
 // Private set intersection by RSA blind signatures — FATE's sample
-// alignment step for heterogeneous FL, and the consumer of the paper's
-// RSA::{key_gen, encrypt, decrypt, mul} API surface (Table I).
+// alignment step for heterogeneous FL, run on crypto::RsaContext's key
+// generation and CRT signing.
 //
 // Before vertical training, guest and host must find the sample IDs they
 // share without revealing the rest. The classic blind-RSA protocol:

@@ -6,7 +6,6 @@
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
-#include "src/crypto/montgomery.h"
 #include "src/ghe/parallel_montgomery.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -14,19 +13,6 @@
 namespace flb::ghe {
 
 namespace {
-
-// Serialized size of `count` values of `s` limbs each.
-size_t BatchBytes(int64_t count, size_t s) {
-  return static_cast<size_t>(count) * s * sizeof(uint32_t);
-}
-
-Status CheckSameSize(size_t a, size_t b, const char* what) {
-  if (a != b) {
-    return Status::InvalidArgument(std::string(what) +
-                                   ": batch sizes differ");
-  }
-  return Status::OK();
-}
 
 // Staging buffers are rounded to page granularity so repeated chunked
 // batches of slightly different sizes reuse pool slots instead of
@@ -64,6 +50,25 @@ gpusim::KernelDemand DemandFor(size_t s, int threads_per_elt) {
   demand.divergent_branches = kDivergentBranches;
   demand.shared_mem_per_block = 0;
   return demand;
+}
+
+// The kernel ModelOp launches for each Paillier op.
+const char* LaunchName(HeOp op) {
+  switch (op) {
+    case HeOp::kEncrypt:
+      return "ghe.paillier_encrypt";
+    case HeOp::kDecrypt:
+      return "ghe.paillier_decrypt";
+    case HeOp::kAdd:
+      return "ghe.paillier_add";
+    case HeOp::kAddPlain:
+      return "ghe.paillier_add_plain";
+    case HeOp::kScalarMul:
+      return "ghe.paillier_scalar_mul";
+    case HeOp::kPack:
+      return "ghe.paillier_pack";
+  }
+  return "ghe.paillier";
 }
 
 }  // namespace
@@ -192,19 +197,20 @@ Result<gpusim::LaunchResult> GheEngine::LaunchBatch(
 
   // Synchronous path: H2D, one kernel, D2H, each charged immediately.
   const double in_sec = device_->CopyToDevice(bytes_in);
-  FLB_ASSIGN_OR_RETURN(last_launch_, device_->Launch(launch));
+  FLB_ASSIGN_OR_RETURN(const gpusim::LaunchResult result,
+                       device_->Launch(launch));
   const double out_sec = device_->CopyFromDevice(bytes_out);
 
   last_batch_ = GheBatchStats{};
-  last_batch_.makespan_seconds = in_sec + last_launch_.sim_seconds + out_sec;
-  last_batch_.kernel_busy_seconds = last_launch_.sim_seconds;
+  last_batch_.makespan_seconds = in_sec + result.sim_seconds + out_sec;
+  last_batch_.kernel_busy_seconds = result.sim_seconds;
   last_batch_.transfer_busy_seconds = in_sec + out_sec;
   last_batch_.serial_seconds = last_batch_.makespan_seconds;
   auto& metrics = obs::MetricsRegistry::Global();
   metrics.Count("flb.ghe.batches", 1, "path=serial");
   metrics.Observe("flb.ghe.batch_makespan_seconds",
                   last_batch_.makespan_seconds, "path=serial");
-  return last_launch_;
+  return result;
 }
 
 Result<gpusim::LaunchResult> GheEngine::LaunchChunks(
@@ -254,7 +260,6 @@ Result<gpusim::LaunchResult> GheEngine::LaunchChunks(
   agg.end_seconds = makespan;
   agg.occupancy = weight > 0.0 ? occ_sum / weight : 0.0;
   agg.sm_utilization = weight > 0.0 ? util_sum / weight : 0.0;
-  last_launch_ = agg;
 
   const int chunks = static_cast<int>(plan.size());
   last_batch_ = GheBatchStats{};
@@ -272,403 +277,8 @@ Result<gpusim::LaunchResult> GheEngine::LaunchChunks(
   metrics.Count("flb.ghe.overlap_saved_seconds",
                 last_batch_.overlap_saved_seconds, "path=chunked");
   metrics.Observe("flb.ghe.batch_makespan_seconds", makespan, "path=chunked");
-  return last_launch_;
+  return agg;
 }
-
-// ---------------------------------------------------------------------------
-// Vector arithmetic
-// ---------------------------------------------------------------------------
-
-Result<std::vector<BigInt>> GheEngine::Add(const std::vector<BigInt>& a,
-                                           const std::vector<BigInt>& b) {
-  FLB_RETURN_IF_ERROR(CheckSameSize(a.size(), b.size(), "GheEngine::Add"));
-  if (a.empty()) return std::vector<BigInt>{};
-  size_t s = 1;
-  for (const auto& v : a) s = std::max(s, v.WordCount());
-  for (const auto& v : b) s = std::max(s, v.WordCount());
-  std::vector<BigInt> out(a.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.add", a.size(), s, /*limb_ops_per_elt=*/s,
-                  BatchBytes(2 * a.size(), s), BatchBytes(a.size(), s + 1),
-                  [&] {
-                    host_pool().ParallelFor(
-                        static_cast<int64_t>(a.size()),
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            out[i] = BigInt::Add(a[i], b[i]);
-                          }
-                        });
-                    return Status::OK();
-                  })
-          .status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::Sub(const std::vector<BigInt>& a,
-                                           const std::vector<BigInt>& b) {
-  FLB_RETURN_IF_ERROR(CheckSameSize(a.size(), b.size(), "GheEngine::Sub"));
-  if (a.empty()) return std::vector<BigInt>{};
-  size_t s = 1;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] < b[i]) {
-      return Status::OutOfRange("GheEngine::Sub: unsigned underflow at index " +
-                                std::to_string(i));
-    }
-    s = std::max(s, a[i].WordCount());
-  }
-  std::vector<BigInt> out(a.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.sub", a.size(), s, s, BatchBytes(2 * a.size(), s),
-                  BatchBytes(a.size(), s),
-                  [&] {
-                    host_pool().ParallelFor(
-                        static_cast<int64_t>(a.size()),
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            out[i] = BigInt::Sub(a[i], b[i]);
-                          }
-                        });
-                    return Status::OK();
-                  })
-          .status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::Mul(const std::vector<BigInt>& a,
-                                           const std::vector<BigInt>& b) {
-  FLB_RETURN_IF_ERROR(CheckSameSize(a.size(), b.size(), "GheEngine::Mul"));
-  if (a.empty()) return std::vector<BigInt>{};
-  size_t s = 1;
-  for (const auto& v : a) s = std::max(s, v.WordCount());
-  for (const auto& v : b) s = std::max(s, v.WordCount());
-  std::vector<BigInt> out(a.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.mul", a.size(), s, /*limb_ops_per_elt=*/s * s,
-                  BatchBytes(2 * a.size(), s), BatchBytes(a.size(), 2 * s),
-                  [&] {
-                    host_pool().ParallelFor(
-                        static_cast<int64_t>(a.size()),
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            out[i] = BigInt::Mul(a[i], b[i]);
-                          }
-                        });
-                    return Status::OK();
-                  })
-          .status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::Div(const std::vector<BigInt>& a,
-                                           const std::vector<BigInt>& b) {
-  FLB_RETURN_IF_ERROR(CheckSameSize(a.size(), b.size(), "GheEngine::Div"));
-  if (a.empty()) return std::vector<BigInt>{};
-  size_t s = 1;
-  for (const auto& v : a) s = std::max(s, v.WordCount());
-  std::vector<BigInt> out(a.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.div", a.size(), s, /*limb_ops_per_elt=*/2 * s * s,
-                  BatchBytes(2 * a.size(), s), BatchBytes(a.size(), s),
-                  [&] {
-                    return common::ParallelForEachStatus(
-                        host_pool(), a.size(), [&](size_t i) -> Status {
-                          FLB_ASSIGN_OR_RETURN(out[i],
-                                               BigInt::Div(a[i], b[i]));
-                          return Status::OK();
-                        });
-                  })
-          .status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::Mod(const std::vector<BigInt>& a,
-                                           const BigInt& n) {
-  if (a.empty()) return std::vector<BigInt>{};
-  if (n.IsZero()) return Status::ArithmeticError("GheEngine::Mod: n == 0");
-  const size_t s = std::max<size_t>(n.WordCount(), 1);
-  std::vector<BigInt> out(a.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.mod", a.size(), s, /*limb_ops_per_elt=*/2 * s * s,
-                  BatchBytes(a.size(), 2 * s), BatchBytes(a.size(), s),
-                  [&] {
-                    return common::ParallelForEachStatus(
-                        host_pool(), a.size(), [&](size_t i) -> Status {
-                          FLB_ASSIGN_OR_RETURN(out[i], BigInt::Mod(a[i], n));
-                          return Status::OK();
-                        });
-                  })
-          .status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::ModInv(const std::vector<BigInt>& a,
-                                              const BigInt& n) {
-  if (a.empty()) return std::vector<BigInt>{};
-  const size_t s = std::max<size_t>(n.WordCount(), 1);
-  std::vector<BigInt> out(a.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.mod_inv", a.size(), s,
-                  // Extended Euclid: ~2*bits iterations of O(s) work.
-                  /*limb_ops_per_elt=*/static_cast<uint64_t>(4) * s * s * 32,
-                  BatchBytes(a.size(), s), BatchBytes(a.size(), s),
-                  [&] {
-                    return common::ParallelForEachStatus(
-                        host_pool(), a.size(), [&](size_t i) -> Status {
-                          FLB_ASSIGN_OR_RETURN(out[i],
-                                               BigInt::ModInverse(a[i], n));
-                          return Status::OK();
-                        });
-                  })
-          .status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::ModMul(const std::vector<BigInt>& a,
-                                              const std::vector<BigInt>& b,
-                                              const BigInt& n) {
-  FLB_RETURN_IF_ERROR(CheckSameSize(a.size(), b.size(), "GheEngine::ModMul"));
-  if (a.empty()) return std::vector<BigInt>{};
-  FLB_ASSIGN_OR_RETURN(auto ctx, crypto::MontgomeryContext::Create(n));
-  const size_t s = ctx.num_limbs();
-  std::vector<BigInt> out(a.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.mod_mul", a.size(), s,
-                  /*limb_ops_per_elt=*/3 * MontMulLimbOps(s),
-                  BatchBytes(2 * a.size(), s), BatchBytes(a.size(), s),
-                  [&] {
-                    host_pool().ParallelFor(
-                        static_cast<int64_t>(a.size()),
-                        [&](int64_t lo, int64_t hi) {
-                          for (int64_t i = lo; i < hi; ++i) {
-                            out[i] = ctx.ModMul(a[i] % n, b[i] % n);
-                          }
-                        });
-                    return Status::OK();
-                  })
-          .status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::ModPow(const std::vector<BigInt>& x,
-                                              const std::vector<BigInt>& p,
-                                              const BigInt& n) {
-  FLB_RETURN_IF_ERROR(CheckSameSize(x.size(), p.size(), "GheEngine::ModPow"));
-  if (x.empty()) return std::vector<BigInt>{};
-  FLB_ASSIGN_OR_RETURN(auto ctx, crypto::MontgomeryContext::Create(n));
-  const size_t s = ctx.num_limbs();
-  int max_exp_bits = 1;
-  for (const auto& e : p) max_exp_bits = std::max(max_exp_bits, e.BitLength());
-  std::vector<BigInt> out(x.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch(
-          "ghe.mod_pow", x.size(), s,
-          EstimateModPowMontMuls(max_exp_bits) * MontMulLimbOps(s),
-          BatchBytes(2 * x.size(), s), BatchBytes(x.size(), s),
-          [&] {
-            host_pool().ParallelFor(static_cast<int64_t>(x.size()),
-                                    [&](int64_t lo, int64_t hi) {
-                                      for (int64_t i = lo; i < hi; ++i) {
-                                        out[i] = ctx.ModPow(x[i], p[i]);
-                                      }
-                                    });
-            return Status::OK();
-          })
-          .status());
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Paillier / RSA batches
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// The kernel ModelOp launches for each Paillier op.
-const char* LaunchName(HeOp op) {
-  switch (op) {
-    case HeOp::kEncrypt:
-      return "ghe.paillier_encrypt";
-    case HeOp::kDecrypt:
-      return "ghe.paillier_decrypt";
-    case HeOp::kAdd:
-      return "ghe.paillier_add";
-    case HeOp::kAddPlain:
-      return "ghe.paillier_add_plain";
-    case HeOp::kScalarMul:
-      return "ghe.paillier_scalar_mul";
-    case HeOp::kPack:
-      return "ghe.paillier_pack";
-  }
-  return "ghe.paillier";
-}
-
-}  // namespace
-
-Result<std::vector<BigInt>> GheEngine::RunOp(
-    HeOp op, int key_bits, int64_t count, int width_bits,
-    const std::function<Result<std::vector<BigInt>>()>& compute) {
-  if (count == 0) return std::vector<BigInt>{};
-  Result<std::vector<BigInt>> out = std::vector<BigInt>{};
-  FLB_RETURN_IF_ERROR(ModelOp(op, key_bits, count, width_bits, [&] {
-                        out = compute();
-                        return out.status();
-                      }).status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::PaillierEncrypt(
-    const crypto::PaillierContext& ctx, const std::vector<BigInt>& ms,
-    Rng& rng) {
-  return RunOp(HeOp::kEncrypt, ctx.pub().key_bits, ms.size(), 0,
-               [&] { return ctx.EncryptBatch(ms, rng, &host_pool()); });
-}
-
-Result<std::vector<BigInt>> GheEngine::PaillierDecrypt(
-    const crypto::PaillierContext& ctx, const std::vector<BigInt>& cs) {
-  return RunOp(HeOp::kDecrypt, ctx.pub().key_bits, cs.size(), 0,
-               [&] { return ctx.DecryptBatch(cs, &host_pool()); });
-}
-
-Result<std::vector<BigInt>> GheEngine::PaillierAdd(
-    const crypto::PaillierContext& ctx, const std::vector<BigInt>& c1,
-    const std::vector<BigInt>& c2) {
-  FLB_RETURN_IF_ERROR(
-      CheckSameSize(c1.size(), c2.size(), "GheEngine::PaillierAdd"));
-  return RunOp(HeOp::kAdd, ctx.pub().key_bits, c1.size(), 0,
-               [&] { return ctx.AddBatch(c1, c2, &host_pool()); });
-}
-
-Result<std::vector<BigInt>> GheEngine::PaillierAddPlain(
-    const crypto::PaillierContext& ctx, const std::vector<BigInt>& cs,
-    const std::vector<BigInt>& ks) {
-  FLB_RETURN_IF_ERROR(
-      CheckSameSize(cs.size(), ks.size(), "GheEngine::PaillierAddPlain"));
-  return RunOp(HeOp::kAddPlain, ctx.pub().key_bits, cs.size(), 0,
-               [&] { return ctx.AddPlainBatch(cs, ks, &host_pool()); });
-}
-
-Result<std::vector<BigInt>> GheEngine::PaillierScalarMul(
-    const crypto::PaillierContext& ctx, const std::vector<BigInt>& cs,
-    const std::vector<BigInt>& ks, int scalar_bits) {
-  FLB_RETURN_IF_ERROR(
-      CheckSameSize(cs.size(), ks.size(), "GheEngine::PaillierScalarMul"));
-  return RunOp(HeOp::kScalarMul, ctx.pub().key_bits, cs.size(), scalar_bits,
-               [&] { return ctx.ScalarMulBatch(cs, ks, &host_pool()); });
-}
-
-Result<std::vector<BigInt>> GheEngine::RsaEncrypt(
-    const crypto::RsaContext& ctx, const std::vector<BigInt>& ms) {
-  if (ms.empty()) return std::vector<BigInt>{};
-  const size_t s = ctx.pub().CiphertextWords();
-  // e = 65537: 17 squarings + 1 multiply.
-  const uint64_t ops = 20 * MontMulLimbOps(s);
-  std::vector<BigInt> out(ms.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.rsa_encrypt", ms.size(), s, ops,
-                  BatchBytes(ms.size(), s), BatchBytes(ms.size(), s),
-                  [&] {
-                    return common::ParallelForEachStatus(
-                        host_pool(), ms.size(), [&](size_t i) -> Status {
-                          FLB_ASSIGN_OR_RETURN(out[i], ctx.Encrypt(ms[i]));
-                          return Status::OK();
-                        });
-                  })
-          .status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::RsaDecrypt(
-    const crypto::RsaContext& ctx, const std::vector<BigInt>& cs) {
-  if (cs.empty()) return std::vector<BigInt>{};
-  const int key_bits = ctx.pub().key_bits;
-  const size_t s = ctx.pub().CiphertextWords();
-  const uint64_t ops =
-      2 * EstimateModPowMontMuls(key_bits / 2) * MontMulLimbOps(s / 2);
-  std::vector<BigInt> out(cs.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.rsa_decrypt", cs.size(), s, ops,
-                  BatchBytes(cs.size(), s), BatchBytes(cs.size(), s),
-                  [&] {
-                    return common::ParallelForEachStatus(
-                        host_pool(), cs.size(), [&](size_t i) -> Status {
-                          FLB_ASSIGN_OR_RETURN(out[i], ctx.Decrypt(cs[i]));
-                          return Status::OK();
-                        });
-                  })
-          .status());
-  return out;
-}
-
-Result<std::vector<BigInt>> GheEngine::RsaMul(const crypto::RsaContext& ctx,
-                                              const std::vector<BigInt>& c1,
-                                              const std::vector<BigInt>& c2) {
-  FLB_RETURN_IF_ERROR(CheckSameSize(c1.size(), c2.size(), "GheEngine::RsaMul"));
-  if (c1.empty()) return std::vector<BigInt>{};
-  const size_t s = ctx.pub().CiphertextWords();
-  std::vector<BigInt> out(c1.size());
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.rsa_mul", c1.size(), s, 3 * MontMulLimbOps(s),
-                  BatchBytes(2 * c1.size(), s), BatchBytes(c1.size(), s),
-                  [&] {
-                    return common::ParallelForEachStatus(
-                        host_pool(), c1.size(), [&](size_t i) -> Status {
-                          FLB_ASSIGN_OR_RETURN(out[i], ctx.Mul(c1[i], c2[i]));
-                          return Status::OK();
-                        });
-                  })
-          .status());
-  return out;
-}
-
-namespace {
-
-// Expected prime-search work for one b-bit prime: ~b*ln(2)/2 odd candidates;
-// trial division removes ~80%; survivors pay one witness exponentiation
-// (composites fail fast), the final prime pays the full round count.
-uint64_t PrimeSearchLimbOps(int prime_bits) {
-  const size_t s = static_cast<size_t>(prime_bits) / 32;
-  const double candidates = prime_bits * 0.347;
-  const double mr_exponentiations = candidates * 0.2 * 1.2 + 20.0;
-  return static_cast<uint64_t>(mr_exponentiations *
-                               EstimateModPowMontMuls(prime_bits) *
-                               MontMulLimbOps(s));
-}
-
-}  // namespace
-
-Result<crypto::PaillierKeyPair> GheEngine::PaillierKeyGen(int key_bits,
-                                                          Rng& rng) {
-  crypto::PaillierKeyPair keys;
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.paillier_keygen", /*count=*/2, key_bits / 2 / 32,
-                  PrimeSearchLimbOps(key_bits / 2),
-                  /*bytes_in=*/64, /*bytes_out=*/key_bits / 4,
-                  [&] {
-                    FLB_ASSIGN_OR_RETURN(keys,
-                                         crypto::PaillierKeyGen(key_bits, rng));
-                    return Status::OK();
-                  })
-          .status());
-  return keys;
-}
-
-Result<crypto::RsaKeyPair> GheEngine::RsaKeyGen(int key_bits, Rng& rng) {
-  crypto::RsaKeyPair keys;
-  FLB_RETURN_IF_ERROR(
-      LaunchBatch("ghe.rsa_keygen", /*count=*/2, key_bits / 2 / 32,
-                  PrimeSearchLimbOps(key_bits / 2),
-                  /*bytes_in=*/64, /*bytes_out=*/key_bits / 4,
-                  [&] {
-                    FLB_ASSIGN_OR_RETURN(keys, crypto::RsaKeyGen(key_bits, rng));
-                    return Status::OK();
-                  })
-          .status());
-  return keys;
-}
-
-// ---------------------------------------------------------------------------
-// Timing-only models
-// ---------------------------------------------------------------------------
 
 Result<gpusim::LaunchResult> GheEngine::ModelOp(
     HeOp op, int key_bits, int64_t count, int width_bits,

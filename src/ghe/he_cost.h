@@ -3,11 +3,10 @@
 // stages to and from the device).
 //
 // It is the one place that decides the price of an HE op. HeService charges
-// every op from it (modeled, CPU and GPU engines alike), GheEngine's Table I
-// Paillier launches and ModelOp read it, and so does bench_paper's Eq. 10
-// model. Every row depends only on the key size and a declared width, never
-// on the plaintext data: a price that read the scalars would leak them into
-// the simulated clock.
+// every op from it (modeled, CPU and GPU engines alike), GheEngine's ModelOp
+// reads it, and so does bench_paper's Eq. 10 model. Every row depends only
+// on the key size and a declared width, never on the plaintext data: a
+// price that read the scalars would leak them into the simulated clock.
 
 #ifndef FLB_GHE_HE_COST_H_
 #define FLB_GHE_HE_COST_H_

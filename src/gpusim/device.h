@@ -207,10 +207,6 @@ class Device : public obs::MetricsSource {
     common::MutexLock lock(mu_);
     return stats_;
   }
-  void ResetStats() {
-    common::MutexLock lock(mu_);
-    stats_ = DeviceStats{};
-  }
 
   // Position on this device's trace timeline: the SimClock when one is
   // attached, otherwise a local cursor that advances with every charged
@@ -221,7 +217,6 @@ class Device : public obs::MetricsSource {
 
   // obs::MetricsSource: DeviceStats exposed through the unified registry.
   void CollectMetrics(std::vector<obs::MetricValue>& out) const override;
-  void ResetMetrics() override { ResetStats(); }
 
  private:
   // Buffered trace record for one async op; flushed at Synchronize() when

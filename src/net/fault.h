@@ -151,14 +151,9 @@ class FaultInjector : public obs::MetricsSource {
     common::MutexLock lock(mu_);
     return stats_;
   }
-  void ResetStats() {
-    common::MutexLock lock(mu_);
-    stats_ = FaultStats{};
-  }
 
   // obs::MetricsSource: flb.fault.* counters.
   void CollectMetrics(std::vector<obs::MetricValue>& out) const override;
-  void ResetMetrics() override { ResetStats(); }
 
  private:
   double Now() const;

@@ -146,14 +146,9 @@ class Network : public obs::MetricsSource {
     common::MutexLock lock(mu_);
     return stats_;
   }
-  void ResetStats() {
-    common::MutexLock lock(mu_);
-    stats_ = NetworkStats{};
-  }
 
   // obs::MetricsSource: NetworkStats exposed through the unified registry.
   void CollectMetrics(std::vector<obs::MetricValue>& out) const override;
-  void ResetMetrics() override { ResetStats(); }
 
   // Transfer time this link would charge for `bytes` carrying `objects`
   // serialized HE objects (exposed for the analytic model benches).

@@ -114,14 +114,9 @@ class ReliableChannel : public obs::MetricsSource {
     common::MutexLock lock(mu_);
     return stats_;
   }
-  void ResetStats() {
-    common::MutexLock lock(mu_);
-    stats_ = ChannelStats{};
-  }
 
   // obs::MetricsSource: flb.net.reliable.* counters.
   void CollectMetrics(std::vector<obs::MetricValue>& out) const override;
-  void ResetMetrics() override { ResetStats(); }
 
  private:
   static std::string LinkKey(const std::string& from, const std::string& to,

@@ -203,15 +203,4 @@ void HostProfiler::CollectMetrics(std::vector<MetricValue>& out) const {
   }
 }
 
-void HostProfiler::ResetMetrics() {
-  for (WorkerStats& ws : workers_) {
-    ws.busy_ns.store(0, std::memory_order_relaxed);
-    ws.idle_ns.store(0, std::memory_order_relaxed);
-    ws.tasks.store(0, std::memory_order_relaxed);
-    ws.steals.store(0, std::memory_order_relaxed);
-  }
-  queue_depth_.store(0, std::memory_order_relaxed);
-  common::MutexContention::Reset();
-}
-
 }  // namespace flb::obs

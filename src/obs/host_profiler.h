@@ -63,7 +63,6 @@ class HostProfiler : public common::ThreadPoolObserver, public MetricsSource {
 
   // MetricsSource (called under the registry lock; atomics only).
   void CollectMetrics(std::vector<MetricValue>& out) const override;
-  void ResetMetrics() override;
 
  private:
   // FLB_HOST_THREADS is capped at 512; slot 512 absorbs any overflow.

@@ -138,16 +138,6 @@ std::vector<MetricValue> MetricsRegistry::Collect() const {
   return out;
 }
 
-void MetricsRegistry::ResetAll() {
-  common::MutexLock lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  for (MetricsSource* source : sources_) {
-    source->ResetMetrics();
-  }
-}
-
 std::string MetricsRegistry::ToJson() const {
   std::string out = "{\"metrics\":[";
   bool first = true;

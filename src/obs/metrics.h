@@ -12,13 +12,12 @@
 //    Device, Network, and HeService register themselves (RAII, via
 //    ScopedMetricsSource) and contribute their stats structs to every
 //    snapshot — the legacy structs stay as the hot-path accumulators and
-//    keep their existing consumers compiling, but reporting and reset now
-//    route through the registry.
+//    keep their existing consumers compiling, but reporting routes through
+//    the registry.
 //
-// ResetAll() clears the registry's own metrics AND resets every registered
-// source (Device::ResetStats, Network::ResetStats, ...), which is what the
-// benches call at section boundaries so per-section numbers are never
-// cumulative.
+// Nothing resets: counters only grow for the life of their owner, so a
+// reader that wants one interval's numbers takes the difference of two
+// snapshots.
 //
 // Naming scheme: "flb.<module>.<metric>" in snake_case; labels are a
 // canonical "key=value,key=value" string (sorted by the caller). Snapshots
@@ -63,13 +62,11 @@ struct MetricValue {
 };
 
 // Implemented by components that own a legacy stats struct. CollectMetrics
-// appends the struct's fields as MetricValues; ResetMetrics zeroes the
-// struct (the component's old ResetStats).
+// appends the struct's fields as MetricValues.
 class MetricsSource {
  public:
   virtual ~MetricsSource() = default;
   virtual void CollectMetrics(std::vector<MetricValue>& out) const = 0;
-  virtual void ResetMetrics() = 0;
 };
 
 class MetricsRegistry {
@@ -100,10 +97,6 @@ class MetricsRegistry {
   // contribution, sorted by (name, labels).
   std::vector<MetricValue> Collect() const;
 
-  // Clears the registry's own metrics and resets every registered source —
-  // the one reset path for DeviceStats/NetworkStats/op counts.
-  void ResetAll();
-
   // {"metrics": [...]} (see header comment for the schema).
   std::string ToJson() const;
   Status WriteJson(const std::string& path) const;
@@ -118,9 +111,9 @@ class MetricsRegistry {
   };
   using Key = std::pair<std::string, std::string>;  // (name, labels)
 
-  // Leaf-level locking: mu_ is held across source->CollectMetrics /
-  // ResetMetrics calls, so sources must never call back into the registry
-  // from those hooks (they only read/zero their own stats structs).
+  // Leaf-level locking: mu_ is held across source->CollectMetrics calls, so
+  // sources must never call back into the registry from that hook (it only
+  // reads their own stats structs).
   mutable common::Mutex mu_;
   std::map<Key, double> counters_ FLB_GUARDED_BY(mu_);
   std::map<Key, double> gauges_ FLB_GUARDED_BY(mu_);

@@ -297,8 +297,6 @@ TEST(Paillier, OpCountsTrack) {
   EXPECT_EQ(ctx.op_counts().encrypts, 2u);
   EXPECT_EQ(ctx.op_counts().adds, 1u);
   EXPECT_EQ(ctx.op_counts().decrypts, 1u);
-  ctx.ResetOpCounts();
-  EXPECT_EQ(ctx.op_counts().encrypts, 0u);
 }
 
 // ---------------------------------------------------------------------------

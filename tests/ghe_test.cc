@@ -1,5 +1,5 @@
 // Tests for the GPU-HE layer: Algorithm 2 (parallel Montgomery) fidelity
-// and the batched Table I API surface.
+// and GheEngine's batch launch (pricing, host bodies, chunked schedule).
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "src/common/rng.h"
 #include "src/crypto/montgomery.h"
 #include "src/crypto/paillier.h"
-#include "src/crypto/rsa.h"
 #include "src/ghe/ghe_engine.h"
 #include "src/ghe/parallel_montgomery.h"
 #include "src/gpusim/device.h"
@@ -118,167 +117,57 @@ TEST(ParallelMont, MoreThreadsMoreCommunication) {
 }
 
 // ---------------------------------------------------------------------------
-// GheEngine: vector API
+// GheEngine: launches with and without a host body
 // ---------------------------------------------------------------------------
 
 class GheEngineTest : public ::testing::Test {
  protected:
   GheEngineTest() : engine_(MakeDevice(&clock_)) {}
 
-  std::vector<BigInt> RandomBatch(size_t count, int bits, Rng& rng) {
-    std::vector<BigInt> out;
-    out.reserve(count);
-    for (size_t i = 0; i < count; ++i) out.push_back(BigInt::Random(rng, bits));
-    return out;
-  }
-
   SimClock clock_;
   GheEngine engine_;
 };
 
-TEST_F(GheEngineTest, VectorAddSubRoundTrip) {
-  Rng rng(10);
-  auto a = RandomBatch(64, 256, rng);
-  auto b = RandomBatch(64, 256, rng);
-  auto sum = engine_.Add(a, b).value();
-  auto diff = engine_.Sub(sum, b).value();
-  ASSERT_EQ(diff.size(), a.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(diff[i], a[i]);
-  EXPECT_GT(clock_.Elapsed(CostKind::kGpuKernel), 0.0);
-  EXPECT_GT(clock_.Elapsed(CostKind::kPcieTransfer), 0.0);
-}
-
-TEST_F(GheEngineTest, VectorSubUnderflowIsError) {
-  std::vector<BigInt> a{BigInt(1)}, b{BigInt(2)};
-  EXPECT_TRUE(engine_.Sub(a, b).status().IsOutOfRange());
-}
-
-TEST_F(GheEngineTest, VectorMulDivMod) {
-  Rng rng(11);
-  auto a = RandomBatch(32, 192, rng);
-  auto b = RandomBatch(32, 64, rng);
-  for (auto& v : b) {
-    if (v.IsZero()) v = BigInt(3);
-  }
-  auto prod = engine_.Mul(a, b).value();
-  auto quot = engine_.Div(prod, b).value();
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(quot[i], a[i]);
-
-  const BigInt n = BigInt::Random(rng, 100);
-  auto rem = engine_.Mod(prod, n).value();
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(rem[i], prod[i] % n);
-}
-
-TEST_F(GheEngineTest, VectorDivByZeroError) {
-  std::vector<BigInt> a{BigInt(6)}, b{BigInt()};
-  EXPECT_TRUE(engine_.Div(a, b).status().IsArithmeticError());
-  EXPECT_TRUE(engine_.Mod(a, BigInt()).status().IsArithmeticError());
-}
-
-TEST_F(GheEngineTest, MismatchedBatchSizesError) {
-  std::vector<BigInt> a{BigInt(1), BigInt(2)}, b{BigInt(1)};
-  EXPECT_TRUE(engine_.Add(a, b).status().IsInvalidArgument());
-  EXPECT_TRUE(engine_.Mul(a, b).status().IsInvalidArgument());
-  EXPECT_TRUE(engine_.ModMul(a, b, BigInt(17)).status().IsInvalidArgument());
-}
-
-TEST_F(GheEngineTest, EmptyBatchesAreNoOps) {
-  std::vector<BigInt> empty;
-  EXPECT_TRUE(engine_.Add(empty, empty)->empty());
-  EXPECT_TRUE(engine_.ModPow(empty, empty, BigInt(17))->empty());
-}
-
-TEST_F(GheEngineTest, ModInvModMulModPowAgainstReference) {
-  Rng rng(12);
-  BigInt n = BigInt::Random(rng, 256);
-  if (n.IsEven()) n = BigInt::Add(n, BigInt(1));
-  auto a = RandomBatch(16, 200, rng);
-  auto b = RandomBatch(16, 200, rng);
-  auto e = RandomBatch(16, 32, rng);
-
-  auto mm = engine_.ModMul(a, b, n).value();
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(mm[i], BigInt::ModMul(a[i] % n, b[i] % n, n).value());
-  }
-  auto mp = engine_.ModPow(a, e, n).value();
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(mp[i], BigInt::ModPow(a[i], e[i], n).value());
-  }
-  // ModInv over values coprime with an odd prime-ish modulus.
-  const BigInt prime(1000003);
-  std::vector<BigInt> units;
-  for (int i = 2; i < 18; ++i) units.push_back(BigInt(i));
-  auto inv = engine_.ModInv(units, prime).value();
-  for (size_t i = 0; i < units.size(); ++i) {
-    EXPECT_EQ(BigInt::ModMul(units[i], inv[i], prime).value(), BigInt(1));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// GheEngine: batched Paillier / RSA
-// ---------------------------------------------------------------------------
-
-TEST_F(GheEngineTest, PaillierBatchRoundTripAndAggregate) {
-  Rng rng(13);
-  auto keys = crypto::PaillierKeyGen(256, rng).value();
-  auto ctx = crypto::PaillierContext::Create(keys).value();
-
-  std::vector<BigInt> ms;
-  for (uint64_t i = 1; i <= 32; ++i) ms.push_back(BigInt(i * 1000));
-  auto cs = engine_.PaillierEncrypt(ctx, ms, rng).value();
-  ASSERT_EQ(cs.size(), ms.size());
-  auto decrypted = engine_.PaillierDecrypt(ctx, cs).value();
-  for (size_t i = 0; i < ms.size(); ++i) EXPECT_EQ(decrypted[i], ms[i]);
-
-  // Pairwise homomorphic add: D(c[i] (*) c[i]) = 2*m[i].
-  auto doubled = engine_.PaillierAdd(ctx, cs, cs).value();
-  auto dec2 = engine_.PaillierDecrypt(ctx, doubled).value();
-  for (size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_EQ(dec2[i], BigInt::Add(ms[i], ms[i]));
-  }
-}
-
 TEST_F(GheEngineTest, PaillierBatchPropagatesElementErrors) {
+  // A body that fails returns its Status, and the batch is charged nothing.
   Rng rng(14);
   auto keys = crypto::PaillierKeyGen(128, rng).value();
   auto ctx = crypto::PaillierContext::Create(keys).value();
   std::vector<BigInt> ms{BigInt(1), keys.pub.n};  // second is out of range
-  EXPECT_TRUE(engine_.PaillierEncrypt(ctx, ms, rng).status().IsOutOfRange());
+  const Status status =
+      engine_
+          .ModelOp(HeOp::kEncrypt, 128, static_cast<int64_t>(ms.size()), 0,
+                   [&] { return ctx.EncryptBatch(ms, rng).status(); })
+          .status();
+  EXPECT_TRUE(status.IsOutOfRange()) << status.ToString();
+  EXPECT_EQ(clock_.Now(), 0.0);
 }
-
-TEST_F(GheEngineTest, RsaBatchRoundTripAndMul) {
-  Rng rng(15);
-  auto keys = crypto::RsaKeyGen(256, rng).value();
-  auto ctx = crypto::RsaContext::Create(keys).value();
-  std::vector<BigInt> ms;
-  for (uint64_t i = 2; i <= 17; ++i) ms.push_back(BigInt(i));
-  auto cs = engine_.RsaEncrypt(ctx, ms).value();
-  auto dec = engine_.RsaDecrypt(ctx, cs).value();
-  for (size_t i = 0; i < ms.size(); ++i) EXPECT_EQ(dec[i], ms[i]);
-  auto prod = engine_.RsaMul(ctx, cs, cs).value();
-  auto dec2 = engine_.RsaDecrypt(ctx, prod).value();
-  for (size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_EQ(dec2[i], BigInt::Mul(ms[i], ms[i]) % keys.pub.n);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Timing model consistency
-// ---------------------------------------------------------------------------
 
 TEST_F(GheEngineTest, ModelMatchesRealLaunchGeometry) {
+  // A launch with a body (the real batch) prices exactly like the same
+  // launch without one (the modeled batch).
   Rng rng(16);
   auto keys = crypto::PaillierKeyGen(256, rng).value();
   auto ctx = crypto::PaillierContext::Create(keys).value();
-  std::vector<BigInt> ms(8, BigInt(42));
-
-  engine_.PaillierEncrypt(ctx, ms, rng).value();
-  const auto real = engine_.last_launch();
-  const auto modeled = engine_.ModelOp(HeOp::kEncrypt, 256, 8).value();
+  const std::vector<BigInt> ms(8, BigInt(42));
+  std::vector<BigInt> cs;
+  const auto real = engine_
+                        .ModelOp(HeOp::kEncrypt, 256, 8, 0,
+                                 [&]() -> Status {
+                                   FLB_ASSIGN_OR_RETURN(
+                                       cs, ctx.EncryptBatch(ms, rng));
+                                   return Status::OK();
+                                 })
+                        .value();
+  ASSERT_EQ(cs.size(), ms.size());
+  SimClock model_clock;
+  GheEngine model_engine(MakeDevice(&model_clock));
+  const auto modeled = model_engine.ModelOp(HeOp::kEncrypt, 256, 8).value();
   EXPECT_EQ(modeled.block_threads, real.block_threads);
   EXPECT_EQ(modeled.waves, real.waves);
-  EXPECT_DOUBLE_EQ(modeled.occupancy, real.occupancy);
-  EXPECT_DOUBLE_EQ(modeled.sim_seconds, real.sim_seconds);
+  EXPECT_EQ(modeled.occupancy, real.occupancy);
+  EXPECT_EQ(modeled.sim_seconds, real.sim_seconds);
+  EXPECT_EQ(model_clock.Now(), clock_.Now());
 }
 
 TEST(HeCostTable, RowsEqualTheDirectFormulas) {
@@ -332,25 +221,6 @@ TEST(HeCostTable, RowsEqualTheDirectFormulas) {
   EXPECT_EQ(FixedPointScalarBits(24), 34);
 }
 
-TEST_F(GheEngineTest, ScalarMulPricesTheDeclaredWidthNotTheScalars) {
-  // A price that read the scalars would leak them into the simulated clock:
-  // short and full-width scalars must cost the same at one declared width.
-  Rng rng(17);
-  auto keys = crypto::PaillierKeyGen(256, rng).value();
-  auto ctx = crypto::PaillierContext::Create(keys).value();
-  const std::vector<BigInt> cs =
-      engine_.PaillierEncrypt(ctx, std::vector<BigInt>(4, BigInt(3)), rng)
-          .value();
-  const std::vector<BigInt> small(4, BigInt(5));
-  const std::vector<BigInt> wide(4, BigInt::Sub(keys.pub.n, BigInt(5)) >> 1);
-  engine_.PaillierScalarMul(ctx, cs, small, 34).value();
-  const double small_seconds = engine_.last_launch().sim_seconds;
-  engine_.PaillierScalarMul(ctx, cs, wide, 34).value();
-  EXPECT_EQ(engine_.last_launch().sim_seconds, small_seconds);
-  EXPECT_EQ(engine_.ModelOp(HeOp::kScalarMul, 256, 4, 34)->sim_seconds,
-            small_seconds);
-}
-
 TEST_F(GheEngineTest, LargerKeysCostMore) {
   const auto seconds = [&](int key_bits) {
     return engine_.ModelOp(HeOp::kEncrypt, key_bits, 1024)->sim_seconds;
@@ -391,36 +261,6 @@ TEST(GheEngineUtilization, FlboosterBeatsHafloStyleConfig) {
 
 
 // ---------------------------------------------------------------------------
-// Key generation on the device
-// ---------------------------------------------------------------------------
-
-TEST(GheKeyGen, PaillierKeysWorkAndChargeDeviceTime) {
-  SimClock clock;
-  auto device =
-      std::make_shared<gpusim::Device>(gpusim::DeviceSpec::Rtx3090(), &clock);
-  GheEngine engine(device);
-  Rng rng(77);
-  auto keys = engine.PaillierKeyGen(256, rng).value();
-  EXPECT_EQ(keys.pub.key_bits, 256);
-  EXPECT_GT(clock.Elapsed(CostKind::kGpuKernel), 0.0);
-  // The generated keys are functional.
-  auto ctx = crypto::PaillierContext::Create(keys).value();
-  BigInt c = ctx.Encrypt(BigInt(31337), rng).value();
-  EXPECT_EQ(ctx.Decrypt(c).value(), BigInt(31337));
-}
-
-TEST(GheKeyGen, RsaKeysWork) {
-  auto device =
-      std::make_shared<gpusim::Device>(gpusim::DeviceSpec::Rtx3090(), nullptr);
-  GheEngine engine(device);
-  Rng rng(78);
-  auto keys = engine.RsaKeyGen(256, rng).value();
-  auto ctx = crypto::RsaContext::Create(keys).value();
-  EXPECT_EQ(ctx.Decrypt(ctx.Encrypt(BigInt(99)).value()).value(), BigInt(99));
-  EXPECT_FALSE(engine.RsaKeyGen(63, rng).ok());
-}
-
-// ---------------------------------------------------------------------------
 // Multi-stream chunked batches (copy/compute overlap)
 // ---------------------------------------------------------------------------
 
@@ -433,23 +273,24 @@ TEST(GheStreams, SingleStreamConfigMatchesLegacyPathExactly) {
   GheEngine legacy(MakeDevice(&legacy_clock));
   GheEngine configured(MakeDevice(&streams_clock), one_stream);
 
-  legacy.ModelOp(HeOp::kAdd, 2048, 1 << 14).value();
-  configured.ModelOp(HeOp::kAdd, 2048, 1 << 14).value();
+  const auto legacy_launch = legacy.ModelOp(HeOp::kAdd, 2048, 1 << 14).value();
+  const auto configured_launch =
+      configured.ModelOp(HeOp::kAdd, 2048, 1 << 14).value();
   EXPECT_DOUBLE_EQ(streams_clock.Elapsed(CostKind::kGpuKernel),
                    legacy_clock.Elapsed(CostKind::kGpuKernel));
   EXPECT_DOUBLE_EQ(streams_clock.Elapsed(CostKind::kPcieTransfer),
                    legacy_clock.Elapsed(CostKind::kPcieTransfer));
-  EXPECT_DOUBLE_EQ(configured.last_launch().sim_seconds,
-                   legacy.last_launch().sim_seconds);
+  EXPECT_DOUBLE_EQ(configured_launch.sim_seconds, legacy_launch.sim_seconds);
   EXPECT_FALSE(configured.last_batch().async);
   EXPECT_EQ(configured.last_batch().chunks, 1);
 }
 
 TEST(GheStreams, ChunkedBatchIsBitExactWithSynchronousPath) {
-  // Real Paillier arithmetic through a 4-way chunked schedule must produce
-  // ciphertexts identical to the synchronous path: the modeled timeline
-  // never touches the math. At 2^14 elements a 256-bit key's encrypt, add
-  // and decrypt batches all price faster chunked, so each one chunks.
+  // The body runs once, before the device is touched, whether the batch
+  // chunks or not, so a real Paillier batch through a 4-way chunked
+  // schedule produces the synchronous path's ciphertexts: the modeled
+  // timeline never touches the math. At 2^14 elements a 256-bit key's
+  // encrypt batch prices faster chunked, so it chunks.
   Rng rng(21);
   auto keys = crypto::PaillierKeyGen(256, rng).value();
   auto ctx = crypto::PaillierContext::Create(keys).value();
@@ -460,29 +301,31 @@ TEST(GheStreams, ChunkedBatchIsBitExactWithSynchronousPath) {
   chunked_cfg.streams = 4;
   GheEngine sync_engine(MakeDevice());
   GheEngine chunked(MakeDevice(), chunked_cfg);
-  auto expect_chunked = [&] {
-    EXPECT_TRUE(chunked.last_batch().async);
-    EXPECT_EQ(chunked.last_batch().chunks, 4);
-  };
-
   // Same RNG seed on both engines so encryption randomness matches.
-  Rng r_sync(22), r_chunked(22);
-  const auto cs_sync = sync_engine.PaillierEncrypt(ctx, ms, r_sync).value();
-  const auto cs_chunked = chunked.PaillierEncrypt(ctx, ms, r_chunked).value();
-  expect_chunked();
+  const auto encrypt = [&](GheEngine& engine, std::vector<BigInt>* cs) {
+    Rng r(22);
+    int runs = 0;
+    EXPECT_TRUE(engine
+                    .ModelOp(HeOp::kEncrypt, 256,
+                             static_cast<int64_t>(ms.size()), 0,
+                             [&]() -> Status {
+                               ++runs;
+                               FLB_ASSIGN_OR_RETURN(*cs,
+                                                    ctx.EncryptBatch(ms, r));
+                               return Status::OK();
+                             })
+                    .ok());
+    return runs;
+  };
+  std::vector<BigInt> cs_sync, cs_chunked;
+  EXPECT_EQ(encrypt(sync_engine, &cs_sync), 1);
+  EXPECT_FALSE(sync_engine.last_batch().async);
+  EXPECT_EQ(encrypt(chunked, &cs_chunked), 1);
+  EXPECT_TRUE(chunked.last_batch().async);
+  EXPECT_EQ(chunked.last_batch().chunks, 4);
   EXPECT_TRUE(cs_sync == cs_chunked);
-
-  const auto sum_sync = sync_engine.PaillierAdd(ctx, cs_sync, cs_sync).value();
-  const auto sum_chunked =
-      chunked.PaillierAdd(ctx, cs_chunked, cs_chunked).value();
-  expect_chunked();
-  EXPECT_TRUE(sum_sync == sum_chunked);
   // And the results decrypt correctly.
-  const auto dec = chunked.PaillierDecrypt(ctx, sum_chunked).value();
-  expect_chunked();
-  for (size_t i = 0; i < ms.size(); ++i) {
-    ASSERT_EQ(dec[i], BigInt::Add(ms[i], ms[i]));
-  }
+  EXPECT_TRUE(ctx.DecryptBatch(cs_chunked).value() == ms);
 }
 
 TEST(GheStreams, OverlapBeatsSerialOnTransferBoundBatches) {
@@ -575,20 +418,6 @@ TEST(PipelinedModelTest, KernelBoundOpStaysSerialOnDevice) {
   EXPECT_FALSE(four.async);
   EXPECT_DOUBLE_EQ(four.makespan_seconds,
                    Staged(HeOp::kEncrypt, 2048, 1 << 10, 1).makespan_seconds);
-}
-
-TEST(GheKeyGen, LargerKeysChargeMoreSearchTime) {
-  SimClock c1, c2;
-  auto d1 =
-      std::make_shared<gpusim::Device>(gpusim::DeviceSpec::Rtx3090(), &c1);
-  auto d2 =
-      std::make_shared<gpusim::Device>(gpusim::DeviceSpec::Rtx3090(), &c2);
-  GheEngine e1(d1), e2(d2);
-  Rng r1(79), r2(79);
-  e1.PaillierKeyGen(128, r1).value();
-  e2.PaillierKeyGen(512, r2).value();
-  EXPECT_GT(c2.Elapsed(CostKind::kGpuKernel),
-            c1.Elapsed(CostKind::kGpuKernel));
 }
 
 }  // namespace

@@ -261,9 +261,6 @@ TEST(DeviceTest, MeanUtilizationAggregates) {
   dev.Launch(launch).value();
   dev.Launch(launch).value();
   EXPECT_GT(dev.stats().MeanSmUtilization(), 0.9);
-  dev.ResetStats();
-  EXPECT_EQ(dev.stats().kernels_launched, 0u);
-  EXPECT_DOUBLE_EQ(dev.stats().MeanSmUtilization(), 0.0);
 }
 
 TEST(DeviceTest, LaunchRejectsEmptyWork) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "src/core/he_service.h"
 #include "src/core/transport.h"
@@ -515,6 +516,31 @@ TEST(HeServiceTest, FailedRealOpIsNotCharged) {
   }
 }
 
+TEST(HeServiceTest, ScalarMulPricesTheDeclaredWidthNotTheScalars) {
+  // A price that read the scalars would leak them into the simulated clock:
+  // a few-bit scalar (1e-3 at 16 fractional bits) and a residue near n
+  // (-1e3) charge the same at the one declared width, on every engine.
+  for (const EngineKind engine :
+       {EngineKind::kFate, EngineKind::kHaflo, EngineKind::kFlBooster}) {
+    const auto he_seconds = [&](double weight) {
+      SimClock clock;
+      auto device = MakeDevice(&clock, TraitsFor(engine).branch_combining);
+      auto he = HeService::Create(SmallRealOptions(engine), &clock, device)
+                    .value();
+      const EncVec c = he->EncryptFixedPoint({0.5, -0.25, 1.0, 2.0}).value();
+      const EncVec p =
+          he->ScalarMulFixedPoint(c, std::vector<double>(4, weight)).value();
+      const double seconds = clock.HeSeconds();
+      const auto dec = he->DecryptFixedPoint(p).value();
+      EXPECT_NEAR(dec[3], 2.0 * weight, 1e-3) << EngineName(engine);
+      return seconds;
+    };
+    const double small = he_seconds(1e-3);
+    EXPECT_GT(small, 0.0) << EngineName(engine);
+    EXPECT_EQ(he_seconds(-1e3), small) << EngineName(engine);
+  }
+}
+
 TEST(HeServiceTest, CipherCompressionIsNoOpWithoutBc) {
   SimClock clock;
   auto device = MakeDevice(&clock);
@@ -601,8 +627,6 @@ TEST(HeServiceTest, OpCountsAndThroughputInputs) {
   EXPECT_EQ(he->op_counts().values_decrypted, 30u);
   EXPECT_EQ(he->op_counts().encrypts, enc.num_ciphertexts());
   EXPECT_GT(clock.HeSeconds(), 0.0);
-  he->ResetOpCounts();
-  EXPECT_EQ(he->op_counts().encrypts, 0u);
 }
 
 TEST(HeServiceTest, CreateValidation) {
@@ -639,23 +663,32 @@ TEST(HeServiceStreams, TraitsCarryStreamCounts) {
 }
 
 TEST(HeServiceStreams, OptionsOverrideEngineDefault) {
-  SimClock clock;
-  auto device = MakeDevice(&clock);
-  HeServiceOptions opts = SmallRealOptions(EngineKind::kFlBooster);
-  auto by_trait = HeService::Create(opts, &clock, device).value();
-  ASSERT_NE(by_trait->ghe_engine(), nullptr);
-  EXPECT_EQ(by_trait->ghe_engine()->config().streams, 4);
-
-  opts.gpu_streams = 1;
-  auto forced_serial = HeService::Create(opts, &clock, device).value();
-  ASSERT_NE(forced_serial->ghe_engine(), nullptr);
-  EXPECT_EQ(forced_serial->ghe_engine()->config().streams, 1);
-
-  // CPU engines have no GPU HE engine to configure.
-  auto cpu = HeService::Create(SmallRealOptions(EngineKind::kFate), &clock,
-                               MakeDevice(&clock))
-                 .value();
-  EXPECT_EQ(cpu->ghe_engine(), nullptr);
+  // A transfer-bound batch, a 1024-bit hom-add over 2^14 ciphertexts, runs
+  // as four kernels in one synchronized window under FLBooster's 4 streams
+  // and as one launch with gpu_streams = 1. A CPU engine never touches the
+  // device it gets.
+  using Launches = std::pair<uint64_t, uint64_t>;  // kernels, windows
+  const auto launches = [](EngineKind engine, int gpu_streams) {
+    SimClock clock;
+    auto device = MakeDevice(&clock);
+    HeServiceOptions opts;
+    opts.engine = engine;
+    opts.key_bits = 1024;
+    opts.modeled = true;
+    opts.use_bc = 0;
+    opts.gpu_streams = gpu_streams;
+    auto he = HeService::Create(opts, &clock, device).value();
+    const EncVec enc =
+        he->EncryptValues(std::vector<double>(1 << 14, 0.25)).value();
+    const gpusim::DeviceStats before = device->stats();
+    he->AddCipher(enc, enc).value();
+    const gpusim::DeviceStats after = device->stats();
+    return Launches{after.kernels_launched - before.kernels_launched,
+                    after.synchronizations - before.synchronizations};
+  };
+  EXPECT_EQ(launches(EngineKind::kFlBooster, 0), Launches(4, 1));
+  EXPECT_EQ(launches(EngineKind::kFlBooster, 1), Launches(1, 0));
+  EXPECT_EQ(launches(EngineKind::kFate, 0), Launches(0, 0));
 }
 
 TEST(HeServiceStreams, MultiStreamNeverChargesMoreAndStaysBitExact) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -15,7 +16,6 @@
 #include "src/core/platform.h"
 #include "src/crypto/paillier.h"
 #include "src/crypto/paillier_eval.h"
-#include "src/ghe/ghe_engine.h"
 #include "src/gpusim/device.h"
 
 namespace flb {
@@ -438,7 +438,6 @@ TEST_F(BatchInvarianceTest, EncryptAndDecryptBatchesValidateBeforeAnyWork) {
       Rng rng(31);
       auto cs = ctx.EncryptBatch(Messages(20), rng, &pool).value();
       cs.back() = Keys().pub.n_squared;
-      ctx.ResetOpCounts();
       const std::vector<uint64_t> before = WorkCounts(ctx);
       EXPECT_TRUE(ctx.EncryptBatch(ms, rng, &pool).status().IsOutOfRange())
           << threads << " threads";
@@ -591,16 +590,21 @@ TEST_F(BatchInvarianceTest, PackBatchLanesMatchDirectFormula) {
         ThreadPool pool(threads);
         for (const PaillierContext* c : {&ctx, &ctx_off}) {
           if (c == &ctx_off && (threads > 1 || groups < 17)) continue;
-          c->ResetOpCounts();
-          c->eval().n2_ctx().ResetCounters();
+          const auto work = [c] {
+            return std::vector<uint64_t>{c->eval().n2_ctx().mont_mul_count(),
+                                         c->op_counts().adds.load(),
+                                         c->op_counts().scalar_muls.load()};
+          };
+          std::vector<uint64_t> counts = work();
           const auto packed =
               c->PackBatch(cs, offset, kSlotBits, kSlots, &pool).value();
           EXPECT_EQ(packed, want) << count << " ciphertexts, " << threads
                                   << " threads, lanes "
                                   << c->eval().n2_ctx().lane_kernel_width();
-          const std::vector<uint64_t> counts = {
-              c->eval().n2_ctx().mont_mul_count(),
-              c->op_counts().adds.load(), c->op_counts().scalar_muls.load()};
+          const std::vector<uint64_t> after = work();
+          for (size_t i = 0; i < counts.size(); ++i) {
+            counts[i] = after[i] - counts[i];
+          }
           if (first_counts.empty()) first_counts = counts;
           EXPECT_EQ(counts, first_counts)
               << count << " ciphertexts, " << threads << " threads";
@@ -610,85 +614,37 @@ TEST_F(BatchInvarianceTest, PackBatchLanesMatchDirectFormula) {
   }
 }
 
-// ---- GheEngine: outputs, statuses, and simulated time -----------------------
-
-class GheInvarianceTest : public ::testing::Test {
- protected:
-  struct Run {
-    std::vector<BigInt> enc, sum, arith;
-    std::string sub_error;
-    double sim_seconds;
-  };
-
-  Run RunEngine(int threads) {
-    ThreadPool pool(threads);
-    SimClock clock;
-    auto device = std::make_shared<gpusim::Device>(
-        gpusim::DeviceSpec::Rtx3090(), &clock);
-    ghe::GheConfig cfg;
-    cfg.host_pool = &pool;
-    ghe::GheEngine engine(device, cfg);
-
-    Rng kr(11);
-    auto keys = PaillierKeyGen(256, kr).value();
-    auto ctx = PaillierContext::Create(keys).value();
-    std::vector<BigInt> ms, a, b;
-    for (uint64_t i = 0; i < 40; ++i) {
-      ms.push_back(BigInt(i * 7 + 2));
-      a.push_back(BigInt(i + 100));
-      b.push_back(BigInt(i));
-    }
-    Run r;
-    Rng er(17);
-    r.enc = engine.PaillierEncrypt(ctx, ms, er).value();
-    r.sum = engine.PaillierAdd(ctx, r.enc, r.enc).value();
-    r.arith = engine.Add(a, b).value();
-    // b[i] > a[i] for an early index: error text must be thread-invariant.
-    std::vector<BigInt> bad = a;
-    bad[3] = BigInt::Add(a[3], BigInt(1));
-    r.sub_error = engine.Sub(a, bad).status().ToString();
-    r.sim_seconds = clock.Now();
-    return r;
-  }
-};
-
-TEST_F(GheInvarianceTest, BatchOpsInvariantAcrossHostPools) {
-  const Run base = RunEngine(1);
-  EXPECT_GT(base.sim_seconds, 0.0);
-  EXPECT_FALSE(base.sub_error.empty());
-  for (int threads : {2, 8}) {
-    const Run r = RunEngine(threads);
-    EXPECT_EQ(r.enc, base.enc) << "threads=" << threads;
-    EXPECT_EQ(r.sum, base.sum) << "threads=" << threads;
-    EXPECT_EQ(r.arith, base.arith) << "threads=" << threads;
-    EXPECT_EQ(r.sub_error, base.sub_error) << "threads=" << threads;
-    // Host parallelism must not leak into the simulated timeline.
-    EXPECT_EQ(r.sim_seconds, base.sim_seconds) << "threads=" << threads;
-  }
-}
-
 // ---- HeService + Platform: end-to-end invariance ----------------------------
 
+// FATE runs real Paillier on the host; FLBooster runs it as the body of its
+// device launch. On both, ciphertexts, decrypted values, a failing op's
+// error, simulated seconds and op counts match at 1, 2 and 8 host threads.
 class ServiceInvarianceTest : public ::testing::Test {
  protected:
   struct Run {
     std::vector<BigInt> ciphertexts;
     std::vector<double> decrypted;
+    std::string error;
     double sim_seconds;
     uint64_t encrypts, values;
   };
 
-  Run RunService(int host_threads) {
+  Run RunService(core::EngineKind engine, int host_threads) {
     SimClock clock;
     core::HeServiceOptions opts;
-    opts.engine = core::EngineKind::kFate;  // CPU real path
+    opts.engine = engine;
     opts.key_bits = 256;
     opts.r_bits = 14;
     opts.participants = 4;
     opts.modeled = false;
     opts.frac_bits = 16;
     opts.host_threads = host_threads;
-    auto he = core::HeService::Create(opts, &clock, nullptr).value();
+    std::shared_ptr<gpusim::Device> device;
+    if (core::TraitsFor(engine).gpu_he) {
+      device = std::make_shared<gpusim::Device>(gpusim::DeviceSpec::Rtx3090(),
+                                                &clock);
+    }
+    auto he = core::HeService::Create(opts, &clock, device).value();
     EXPECT_EQ(he->host_pool().num_threads(), host_threads);
 
     std::vector<double> values;
@@ -698,24 +654,38 @@ class ServiceInvarianceTest : public ::testing::Test {
     Run r;
     r.ciphertexts = sum.data;
     r.decrypted = he->DecryptValues(sum).value();
+    // A ciphertext outside Z*_{n^2} fails the whole batch.
+    core::EncVec bad = sum;
+    bad.data.back() = BigInt::Mul(he->modulus(), he->modulus());
+    r.error = he->DecryptValues(bad).status().ToString();
     r.sim_seconds = clock.Now();
     r.encrypts = he->op_counts().encrypts;
     r.values = he->op_counts().values_encrypted;
     return r;
   }
+
+  void ExpectInvariant(core::EngineKind engine) {
+    const Run base = RunService(engine, 1);
+    EXPECT_GT(base.sim_seconds, 0.0);
+    EXPECT_NE(base.error.find("OutOfRange"), std::string::npos) << base.error;
+    for (int threads : {2, 8}) {
+      const Run r = RunService(engine, threads);
+      EXPECT_EQ(r.ciphertexts, base.ciphertexts) << "threads=" << threads;
+      EXPECT_EQ(r.decrypted, base.decrypted) << "threads=" << threads;
+      EXPECT_EQ(r.error, base.error) << "threads=" << threads;
+      EXPECT_EQ(r.sim_seconds, base.sim_seconds) << "threads=" << threads;
+      EXPECT_EQ(r.encrypts, base.encrypts) << "threads=" << threads;
+      EXPECT_EQ(r.values, base.values) << "threads=" << threads;
+    }
+  }
 };
 
 TEST_F(ServiceInvarianceTest, RealCpuPathInvariantAcrossHostThreads) {
-  const Run base = RunService(1);
-  EXPECT_GT(base.sim_seconds, 0.0);
-  for (int threads : {2, 8}) {
-    const Run r = RunService(threads);
-    EXPECT_EQ(r.ciphertexts, base.ciphertexts) << "threads=" << threads;
-    EXPECT_EQ(r.decrypted, base.decrypted) << "threads=" << threads;
-    EXPECT_EQ(r.sim_seconds, base.sim_seconds) << "threads=" << threads;
-    EXPECT_EQ(r.encrypts, base.encrypts) << "threads=" << threads;
-    EXPECT_EQ(r.values, base.values) << "threads=" << threads;
-  }
+  ExpectInvariant(core::EngineKind::kFate);
+}
+
+TEST_F(ServiceInvarianceTest, RealGpuPathInvariantAcrossHostThreads) {
+  ExpectInvariant(core::EngineKind::kFlBooster);
 }
 
 TEST(PlatformInvarianceTest, RealTrainingRunInvariantAcrossHostThreads) {

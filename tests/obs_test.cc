@@ -201,7 +201,6 @@ class ObsTest : public ::testing::Test {
     rec.Clear();
     rec.set_max_events(1000000);
     rec.set_enabled(previous_enabled_);
-    MetricsRegistry::Global().ResetAll();
   }
   bool previous_enabled_ = false;
 };
@@ -527,53 +526,35 @@ TEST_F(ObsTest, MetricsJsonParses) {
   EXPECT_DOUBLE_EQ(hist.At("count").number, 1.0);
 }
 
-TEST_F(ObsTest, ResetAllClearsOwnMetricsAndSources) {
-  auto& reg = MetricsRegistry::Global();
-  const size_t baseline_sources = reg.num_sources();
-
-  SimClock clock;
-  gpusim::Device device(gpusim::DeviceSpec::Rtx3090(), &clock);
-  net::Network network(net::LinkSpec::GigabitEthernet(), &clock);
-  EXPECT_EQ(reg.num_sources(), baseline_sources + 2);
-
-  device.CopyToDevice(1 << 16);
-  ASSERT_TRUE(network.Send("a", "b", "topic", std::vector<uint8_t>(100), 1)
-                  .ok());
-  reg.Count("flb.test.ad_hoc", 1);
-
-  // The snapshot sees both the ad-hoc counter and the sources' stats.
-  auto find = [](const std::vector<MetricValue>& ms, const std::string& name) {
-    double total = 0.0;
-    for (const auto& m : ms) {
-      if (m.name == name) total += m.value;
-    }
-    return total;
-  };
-  auto before = reg.Collect();
-  EXPECT_DOUBLE_EQ(find(before, "flb.test.ad_hoc"), 1.0);
-  EXPECT_DOUBLE_EQ(find(before, "flb.gpusim.h2d_copies"), 1.0);
-  EXPECT_DOUBLE_EQ(find(before, "flb.net.messages"), 1.0);
-
-  // ResetAll routes through Device::ResetStats / Network::ResetStats — the
-  // one reset path, fixing the old per-struct asymmetry.
-  reg.ResetAll();
-  EXPECT_EQ(device.stats().h2d_copies, 0u);
-  EXPECT_EQ(network.stats().messages, 0u);
-  auto after = reg.Collect();
-  EXPECT_DOUBLE_EQ(find(after, "flb.test.ad_hoc"), 0.0);
-  EXPECT_DOUBLE_EQ(find(after, "flb.gpusim.h2d_copies"), 0.0);
-  EXPECT_DOUBLE_EQ(find(after, "flb.net.messages"), 0.0);
-}
-
 TEST_F(ObsTest, SourcesUnregisterOnDestruction) {
   auto& reg = MetricsRegistry::Global();
   const size_t baseline = reg.num_sources();
+  // One metric summed over every live source; other sources may be live,
+  // so the checks read differences.
+  const auto total = [&reg](const std::string& name) {
+    double sum = 0.0;
+    for (const MetricValue& m : reg.Collect()) {
+      if (m.name == name) sum += m.value;
+    }
+    return sum;
+  };
+  const double copies = total("flb.gpusim.h2d_copies");
+  const double messages = total("flb.net.messages");
   {
-    gpusim::Device device(gpusim::DeviceSpec::Rtx3090(), nullptr);
-    net::Network network;
+    SimClock clock;
+    gpusim::Device device(gpusim::DeviceSpec::Rtx3090(), &clock);
+    net::Network network(net::LinkSpec::GigabitEthernet(), &clock);
     EXPECT_EQ(reg.num_sources(), baseline + 2);
+    // While registered, a source's stats are in every snapshot.
+    device.CopyToDevice(1 << 16);
+    ASSERT_TRUE(network.Send("a", "b", "topic", std::vector<uint8_t>(100), 1)
+                    .ok());
+    EXPECT_DOUBLE_EQ(total("flb.gpusim.h2d_copies"), copies + 1);
+    EXPECT_DOUBLE_EQ(total("flb.net.messages"), messages + 1);
   }
   EXPECT_EQ(reg.num_sources(), baseline);
+  EXPECT_DOUBLE_EQ(total("flb.gpusim.h2d_copies"), copies);
+  EXPECT_DOUBLE_EQ(total("flb.net.messages"), messages);
 }
 
 // ---------------------------------------------------------------------------

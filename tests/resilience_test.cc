@@ -350,6 +350,19 @@ std::map<std::string, double> ResilienceEvents(const std::string& trainer) {
   return events;
 }
 
+// The label sets of `after` whose count grew since `before`.
+std::map<std::string, double> NewEvents(
+    const std::map<std::string, double>& before,
+    const std::map<std::string, double>& after) {
+  std::map<std::string, double> grown;
+  for (const auto& [labels, count] : after) {
+    const auto it = before.find(labels);
+    const double delta = count - (it == before.end() ? 0.0 : it->second);
+    if (delta > 0.0) grown[labels] = delta;
+  }
+  return grown;
+}
+
 TEST(ResilienceEndToEndTest, PermanentCriticalCrashTerminatesTyped) {
   // The acceptance scenario: with a critical party dead from t=0 and a
   // run-wide deadline, every trainer must terminate with a typed error —
@@ -437,8 +450,10 @@ TEST(ResilienceEndToEndTest, CriticalCrashWindowResumesEveryTrainer) {
 TEST(ResilienceEndToEndTest, CoordinatorEventsNameTheCoordinator) {
   // Checkpoints, resumes and round-level events belong to the party that
   // coordinates the run: the guest of a hetero run, which has no server,
-  // and the server of a homo one.
-  obs::MetricsRegistry::Global().ResetAll();
+  // and the server of a homo one. The global registry keeps every earlier
+  // run's events, so only the ones these runs add count.
+  const auto hetero_before = ResilienceEvents("hetero_lr");
+  const auto homo_before = ResilienceEvents("homo_lr");
   for (const auto model :
        {core::FlModelKind::kHeteroLr, core::FlModelKind::kHomoLr}) {
     const auto clean = core::Platform::Run(SmallConfig(model));
@@ -449,13 +464,13 @@ TEST(ResilienceEndToEndTest, CoordinatorEventsNameTheCoordinator) {
                           << run.status().ToString();
     ASSERT_GE(run->robustness.resumes, 1u) << core::ModelName(model);
   }
-  const auto hetero = ResilienceEvents("hetero_lr");
+  const auto hetero = NewEvents(hetero_before, ResilienceEvents("hetero_lr"));
   EXPECT_EQ(hetero.count("kind=resume,party=guest,model=hetero_lr"), 1u);
   for (const auto& [labels, count] : hetero) {
     EXPECT_EQ(labels.find("party=server"), std::string::npos) << labels;
   }
-  EXPECT_EQ(ResilienceEvents("homo_lr").count(
-                "kind=resume,party=server,model=homo_lr"),
+  EXPECT_EQ(NewEvents(homo_before, ResilienceEvents("homo_lr"))
+                .count("kind=resume,party=server,model=homo_lr"),
             1u);
 }
 
