@@ -1,4 +1,4 @@
-#include "src/codec/batchcrypt_codec.h"
+#include "bench/batchcrypt_codec.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,5 +1,6 @@
 // BatchCrypt-style batch encoding (Zhang et al., ATC'20 — the paper's
-// [70], discussed in §II).
+// [70], discussed in §II). It lives beside bench_paper, whose §II section
+// and `sec2.overflow` claim are its one use.
 //
 // BatchCrypt also packs quantized gradients into one plaintext, but
 // reserves a small FIXED headroom (two bits' worth of same-sign
@@ -12,13 +13,14 @@
 //
 // FLBooster's Quantizer instead reserves b = ceil(log2 p) bits for p
 // participants (Eq. 8), making same-sign accumulation overflow-free by
-// construction. This codec exists to reproduce that §II claim
-// experimentally (see codec tests and bench_paper's §II section):
-// identical offset-binary slot encoding, the only difference being the
-// headroom policy.
+// construction. The slot encodings differ too: the Quantizer's slots are
+// offset-binary (Eq. 6-7), while this codec writes signed two's-complement
+// digits that borrow across slots. A zero-centered aggregate therefore
+// stays small here at any p; an offset-binary slot gains p*alpha per
+// aggregate and would overflow a 2-bit headroom on benign data too.
 
-#ifndef FLB_CODEC_BATCHCRYPT_CODEC_H_
-#define FLB_CODEC_BATCHCRYPT_CODEC_H_
+#ifndef FLB_BENCH_BATCHCRYPT_CODEC_H_
+#define FLB_BENCH_BATCHCRYPT_CODEC_H_
 
 #include <cstdint>
 #include <vector>
@@ -43,7 +45,10 @@ class BatchCryptCodec {
   int slots_per_plaintext() const { return slots_; }
   const BatchCryptConfig& config() const { return config_; }
 
-  // Quantizes (offset-binary, like Eq. 6-7) and packs values.
+  // Quantizes each value to a signed digit in [-q_max, q_max] and packs
+  // the digits in two's complement over the slots' full width: a negative
+  // digit borrows from the slot above, so integer addition of packed words
+  // adds the signed values.
   Result<std::vector<mpint::BigInt>> Pack(
       const std::vector<double>& values) const;
   // Unpacks an aggregate of `contributors` packed plaintexts added
@@ -65,9 +70,9 @@ class BatchCryptCodec {
 
   BatchCryptConfig config_;
   int slots_;
-  uint64_t q_max_;  // 2^value_bits - 1
+  uint64_t q_max_;  // 2^(value_bits - 1) - 1, the largest digit magnitude
 };
 
 }  // namespace flb::codec
 
-#endif  // FLB_CODEC_BATCHCRYPT_CODEC_H_
+#endif  // FLB_BENCH_BATCHCRYPT_CODEC_H_

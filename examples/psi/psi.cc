@@ -1,11 +1,10 @@
-#include "src/fl/psi.h"
+#include "examples/psi/psi.h"
 
 #include <algorithm>
 #include <map>
 
-#include "src/common/check.h"
+#include "examples/psi/rsa.h"
 #include "src/core/cost_model.h"
-#include "src/crypto/rsa.h"
 #include "src/ghe/he_cost.h"
 #include "src/net/serializer.h"
 

@@ -1,6 +1,7 @@
 // Private set intersection by RSA blind signatures — FATE's sample
 // alignment step for heterogeneous FL, run on crypto::RsaContext's key
-// generation and CRT signing.
+// generation and CRT signing. No paper table measures it, so it lives
+// beside its one user, examples/psi_alignment.cpp, not in the flb library.
 //
 // Before vertical training, guest and host must find the sample IDs they
 // share without revealing the rest. The classic blind-RSA protocol:
@@ -17,8 +18,8 @@
 // random-looking tags. H is a full-domain hash into Z_n built from
 // splitmix64 expansion; H2 truncates a second expansion to 64 bits.
 
-#ifndef FLB_FL_PSI_H_
-#define FLB_FL_PSI_H_
+#ifndef FLB_EXAMPLES_PSI_PSI_H_
+#define FLB_EXAMPLES_PSI_PSI_H_
 
 #include <cstdint>
 #include <vector>
@@ -54,4 +55,4 @@ Result<std::vector<uint64_t>> RsaPsiIntersect(
 
 }  // namespace flb::fl
 
-#endif  // FLB_FL_PSI_H_
+#endif  // FLB_EXAMPLES_PSI_PSI_H_

@@ -1,8 +1,7 @@
-#include "src/crypto/rsa.h"
+#include "examples/psi/rsa.h"
 
 #include <utility>
 
-#include "src/common/check.h"
 #include "src/crypto/prime.h"
 
 namespace flb::crypto {
@@ -40,61 +39,37 @@ Result<RsaKeyPair> RsaKeyGen(int key_bits, Rng& rng) {
   return Status::Internal("RsaKeyGen: exceeded attempt budget");
 }
 
-Result<RsaContext> RsaContext::CreatePublic(RsaPublicKey pub) {
-  if (pub.n.IsZero() || pub.e.IsZero()) {
+Result<RsaContext> RsaContext::Create(RsaKeyPair keys) {
+  if (keys.pub.n.IsZero() || keys.pub.e.IsZero()) {
     return Status::InvalidArgument("incomplete RSA public key");
   }
   RsaContext ctx;
-  FLB_ASSIGN_OR_RETURN(auto n_ctx, MontgomeryContext::Create(pub.n));
-  ctx.n_ctx_ = std::make_shared<MontgomeryContext>(std::move(n_ctx));
-  ctx.pub_ = std::move(pub);
-  return ctx;
-}
-
-Result<RsaContext> RsaContext::Create(RsaKeyPair keys) {
-  FLB_ASSIGN_OR_RETURN(RsaContext ctx, CreatePublic(keys.pub));
   FLB_ASSIGN_OR_RETURN(auto p_ctx, MontgomeryContext::Create(keys.priv.p));
   FLB_ASSIGN_OR_RETURN(auto q_ctx, MontgomeryContext::Create(keys.priv.q));
   ctx.p_ctx_ = std::make_shared<MontgomeryContext>(std::move(p_ctx));
   ctx.q_ctx_ = std::make_shared<MontgomeryContext>(std::move(q_ctx));
+  ctx.pub_ = std::move(keys.pub);
   ctx.priv_ = std::move(keys.priv);
   return ctx;
 }
 
-Result<BigInt> RsaContext::Encrypt(const BigInt& m) const {
-  if (m >= pub_.n) {
-    return Status::OutOfRange("RSA plaintext must be < n");
-  }
-  return n_ctx_->ModPow(m, pub_.e);
-}
-
 Result<BigInt> RsaContext::Decrypt(const BigInt& c) const {
-  if (!priv_.has_value()) {
-    return Status::FailedPrecondition("RSA context has no private key");
-  }
   if (c >= pub_.n) {
     return Status::OutOfRange("RSA ciphertext must be < n");
   }
   // Garner's CRT recombination: m = mq + q * ((mp - mq) * q^{-1} mod p).
-  const BigInt& p = priv_->p;
-  const BigInt& q = priv_->q;
-  const BigInt mp = p_ctx_->ModPow(c % p, priv_->dp);
-  const BigInt mq = q_ctx_->ModPow(c % q, priv_->dq);
+  const BigInt& p = priv_.p;
+  const BigInt& q = priv_.q;
+  const BigInt mp = p_ctx_->ModPow(c % p, priv_.dp);
+  const BigInt mq = q_ctx_->ModPow(c % q, priv_.dq);
   BigInt diff;
   if (mp >= mq) {
     diff = BigInt::Sub(mp, mq);
   } else {
     diff = BigInt::Sub(BigInt::Add(mp, p), mq);
   }
-  const BigInt h = BigInt::Mul(diff, priv_->q_inv) % p;
+  const BigInt h = BigInt::Mul(diff, priv_.q_inv) % p;
   return BigInt::Add(mq, BigInt::Mul(q, h));
-}
-
-Result<BigInt> RsaContext::Mul(const BigInt& c1, const BigInt& c2) const {
-  if (c1 >= pub_.n || c2 >= pub_.n) {
-    return Status::OutOfRange("RSA ciphertext must be < n");
-  }
-  return n_ctx_->ModMul(c1, c2);
 }
 
 }  // namespace flb::crypto

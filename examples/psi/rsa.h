@@ -1,16 +1,16 @@
-// Textbook RSA with multiplicative homomorphism: the key pair and CRT
-// signing that RSA-blind PSI (src/fl/psi) runs on.
+// Textbook RSA key generation and CRT signing: what RSA-blind PSI
+// (examples/psi/psi.h) runs on.
 //
-// Note: unpadded RSA is used here deliberately — the homomorphic property
-// E(m1)*E(m2) = E(m1*m2 mod n) only holds without padding, which is what
+// Note: unpadded RSA is used here deliberately — the blinding identity
+// (H * r^e)^d = H^d * r mod n only holds without padding, which is what
 // federated protocols that use RSA blinding (e.g. RSA-PSI intersection in
-// FATE) rely on. Decryption uses the CRT (q^{-1} mod p combine).
+// FATE) rely on. The public side, m^e mod n, is a plain
+// MontgomeryContext::ModPow. Signing uses the CRT (q^{-1} mod p combine).
 
-#ifndef FLB_CRYPTO_RSA_H_
-#define FLB_CRYPTO_RSA_H_
+#ifndef FLB_EXAMPLES_PSI_RSA_H_
+#define FLB_EXAMPLES_PSI_RSA_H_
 
 #include <memory>
-#include <optional>
 
 #include "src/common/result.h"
 #include "src/common/rng.h"
@@ -49,29 +49,21 @@ Result<RsaKeyPair> RsaKeyGen(int key_bits, Rng& rng);
 
 class RsaContext {
  public:
-  static Result<RsaContext> CreatePublic(RsaPublicKey pub);
   static Result<RsaContext> Create(RsaKeyPair keys);
 
-  const RsaPublicKey& pub() const { return pub_; }
-  bool can_decrypt() const { return priv_.has_value(); }
-
-  // c = m^e mod n, m in [0, n).
-  Result<BigInt> Encrypt(const BigInt& m) const;
-  // m = c^d mod n via CRT.
+  // c^d mod n via CRT, c in [0, n): a decryption, or the blind signature
+  // PSI's host computes.
   Result<BigInt> Decrypt(const BigInt& c) const;
-  // E(m1) * E(m2) = E(m1 * m2 mod n) — RSA's multiplicative homomorphism.
-  Result<BigInt> Mul(const BigInt& c1, const BigInt& c2) const;
 
  private:
   RsaContext() = default;
 
   RsaPublicKey pub_;
-  std::optional<RsaPrivateKey> priv_;
-  std::shared_ptr<const MontgomeryContext> n_ctx_;
+  RsaPrivateKey priv_;
   std::shared_ptr<const MontgomeryContext> p_ctx_;
   std::shared_ptr<const MontgomeryContext> q_ctx_;
 };
 
 }  // namespace flb::crypto
 
-#endif  // FLB_CRYPTO_RSA_H_
+#endif  // FLB_EXAMPLES_PSI_RSA_H_

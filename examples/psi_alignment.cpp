@@ -9,10 +9,10 @@
 #include <cstdio>
 #include <memory>
 
+#include "examples/psi/psi.h"
 #include "src/core/he_service.h"
 #include "src/fl/hetero_lr.h"
 #include "src/fl/partition.h"
-#include "src/fl/psi.h"
 
 int main() {
   using namespace flb;

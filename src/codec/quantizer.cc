@@ -66,12 +66,6 @@ Result<uint64_t> Quantizer::Encode(double m) const {
   return q;
 }
 
-double Quantizer::Decode(uint64_t q) const {
-  return static_cast<double>(q) / static_cast<double>(q_max_) * 2.0 *
-             config_.alpha -
-         config_.alpha;
-}
-
 Result<double> Quantizer::DecodeAggregate(uint64_t slot,
                                           int num_contributors) const {
   if (num_contributors < 1 || num_contributors > config_.participants) {

@@ -63,11 +63,10 @@ class Quantizer {
 
   // m in [-alpha, alpha] -> q in [0, 2^r - 1].
   Result<uint64_t> Encode(double m) const;
-  // Inverse of Encode for a single (non-aggregated) value.
-  double Decode(uint64_t q) const;
   // Decodes a slot that accumulated `num_contributors` encoded values,
-  // returning their plaintext sum. num_contributors must be in
-  // [1, participants] — beyond that the slot may have overflowed.
+  // returning their plaintext sum (with 1, the inverse of Encode).
+  // num_contributors must be in [1, participants] — beyond that the slot
+  // may have overflowed.
   Result<double> DecodeAggregate(uint64_t slot, int num_contributors) const;
 
   // Batched forms.

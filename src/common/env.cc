@@ -1,6 +1,5 @@
 #include "src/common/env.h"
 
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -20,7 +19,6 @@ namespace {
 struct WarnState {
   Mutex mu;
   std::set<std::string> seen FLB_GUARDED_BY(mu);
-  std::atomic<uint64_t> count{0};
 };
 
 WarnState& warn_state() {
@@ -68,16 +66,6 @@ bool Env::ParseInt(const std::string& value, int* out) {
   return true;
 }
 
-bool Env::ParseDouble(const std::string& value, double* out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || errno == ERANGE) return false;
-  *out = parsed;
-  return true;
-}
-
 int Env::Int(const char* name, int fallback, int min, int max) {
   const char* v = Raw(name);
   if (v == nullptr) return fallback;
@@ -97,29 +85,6 @@ int Env::Int(const char* name, int fallback, int min, int max) {
   return parsed;
 }
 
-double Env::Double(const char* name, double fallback, double min, double max) {
-  const char* v = Raw(name);
-  if (v == nullptr) return fallback;
-  double parsed = 0;
-  if (!ParseDouble(v, &parsed)) {
-    WarnOnce(name, v, "is not a number; using fallback");
-    return fallback;
-  }
-  if (parsed < min) {
-    WarnOnce(name, v, "is below the valid range; clamping");
-    return min;
-  }
-  if (parsed > max) {
-    WarnOnce(name, v, "is above the valid range; clamping");
-    return max;
-  }
-  return parsed;
-}
-
-uint64_t Env::warnings() {
-  return warn_state().count.load(std::memory_order_relaxed);
-}
-
 void Env::WarnOnce(const char* name, const std::string& value,
                    const std::string& what) {
   WarnState& state = warn_state();
@@ -128,7 +93,6 @@ void Env::WarnOnce(const char* name, const std::string& value,
     MutexLock lock(state.mu);
     if (!state.seen.insert(key).second) return;
   }
-  state.count.fetch_add(1, std::memory_order_relaxed);
   std::fprintf(stderr, "[env] WARN: %s='%s' %s\n", name, value.c_str(),
                what.c_str());
 }

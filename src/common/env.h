@@ -4,7 +4,7 @@
 // FLB_HOST_THREADS=abc silently fell back (or worse, became 0) with no
 // trace of the typo. Env centralizes the parsing discipline:
 //
-//  * Typed getters with a fallback: Str / Flag / Int / Double.
+//  * Typed getters with a fallback: Str / Flag / Int.
 //  * Range validation: out-of-range numerics are clamped into [min, max].
 //  * One warning line to stderr per (variable, value) for malformed or
 //    out-of-range input, so a typo'd knob is visible instead of silent.
@@ -16,7 +16,6 @@
 #ifndef FLB_COMMON_ENV_H_
 #define FLB_COMMON_ENV_H_
 
-#include <cstdint>
 #include <limits>
 #include <string>
 
@@ -44,19 +43,9 @@ class Env {
                  int min = std::numeric_limits<int>::min(),
                  int max = std::numeric_limits<int>::max());
 
-  // Double with range validation; same rules as Int.
-  static double Double(const char* name, double fallback,
-                       double min = -std::numeric_limits<double>::infinity(),
-                       double max = std::numeric_limits<double>::infinity());
-
-  // Test hooks: parse a value the way Int/Double would, without touching
-  // the environment. Returns false on malformed input.
+  // Parses a value the way Int would, without touching the environment.
+  // Returns false on malformed input.
   static bool ParseInt(const std::string& value, int* out);
-  static bool ParseDouble(const std::string& value, double* out);
-
-  // Number of warnings emitted so far (tests assert malformed values are
-  // reported exactly once).
-  static uint64_t warnings();
 
  private:
   static void WarnOnce(const char* name, const std::string& value,

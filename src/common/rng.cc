@@ -77,8 +77,6 @@ std::vector<uint32_t> Rng::NextWords(size_t n) {
   return out;
 }
 
-Rng Rng::Fork() { return Rng(NextU64()); }
-
 Rng Rng::ForStream(uint64_t seed, uint64_t stream) {
   // Mix the pair through one splitmix step so that nearby stream indices
   // land far apart in seed space; the Rng constructor splitmixes again to

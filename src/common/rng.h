@@ -36,10 +36,6 @@ class Rng {
   // `n` uniform 32-bit words (used for multi-precision random integers).
   std::vector<uint32_t> NextWords(size_t n);
 
-  // Derives an independent child generator (e.g. one per simulated GPU
-  // thread, as the paper assigns one generator per thread in a warp).
-  Rng Fork();
-
   // Independent generator for stream `stream` of a seed, stateless in the
   // parent: ForStream(seed, i) depends only on (seed, i). Parallel batch
   // bodies draw one seed from the caller's Rng and give element i the

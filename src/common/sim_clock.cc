@@ -44,9 +44,4 @@ double SimClock::OtherSeconds() const {
   return total_ - HeSeconds() - CommSeconds();
 }
 
-void SimClock::Reset() {
-  total_ = 0.0;
-  by_kind_.clear();
-}
-
 }  // namespace flb

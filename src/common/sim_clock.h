@@ -40,7 +40,7 @@ class SimClock {
   // are a programming error.
   void Charge(CostKind kind, double seconds);
 
-  // Total simulated seconds since construction / last Reset.
+  // Total simulated seconds since construction.
   double Now() const { return total_; }
   // Simulated seconds attributed to one category.
   double Elapsed(CostKind kind) const;
@@ -50,8 +50,6 @@ class SimClock {
   double CommSeconds() const { return Elapsed(CostKind::kNetwork); }
   // Everything that is neither HE nor communication.
   double OtherSeconds() const;
-
-  void Reset();
 
   // Per-category map (for reports).
   const std::map<CostKind, double>& breakdown() const { return by_kind_; }

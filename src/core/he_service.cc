@@ -527,22 +527,6 @@ Result<EncVec> HeService::EncryptFixedPoint(const std::vector<double>& values) {
   return out;
 }
 
-Result<EncVec> HeService::AddFixedPoint(const EncVec& a, const EncVec& b) {
-  FLB_RETURN_IF_ERROR(CheckLayout(a, EncLayout::kFixedPoint, "AddFixedPoint"));
-  FLB_RETURN_IF_ERROR(CheckLayout(b, EncLayout::kFixedPoint, "AddFixedPoint"));
-  if (a.count != b.count || a.scale_muls != b.scale_muls ||
-      a.slots_per_cipher != 1 || b.slots_per_cipher != 1) {
-    return Status::InvalidArgument(
-        "AddFixedPoint: operands must be unpacked with matching scales");
-  }
-  EncVec out = HeaderOf(a);
-  FLB_ASSIGN_OR_RETURN(
-      out.data, ChargeBatch("he.fp_add", HeOp::kAdd, a.data.size(),
-                            [&] { return AddBatch(a.data, b.data); }));
-  op_cells_.hom_adds.fetch_add(a.data.size(), std::memory_order_relaxed);
-  return out;
-}
-
 Result<EncVec> HeService::ScalarMulFixedPoint(
     const EncVec& c, const std::vector<double>& weights) {
   FLB_RETURN_IF_ERROR(

@@ -171,7 +171,6 @@ class HeService : public obs::MetricsSource {
 
   // ---- Fixed-point path ------------------------------------------------------
   Result<EncVec> EncryptFixedPoint(const std::vector<double>& values);
-  Result<EncVec> AddFixedPoint(const EncVec& a, const EncVec& b);
   // Elementwise E(v_i) * w_i for signed double weights.
   Result<EncVec> ScalarMulFixedPoint(const EncVec& c,
                                      const std::vector<double>& weights);

@@ -17,9 +17,8 @@ uint32_t NegInverseMod2p32(uint32_t n0) {
   return static_cast<uint32_t>(0u - x);
 }
 
-// Largest width the flat-scratch fast paths keep on the stack; contexts
-// wider than this (e.g. high-degree Damgard–Jurik moduli) fall back to one
-// heap scratch per call.
+// Largest width the flat-scratch fast paths keep on the stack (a 4096-bit
+// key's n^2); wider contexts fall back to one heap scratch per call.
 constexpr size_t kMaxStackLimbs = 256;
 
 // Slots of the sliding-window schedule: the accumulator, then the odd

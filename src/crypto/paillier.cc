@@ -237,18 +237,6 @@ Result<BigInt> PaillierContext::Add(const BigInt& c1, const BigInt& c2) const {
   return eval_->n2_ctx().ModMul(c1, c2);
 }
 
-Result<BigInt> PaillierContext::AddPlain(const BigInt& c,
-                                         const BigInt& k) const {
-  if (c >= pub_.n_squared) {
-    return Status::OutOfRange("Paillier ciphertext must be < n^2");
-  }
-  if (k >= pub_.n) {
-    return Status::OutOfRange("Paillier plaintext must be < n");
-  }
-  op_counts_.adds.fetch_add(1, std::memory_order_relaxed);
-  return eval_->n2_ctx().ModMul(c, GPowM(k));
-}
-
 Result<BigInt> PaillierContext::ScalarMul(const BigInt& c,
                                           const BigInt& k) const {
   if (c >= pub_.n_squared) {

@@ -110,7 +110,6 @@ class PaillierContext {
                                         const PaillierOptions& options = {});
 
   const PaillierPublicKey& pub() const { return pub_; }
-  bool can_decrypt() const { return priv_.has_value(); }
 
   // Encrypts m in [0, n). With secure_obfuscation, r is drawn from rng;
   // otherwise the obfuscator comes from the pool and rng is untouched.
@@ -119,9 +118,6 @@ class PaillierContext {
   Result<BigInt> Decrypt(const BigInt& c) const;
   // E(m1) (*) E(m2) = E(m1 + m2 mod n).
   Result<BigInt> Add(const BigInt& c1, const BigInt& c2) const;
-  // E(m) (*) g^k = E(m + k mod n) without encrypting k's randomness — used
-  // by servers that add public constants.
-  Result<BigInt> AddPlain(const BigInt& c, const BigInt& k) const;
   // E(m)^k = E(k*m mod n).
   Result<BigInt> ScalarMul(const BigInt& c, const BigInt& k) const;
 
@@ -148,6 +144,8 @@ class PaillierContext {
   Result<std::vector<BigInt>> AddBatch(const std::vector<BigInt>& c1,
                                        const std::vector<BigInt>& c2,
                                        common::ThreadPool* pool = nullptr) const;
+  // E(m) (*) g^k = E(m + k mod n) per element, without encrypting k's
+  // randomness — used by servers that add public constants.
   Result<std::vector<BigInt>> AddPlainBatch(
       const std::vector<BigInt>& cs, const std::vector<BigInt>& ks,
       common::ThreadPool* pool = nullptr) const;
@@ -190,7 +188,7 @@ class PaillierContext {
   // `pool` or one group per task. A layout with slots * slot_bits >=
   // key_bits would wrap mod n and is rejected with InvalidArgument before
   // any work. Counts the single ops it stands for: per ciphertext one
-  // AddPlain and one ScalarMul, plus one Add beyond each group's first.
+  // plaintext add and one ScalarMul, plus one Add beyond each group's first.
   Result<std::vector<BigInt>> PackBatch(
       const std::vector<BigInt>& cs, const BigInt& offset, int slot_bits,
       size_t slots, common::ThreadPool* pool = nullptr) const;

@@ -53,7 +53,6 @@ Result<std::shared_ptr<const PaillierEval>> PaillierEval::Create(
 
   if (priv != nullptr) {
     eval->mu_mont_ = eval->n_ctx_->ToMont(priv->mu % pub.n);
-    eval->has_mu_ = true;
     if (crt) {
       const BigInt p2 = BigInt::Mul(priv->p, priv->p);
       const BigInt q2 = BigInt::Mul(priv->q, priv->q);

@@ -65,18 +65,10 @@ class PaillierEval {
   const BigInt& p_inv_mod_q() const { return p_inv_mod_q_; }
   // mu in the n-context Montgomery domain (valid iff created with a priv).
   const BigInt& mu_mont() const { return mu_mont_; }
-  bool has_mu() const { return has_mu_; }
 
   // g^m mod n^2 via the fixed-base table (random-g keys only; the g = n+1
   // fast path never calls this). Thread-safe, ~|m| MontMuls.
   BigInt FixedBaseGPow(const BigInt& m) const;
-  bool has_fixed_base() const { return !g_pow2_mont_.empty(); }
-
-  // True when the n^2 context dispatched to a fixed-width kernel (the hot
-  // path for every homomorphic op). Exposed for metrics and tests.
-  bool uses_fixed_width_kernels() const {
-    return n2_ctx_->fixed_kernel_width() != 0;
-  }
 
  private:
   PaillierEval() = default;
@@ -89,7 +81,6 @@ class PaillierEval {
   BigInt p_minus_1_, q_minus_1_;
   BigInt hp_, hq_, p_inv_mod_q_;
   BigInt mu_mont_;
-  bool has_mu_ = false;
   // g^(2^i) mod n^2 in Montgomery form, i in [0, key_bits).
   std::vector<BigInt> g_pow2_mont_;
 };

@@ -3,36 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <tuple>
 
 #include "src/common/check.h"
 
 namespace flb::fl {
-
-DataMatrix DataMatrix::FromTriplets(
-    size_t rows, size_t cols,
-    const std::vector<std::tuple<uint32_t, uint32_t, float>>& triplets) {
-  std::vector<std::tuple<uint32_t, uint32_t, float>> sorted = triplets;
-  std::sort(sorted.begin(), sorted.end());
-  DataMatrixBuilder builder(cols);
-  std::vector<std::pair<uint32_t, float>> row_entries;
-  size_t next_row = 0;
-  for (const auto& [r, c, v] : sorted) {
-    FLB_CHECK(r < rows && c < cols, "triplet out of range");
-    while (next_row < r) {
-      builder.AddRow(row_entries);
-      row_entries.clear();
-      ++next_row;
-    }
-    row_entries.emplace_back(c, v);
-  }
-  while (next_row < rows) {
-    builder.AddRow(row_entries);
-    row_entries.clear();
-    ++next_row;
-  }
-  return builder.Build();
-}
 
 double DataMatrix::Dot(size_t row, const std::vector<double>& w) const {
   FLB_DCHECK(row < rows_);
@@ -113,29 +87,6 @@ std::string DatasetName(DatasetKind kind) {
       return "Synthetic";
   }
   return "unknown";
-}
-
-DatasetSpec PaperScaleSpec(DatasetKind kind) {
-  DatasetSpec spec;
-  spec.kind = kind;
-  switch (kind) {
-    case DatasetKind::kRcv1:  // Table II
-      spec.rows = 677399;
-      spec.cols = 47236;
-      spec.nnz_per_row = 74;  // RCV1's documented mean document length
-      break;
-    case DatasetKind::kAvazu:
-      spec.rows = 1719304;
-      spec.cols = 1000000;
-      spec.nnz_per_row = 15;  // one-hot per categorical field
-      break;
-    case DatasetKind::kSynthetic:
-      spec.rows = 100000;
-      spec.cols = 10000;
-      spec.nnz_per_row = 10000;  // dense
-      break;
-  }
-  return spec;
 }
 
 DatasetSpec DefaultScaleSpec(DatasetKind kind) {

@@ -6,8 +6,7 @@
 // with the same *character* stand in (DESIGN.md §1): sparsity pattern,
 // feature scale, label mechanism and class balance are modeled after each
 // source; instance/feature counts are configurable and default to
-// container-friendly sizes. PaperScaleSpec() returns the full-size shapes
-// for op-count extrapolation in the epoch benches.
+// container-friendly sizes.
 
 #ifndef FLB_FL_DATASET_H_
 #define FLB_FL_DATASET_H_
@@ -25,10 +24,6 @@ namespace flb::fl {
 class DataMatrix {
  public:
   DataMatrix() = default;
-
-  static DataMatrix FromTriplets(
-      size_t rows, size_t cols,
-      const std::vector<std::tuple<uint32_t, uint32_t, float>>& triplets);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -103,9 +98,6 @@ struct DatasetSpec {
   uint64_t seed = 7;
 };
 
-// The shapes of the paper's actual corpora (Table II), used to extrapolate
-// per-epoch op counts in the epoch benches.
-DatasetSpec PaperScaleSpec(DatasetKind kind);
 // Container-friendly default shapes preserving each corpus's character.
 DatasetSpec DefaultScaleSpec(DatasetKind kind);
 

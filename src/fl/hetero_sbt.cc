@@ -134,7 +134,7 @@ Result<SbtTree> HeteroSbtTrainer::BuildTree(const std::vector<double>& g,
       return status;
     }
     if (robust->CriticalDown()) return status;
-    robust->RecordPartyOutcome(HostName(host), false, 0.0);
+    robust->RecordPartyOutcome(HostName(host), false);
     robust->CountTransportDropout(HostName(host), status);
     live[host] = false;
     partial = true;
@@ -190,7 +190,7 @@ Result<SbtTree> HeteroSbtTrainer::BuildTree(const std::vector<double>& g,
       }
     }
     if (live[host] && sent_g[host] && sent_h[host]) {
-      robust->RecordPartyOutcome(HostName(host), true, 0.0);
+      robust->RecordPartyOutcome(HostName(host), true);
     }
   }
 

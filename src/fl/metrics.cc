@@ -1,7 +1,5 @@
 #include "src/fl/metrics.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 
 namespace flb::fl {
@@ -24,37 +22,6 @@ double Accuracy(const std::vector<double>& probs,
     if ((probs[i] >= 0.5) == (labels[i] >= 0.5f)) ++correct;
   }
   return static_cast<double>(correct) / probs.size();
-}
-
-double Auc(const std::vector<double>& probs,
-           const std::vector<float>& labels) {
-  FLB_CHECK(probs.size() == labels.size() && !probs.empty());
-  // Mann–Whitney U via rank sums; ties receive the average rank.
-  std::vector<size_t> order(probs.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return probs[a] < probs[b]; });
-  size_t positives = 0, negatives = 0;
-  double positive_rank_sum = 0.0;
-  size_t i = 0;
-  while (i < order.size()) {
-    size_t j = i;
-    while (j < order.size() && probs[order[j]] == probs[order[i]]) ++j;
-    const double mean_rank = (static_cast<double>(i) + j + 1) / 2.0;  // 1-based
-    for (size_t k = i; k < j; ++k) {
-      if (labels[order[k]] >= 0.5f) {
-        positive_rank_sum += mean_rank;
-        ++positives;
-      } else {
-        ++negatives;
-      }
-    }
-    i = j;
-  }
-  if (positives == 0 || negatives == 0) return 0.5;
-  const double u = positive_rank_sum -
-                   static_cast<double>(positives) * (positives + 1) / 2.0;
-  return u / (static_cast<double>(positives) * negatives);
 }
 
 void ChargeModelCompute(SimClock* clock, double flops) {

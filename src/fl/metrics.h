@@ -29,9 +29,6 @@ double MeanLogLoss(const std::vector<double>& probs,
                    const std::vector<float>& labels);
 double Accuracy(const std::vector<double>& probs,
                 const std::vector<float>& labels);
-// Area under the ROC curve (rank statistic; ties share credit). Returns
-// 0.5 when only one class is present.
-double Auc(const std::vector<double>& probs, const std::vector<float>& labels);
 
 // Charges plain model math (gradients, tree building, dense layers) to the
 // clock: `flops` floating-point operations at a scalar-CPU rate. This is the

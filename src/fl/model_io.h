@@ -1,36 +1,18 @@
-// Trained-model persistence: serialize LR weight vectors and SecureBoost
-// forests so each party can store and later deploy its share of a trained
-// federation (FATE's model export step).
+// Epoch-boundary training checkpoints: what RobustCoordinator keeps in
+// memory to resume a run after a critical party crashes.
 
 #ifndef FLB_FL_MODEL_IO_H_
 #define FLB_FL_MODEL_IO_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/fl/hetero_sbt.h"
 
 namespace flb::fl {
 
-// Logistic-regression weights (with metadata header + integrity check).
-std::vector<uint8_t> SerializeLrModel(const std::vector<double>& weights);
-Result<std::vector<double>> DeserializeLrModel(
-    const std::vector<uint8_t>& bytes);
-
-// A SecureBoost forest plus the learning rate its leaf weights assume.
-std::vector<uint8_t> SerializeSbtModel(const std::vector<SbtTree>& trees,
-                                       double learning_rate);
-struct SbtModel {
-  std::vector<SbtTree> trees;
-  double learning_rate = 0.0;
-};
-Result<SbtModel> DeserializeSbtModel(const std::vector<uint8_t>& bytes);
-
-// Epoch-boundary training checkpoint (crash-resume for the homo trainers):
-// the epoch just completed plus the model weights at its end. Same
-// magic + version + FNV-1a checksum envelope as the model formats.
+// The epoch just completed plus the model weights at its end, sealed in a
+// magic + version + FNV-1a checksum envelope.
 struct TrainCheckpoint {
   int epoch = -1;  // -1 = initial weights, before any epoch completed
   std::vector<double> weights;
@@ -39,11 +21,6 @@ std::vector<uint8_t> SerializeCheckpoint(int epoch,
                                          const std::vector<double>& weights);
 Result<TrainCheckpoint> DeserializeCheckpoint(
     const std::vector<uint8_t>& bytes);
-
-// Whole-file helpers for model/checkpoint blobs.
-Status WriteModelFile(const std::string& path,
-                      const std::vector<uint8_t>& bytes);
-Result<std::vector<uint8_t>> ReadModelFile(const std::string& path);
 
 }  // namespace flb::fl
 

@@ -11,17 +11,14 @@ double PartyHealth::Now() const {
   return clock_ != nullptr ? clock_->Now() : 0.0;
 }
 
-void PartyHealth::Observe(State* state, double failure, double response_sec) {
+void PartyHealth::Observe(State* state, double failure) {
   const double a = options_.ewma_alpha;
   if (!state->seen) {
     state->failure_ewma = failure;
-    state->response_ewma = response_sec;
     state->seen = true;
     return;
   }
   state->failure_ewma = a * failure + (1.0 - a) * state->failure_ewma;
-  state->response_ewma =
-      a * response_sec + (1.0 - a) * state->response_ewma;
 }
 
 double PartyHealth::WindowFor(const State& state) const {
@@ -32,10 +29,9 @@ double PartyHealth::WindowFor(const State& state) const {
   return std::min(window, options_.max_quarantine_sec);
 }
 
-void PartyHealth::RecordSuccess(const std::string& party,
-                                double response_sec) {
+void PartyHealth::RecordSuccess(const std::string& party) {
   State& state = parties_[party];
-  Observe(&state, 0.0, response_sec);
+  Observe(&state, 0.0);
   // Probation lifts once the failure rate has decayed well under the trip
   // threshold; until then one more failure re-quarantines immediately.
   if (state.probation &&
@@ -46,7 +42,7 @@ void PartyHealth::RecordSuccess(const std::string& party,
 
 bool PartyHealth::RecordFailure(const std::string& party) {
   State& state = parties_[party];
-  Observe(&state, 1.0, state.response_ewma);
+  Observe(&state, 1.0);
   if (!enabled() || state.quarantined) return false;
   if (state.probation || state.failure_ewma > options_.failure_threshold) {
     state.quarantined = true;
@@ -73,16 +69,6 @@ bool PartyHealth::Quarantined(const std::string& party) {
     return false;
   }
   return true;
-}
-
-double PartyHealth::FailureRate(const std::string& party) const {
-  const auto it = parties_.find(party);
-  return it == parties_.end() ? 0.0 : it->second.failure_ewma;
-}
-
-double PartyHealth::ResponseEwma(const std::string& party) const {
-  const auto it = parties_.find(party);
-  return it == parties_.end() ? 0.0 : it->second.response_ewma;
 }
 
 uint64_t PartyHealth::QuarantinedCount() const {

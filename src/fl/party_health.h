@@ -3,10 +3,9 @@
 //
 // The RobustCoordinator's liveness gate only sees hard crashes; a party
 // that is up but persistently failing (lossy link, perpetual straggling)
-// drags every round through the full retry budget. PartyHealth tracks two
-// exponentially weighted moving averages per party — failure rate (1.0 per
-// failed exchange, 0.0 per success) and response time — and feeds a state
-// machine:
+// drags every round through the full retry budget. PartyHealth tracks an
+// exponentially weighted moving average of each party's failure rate (1.0
+// per failed exchange, 0.0 per success) and feeds a state machine:
 //
 //   healthy --failure EWMA > threshold--> quarantined (skipped for
 //       quarantine_sec * backoff^(times-1) simulated seconds, capped)
@@ -44,9 +43,8 @@ class PartyHealth {
 
   bool enabled() const { return options_.quarantine_sec > 0; }
 
-  // One exchange with the party succeeded after `response_sec` of
-  // simulated time (compute + transfer attributed to it).
-  void RecordSuccess(const std::string& party, double response_sec);
+  // One exchange with the party succeeded.
+  void RecordSuccess(const std::string& party);
   // One exchange failed (transport dropout, missed deadline, CRC loss).
   // Returns true when this failure pushed the party into quarantine.
   bool RecordFailure(const std::string& party);
@@ -54,9 +52,6 @@ class PartyHealth {
   // True while the party sits inside its quarantine window. Crossing the
   // window boundary readmits the party on probation (counted once).
   bool Quarantined(const std::string& party);
-
-  double FailureRate(const std::string& party) const;
-  double ResponseEwma(const std::string& party) const;
 
   uint64_t quarantines() const { return quarantines_; }
   uint64_t readmits() const { return readmits_; }
@@ -66,7 +61,6 @@ class PartyHealth {
  private:
   struct State {
     double failure_ewma = 0.0;
-    double response_ewma = 0.0;
     bool seen = false;
     bool quarantined = false;
     bool probation = false;
@@ -74,7 +68,7 @@ class PartyHealth {
     double until_sec = 0.0;
   };
 
-  void Observe(State* state, double failure, double response_sec);
+  void Observe(State* state, double failure);
   double WindowFor(const State& state) const;
   double Now() const;
 

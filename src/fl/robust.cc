@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/env.h"
 #include "src/core/transport.h"
 #include "src/fl/metrics.h"
 #include "src/fl/model_io.h"
@@ -137,12 +136,7 @@ RobustCoordinator::RobustCoordinator(const FlSession& session,
       config_(config),
       trainer_(std::move(trainer)),
       critical_parties_({kServerName}),
-      health_(HealthOptions(config), session.clock) {
-  const std::string dir = common::Env::Str("FLB_CHECKPOINT_DIR");
-  if (!dir.empty()) {
-    checkpoint_path_ = dir + "/" + trainer_ + ".ckpt";
-  }
-}
+      health_(HealthOptions(config), session.clock) {}
 
 void RobustCoordinator::set_critical_parties(
     std::vector<std::string> parties) {
@@ -175,11 +169,11 @@ bool RobustCoordinator::AdmitParty(const std::string& party) {
   return true;
 }
 
-void RobustCoordinator::RecordPartyOutcome(const std::string& party, bool ok,
-                                           double response_sec) {
+void RobustCoordinator::RecordPartyOutcome(const std::string& party,
+                                           bool ok) {
   if (!active() || !health_.enabled()) return;
   if (ok) {
-    health_.RecordSuccess(party, response_sec);
+    health_.RecordSuccess(party);
     return;
   }
   if (health_.RecordFailure(party)) {
@@ -256,10 +250,6 @@ void RobustCoordinator::CountPartialRound() {
 void RobustCoordinator::Checkpoint(int epoch, const EpochSteps& steps) {
   if (!active()) return;
   last_checkpoint_ = SerializeCheckpoint(epoch, steps.snapshot());
-  if (!checkpoint_path_.empty()) {
-    // flb-lint: allow-next-line(FLB005) best-effort; RAM copy is authoritative
-    (void)WriteModelFile(checkpoint_path_, last_checkpoint_);
-  }
   counters_.checkpoints += 1;
   RecordEvent("checkpoint", Coordinator());
 }
@@ -361,25 +351,23 @@ Result<bool> RobustCoordinator::Upload(
   SimClock* clock = session_.clock;
   const double t0 = clock != nullptr ? clock->Now() : 0.0;
   FLB_ASSIGN_OR_RETURN(core::EncVec enc, he.EncryptValues(local()));
-  double response = 0.0;
   if (active()) {
     const double compute = clock != nullptr ? clock->Now() - t0 : 0.0;
     const double send = session_.network->TransferSeconds(
         he.WireBytes(enc), enc.data.size());
-    response = compute + send;
     if (!AdmitUpload(party, compute, send)) {
-      RecordPartyOutcome(party, false, response);
+      RecordPartyOutcome(party, false);
       return false;
     }
   }
   Status sent = core::SendEncVec(session_.network, he, party, to, tag, enc);
   if (!sent.ok()) {
     if (!active() || !Recoverable(sent)) return sent;
-    RecordPartyOutcome(party, false, response);
+    RecordPartyOutcome(party, false);
     CountTransportDropout(party, sent);
     return false;
   }
-  RecordPartyOutcome(party, true, response);
+  RecordPartyOutcome(party, true);
   return true;
 }
 

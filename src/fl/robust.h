@@ -21,12 +21,12 @@
 //     and the party's contribution is dropped (straggler dropout);
 //   * partial aggregation — a fold sums the k vectors it actually received
 //     (FedAvg renormalization: divide by k, not p);
-//   * checkpoint / resume — epoch-boundary model snapshots (model_io
-//     "FLBC" format, optionally persisted to FLB_CHECKPOINT_DIR); when any
-//     critical party crashes (the homo server, the hetero guest, arbiter or
-//     NN host), the loop waits out the downtime on the SimClock, restores
-//     the last checkpoint, purges in-flight messages (restart semantics)
-//     and re-runs from the next epoch.
+//   * checkpoint / resume — epoch-boundary model snapshots, kept in memory
+//     in model_io's "FLBC" format; when any critical party crashes (the
+//     homo server, the hetero guest, arbiter or NN host), the loop waits
+//     out the downtime on the SimClock, restores the last checkpoint,
+//     purges in-flight messages (restart semantics) and re-runs from the
+//     next epoch.
 //
 // Every hook is a no-op when no fault injector is attached, so the healthy
 // path keeps byte-for-byte the legacy accounting.
@@ -125,10 +125,8 @@ class RobustCoordinator {
   // plus the PartyHealth quarantine. A quarantined party is skipped for the
   // round (quarantine_skip).
   bool AdmitParty(const std::string& party);
-  // Outcome of one exchange with a party, feeding the health EWMAs;
-  // `response_sec` is the simulated compute+transfer time attributed to it.
-  void RecordPartyOutcome(const std::string& party, bool ok,
-                          double response_sec);
+  // Outcome of one exchange with a party, feeding its failure EWMA.
+  void RecordPartyOutcome(const std::string& party, bool ok);
   // Any critical party down at the current simulated time.
   bool CriticalDown() const;
 
@@ -177,7 +175,6 @@ class RobustCoordinator {
   FlSession session_;
   TrainConfig config_;
   std::string trainer_;
-  std::string checkpoint_path_;  // empty = in-memory only
   std::vector<uint8_t> last_checkpoint_;
   std::vector<std::string> critical_parties_;
   PartyHealth health_;

@@ -212,8 +212,6 @@ class Device : public obs::MetricsSource {
   // attached, otherwise a local cursor that advances with every charged
   // operation (so clock-less bench devices still emit monotonic traces).
   double TimelineNow() const;
-  // Unique trace/metrics instance name ("gpu", "gpu#2", ...).
-  const std::string& instance_name() const { return instance_; }
 
   // obs::MetricsSource: DeviceStats exposed through the unified registry.
   void CollectMetrics(std::vector<obs::MetricValue>& out) const override;

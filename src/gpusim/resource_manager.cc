@@ -159,15 +159,4 @@ Status ResourceManager::Free(DeviceAddress addr) {
   return Status::OK();
 }
 
-void ResourceManager::TrimPool() {
-  for (auto it = table_.begin(); it != table_.end();) {
-    if (!it->second.occupied) {
-      total_reserved_ -= it->second.bytes;
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 }  // namespace flb::gpusim

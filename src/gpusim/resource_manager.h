@@ -103,8 +103,6 @@ class ResourceManager {
   Result<DeviceAddress> Alloc(size_t bytes);
   // Marks the address free (it stays in the table for reuse).
   Status Free(DeviceAddress addr);
-  // Releases all free-marked table entries back to the device.
-  void TrimPool();
 
   const MemoryPoolStats& pool_stats() const { return pool_stats_; }
 

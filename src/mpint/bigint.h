@@ -49,8 +49,6 @@ class BigInt {
   static BigInt FromWords(std::vector<uint32_t> words);
   // Parses "1a2B3c" or "0x1a2b3c". Empty or malformed input is an error.
   static Result<BigInt> FromHex(std::string_view hex);
-  // Parses base-10 digits.
-  static Result<BigInt> FromDecimal(std::string_view dec);
   // Uniform over [0, 2^bits) — the top bit is NOT forced.
   static BigInt Random(Rng& rng, int bits);
   // Uniform over [0, bound), bound > 0.
@@ -153,7 +151,6 @@ class BigInt {
   // ---- I/O -----------------------------------------------------------------
   // Lower-case hex without prefix ("0" for zero).
   std::string ToHex() const;
-  std::string ToDecimal() const;
 
   // Little-endian limbs padded/truncated to exactly `n` words — the fixed
   // layout used by serialized ciphertexts and by the simulated GPU kernels.

@@ -1,10 +1,6 @@
-// BigInt text I/O: hex and decimal parsing/printing. Split from bigint.cc to
-// keep the arithmetic core focused.
+// BigInt text I/O: hex parsing and printing. Split from bigint.cc to keep
+// the arithmetic core focused.
 
-#include <algorithm>
-#include <cctype>
-
-#include "src/common/check.h"
 #include "src/mpint/bigint.h"
 
 namespace flb::mpint {
@@ -41,22 +37,6 @@ Result<BigInt> BigInt::FromHex(std::string_view hex) {
   return FromWords(std::move(words));
 }
 
-Result<BigInt> BigInt::FromDecimal(std::string_view dec) {
-  if (dec.empty()) {
-    return Status::InvalidArgument("FromDecimal: empty input");
-  }
-  BigInt out;
-  const BigInt ten(10);
-  for (char c : dec) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("FromDecimal: invalid digit '" +
-                                     std::string(1, c) + "'");
-    }
-    out = Add(Mul(out, ten), BigInt(static_cast<uint64_t>(c - '0')));
-  }
-  return out;
-}
-
 std::string BigInt::ToHex() const {
   if (IsZero()) return "0";
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -70,29 +50,6 @@ std::string BigInt::ToHex() const {
   // Strip leading zeros of the top limb.
   const size_t first = out.find_first_not_of('0');
   return out.substr(first);
-}
-
-std::string BigInt::ToDecimal() const {
-  if (IsZero()) return "0";
-  // Repeated division by 10^9 (largest power of ten in a limb).
-  constexpr uint32_t kChunk = 1000000000u;
-  BigInt cur = *this;
-  const BigInt chunk(kChunk);
-  std::string out;
-  while (!cur.IsZero()) {
-    auto qr = DivMod(cur, chunk);
-    FLB_CHECK(qr.ok());
-    uint64_t rem = qr->second.LowU64();
-    cur = std::move(qr->first);
-    const bool last = cur.IsZero();
-    for (int i = 0; i < 9; ++i) {
-      out.push_back(static_cast<char>('0' + rem % 10));
-      rem /= 10;
-      if (last && rem == 0) break;
-    }
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace flb::mpint

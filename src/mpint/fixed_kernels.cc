@@ -134,7 +134,7 @@ constexpr KernelOps MakeOps() {
 // One instantiation per limb count on the Paillier hot path. A key of
 // 2^k bits needs contexts at 2^k/32 limbs (n, p^2, q^2) and 2^k/16 limbs
 // (n^2); covering 64..4096-bit keys gives the power-of-two ladder 2..256.
-// RSA and Damgard–Jurik contexts at the same widths dispatch for free.
+// Other contexts at the same widths (PSI's RSA primes) dispatch for free.
 constexpr KernelOps kPortableTable[] = {
     MakeOps<2>(),  MakeOps<4>(),  MakeOps<8>(),   MakeOps<16>(),
     MakeOps<32>(), MakeOps<64>(), MakeOps<128>(), MakeOps<256>(),

@@ -127,13 +127,6 @@ void CircuitBreaker::RecordFailure(const std::string& from,
   if (transition != nullptr) RecordTransition(transition, link);
 }
 
-BreakerState CircuitBreaker::StateOf(const std::string& from,
-                                     const std::string& to) const {
-  common::MutexLock lock(mu_);
-  const auto it = links_.find(LinkKey(from, to));
-  return it == links_.end() ? BreakerState::kClosed : it->second.state;
-}
-
 void CircuitBreaker::RecordTransition(const char* kind,
                                       const std::string& link) {
   obs::MetricsRegistry::Global().Count(

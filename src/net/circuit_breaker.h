@@ -71,8 +71,6 @@ class CircuitBreaker {
   void RecordSuccess(const std::string& from, const std::string& to);
   void RecordFailure(const std::string& from, const std::string& to);
 
-  BreakerState StateOf(const std::string& from, const std::string& to) const;
-
   // Snapshot by value: the counters keep moving under their own lock.
   BreakerStats stats() const {
     common::MutexLock lock(mu_);

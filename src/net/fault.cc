@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 
 namespace flb::net {
 
@@ -69,22 +68,6 @@ Status ApplyLinkKey(LinkFaults* link, const std::string& key,
                                    "'");
   }
   return Status::OK();
-}
-
-std::string LinkFaultsSpec(const LinkFaults& l, char sep) {
-  std::ostringstream out;
-  auto emit = [&](const char* key, double v) {
-    if (v <= 0) return;
-    if (out.tellp() > 0) out << sep;
-    out << key << '=' << v;
-  };
-  emit("drop", l.drop_prob);
-  emit("dup", l.dup_prob);
-  emit("reorder", l.reorder_prob);
-  emit("corrupt", l.corrupt_prob);
-  emit("delay", l.extra_delay_sec);
-  emit("jitter", l.jitter_sec);
-  return out.str();
 }
 
 }  // namespace
@@ -197,29 +180,6 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& spec) {
     }
   }
   return plan;
-}
-
-std::string FaultPlan::ToString() const {
-  std::ostringstream out;
-  out << "seed=" << seed;
-  const std::string defaults = LinkFaultsSpec(default_link, ';');
-  if (!defaults.empty()) out << ';' << defaults;
-  for (const auto& [party, factor] : straggler_factor) {
-    out << ";straggler=" << party << ':' << factor;
-  }
-  for (const auto& crash : crashes) {
-    out << ";crash=" << crash.party << '@' << crash.at_sec;
-    if (crash.recover_sec >= 0) out << '-' << crash.recover_sec;
-  }
-  for (const auto& part : partitions) {
-    out << ";partition=" << part.a << '|' << part.b << '@' << part.start_sec
-        << '-' << part.end_sec;
-  }
-  for (const auto& [link, faults] : per_link) {
-    out << ";link=" << link.first << '>' << link.second << ':'
-        << LinkFaultsSpec(faults, ',');
-  }
-  return out.str();
 }
 
 FaultInjector::FaultInjector(FaultPlan plan, SimClock* clock)

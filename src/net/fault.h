@@ -93,8 +93,6 @@ struct FaultPlan {
   // Parses the spec grammar above. InvalidArgument on malformed clauses,
   // probabilities outside [0,1], or straggler factors < 1.
   static Result<FaultPlan> Parse(const std::string& spec);
-  // Canonical spec string (parseable by Parse).
-  std::string ToString() const;
 };
 
 struct FaultStats {

@@ -129,12 +129,6 @@ void Network::ChargeControl(const std::string& from, const std::string& to,
   (void)to;
 }
 
-size_t Network::PendingFor(const std::string& to) const {
-  common::MutexLock lock(mu_);
-  auto it = inboxes_.find(to);
-  return it == inboxes_.end() ? 0 : it->second.size();
-}
-
 void Network::CollectMetrics(std::vector<obs::MetricValue>& out) const {
   common::MutexLock lock(mu_);
   const std::string labels = "net=" + instance_;

@@ -86,7 +86,6 @@ class Network : public obs::MetricsSource {
   // injector (drop/duplicate/reorder/corrupt/delay + partitions + crashes)
   // and transfer time from straggler parties is slowed by their factor.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
 
   // Optional reliability: when set, Send/Receive route through the channel
   // (framing, ack/retransmit, duplicate suppression); the channel itself
@@ -137,9 +136,6 @@ class Network : public obs::MetricsSource {
     common::MutexLock lock(mu_);
     inboxes_.clear();
   }
-
-  // Number of pending messages for a party (any topic).
-  size_t PendingFor(const std::string& to) const;
 
   // Snapshot by value: the counters keep moving under their own lock.
   NetworkStats stats() const {

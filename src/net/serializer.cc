@@ -18,11 +18,6 @@ void Serializer::PutDouble(double v) {
   PutU64(bits);
 }
 
-void Serializer::PutString(const std::string& s) {
-  PutU32(static_cast<uint32_t>(s.size()));
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
 void Serializer::PutBigInt(const BigInt& v) {
   PutU32(static_cast<uint32_t>(v.WordCount()));
   for (uint32_t w : v.words()) PutU32(w);
@@ -71,10 +66,6 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
     c = table[(c ^ data[i]) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
-}
-
-uint32_t Crc32(const std::vector<uint8_t>& bytes) {
-  return Crc32(bytes.data(), bytes.size());
 }
 
 std::vector<uint8_t> EncodeFrame(uint64_t seq,
@@ -153,14 +144,6 @@ Result<double> Deserializer::GetDouble() {
   double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
-}
-
-Result<std::string> Deserializer::GetString() {
-  FLB_ASSIGN_OR_RETURN(uint32_t len, GetU32());
-  FLB_RETURN_IF_ERROR(Need(len));
-  std::string s(bytes_.begin() + pos_, bytes_.begin() + pos_ + len);
-  pos_ += len;
-  return s;
 }
 
 Result<BigInt> Deserializer::GetBigInt() {

@@ -24,7 +24,6 @@ class Serializer {
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
   void PutDouble(double v);
-  void PutString(const std::string& s);
   // Variable-width: u32 limb count + limbs.
   void PutBigInt(const BigInt& v);
   // Fixed-width: exactly `words` limbs (the ciphertext layout).
@@ -45,7 +44,6 @@ class Serializer {
 // reliable-transport frames and anywhere a cheap end-to-end payload guard is
 // needed; detects every single-bit flip.
 uint32_t Crc32(const uint8_t* data, size_t len);
-uint32_t Crc32(const std::vector<uint8_t>& bytes);
 
 // Reliable-transport frame: the unit ReliableChannel puts on the wire.
 //
@@ -73,7 +71,6 @@ class Deserializer {
   Result<uint32_t> GetU32();
   Result<uint64_t> GetU64();
   Result<double> GetDouble();
-  Result<std::string> GetString();
   Result<BigInt> GetBigInt();
   Result<BigInt> GetBigIntFixed(size_t words);
   Result<std::vector<double>> GetDoubleVector();

@@ -88,10 +88,6 @@ class MetricsRegistry {
 
   void RegisterSource(MetricsSource* source);
   void UnregisterSource(MetricsSource* source);
-  size_t num_sources() const {
-    common::MutexLock lock(mu_);
-    return sources_.size();
-  }
 
   // Snapshot: the registry's own metrics plus every registered source's
   // contribution, sorted by (name, labels).

@@ -107,28 +107,6 @@ void RunStatus::EndRun(const RunTotals& totals, const HeOpsStatus& he) {
   generation_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void RunStatus::Reset() {
-  {
-    common::MutexLock lock(mu_);
-    phase_ = "idle";
-    bench_.clear();
-    section_.clear();
-    run_ = RunInfo{};
-    epoch_ = EpochStatus{};
-    he_ = HeOpsStatus{};
-    faults_ = FaultStatus{};
-    channel_ = ChannelStatus{};
-    resilience_ = ResilienceStatus{};
-    totals_ = RunTotals{};
-  }
-  scrapes_metrics_.store(0, std::memory_order_relaxed);
-  scrapes_status_.store(0, std::memory_order_relaxed);
-  scrapes_trace_.store(0, std::memory_order_relaxed);
-  scrapes_healthz_.store(0, std::memory_order_relaxed);
-  scrapes_other_.store(0, std::memory_order_relaxed);
-  generation_.fetch_add(1, std::memory_order_relaxed);
-}
-
 void RunStatus::NoteScrape(const char* endpoint) {
   if (std::strcmp(endpoint, "metrics") == 0) {
     scrapes_metrics_.fetch_add(1, std::memory_order_relaxed);
@@ -141,11 +119,6 @@ void RunStatus::NoteScrape(const char* endpoint) {
   } else {
     scrapes_other_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-std::string RunStatus::phase() const {
-  common::MutexLock lock(mu_);
-  return phase_;
 }
 
 std::string RunStatus::ToJson() const {

@@ -116,8 +116,6 @@ class RunStatus {
   void UpdateBreaker(uint64_t open, uint64_t half_open, uint64_t trips,
                      uint64_t fast_fails);
   void EndRun(const RunTotals& totals, const HeOpsStatus& he);
-  // Back to the initial state (tests).
-  void Reset();
 
   // Scrape accounting, bumped by ObsServer (lock-free; shows up in the
   // /status payload so a dashboard can see it is being polled).
@@ -128,8 +126,6 @@ class RunStatus {
   uint64_t generation() const {
     return generation_.load(std::memory_order_relaxed);
   }
-
-  std::string phase() const;
 
   // The /status payload. Never touches live components: everything is
   // already snapshotted by value (the trace drop counter is read from the

@@ -7,8 +7,8 @@
 
 #include <cmath>
 
+#include "bench/batchcrypt_codec.h"
 #include "src/codec/batch_compressor.h"
-#include "src/codec/batchcrypt_codec.h"
 #include "src/codec/quantizer.h"
 #include "src/common/rng.h"
 

@@ -213,11 +213,10 @@ TEST(BigIntDifferential, AddInPlaceAgainstAdd) {
   }
 }
 
-TEST(BigIntDifferential, DecimalAgainstNativeFormatting) {
+TEST(BigIntDifferential, HexAgainstNativeFormatting) {
   Rng rng(325);
   for (int i = 0; i < 200; ++i) {
     const uint64_t v = rng.NextU64();
-    EXPECT_EQ(BigInt(v).ToDecimal(), std::to_string(v));
     char hex[32];
     std::snprintf(hex, sizeof(hex), "%llx",
                   static_cast<unsigned long long>(v));

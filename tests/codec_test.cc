@@ -71,7 +71,7 @@ TEST(QuantizerTest, RoundTripErrorWithinBound) {
   Rng rng(1);
   for (int i = 0; i < 1000; ++i) {
     const double m = rng.NextDouble() * 2.0 - 1.0;
-    const double back = q.Decode(q.Encode(m).value());
+    const double back = q.DecodeAggregate(q.Encode(m).value(), 1).value();
     EXPECT_LE(std::fabs(back - m), q.MaxAbsoluteError()) << m;
   }
 }
@@ -132,7 +132,7 @@ TEST_P(QuantizerWidthTest, RoundTripAtWidth) {
   Rng rng(100 + r);
   for (int i = 0; i < 200; ++i) {
     const double m = (rng.NextDouble() - 0.5) * 0.5;
-    const double back = q.Decode(q.Encode(m).value());
+    const double back = q.DecodeAggregate(q.Encode(m).value(), 1).value();
     EXPECT_LE(std::fabs(back - m), q.MaxAbsoluteError());
   }
 }

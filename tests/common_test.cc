@@ -81,9 +81,6 @@ TEST(SimClockTest, ChargesAccumulatePerKind) {
   EXPECT_DOUBLE_EQ(clock.HeSeconds(), 3.5);  // cpu + gpu + pcie
   EXPECT_DOUBLE_EQ(clock.CommSeconds(), 3.0);
   EXPECT_DOUBLE_EQ(clock.OtherSeconds(), 0.25);
-  clock.Reset();
-  EXPECT_DOUBLE_EQ(clock.Now(), 0.0);
-  EXPECT_DOUBLE_EQ(clock.Elapsed(CostKind::kCpuHe), 0.0);
 }
 
 TEST(SimClockTest, KindNames) {
@@ -132,20 +129,6 @@ TEST(RngTest, GaussianMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.03);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
-}
-
-TEST(RngTest, ForkDiverges) {
-  Rng parent(4);
-  Rng child = parent.Fork();
-  // Child and parent streams should not be identical.
-  bool differs = false;
-  for (int i = 0; i < 8; ++i) {
-    if (parent.NextU64() != child.NextU64()) {
-      differs = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(differs);
 }
 
 TEST(RngTest, WordsCoverBothHalves) {

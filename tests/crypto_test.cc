@@ -1,4 +1,4 @@
-// Tests for Montgomery arithmetic, primality, Paillier, and RSA.
+// Tests for Montgomery arithmetic, primality, and Paillier.
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include "src/crypto/montgomery.h"
 #include "src/crypto/paillier.h"
 #include "src/crypto/prime.h"
-#include "src/crypto/rsa.h"
 
 namespace flb::crypto {
 namespace {
@@ -212,8 +211,9 @@ TEST_P(PaillierTest, AddPlain) {
   BigInt m = BigInt::RandomBelow(rng, keys.pub.n);
   BigInt k = BigInt::RandomBelow(rng, keys.pub.n);
   BigInt c = ctx.Encrypt(m, rng).value();
-  BigInt c2 = ctx.AddPlain(c, k).value();
-  EXPECT_EQ(ctx.Decrypt(c2).value(), BigInt::Add(m, k) % keys.pub.n);
+  const std::vector<BigInt> c2 = ctx.AddPlainBatch({c}, {k}).value();
+  ASSERT_EQ(c2.size(), 1u);
+  EXPECT_EQ(ctx.Decrypt(c2[0]).value(), BigInt::Add(m, k) % keys.pub.n);
 }
 
 INSTANTIATE_TEST_SUITE_P(KeySizes, PaillierTest,
@@ -297,54 +297,6 @@ TEST(Paillier, OpCountsTrack) {
   EXPECT_EQ(ctx.op_counts().encrypts, 2u);
   EXPECT_EQ(ctx.op_counts().adds, 1u);
   EXPECT_EQ(ctx.op_counts().decrypts, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// RSA
-// ---------------------------------------------------------------------------
-
-class RsaTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(RsaTest, EncryptDecryptRoundTrip) {
-  Rng rng(2000 + GetParam());
-  auto keys = RsaKeyGen(GetParam(), rng).value();
-  auto ctx = RsaContext::Create(keys).value();
-  for (int i = 0; i < 5; ++i) {
-    BigInt m = BigInt::RandomBelow(rng, keys.pub.n);
-    EXPECT_EQ(ctx.Decrypt(ctx.Encrypt(m).value()).value(), m);
-  }
-}
-
-TEST_P(RsaTest, MultiplicativeHomomorphism) {
-  Rng rng(3000 + GetParam());
-  auto keys = RsaKeyGen(GetParam(), rng).value();
-  auto ctx = RsaContext::Create(keys).value();
-  BigInt m1 = BigInt::RandomBelow(rng, keys.pub.n);
-  BigInt m2 = BigInt::RandomBelow(rng, keys.pub.n);
-  BigInt c = ctx.Mul(ctx.Encrypt(m1).value(), ctx.Encrypt(m2).value()).value();
-  EXPECT_EQ(ctx.Decrypt(c).value(), BigInt::Mul(m1, m2) % keys.pub.n);
-}
-
-INSTANTIATE_TEST_SUITE_P(KeySizes, RsaTest, ::testing::Values(128, 256, 512));
-
-TEST(Rsa, ErrorPaths) {
-  Rng rng(4000);
-  auto keys = RsaKeyGen(128, rng).value();
-  auto ctx = RsaContext::Create(keys).value();
-  EXPECT_FALSE(ctx.Encrypt(keys.pub.n).ok());
-  EXPECT_FALSE(ctx.Decrypt(keys.pub.n).ok());
-  auto pub_ctx = RsaContext::CreatePublic(keys.pub).value();
-  EXPECT_FALSE(pub_ctx.Decrypt(BigInt(5)).ok());
-  EXPECT_FALSE(RsaKeyGen(63, rng).ok());
-}
-
-TEST(Rsa, DeterministicEncryption) {
-  // Textbook RSA is deterministic — a property the homomorphic blinding
-  // protocols rely on (same message, same ciphertext).
-  Rng rng(4001);
-  auto keys = RsaKeyGen(128, rng).value();
-  auto ctx = RsaContext::Create(keys).value();
-  EXPECT_EQ(ctx.Encrypt(BigInt(7)).value(), ctx.Encrypt(BigInt(7)).value());
 }
 
 }  // namespace

@@ -65,20 +65,6 @@ TEST(FaultPlanTest, ParseRejectsMalformedSpecs) {
       FaultPlan::Parse("link=a>b;drop=0.1").status().IsInvalidArgument());
 }
 
-TEST(FaultPlanTest, ToStringRoundTrips) {
-  const std::string spec =
-      "seed=11;drop=0.02;straggler=party1:4;crash=party2@0.4-0.9;"
-      "partition=party0|server@0.2-0.3;link=party3>server:drop=0.5";
-  auto plan = FaultPlan::Parse(spec).value();
-  auto reparsed = FaultPlan::Parse(plan.ToString()).value();
-  EXPECT_EQ(plan.ToString(), reparsed.ToString());
-  EXPECT_EQ(reparsed.seed, 11u);
-  EXPECT_DOUBLE_EQ(reparsed.default_link.drop_prob, 0.02);
-  EXPECT_EQ(reparsed.crashes.size(), 1u);
-  EXPECT_EQ(reparsed.partitions.size(), 1u);
-  EXPECT_EQ(reparsed.per_link.size(), 1u);
-}
-
 TEST(FaultPlanTest, EmptyAndWhitespaceSpecs) {
   EXPECT_TRUE(FaultPlan::Parse("").value().empty());
   EXPECT_TRUE(FaultPlan::Parse(" ; ;").value().empty());
@@ -136,12 +122,13 @@ TEST(FaultInjectorTest, CrashWindowFollowsSimClock) {
   clock.Charge(CostKind::kOther, 0.5);  // now = 1.0, recovered
   EXPECT_FALSE(inj.IsCrashed("party2"));
   // Messages to (or from) a crashed party are swallowed.
-  clock.Reset();
-  clock.Charge(CostKind::kOther, 0.5);
-  auto d = inj.OnSend("party0", "party2", "t", 8);
+  SimClock inside;
+  inside.Charge(CostKind::kOther, 0.5);
+  FaultInjector crashed(plan, &inside);
+  auto d = crashed.OnSend("party0", "party2", "t", 8);
   EXPECT_FALSE(d.deliver);
   EXPECT_STREQ(d.fault, "crash_drop");
-  EXPECT_FALSE(inj.OnSend("party2", "server", "t", 8).deliver);
+  EXPECT_FALSE(crashed.OnSend("party2", "server", "t", 8).deliver);
 }
 
 TEST(FaultInjectorTest, PartitionIsBidirectionalAndWindowed) {
@@ -176,7 +163,7 @@ TEST(FaultNetworkTest, DropChargesTimeButDoesNotEnqueue) {
   FaultInjector inj(plan, &clock);
   net.set_fault_injector(&inj);
   ASSERT_TRUE(net.SendDirect("a", "b", "t", {1, 2, 3}).ok());
-  EXPECT_EQ(net.PendingFor("b"), 0u);  // swallowed
+  EXPECT_TRUE(net.ReceiveDirect("b", "t").status().IsNotFound());
   // The attempt still consumed wire time and bytes.
   EXPECT_GT(clock.Elapsed(CostKind::kNetwork), 0.0);
   EXPECT_EQ(net.stats().messages, 1u);
@@ -212,11 +199,11 @@ TEST(FaultNetworkTest, DuplicateEnqueuesTwoCopiesAndCountsBytes) {
   FaultInjector inj(plan);
   net.set_fault_injector(&inj);
   ASSERT_TRUE(net.SendDirect("a", "b", "t", {7, 7}).ok());
-  EXPECT_EQ(net.PendingFor("b"), 2u);
   // Both copies crossed the wire.
   EXPECT_EQ(net.stats().bytes, 2u * (2 + 64));
   EXPECT_EQ(net.ReceiveDirect("b", "t")->payload,
             net.ReceiveDirect("b", "t")->payload);
+  EXPECT_TRUE(net.ReceiveDirect("b", "t").status().IsNotFound());
 }
 
 TEST(FaultNetworkTest, ReorderJumpsTheQueue) {

@@ -34,15 +34,6 @@ TEST(DataMatrixTest, BuilderAndAccessors) {
   EXPECT_DOUBLE_EQ(acc[2], 4.0);
 }
 
-TEST(DataMatrixTest, FromTripletsSortsAndFills) {
-  DataMatrix m = DataMatrix::FromTriplets(
-      3, 3, {{2, 1, 5.0f}, {0, 0, 1.0f}, {0, 2, 2.0f}});
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.RowNnz(0), 2u);
-  EXPECT_EQ(m.RowNnz(1), 0u);
-  EXPECT_EQ(m.RowNnz(2), 1u);
-}
-
 TEST(DataMatrixTest, SliceColumnsRenumbers) {
   DataMatrixBuilder builder(6);
   builder.AddRow({{0, 1.0f}, {3, 2.0f}, {5, 3.0f}});
@@ -118,15 +109,6 @@ TEST(DatasetGenTest, CharacterMatchesSource) {
   for (size_t k = 0; k < avazu.x.nnz(); ++k) {
     ASSERT_FLOAT_EQ(avazu.x.EntryValue(k), 1.0f);
   }
-}
-
-TEST(DatasetGenTest, PaperScaleSpecsMatchTable2) {
-  EXPECT_EQ(PaperScaleSpec(DatasetKind::kRcv1).rows, 677399u);
-  EXPECT_EQ(PaperScaleSpec(DatasetKind::kRcv1).cols, 47236u);
-  EXPECT_EQ(PaperScaleSpec(DatasetKind::kAvazu).rows, 1719304u);
-  EXPECT_EQ(PaperScaleSpec(DatasetKind::kAvazu).cols, 1000000u);
-  EXPECT_EQ(PaperScaleSpec(DatasetKind::kSynthetic).rows, 100000u);
-  EXPECT_EQ(PaperScaleSpec(DatasetKind::kSynthetic).cols, 10000u);
 }
 
 TEST(DatasetGenTest, InvalidSpecs) {

@@ -134,17 +134,17 @@ TEST(MemoryPoolTest, ErrorPaths) {
   EXPECT_TRUE(rm.Free(a).IsFailedPrecondition());  // double free
 }
 
-TEST(MemoryPoolTest, ExhaustionAndTrim) {
+TEST(MemoryPoolTest, ExhaustionCountsPooledMemory) {
   DeviceSpec tiny = Spec();
   tiny.global_mem_bytes = 1024;
   ResourceManager rm(tiny);
   auto a = rm.Alloc(1024).value();
   EXPECT_TRUE(rm.Alloc(1).status().IsResourceExhausted());
   ASSERT_TRUE(rm.Free(a).ok());
-  // Freed-but-pooled memory still counts as reserved until trimmed.
+  // Freed-but-pooled memory still counts as reserved; only a request of
+  // its size class reuses it.
   EXPECT_TRUE(rm.Alloc(512).status().IsResourceExhausted());
-  rm.TrimPool();
-  EXPECT_TRUE(rm.Alloc(512).ok());
+  EXPECT_TRUE(rm.Alloc(1024).ok());
 }
 
 TEST(MemoryPoolTest, PeakTracksHighWater) {

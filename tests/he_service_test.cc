@@ -107,9 +107,9 @@ TEST_P(HeServiceEngineTest, FixedPointScalarMulAndAdd) {
   EXPECT_NEAR(dec[1], 0.75, 1e-3);
   EXPECT_NEAR(dec[2], 0.75, 1e-3);
 
-  auto doubled = he_->AddFixedPoint(scaled, scaled).value();
-  auto dec2 = he_->DecryptFixedPoint(doubled).value();
-  EXPECT_NEAR(dec2[0], 2.0, 1e-3);
+  // Fixed-point ciphertexts add inside WeightedSums: 2*0.5 + 2*0.5 = 2.
+  auto summed = he_->WeightedSums(enc, {{{0, 2.0}, {0, 2.0}}}).value();
+  EXPECT_NEAR(he_->DecryptFixedPoint(summed).value()[0], 2.0, 1e-3);
 }
 
 TEST_P(HeServiceEngineTest, WeightedAndSelectiveSums) {
@@ -291,14 +291,9 @@ TEST(HeServiceTest, ModeledBytesMatchDirectFormula) {
     const EncVec sum = he->AddCipher(make(EncLayout::kPackedSum, lhs),
                                      make(EncLayout::kPackedSum, rhs))
                            .value();
-    const EncVec fp_sum = he->AddFixedPoint(make(EncLayout::kFixedPoint, lhs),
-                                            make(EncLayout::kFixedPoint, rhs))
-                              .value();
     ASSERT_EQ(sum.data.size(), lhs.size());
-    ASSERT_EQ(fp_sum.data.size(), lhs.size());
     for (size_t i = 0; i < lhs.size(); ++i) {
       EXPECT_EQ(sum.data[i], add_mod(lhs[i], rhs[i])) << i;
-      EXPECT_EQ(fp_sum.data[i], add_mod(lhs[i], rhs[i])) << i;
     }
 
     // A party's own values folded into each edge residue in turn. Modeled

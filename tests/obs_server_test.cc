@@ -168,7 +168,12 @@ TEST(PrometheusEncoder, RegistrySnapshotRoundTrips) {
 
 TEST(RunStatusTest, SnapshotLifecycle) {
   RunStatus status;
-  EXPECT_EQ(status.phase(), "idle");
+  auto phase_is = [&status](const std::string& phase) {
+    return status.ToJson().find("\"phase\":\"" + phase + "\"") !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(phase_is("idle"));
+  EXPECT_NE(status.ToJson().find("\"status\":0"), std::string::npos);
 
   obs::RunInfo info;
   info.engine = "FLBooster";
@@ -177,7 +182,7 @@ TEST(RunStatusTest, SnapshotLifecycle) {
   info.parties = 4;
   info.seed = 42;
   status.BeginRun(info);
-  EXPECT_EQ(status.phase(), "setup");
+  EXPECT_TRUE(phase_is("setup"));
   const uint64_t gen_after_begin = status.generation();
 
   obs::EpochStatus epoch;
@@ -187,18 +192,17 @@ TEST(RunStatusTest, SnapshotLifecycle) {
   obs::HeOpsStatus he;
   he.encrypts = 10;
   status.UpdateEpoch(epoch, he);
-  EXPECT_EQ(status.phase(), "train");
+  EXPECT_TRUE(phase_is("train"));
   EXPECT_GT(status.generation(), gen_after_begin);
 
   obs::RunTotals totals;
   totals.total_seconds = 12.0;
   status.EndRun(totals, he);
-  EXPECT_EQ(status.phase(), "done");
+  EXPECT_TRUE(phase_is("done"));
 
   status.NoteScrape("status");
   status.NoteScrape("bogus");
   const std::string json = status.ToJson();
-  EXPECT_NE(json.find("\"phase\":\"done\""), std::string::npos);
   EXPECT_NE(json.find("\"engine\":\"FLBooster\""), std::string::npos);
   EXPECT_NE(json.find("\"key_bits\":1024"), std::string::npos);
   EXPECT_NE(json.find("\"epoch\":{\"epoch\":1,\"max_epochs\":5"),
@@ -207,10 +211,6 @@ TEST(RunStatusTest, SnapshotLifecycle) {
   EXPECT_NE(json.find("\"total_seconds\":12"), std::string::npos);
   EXPECT_NE(json.find("\"status\":1"), std::string::npos);
   EXPECT_NE(json.find("\"other\":1"), std::string::npos);
-
-  status.Reset();
-  EXPECT_EQ(status.phase(), "idle");
-  EXPECT_NE(status.ToJson().find("\"status\":0"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,65 @@
-// Tests for the RSA-blind private set intersection (sample alignment).
+// Tests for the RSA-blind private set intersection (sample alignment) and
+// the RSA signing it runs on.
 
 #include <gtest/gtest.h>
 
+#include "examples/psi/psi.h"
+#include "examples/psi/rsa.h"
+#include "src/common/rng.h"
 #include "src/common/sim_clock.h"
-#include "src/fl/psi.h"
+#include "src/crypto/montgomery.h"
 #include "src/net/network.h"
 
-namespace flb::fl {
+namespace flb {
+namespace crypto {
+namespace {
+
+using mpint::BigInt;
+
+// m^e mod n: the public side of RSA, as PSI's blinding computes it.
+BigInt PublicPow(const RsaPublicKey& pub, const BigInt& m) {
+  return MontgomeryContext::Create(pub.n).value().ModPow(m, pub.e);
+}
+
+class RsaTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(RsaTest, EncryptDecryptRoundTrip) {
+  Rng rng(2000 + GetParam());
+  auto keys = RsaKeyGen(GetParam(), rng).value();
+  auto ctx = RsaContext::Create(keys).value();
+  for (int i = 0; i < 5; ++i) {
+    BigInt m = BigInt::RandomBelow(rng, keys.pub.n);
+    EXPECT_EQ(ctx.Decrypt(PublicPow(keys.pub, m)).value(), m);
+  }
+}
+
+// The blind-signature identity PSI relies on: (h * r^e)^d = h^d * r mod n.
+TEST_P(RsaTest, MultiplicativeHomomorphism) {
+  Rng rng(3000 + GetParam());
+  auto keys = RsaKeyGen(GetParam(), rng).value();
+  auto ctx = RsaContext::Create(keys).value();
+  const BigInt& n = keys.pub.n;
+  BigInt h = BigInt::RandomBelow(rng, n);
+  BigInt r = BigInt::RandomBelow(rng, n);
+  BigInt blinded = BigInt::Mul(h, PublicPow(keys.pub, r)) % n;
+  EXPECT_EQ(ctx.Decrypt(blinded).value(),
+            BigInt::Mul(ctx.Decrypt(h).value(), r) % n);
+}
+
+INSTANTIATE_TEST_SUITE_P(KeySizes, RsaTest, ::testing::Values(128, 256, 512));
+
+TEST(Rsa, ErrorPaths) {
+  Rng rng(4000);
+  auto keys = RsaKeyGen(128, rng).value();
+  auto ctx = RsaContext::Create(keys).value();
+  EXPECT_TRUE(ctx.Decrypt(keys.pub.n).status().IsOutOfRange());
+  EXPECT_FALSE(RsaKeyGen(63, rng).ok());
+}
+
+}  // namespace
+}  // namespace crypto
+
+namespace fl {
 namespace {
 
 PsiOptions SmallOptions() {
@@ -71,9 +124,15 @@ TEST(PsiTest, NetworkDrainedCompletely) {
   // would confuse a following training phase on the same network).
   net::Network network;
   RsaPsiIntersect({1, 2}, {2, 3}, SmallOptions(), &network, nullptr).value();
-  EXPECT_EQ(network.PendingFor("guest"), 0u);
-  EXPECT_EQ(network.PendingFor("host"), 0u);
+  for (const char* party : {"guest", "host"}) {
+    for (const char* topic : {"psi_pub", "psi_blind", "psi_signed",
+                              "psi_tags"}) {
+      EXPECT_TRUE(network.Receive(party, topic).status().IsNotFound())
+          << party << " " << topic;
+    }
+  }
 }
 
 }  // namespace
-}  // namespace flb::fl
+}  // namespace fl
+}  // namespace flb

@@ -23,9 +23,9 @@ const std::set<std::string>& UnorderedTypes() {
 }
 const std::set<std::string>& SerializeSinks() {
   static const std::set<std::string> s = {
-      "PutU32",         "PutU64",          "PutDouble",
-      "PutString",      "PutBigInt",       "PutBigIntFixed",
-      "PutDoubleVector", "PutBigIntBatchFixed", "PutBytes"};
+      "PutU32",    "PutU64",          "PutDouble",
+      "PutBigInt", "PutBigIntFixed", "PutDoubleVector",
+      "PutBigIntBatchFixed"};
   return s;
 }
 const std::set<std::string>& StmtKeywords() {
