@@ -52,6 +52,17 @@ void BM_ModInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_ModInverse)->Arg(512)->Arg(1024)->Arg(2048);
 
+// The coprimality check of an obfuscator draw: a random value below an odd
+// modulus of the same width.
+void BM_Gcd(benchmark::State& state) {
+  Rng rng(6);
+  BigInt n = BigInt::Random(rng, state.range(0));
+  if (n.IsEven()) n = BigInt::Add(n, BigInt(1));
+  const BigInt a = BigInt::RandomBelow(rng, n);
+  for (auto _ : state) benchmark::DoNotOptimize(BigInt::Gcd(a, n));
+}
+BENCHMARK(BM_Gcd)->Arg(512)->Arg(1024)->Arg(2048);
+
 void BM_HexRoundTrip(benchmark::State& state) {
   Rng rng(5);
   BigInt a = BigInt::Random(rng, state.range(0));

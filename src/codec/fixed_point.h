@@ -33,7 +33,6 @@ class FixedPointCodec {
   static Result<FixedPointCodec> Create(const BigInt& modulus, int frac_bits);
 
   int frac_bits() const { return frac_bits_; }
-  const BigInt& modulus() const { return n_; }
 
   // v -> round(v * 2^f) mod n. Error if the scaled magnitude reaches n/2
   // (sign would become ambiguous).

@@ -50,9 +50,8 @@ class Quantizer {
   static Result<Quantizer> Create(const QuantizerConfig& config);
 
   int r_bits() const { return config_.r_bits; }
-  // b = ceil(log2 p): headroom bits reserved above the value.
-  int overflow_bits() const { return overflow_bits_; }
-  // Slot width r + b in bits.
+  // Slot width r + b in bits, where b = ceil(log2 p) is the headroom
+  // reserved above the value.
   int slot_bits() const { return config_.r_bits + overflow_bits_; }
   double alpha() const { return config_.alpha; }
   int participants() const { return config_.participants; }

@@ -38,7 +38,7 @@ bool BatchInvert(const MontgomeryContext& n2, const BigInt& n,
     n2.MontMulWords(p.row(i - 1), x.row(i), p.row(i));
   }
   // The product's inverse mod n^2 from its inverse y mod n (a half-width
-  // Euclid, ~4x cheaper) by one Newton step: with p*y = 1 + t*n,
+  // inverse, ~3x cheaper) by one Newton step: with p*y = 1 + t*n,
   // p*y*(2 - p*y) = 1 - t^2*n^2.
   const BigInt last = p.ToBigInt(rows - 1);
   auto y = BigInt::ModInverse(last, n);
@@ -555,9 +555,13 @@ Result<std::vector<BigInt>> PaillierContext::ScalarMulBatch(
   const size_t w = n2.num_limbs();
   // Row i is raised to exps[i]: its ciphertext to k, or, for a negative
   // scalar, that ciphertext's inverse to the short n - k. The inverses are
-  // taken together, serially, with one ModInverse for the whole batch. An
-  // inverse is unique, so the bytes match ScalarMulUncounted's; if the
-  // product is not a unit, every element takes ScalarMulUncounted instead.
+  // taken together, serially, with one ModInverse for the whole batch and
+  // one inversion per distinct ciphertext: equal ciphertexts are equal
+  // fixed-width rows, so sorting the negated rows puts copies side by side,
+  // and the first row of each run is inverted for all of them. An inverse
+  // is unique, so the bytes match ScalarMulUncounted's. If the product of
+  // the distinct rows is not a unit (exactly when one of them is not),
+  // every element takes ScalarMulUncounted instead.
   mpint::LimbMatrix o = mpint::LimbMatrix::Pack(cs, w);
   std::vector<BigInt> exps;
   exps.reserve(count);
@@ -567,13 +571,26 @@ Result<std::vector<BigInt>> PaillierContext::ScalarMulBatch(
     if (m) negated.push_back(i);
     exps.push_back(m ? std::move(*m) : ks[i]);
   }
-  mpint::LimbMatrix inv(negated.size(), w);
+  const auto row_less = [&](size_t a, size_t b) {
+    return std::lexicographical_compare(o.row(a), o.row(a) + w, o.row(b),
+                                        o.row(b) + w);
+  };
+  std::sort(negated.begin(), negated.end(), row_less);
+  // run[r]: the distinct row that negated row r copies.
+  std::vector<size_t> run(negated.size()), firsts;
   for (size_t r = 0; r < negated.size(); ++r) {
-    std::copy(o.row(negated[r]), o.row(negated[r]) + w, inv.row(r));
+    if (r == 0 || row_less(negated[r - 1], negated[r])) {
+      firsts.push_back(negated[r]);
+    }
+    run[r] = firsts.size() - 1;
+  }
+  mpint::LimbMatrix inv(firsts.size(), w);
+  for (size_t u = 0; u < firsts.size(); ++u) {
+    std::copy(o.row(firsts[u]), o.row(firsts[u]) + w, inv.row(u));
   }
   if (BatchInvert(n2, pub_.n, inv)) {
     for (size_t r = 0; r < negated.size(); ++r) {
-      std::copy(inv.row(r), inv.row(r) + w, o.row(negated[r]));
+      std::copy(inv.row(run[r]), inv.row(run[r]) + w, o.row(negated[r]));
     }
     FLB_RETURN_IF_ERROR(n2.ForEachLaneTask(
         tp, count, [&](size_t first, size_t rows) -> Status {

@@ -169,8 +169,9 @@ class PaillierContext {
   // (the short-exponent inverse path of ScalarMul) have their ciphertexts
   // inverted together with Montgomery's batch trick, serially, before the
   // exponentiations fan out: one ModInverse of their product (taken mod n
-  // and lifted to n^2 by a Newton step) plus 3 MontMuls per element.
-  // Inverses are unique, so outputs equal ScalarMul's. Each element then
+  // and lifted to n^2 by a Newton step) plus 3 MontMuls per distinct
+  // ciphertext; copies of one ciphertext share its inverse. Inverses are
+  // unique, so outputs equal ScalarMul's. Each element then
   // has its own exponent, and eight of them run in lock-step to the
   // longest one's length (ModPowRows with per-row exponents). If the
   // product is not a unit (some ciphertext shares a factor with n^2),

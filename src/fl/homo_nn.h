@@ -40,7 +40,6 @@ class HomoNnTrainer {
 
   // Flattened global parameters: [W1 (h x d), b1 (h), w2 (h), b2 (1)].
   const std::vector<double>& parameters() const { return params_vec_; }
-  size_t parameter_count() const { return params_vec_.size(); }
 
   // Predicted probabilities over a dataset with the current global model.
   std::vector<double> Predict(const Dataset& data) const;

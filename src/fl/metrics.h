@@ -13,11 +13,6 @@ namespace flb::fl {
 
 inline double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
-// First-order Taylor expansion around 0 — the approximation hetero
-// protocols use so the residual is linear in the (encrypted) score:
-// sigmoid(z) ~= 0.5 + 0.25 z.
-inline double TaylorSigmoid(double z) { return 0.5 + 0.25 * z; }
-
 // Numerically-safe binary cross entropy for y in {0, 1}.
 inline double LogLoss(double prob, double y) {
   constexpr double kEps = 1e-12;

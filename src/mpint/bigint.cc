@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "src/common/check.h"
+#include "src/mpint/fixed_kernels.h"
 
 namespace flb::mpint {
 
@@ -17,8 +18,9 @@ constexpr size_t kKaratsubaThreshold = 40;
 }  // namespace
 
 // Pins the modeled HE path's hot functions (AddModInPlace, AddInPlace, Mul,
-// DivMod, operator%) to cache-line boundaries, so code added elsewhere in
-// the link cannot shift their loops and move wall time.
+// DivMod, operator%) and the real path's GCD core to cache-line boundaries,
+// so code added elsewhere in the link cannot shift their loops and move wall
+// time.
 #define FLB_HOT_ALIGNED __attribute__((aligned(64)))
 
 BigInt::BigInt(uint64_t v) {
@@ -356,14 +358,269 @@ FLB_HOT_ALIGNED BigInt operator%(const BigInt& a, const BigInt& b) {
   return std::move(r).value();
 }
 
-BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
-  BigInt x = a, y = b;
-  while (!y.IsZero()) {
-    BigInt r = x % y;
-    x = std::move(y);
-    y = std::move(r);
+// ---- Binary GCD core --------------------------------------------------------
+//
+// Bernstein–Yang divsteps ("Fast constant-time gcd computation and modular
+// inversion", 2019) in the variable-time form of libsecp256k1's modinv64,
+// widened from its fixed 5 words to the operands' width. Values are signed
+// radix-2^62 words: every word in [0, 2^62) except the top one, which
+// carries the sign. Each outer iteration runs 62 divsteps on the low words
+// alone, collects them into a 2x2 transition matrix scaled by 2^62, and
+// applies it to the full-width f and g and, for an inverse, to the Bézout
+// coefficients d and e modulo the odd modulus. Like the sliding-window
+// ModPow, it runs in variable time.
+
+namespace {
+
+using I128 = __int128;
+using U128 = unsigned __int128;
+
+constexpr uint64_t kMask62 = ~uint64_t{0} >> 2;
+
+// The matrix of 62 divsteps, times 2^62: f' = (u f + v g) / 2^62 and
+// g' = (q f + r g) / 2^62, with |u| + |v| <= 2^62 and |q| + |r| <= 2^62.
+struct Transition {
+  int64_t u, v, q, r;
+};
+
+int64_t Low62(I128 x) {
+  return static_cast<int64_t>(static_cast<uint64_t>(x) & kMask62);
+}
+
+// Runs 62 divsteps on the low words f0 (odd) and g0 of f and g, starting
+// from eta = -delta, and returns the new eta. Runs of zero bits in g are
+// taken in one shift, and up to 6 (or 4) low bits of g are cancelled by one
+// multiple of f.
+int64_t DivSteps62(int64_t eta, uint64_t f0, uint64_t g0, Transition* t) {
+  uint64_t u = 1, v = 0, q = 0, r = 1;
+  uint64_t f = f0, g = g0;
+  int left = 62;
+  for (;;) {
+    // The sentinel bits stop the count at the divsteps left.
+    const int zeros = std::countr_zero(g | (~uint64_t{0} << left));
+    g >>= zeros;
+    u <<= zeros;
+    v <<= zeros;
+    eta -= zeros;
+    left -= zeros;
+    if (left == 0) break;
+    // g is odd. With eta < 0 the divstep swaps: (f, g) <- (g, -f).
+    uint64_t w = 0;
+    if (eta < 0) {
+      eta = -eta;
+      uint64_t tmp = f;
+      f = g;
+      g = 0 - tmp;
+      tmp = u;
+      u = q;
+      q = 0 - tmp;
+      tmp = v;
+      v = r;
+      r = 0 - tmp;
+      // -g / f mod 2^6 (f (f^2 - 2) is -1/f mod 2^6), over at most eta + 1
+      // bits so that no swap falls inside the cancelled run.
+      const int limit = static_cast<int>(std::min<int64_t>(eta + 1, left));
+      const uint64_t mask = (~uint64_t{0} >> (64 - limit)) & 63;
+      w = (f * g * (f * f - 2)) & mask;
+    } else {
+      // -g / f mod 2^4: f + 8 * (bit 2 of f + 1) is 1/f mod 2^4.
+      const int limit = static_cast<int>(std::min<int64_t>(eta + 1, left));
+      const uint64_t mask = (~uint64_t{0} >> (64 - limit)) & 15;
+      w = f + (((f + 1) & 4) << 1);
+      w = ((0 - w) * g) & mask;
+    }
+    g += f * w;
+    q += u * w;
+    r += v * w;
   }
-  return x;
+  t->u = static_cast<int64_t>(u);
+  t->v = static_cast<int64_t>(v);
+  t->q = static_cast<int64_t>(q);
+  t->r = static_cast<int64_t>(r);
+  return eta;
+}
+
+// [f, g] <- t [f, g] / 2^62 over the low `len` words; the division is
+// exact.
+void UpdateFg(int len, int64_t* f, int64_t* g, const Transition& t) {
+  I128 cf = I128{t.u} * f[0] + I128{t.v} * g[0];
+  I128 cg = I128{t.q} * f[0] + I128{t.r} * g[0];
+  cf >>= 62;
+  cg >>= 62;
+  for (int i = 1; i < len; ++i) {
+    cf += I128{t.u} * f[i] + I128{t.v} * g[i];
+    cg += I128{t.q} * f[i] + I128{t.r} * g[i];
+    f[i - 1] = Low62(cf);
+    g[i - 1] = Low62(cg);
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f[len - 1] = static_cast<int64_t>(cf);
+  g[len - 1] = static_cast<int64_t>(cg);
+}
+
+// [d, e] <- t [d, e] / 2^62 mod m over n words, each kept in (-2m, m): the
+// multiples md, me of m make the low 62 bits zero (m_inv62 = m^-1 mod
+// 2^62), and adding u or q (v or r) for a negative d (e) keeps the range.
+void UpdateDe(int n, int64_t* d, int64_t* e, const Transition& t,
+              const int64_t* m, uint64_t m_inv62) {
+  const int64_t sd = d[n - 1] >> 63, se = e[n - 1] >> 63;
+  int64_t md = (t.u & sd) + (t.v & se);
+  int64_t me = (t.q & sd) + (t.r & se);
+  I128 cd = I128{t.u} * d[0] + I128{t.v} * e[0];
+  I128 ce = I128{t.q} * d[0] + I128{t.r} * e[0];
+  md -= static_cast<int64_t>(
+      (m_inv62 * static_cast<uint64_t>(cd) + static_cast<uint64_t>(md)) &
+      kMask62);
+  me -= static_cast<int64_t>(
+      (m_inv62 * static_cast<uint64_t>(ce) + static_cast<uint64_t>(me)) &
+      kMask62);
+  cd += I128{m[0]} * md;
+  ce += I128{m[0]} * me;
+  cd >>= 62;
+  ce >>= 62;
+  for (int i = 1; i < n; ++i) {
+    cd += I128{t.u} * d[i] + I128{t.v} * e[i] + I128{m[i]} * md;
+    ce += I128{t.q} * d[i] + I128{t.r} * e[i] + I128{m[i]} * me;
+    d[i - 1] = Low62(cd);
+    e[i - 1] = Low62(ce);
+    cd >>= 62;
+    ce >>= 62;
+  }
+  d[n - 1] = static_cast<int64_t>(cd);
+  e[n - 1] = static_cast<int64_t>(ce);
+}
+
+// x as n signed radix-2^62 words (x < 2^(62 n - 1)).
+void ToWords62(const BigInt& x, int64_t* out, int n) {
+  const std::vector<uint32_t>& w = x.words();
+  U128 acc = 0;
+  int bits = 0;
+  size_t next = 0;
+  for (int i = 0; i < n; ++i) {
+    for (; bits < 62 && next < w.size(); bits += kLimbBits) {
+      acc |= U128{w[next++]} << bits;
+    }
+    out[i] = static_cast<int64_t>(static_cast<uint64_t>(acc) & kMask62);
+    acc >>= 62;
+    bits = std::max(bits - 62, 0);
+  }
+}
+
+// |v| of n signed radix-2^62 words in any carry state; *negative tells the
+// sign. Overwrites v.
+BigInt Magnitude62(int64_t* v, int n, bool* negative) {
+  const auto carry = [&] {
+    for (int i = 0; i + 1 < n; ++i) {
+      v[i + 1] += v[i] >> 62;
+      v[i] = static_cast<int64_t>(static_cast<uint64_t>(v[i]) & kMask62);
+    }
+  };
+  carry();
+  *negative = v[n - 1] < 0;
+  if (*negative) {
+    for (int i = 0; i < n; ++i) v[i] = -v[i];
+    carry();
+  }
+  std::vector<uint32_t> w;
+  w.reserve(static_cast<size_t>(n) * 2 + 1);
+  U128 acc = 0;
+  int bits = 0;
+  for (int i = 0; i < n; ++i) {
+    acc |= U128{static_cast<uint64_t>(v[i])} << bits;  // the top may hold 63
+    for (bits += 62; bits >= kLimbBits; bits -= kLimbBits) {
+      w.push_back(static_cast<uint32_t>(acc));
+      acc >>= kLimbBits;
+    }
+  }
+  for (; acc != 0; acc >>= kLimbBits) w.push_back(static_cast<uint32_t>(acc));
+  return BigInt::FromWords(std::move(w));
+}
+
+// Runs divsteps on f (odd) and g, n words each, until g = 0, and returns the
+// number of words f still spans; f is then +-gcd(f, g). f and g shrink by a
+// word whenever both top words are sign only. With d and e (0 and 1 on
+// entry) it keeps d g0 = f and e g0 = g modulo m, the starting f.
+[[gnu::noinline]] FLB_HOT_ALIGNED int DivStepsToZero(
+    int n, int64_t* f, int64_t* g, int64_t* d, int64_t* e, const int64_t* m,
+    uint64_t m_inv62) {
+  int len = n;
+  int64_t eta = -1;  // eta = -delta; delta starts at 1
+  for (;;) {
+    Transition t{};
+    eta = DivSteps62(eta, static_cast<uint64_t>(f[0]),
+                     static_cast<uint64_t>(g[0]), &t);
+    if (d != nullptr) UpdateDe(n, d, e, t, m, m_inv62);
+    UpdateFg(len, f, g, t);
+    if (g[0] == 0) {
+      int64_t rest = 0;
+      for (int i = 1; i < len; ++i) rest |= g[i];
+      if (rest == 0) return len;
+    }
+    const int64_t fn = f[len - 1], gn = g[len - 1];
+    if (len >= 2 && (fn ^ (fn >> 63)) == 0 && (gn ^ (gn >> 63)) == 0) {
+      // Fold the sign (0 or -1) into the word below.
+      f[len - 2] |= static_cast<int64_t>(static_cast<uint64_t>(fn) << 62);
+      g[len - 2] |= static_cast<int64_t>(static_cast<uint64_t>(gn) << 62);
+      --len;
+    }
+  }
+}
+
+// gcd(f, g) for odd f. With `inverse`, g < f, and when the gcd is 1
+// *inverse becomes g^-1 mod f.
+BigInt OddGcd(const BigInt& f, const BigInt& g, BigInt* inverse) {
+  // 62 n >= bits + 2 holds d and e in (-2f, f) with a sign bit.
+  const int n = (std::max(f.BitLength(), g.BitLength()) + 2 + 61) / 62;
+  std::vector<int64_t> words(static_cast<size_t>(inverse ? 5 : 2) * n, 0);
+  int64_t* fw = words.data();
+  int64_t* gw = fw + n;
+  ToWords62(f, fw, n);
+  ToWords62(g, gw, n);
+  if (inverse == nullptr) {
+    bool negative = false;
+    return Magnitude62(fw, DivStepsToZero(n, fw, gw, nullptr, nullptr,
+                                          nullptr, 0),
+                       &negative);
+  }
+  int64_t* d = gw + n;
+  int64_t* e = d + n;
+  int64_t* m = e + n;
+  e[0] = 1;
+  std::copy(fw, fw + n, m);
+  const uint64_t m_inv62 = 0 - fixed::NegInverseMod2p64(f.LowU64());
+  const int len = DivStepsToZero(n, fw, gw, d, e, m, m_inv62);
+  bool f_negative = false, d_negative = false;
+  BigInt gcd = Magnitude62(fw, len, &f_negative);
+  if (!gcd.IsOne()) return gcd;
+  // d g = f = +-1 (mod f0), so the inverse is +-d, and |d| < 2 f0.
+  BigInt x = Magnitude62(d, n, &d_negative);
+  if (x >= f) x = BigInt::Sub(x, f);
+  if (f_negative != d_negative && !x.IsZero()) x = BigInt::Sub(f, x);
+  *inverse = std::move(x);
+  return gcd;
+}
+
+Status NotCoprime() {
+  return Status::ArithmeticError("ModInverse: values are not coprime");
+}
+
+int TrailingZeroBits(const BigInt& a) {
+  const std::vector<uint32_t>& w = a.words();
+  size_t i = 0;
+  while (w[i] == 0) ++i;
+  return static_cast<int>(i) * kLimbBits + std::countr_zero(w[i]);
+}
+
+}  // namespace
+
+BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
+  if (a.IsZero()) return b;
+  if (b.IsZero()) return a;
+  // gcd(a, b) = 2^min(za, zb) gcd(a / 2^za, b / 2^zb).
+  const int za = TrailingZeroBits(a), zb = TrailingZeroBits(b);
+  return ShiftLeft(OddGcd(ShiftRight(a, za), ShiftRight(b, zb), nullptr),
+                   std::min(za, zb));
 }
 
 BigInt BigInt::Lcm(const BigInt& a, const BigInt& b) {
@@ -375,48 +632,19 @@ Result<BigInt> BigInt::ModInverse(const BigInt& a, const BigInt& n) {
   if (n < BigInt(2)) {
     return Status::InvalidArgument("ModInverse: modulus must be >= 2");
   }
-  // Extended Euclid over unsigned values: track coefficients with explicit
-  // signs (t, t_sign) so BigInt itself stays unsigned.
-  BigInt r_prev = n, r = a % n;
-  BigInt t_prev, t = BigInt(1);
-  bool t_prev_neg = false, t_neg = false;
-  while (!r.IsZero()) {
-    auto qr = DivMod(r_prev, r);
-    FLB_CHECK(qr.ok());
-    const BigInt& q = qr->first;
-    // (t_prev, t) <- (t, t_prev - q*t), with sign bookkeeping.
-    BigInt qt = Mul(q, t);
-    BigInt next;
-    bool next_neg;
-    if (t_prev_neg == t_neg) {
-      // Same sign: t_prev - q*t may flip sign.
-      if (t_prev >= qt) {
-        next = Sub(t_prev, qt);
-        next_neg = t_prev_neg;
-      } else {
-        next = Sub(qt, t_prev);
-        next_neg = !t_prev_neg;
-      }
-    } else {
-      // Opposite signs: magnitudes add, sign follows t_prev.
-      next = Add(t_prev, qt);
-      next_neg = t_prev_neg;
-    }
-    t_prev = std::move(t);
-    t_prev_neg = t_neg;
-    t = std::move(next);
-    t_neg = next_neg;
-    // (r_prev, r) <- (r, r_prev mod r).
-    BigInt rem = std::move(qr->second);
-    r_prev = std::move(r);
-    r = std::move(rem);
+  const BigInt x = a % n;
+  BigInt inv;
+  if (n.IsOdd()) {
+    if (!OddGcd(n, x, &inv).IsOne()) return NotCoprime();
+    return inv;
   }
-  if (!r_prev.IsOne()) {
-    return Status::ArithmeticError("ModInverse: values are not coprime");
-  }
-  BigInt inv = t_prev % n;
-  if (t_prev_neg && !inv.IsZero()) inv = Sub(n, inv);
-  return inv;
+  // Even n needs odd x. With y = n^-1 mod x, n y - 1 = t x for an integer
+  // 0 <= t < n, and x (n - t) = 1 + n (x - y) = 1 (mod n).
+  if (x.IsEven()) return NotCoprime();
+  if (x.IsOne()) return x;
+  BigInt y;
+  if (!OddGcd(x, n % x, &y).IsOne()) return NotCoprime();
+  return Sub(n, Sub(Mul(n, y), BigInt(1)) / x);
 }
 
 FLB_HOT_ALIGNED void BigInt::AddModInPlace(const BigInt& b, const BigInt& n) {

@@ -12,9 +12,10 @@
 // vector. All operations preserve this (see Normalize()).
 //
 // Signedness: BigInt is unsigned. Subtraction requires a >= b (checked);
-// signed intermediates (extended gcd) are handled internally by the callers
-// that need them. This matches the paper, which quantizes all gradients into
-// unsigned integers before they ever reach the HE layer (§IV-B).
+// signed intermediates (the GCD core's signed words) stay inside the
+// functions that need them. This matches the paper, which quantizes all
+// gradients into unsigned integers before they ever reach the HE layer
+// (§IV-B).
 
 #ifndef FLB_MPINT_BIGINT_H_
 #define FLB_MPINT_BIGINT_H_
@@ -102,11 +103,16 @@ class BigInt {
   // a mod 2^bits (keep low `bits` bits).
   static BigInt TruncateBits(const BigInt& a, int bits);
 
-  // Euclid. Gcd(0,0) == 0.
+  // Gcd and ModInverse share one binary GCD core: Bernstein–Yang divsteps,
+  // 62 per pass over 64-bit words, in variable time. Gcd strips the common
+  // power of two first. Gcd(0, b) == b and Gcd(0, 0) == 0.
   static BigInt Gcd(const BigInt& a, const BigInt& b);
   // Lcm(a,b) = a*b/gcd; Lcm with 0 is 0.
   static BigInt Lcm(const BigInt& a, const BigInt& b);
-  // x such that a*x ≡ 1 (mod n); error if gcd(a, n) != 1 or n < 2.
+  // x < n such that a*x ≡ 1 (mod n), for any a (a >= n included):
+  // InvalidArgument if n < 2, ArithmeticError if gcd(a, n) != 1. An odd n
+  // runs the core on a mod n; an even n needs an odd a, whose inverse comes
+  // from n's inverse modulo a.
   static Result<BigInt> ModInverse(const BigInt& a, const BigInt& n);
   // *this = (*this + b) mod n, in place (b may alias *this). For reduced
   // residues (both < n) this is one limb add and at most one subtract of n,

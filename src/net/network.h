@@ -40,8 +40,6 @@ struct LinkSpec {
   double per_object_overhead_sec = 1.5e-3;
 
   static LinkSpec GigabitEthernet() { return LinkSpec{}; }
-  static LinkSpec TenGigabit() { return LinkSpec{1.17e9, 150e-6, 1.5e-3}; }
-  static LinkSpec Wan() { return LinkSpec{12.5e6, 20e-3, 1.5e-3}; }
 };
 
 struct Message {

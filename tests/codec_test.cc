@@ -48,11 +48,16 @@ TEST(QuantizerTest, ConfigValidation) {
 }
 
 TEST(QuantizerTest, OverflowBitsMatchParticipants) {
-  EXPECT_EQ(MakeQuantizer(1.0, 30, 1).overflow_bits(), 0);
-  EXPECT_EQ(MakeQuantizer(1.0, 30, 2).overflow_bits(), 1);
-  EXPECT_EQ(MakeQuantizer(1.0, 30, 4).overflow_bits(), 2);
-  EXPECT_EQ(MakeQuantizer(1.0, 30, 5).overflow_bits(), 3);
-  EXPECT_EQ(MakeQuantizer(1.0, 30, 64).overflow_bits(), 6);
+  // The headroom above the value: slot width minus r.
+  const auto overflow_bits = [](int participants) {
+    const Quantizer q = MakeQuantizer(1.0, 30, participants);
+    return q.slot_bits() - q.r_bits();
+  };
+  EXPECT_EQ(overflow_bits(1), 0);
+  EXPECT_EQ(overflow_bits(2), 1);
+  EXPECT_EQ(overflow_bits(4), 2);
+  EXPECT_EQ(overflow_bits(5), 3);
+  EXPECT_EQ(overflow_bits(64), 6);
   // The paper's default: r + b = 32.
   EXPECT_EQ(MakeQuantizer(1.0, 30, 4).slot_bits(), 32);
 }

@@ -47,8 +47,8 @@ TEST(FixedPointTest, NegativeValuesWrapAboveHalfModulus) {
 }
 
 TEST(FixedPointTest, AdditionOfResiduesMatchesPlainSum) {
-  auto codec = FixedPointCodec::Create(Modulus(512), 24).value();
-  const BigInt& n = codec.modulus();
+  const BigInt n = Modulus(512);
+  auto codec = FixedPointCodec::Create(n, 24).value();
   Rng rng(8);
   for (int i = 0; i < 100; ++i) {
     const double a = (rng.NextDouble() - 0.5) * 100;
@@ -60,8 +60,8 @@ TEST(FixedPointTest, AdditionOfResiduesMatchesPlainSum) {
 }
 
 TEST(FixedPointTest, MultiplicationTracksScale) {
-  auto codec = FixedPointCodec::Create(Modulus(512), 20).value();
-  const BigInt& n = codec.modulus();
+  const BigInt n = Modulus(512);
+  auto codec = FixedPointCodec::Create(n, 20).value();
   Rng rng(9);
   for (int i = 0; i < 50; ++i) {
     const double a = (rng.NextDouble() - 0.5) * 8;
@@ -82,8 +82,9 @@ TEST(FixedPointTest, EncodeRejectsBadInputs) {
 }
 
 TEST(FixedPointTest, DecodeRejectsOutOfRange) {
-  auto codec = FixedPointCodec::Create(Modulus(256), 24).value();
-  EXPECT_FALSE(codec.Decode(codec.modulus()).ok());
+  const BigInt n = Modulus(256);
+  auto codec = FixedPointCodec::Create(n, 24).value();
+  EXPECT_FALSE(codec.Decode(n).ok());
 }
 
 TEST(FixedPointTest, PrecisionImprovesWithFracBits) {

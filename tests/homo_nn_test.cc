@@ -63,7 +63,7 @@ TEST(HomoNnTest, ParameterVectorLayout) {
   params.hidden_dim = 4;
   HomoNnTrainer trainer(shards, rig.session(), TrainConfig{}, params);
   // W1 (4x10) + b1 (4) + w2 (4) + b2 (1).
-  EXPECT_EQ(trainer.parameter_count(), 4u * 10 + 4 + 4 + 1);
+  EXPECT_EQ(trainer.parameters().size(), 4u * 10 + 4 + 4 + 1);
   auto probs = trainer.Predict(ds);
   EXPECT_EQ(probs.size(), ds.rows());
   for (double p : probs) {

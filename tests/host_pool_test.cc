@@ -275,13 +275,16 @@ TEST_F(BatchInvarianceTest, AllBatchHelpersAreBitIdenticalAcrossThreadCounts) {
 
 TEST_F(BatchInvarianceTest, ScalarMulBatchWithNonUnitsMatchesSingleOps) {
   // 0 and n are < n^2 but share a factor with it, so the batch product is
-  // not a unit and every element takes the per-element path.
+  // not a unit and every element takes the per-element path. 0 comes twice,
+  // so its copies share one row of the batch inversion, and that row still
+  // sends the whole batch down the per-element path.
   const BigInt& n = Keys().pub.n;
   auto ctx = PaillierContext::Create(Keys()).value();
   Rng rng(19);
   std::vector<BigInt> cs = ctx.EncryptBatch(Messages(6), rng).value();
   cs[1] = BigInt();  // odd indices carry negative scalars
   cs[3] = n;
+  cs[5] = BigInt();
   std::vector<BigInt> ks;
   for (size_t i = 0; i < cs.size(); ++i) {
     const BigInt k(i * 5 + 3);
@@ -295,6 +298,66 @@ TEST_F(BatchInvarianceTest, ScalarMulBatchWithNonUnitsMatchesSingleOps) {
       EXPECT_EQ(out[i], ctx.ScalarMul(cs[i], ks[i]).value())
           << "threads=" << threads << " element " << i;
     }
+  }
+}
+
+// ScalarMulBatch inverts each distinct negative-scalar ciphertext once: 8
+// ciphertexts, each used 5 times with a negative scalar and once with a
+// positive one, in shuffled order. The outputs equal per-element ScalarMul
+// at 1, 2 and 8 threads, and the n^2 MontMuls beyond the per-element
+// exponentiations (the batch inversion) equal those of a batch of the 8
+// distinct ciphertexts alone.
+TEST_F(BatchInvarianceTest, ScalarMulBatchInvertsEachDistinctCiphertextOnce) {
+  const BigInt& n = Keys().pub.n;
+  Rng rng(23);
+  const std::vector<BigInt> distinct =
+      PaillierContext::Create(Keys()).value().EncryptBatch(Messages(8), rng)
+          .value();
+  std::vector<BigInt> cs, ks;
+  for (size_t u = 0; u < distinct.size(); ++u) {
+    for (size_t use = 0; use < 6; ++use) {
+      const BigInt k(u * 37 + use * 5 + 3);
+      cs.push_back(distinct[u]);
+      ks.push_back(use == 0 ? k : BigInt::Sub(n, k));
+    }
+  }
+  for (size_t i = cs.size() - 1; i > 0; --i) {
+    const size_t j = rng.NextBelow(i + 1);
+    std::swap(cs[i], cs[j]);
+    std::swap(ks[i], ks[j]);
+  }
+  std::vector<BigInt> distinct_ks;
+  for (size_t u = 0; u < distinct.size(); ++u) {
+    distinct_ks.push_back(BigInt::Sub(n, BigInt(u * 11 + 2)));
+  }
+
+  // The batch's n^2 MontMuls minus those of its elements run one by one.
+  const auto inversion_muls = [](const PaillierContext& ctx,
+                                 const std::vector<BigInt>& c,
+                                 const std::vector<BigInt>& k,
+                                 ThreadPool& pool) {
+    const auto& n2 = ctx.eval().n2_ctx();
+    const uint64_t start = n2.mont_mul_count();
+    EXPECT_TRUE(ctx.ScalarMulBatch(c, k, &pool).ok());
+    const uint64_t batch_done = n2.mont_mul_count();
+    for (size_t i = 0; i < c.size(); ++i) {
+      EXPECT_TRUE(ctx.ScalarMul(c[i], k[i]).ok());
+    }
+    return (batch_done - start) - (n2.mont_mul_count() - batch_done);
+  };
+
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    auto ctx = PaillierContext::Create(Keys()).value();
+    const auto out = ctx.ScalarMulBatch(cs, ks, &pool).value();
+    ASSERT_EQ(out.size(), cs.size());
+    for (size_t i = 0; i < cs.size(); ++i) {
+      EXPECT_EQ(out[i], ctx.ScalarMul(cs[i], ks[i]).value())
+          << "threads=" << threads << " element " << i;
+    }
+    EXPECT_EQ(inversion_muls(ctx, cs, ks, pool),
+              inversion_muls(ctx, distinct, distinct_ks, pool))
+        << "threads=" << threads;
   }
 }
 

@@ -106,9 +106,11 @@ TEST(NetworkTest, TimeAndByteAccounting) {
 }
 
 TEST(NetworkTest, LinkPresetsOrdering) {
-  // WAN is slower than GigE is slower than 10GigE for the same payload.
-  Network wan(LinkSpec::Wan()), gige(LinkSpec::GigabitEthernet()),
-      tengig(LinkSpec::TenGigabit());
+  // A WAN link is slower than the GigE preset is slower than 10GigE for the
+  // same payload.
+  Network wan(LinkSpec{12.5e6, 20e-3, 1.5e-3}),
+      gige(LinkSpec::GigabitEthernet()),
+      tengig(LinkSpec{1.17e9, 150e-6, 1.5e-3});
   const size_t bytes = 10 << 20;
   EXPECT_GT(wan.TransferSeconds(bytes), gige.TransferSeconds(bytes));
   EXPECT_GT(gige.TransferSeconds(bytes), tengig.TransferSeconds(bytes));
