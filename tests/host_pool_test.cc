@@ -275,16 +275,17 @@ TEST_F(BatchInvarianceTest, AllBatchHelpersAreBitIdenticalAcrossThreadCounts) {
 
 TEST_F(BatchInvarianceTest, ScalarMulBatchWithNonUnitsMatchesSingleOps) {
   // 0 and n are < n^2 but share a factor with it, so the batch product is
-  // not a unit and every element takes the per-element path. 0 comes twice,
-  // so its copies share one row of the batch inversion, and that row still
-  // sends the whole batch down the per-element path.
+  // not a unit and every element takes the per-element path, row 5 (a
+  // real ciphertext with a negative scalar) included. 0 comes twice, so its
+  // copies share one row of the batch inversion, and that row still sends
+  // the whole batch down the per-element path.
   const BigInt& n = Keys().pub.n;
   auto ctx = PaillierContext::Create(Keys()).value();
   Rng rng(19);
-  std::vector<BigInt> cs = ctx.EncryptBatch(Messages(6), rng).value();
+  std::vector<BigInt> cs = ctx.EncryptBatch(Messages(8), rng).value();
   cs[1] = BigInt();  // odd indices carry negative scalars
   cs[3] = n;
-  cs[5] = BigInt();
+  cs[7] = BigInt();
   std::vector<BigInt> ks;
   for (size_t i = 0; i < cs.size(); ++i) {
     const BigInt k(i * 5 + 3);
